@@ -1,4 +1,8 @@
-"""Command-line front end: generators, solvers, oracles, verification."""
+"""Command-line front end: generators, solvers, oracles, verification.
+
+The subcommands that exist for both problems share one body each and look
+up what differs in ``PROBLEMS``.
+"""
 
 from __future__ import annotations
 
@@ -6,113 +10,26 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DbnetError, FormatError, InvariantError
-from .gst_round import (GstParams, Rounder, build_scaled, rep_rng, run_gst,
-                        union_degree_ratios)
+from .generators import gen_dst, gen_gst
+from .gst_round import GstParams, run_gst, union_degree_ratios
 from .instances import (DirectedInstance, GroupTreeInstance, normalize,
                         parse_dst, parse_gst, preprocess_gst, serialize_dst,
                         serialize_gst)
-from .lpcore import (INFEASIBLE, build_dst_lp, build_gst_lp, dump_lp,
-                     modify_gst_solution, solve_lp)
+from .lpcore import build_dst_lp, build_gst_lp, dump_lp, rep_rng
 from .dst_round import DstParams, run_dst
 from .oracle import exact_dst, exact_gst
 from .states import build_super_tree
 from .treekit import height_budget
 
 EPS_OBJ = 1e-7
-
-
-def gen_dst(n: int, m: int, k: int, d_max: int = 3,
-            cost_range: tuple[int, int] = (1, 20),
-            seed: int = 0) -> DirectedInstance:
-    """Random reachable instance: embed an arborescence, then add extra arcs.
-
-    Degree bounds are lifted to the embedded fan-outs, so the instance is
-    always feasible.
-    """
-    if n < 2 or k < 1 or k > n - 1 or m < n - 1 or d_max < 1:
-        raise FormatError("inconsistent generator parameters")
-    if m > (n - 1) * (n - 1):
-        raise FormatError("too many edges requested")
-    rng = np.random.default_rng(seed)
-    lo, hi = cost_range
-    fanout = [0] * n
-    edges = {}
-    for v in range(1, n):
-        ok = [u for u in range(v) if fanout[u] < d_max]
-        u = int(ok[rng.integers(len(ok))])
-        fanout[u] += 1
-        edges[(u, v)] = int(rng.integers(lo, hi + 1))
-    while len(edges) < m:
-        u = int(rng.integers(n))
-        v = int(rng.integers(1, n))
-        if u != v and (u, v) not in edges:
-            edges[(u, v)] = int(rng.integers(lo, hi + 1))
-    terminals = sorted(int(t) for t in
-                       rng.choice(np.arange(1, n), size=k, replace=False))
-    bounds = {v: max(int(rng.integers(1, d_max + 1)), fanout[v])
-              for v in range(n)}
-    triples = [(u, v, c) for (u, v), c in sorted(edges.items())]
-    return DirectedInstance(n, triples, 0, frozenset(terminals), bounds)
-
-
-def gen_gst(n: int, k: int, depth: int = 4, d_max: int = 3,
-            cost_range: tuple[int, int] = (1, 20),
-            seed: int = 0) -> GroupTreeInstance:
-    """Random rooted tree with disjoint leaf groups; degree bounds are lifted
-    to cover one designated leaf per group, so the instance is feasible."""
-    if n < 2 or k < 1 or depth < 1 or d_max < 1:
-        raise FormatError("inconsistent generator parameters")
-    rng = np.random.default_rng(seed)
-    lo, hi = cost_range
-    parent = [-1] * n
-    level = [0] * n
-    fanout = [0] * n
-    for v in range(1, n):
-        ok = [u for u in range(v)
-              if level[u] < depth and fanout[u] < d_max]
-        if not ok:
-            raise FormatError("depth/d_max too tight for n vertices")
-        u = int(ok[rng.integers(len(ok))])
-        parent[v] = u
-        level[v] = level[u] + 1
-        fanout[u] += 1
-    children = [[] for _ in range(n)]
-    for v in range(1, n):
-        children[parent[v]].append(v)
-    leaves = [v for v in range(n) if not children[v] and v != 0]
-    if len(leaves) < k:
-        raise FormatError(f"only {len(leaves)} leaves for {k} groups")
-    order = [leaves[i] for i in rng.permutation(len(leaves))]
-    groups = [{order[t]} for t in range(k)]
-    for o in order[k:]:
-        t = int(rng.integers(k + 1))
-        if t < k:
-            groups[t].add(o)
-    cost = [int(rng.integers(lo, hi + 1)) for _ in range(n)]
-    cost[0] = 0
-    # children used by the union of the designated root-to-leaf paths
-    on_path = set()
-    for t in range(k):
-        v = order[t]
-        while v != -1 and v not in on_path:
-            on_path.add(v)
-            v = parent[v]
-    need = [0] * n
-    for v in on_path:
-        if parent[v] != -1:
-            need[parent[v]] += 1
-    bounds = [max(int(rng.integers(1, d_max + 1)), need[v], 1)
-              for v in range(n)]
-    return GroupTreeInstance(n, parent, cost,
-                             [frozenset(g) for g in groups], bounds)
-
-
-def _first_on_path(parent, designated, v):
-    return False
+# stream key that keeps the --trials draws apart from the report's repetitions
+TRIAL_STREAM = 1 << 32
 
 
 def _read(path: str) -> str:
@@ -183,32 +100,17 @@ def cmd_gen_gst(args) -> int:
     return 0
 
 
-def cmd_solve_dst(args) -> int:
-    inst = _load_dst(args.instance)
-    norm = normalize(inst)
-    params = DstParams(h=args.height, Q=args.q, seed=args.seed,
-                       node_cap=args.node_cap)
-    report = run_dst(norm, params, label=args.instance)
+def cmd_solve(args) -> int:
+    problem = PROBLEMS[args.problem]
+    report = problem.solve(problem.prepare(problem.load(args.instance)),
+                           args, args.instance)
     _emit_json(report.to_dict(), args.out)
     return 0
 
 
-def cmd_solve_gst(args) -> int:
-    inst = preprocess_gst(_load_gst(args.instance))
-    params = GstParams(M=args.m, seed=args.seed)
-    report = run_gst(inst, params, label=args.instance)
-    _emit_json(report.to_dict(), args.out)
-    return 0
-
-
-def cmd_oracle_dst(args) -> int:
-    res = exact_dst(_load_dst(args.instance))
-    _emit_json(res.to_dict(), args.out)
-    return 0 if res.status == "OPTIMAL" else 2
-
-
-def cmd_oracle_gst(args) -> int:
-    res = exact_gst(preprocess_gst(_load_gst(args.instance)))
+def cmd_oracle(args) -> int:
+    problem = PROBLEMS[args.problem]
+    res = problem.oracle(problem.load(args.instance))
     _emit_json(res.to_dict(), args.out)
     return 0 if res.status == "OPTIMAL" else 2
 
@@ -243,81 +145,51 @@ def _stat(hits: np.ndarray) -> dict:
 
 
 def cmd_run(args) -> int:
+    problem = PROBLEMS[args.problem]
     if args.gen:
         spec = _parse_gen_spec(args.gen)
-        gen_seed = spec.pop("seed", args.seed)
-        if args.problem == "dst":
-            inst = gen_dst(spec.pop("n", 8), spec.pop("m", 12),
-                           spec.pop("k", 3), spec.pop("d", 3),
-                           seed=gen_seed)
-        else:
-            inst = gen_gst(spec.pop("n", 20), spec.pop("k", 3),
-                           spec.pop("depth", 4), spec.pop("d", 3),
-                           seed=gen_seed)
+        inst = problem.gen(spec, spec.pop("seed", args.seed))
         if spec:
             raise FormatError(f"unknown generator keys: {sorted(spec)}")
         label = f"gen:{args.gen}"
     elif args.instance:
         label = args.instance
-        inst = (_load_dst(args.instance) if args.problem == "dst"
-                else _load_gst(args.instance))
+        inst = problem.load(args.instance)
     else:
         raise FormatError("run needs --instance or --gen")
 
-    if args.problem == "dst":
-        norm = normalize(inst)
-        report = run_dst(norm, DstParams(h=args.height, Q=args.q,
-                                         seed=args.seed,
-                                         node_cap=args.node_cap), label)
-        doc = report.to_dict()
-        if report.coverage < 1.0 and args.strict_coverage:
-            raise InvariantError("extracted tree does not cover all terminals")
-        try:
-            res = exact_dst(inst)
-        except DbnetError:
-            res = None
-        if res is not None:
-            doc["oracle"] = res.to_dict()
-            if (res.status == "OPTIMAL"
-                    and report.lp_cost > res.cost + EPS_OBJ * (1 + res.cost)):
-                raise InvariantError(
-                    f"LP cost {report.lp_cost} exceeds oracle {res.cost}")
-        if args.trials:
-            doc["stats"] = _dst_trial_stats(norm, args)
-    else:
-        pre = preprocess_gst(inst)
-        report = run_gst(pre, GstParams(M=args.m, seed=args.seed), label)
-        doc = report.to_dict()
-        try:
-            res = exact_gst(pre)
-        except DbnetError:
-            res = None
-        if res is not None:
-            doc["oracle"] = res.to_dict()
-            if (res.status == "OPTIMAL"
-                    and report.lp_cost > res.cost + EPS_OBJ * (1 + res.cost)):
-                raise InvariantError(
-                    f"LP cost {report.lp_cost} exceeds oracle {res.cost}")
-        if args.trials:
-            doc["stats"] = _gst_trial_stats(pre, args)
+    prep = problem.prepare(inst)
+    report = problem.solve(prep, args, label)
+    doc = report.to_dict()
+    if (args.strict_coverage and args.problem == "dst"
+            and report.coverage < 1.0):
+        raise InvariantError("extracted tree does not cover all terminals")
+    try:
+        res = problem.oracle(inst)
+    except DbnetError:
+        res = None
+    if res is not None:
+        doc["oracle"] = res.to_dict()
+        if (res.status == "OPTIMAL" and problem.relaxes(prep, report)
+                and report.lp_cost > res.cost + EPS_OBJ * (1 + res.cost)):
+            raise InvariantError(
+                f"LP cost {report.lp_cost} exceeds oracle {res.cost}")
+    if args.trials:
+        doc["stats"] = problem.trial_stats(report, args.trials)
     _emit_json(doc, args.out)
     return 0
 
 
-def _dst_trial_stats(norm, args) -> dict:
-    from .dst_round import Sampler
-    h = args.height if args.height is not None else height_budget(norm.inst.n)
-    st = build_super_tree(norm, h, args.node_cap)
-    sol = solve_lp(build_dst_lp(st))
-    if sol.status == INFEASIBLE:
-        raise InvariantError("LP became infeasible during stats")
-    sampler = Sampler(st, sol.x)
-    terms = sorted(st.terminal_index())
-    hits = {t: np.zeros(args.trials) for t in terms}
-    costs = np.zeros(args.trials)
-    for i in range(args.trials):
-        rng = np.random.default_rng([args.seed, 1 << 32, i])
-        _, bases = sampler.sample(rng)
+def _dst_trial_stats(report, trials: int) -> dict:
+    """Hit rate per terminal and sample cost over fresh roundings of the
+    report's own LP solution."""
+    sampler = report.sampler
+    st = sampler.st
+    terms = sorted(st.norm.inst.terminals)
+    hits = {t: np.zeros(trials) for t in terms}
+    costs = np.zeros(trials)
+    for i in range(trials):
+        _, bases = sampler.sample(rep_rng(report.seed, TRIAL_STREAM, i))
         costs[i] = sum(st.cost[o] for o in bases)
         for o in bases:
             for v in st.involved_vertices(o):
@@ -325,25 +197,23 @@ def _dst_trial_stats(norm, args) -> dict:
                     hits[v][i] = 1.0
     return {"per_terminal_hit": {str(t): _stat(hits[t]) for t in terms},
             "cost": {"mean": float(np.mean(costs)),
-                     "stddev": float(np.std(costs) / math.sqrt(args.trials)),
-                     "trials": args.trials}}
+                     "stddev": float(np.std(costs) / math.sqrt(trials)),
+                     "trials": trials}}
 
 
-def _gst_trial_stats(pre, args) -> dict:
-    sol = solve_lp(build_gst_lp(pre))
-    if sol.status == INFEASIBLE:
-        raise InvariantError("LP became infeasible during stats")
-    xt = modify_gst_solution(sol.x, pre.n)
-    scaled = build_scaled(pre, xt)
-    rounder = Rounder(pre, scaled.xp)
-    k = len(pre.groups)
-    hits = np.zeros((k, args.trials))
-    for i in range(args.trials):
-        chosen = rounder.sample(np.random.default_rng([args.seed, 1 << 32, i]))
-        for t, g in enumerate(pre.groups):
+def _gst_trial_stats(report, trials: int) -> dict:
+    """Hit rate per group over fresh roundings of the report's scaled
+    solution."""
+    rounder = report.rounder
+    groups = rounder.inst.groups
+    hits = np.zeros((len(groups), trials))
+    for i in range(trials):
+        chosen = rounder.sample(rep_rng(report.seed, TRIAL_STREAM, i))
+        for t, g in enumerate(groups):
             if any(o in chosen for o in g):
                 hits[t, i] = 1.0
-    return {"per_group_hit": {str(t): _stat(hits[t]) for t in range(k)}}
+    return {"per_group_hit": {str(t): _stat(hits[t])
+                              for t in range(len(groups))}}
 
 
 def cmd_verify(args) -> int:
@@ -351,13 +221,11 @@ def cmd_verify(args) -> int:
         doc = json.loads(_read(args.tree))
     except json.JSONDecodeError as e:
         raise FormatError(f"bad report JSON: {e}")
-    problem = doc.get("problem")
-    if problem == "dst":
-        bad = verify_dst_report(_load_dst(args.instance), doc)
-    elif problem == "gst":
-        bad = verify_gst_report(preprocess_gst(_load_gst(args.instance)), doc)
-    else:
-        raise FormatError(f"unknown problem kind: {problem!r}")
+    kind = doc.get("problem")
+    problem = PROBLEMS.get(kind) if isinstance(kind, str) else None
+    if problem is None:
+        raise FormatError(f"unknown problem kind: {kind!r}")
+    bad = problem.verify(problem.load(args.instance), doc)
     if bad:
         for msg in bad:
             print(f"verify: {msg}", file=sys.stderr)
@@ -432,6 +300,54 @@ def verify_gst_report(inst: GroupTreeInstance, doc: dict) -> list[str]:
     return bad
 
 
+@dataclass(frozen=True)
+class Problem:
+    """What the shared subcommand bodies do for one problem kind.
+
+    Every entry is a lambda, so the functions it calls are looked up on this
+    module at call time and a replacement installed there (a test double, a
+    timing wrapper) is the one that runs.
+    """
+    load: Callable      # path -> instance that the oracle and verify read
+    gen: Callable       # (spec, seed) -> instance; pops the keys it knows
+    prepare: Callable   # instance -> solver input
+    solve: Callable     # (solver input, args, label) -> run report
+    relaxes: Callable   # (solver input, report) -> LP cost <= optimum holds
+    oracle: Callable    # instance -> exact result
+    trial_stats: Callable  # (report, trials) -> "stats" section
+    verify: Callable    # (instance, report doc) -> failure messages
+
+
+PROBLEMS = {
+    "dst": Problem(
+        load=lambda path: _load_dst(path),
+        gen=lambda spec, seed: gen_dst(spec.pop("n", 8), spec.pop("m", 12),
+                                       spec.pop("k", 3), spec.pop("d", 3),
+                                       seed=seed),
+        prepare=lambda inst: normalize(inst),
+        solve=lambda norm, args, label: run_dst(
+            norm, DstParams(h=args.height, Q=args.q, seed=args.seed,
+                            node_cap=args.node_cap), label),
+        # below the height budget the super-tree may miss every optimal tree
+        relaxes=lambda norm, report: report.h >= height_budget(norm.inst.n),
+        oracle=lambda inst: exact_dst(inst),
+        trial_stats=lambda report, trials: _dst_trial_stats(report, trials),
+        verify=lambda inst, doc: verify_dst_report(inst, doc)),
+    "gst": Problem(
+        load=lambda path: preprocess_gst(_load_gst(path)),
+        gen=lambda spec, seed: preprocess_gst(
+            gen_gst(spec.pop("n", 20), spec.pop("k", 3),
+                    spec.pop("depth", 4), spec.pop("d", 3), seed=seed)),
+        prepare=lambda pre: pre,
+        solve=lambda pre, args, label: run_gst(
+            pre, GstParams(M=args.m, seed=args.seed), label),
+        relaxes=lambda pre, report: True,
+        oracle=lambda pre: exact_gst(pre),
+        trial_stats=lambda report, trials: _gst_trial_stats(report, trials),
+        verify=lambda pre, doc: verify_gst_report(pre, doc)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="dbnet",
                                 description="degree-bounded network design "
@@ -467,20 +383,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int)
     sp.add_argument("--height", type=int)
     sp.add_argument("--node-cap", type=int, default=5_000_000)
-    sp.set_defaults(func=cmd_solve_dst)
+    sp.set_defaults(func=cmd_solve, problem="dst")
 
     sp = sub.add_parser("solve-gst")
     common(sp)
     sp.add_argument("--m", type=int)
-    sp.set_defaults(func=cmd_solve_gst)
+    sp.set_defaults(func=cmd_solve, problem="gst")
 
-    sp = sub.add_parser("oracle-dst")
-    common(sp)
-    sp.set_defaults(func=cmd_oracle_dst)
-
-    sp = sub.add_parser("oracle-gst")
-    common(sp)
-    sp.set_defaults(func=cmd_oracle_gst)
+    for kind in PROBLEMS:
+        sp = sub.add_parser(f"oracle-{kind}")
+        common(sp)
+        sp.set_defaults(func=cmd_oracle, problem=kind)
 
     sp = sub.add_parser("run")
     sp.add_argument("--problem", choices=["dst", "gst"], required=True)

@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import InfeasibleError, InvariantError
 from .instances import MultiTree, NormalizedInstance, original_degree
-from .lpcore import INFEASIBLE, build_dst_lp, solve_lp
+from .lpcore import INFEASIBLE, build_dst_lp, rep_rng, solve_lp
 from .states import (BASE, STATE, SUPER, VIRTUAL, SuperTree,
                      build_super_tree, selection_to_state_tree,
-                     stitch_multi_tree, validate_state_tree)
+                     stitch_multi_tree)
 from .treekit import height_budget
 
 EPS_PROB = 1e-6
@@ -30,7 +30,7 @@ class Sampler:
     """Precomputed child-choice tables for repeated rounding of one LP
     solution."""
 
-    def __init__(self, st: SuperTree, x: np.ndarray, eps_prob: float = EPS_PROB):
+    def __init__(self, st: SuperTree, x: np.ndarray):
         self.st = st
         self.x = x
         self.choice = {}
@@ -39,9 +39,9 @@ class Sampler:
                 continue
             kids = [c for c in st.children[p] if x[c] > X_TINY]
             total = float(sum(x[c] for c in kids))
-            if abs(total - x[p]) > eps_prob:
+            if abs(total - x[p]) > EPS_PROB:
                 raise InvariantError(
-                    f"child mass {total} != x[{p}]={x[p]} beyond eps_prob")
+                    f"child mass {total} != x[{p}]={x[p]} beyond EPS_PROB")
             self.choice[p] = (kids, np.cumsum([x[c] / total for c in kids]))
 
     def sample(self, rng) -> tuple[set[int], list[int]]:
@@ -76,9 +76,9 @@ class RoundingOutcome:
 
 
 def round_super_tree(st: SuperTree, x: np.ndarray, rng, build: bool = True,
-                     validate: bool = False,
                      sampler: Sampler | None = None) -> RoundingOutcome:
-    """Sample one extended state tree and (optionally) stitch it."""
+    """Sample one extended state tree and (optionally) stitch it and check
+    that the stitched multi-tree is good."""
     if sampler is None:
         sampler = Sampler(st, x)
     selected, bases = sampler.sample(rng)
@@ -90,15 +90,9 @@ def round_super_tree(st: SuperTree, x: np.ndarray, rng, build: bool = True,
     out = RoundingOutcome(selected, bases, cost, copy_counts=counts)
     if build:
         tree = selection_to_state_tree(st, selected)
-        if validate:
-            bad = validate_state_tree(st.norm, tree, st.h)
-            if bad:
-                raise InvariantError("sampled state tree invalid: "
-                                     + "; ".join(bad))
         out.state_tree = tree
         out.multi_tree = stitch_multi_tree(st.norm, tree)
-        if validate:
-            _check_good_multi_tree(st.norm, out.multi_tree)
+        _check_good_multi_tree(st.norm, out.multi_tree)
         if out.multi_tree.cost(st.norm) != cost:
             raise InvariantError("stitched cost differs from base-node cost")
     return out
@@ -143,7 +137,6 @@ class DstParams:
     Q: int | None = None
     seed: int = 0
     node_cap: int = 5_000_000
-    validate: bool = False
 
 
 @dataclass
@@ -163,6 +156,8 @@ class DstRunReport:
     mgf_stats: dict[int, dict[str, float]]
     s: float
     h_prime: int
+    # the rounding tables over the solved super-tree, for further samples
+    sampler: Sampler | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -192,10 +187,6 @@ def default_q(h: int, k: int) -> int:
     return math.ceil((h + 1) * math.log(10 * k))
 
 
-def rep_rng(seed: int, i: int):
-    return np.random.default_rng([seed, i])
-
-
 def run_dst(norm: NormalizedInstance, params: DstParams | None = None,
             label: str = "") -> DstRunReport:
     """Full DB-DST pipeline: super-tree, LP, Q roundings, union, extraction."""
@@ -217,8 +208,7 @@ def run_dst(norm: NormalizedInstance, params: DstParams | None = None,
     union_edges: set[tuple[int, int]] = set()
     for i in range(Q):
         rng = rep_rng(params.seed, i)
-        out = round_super_tree(st, sol.x, rng, build=True,
-                               validate=params.validate, sampler=sampler)
+        out = round_super_tree(st, sol.x, rng, build=True, sampler=sampler)
         rep_costs.append(out.cost)
         base_lists.append(out.base_nodes)
         for e in out.multi_tree.edge_labels():
@@ -245,7 +235,8 @@ def run_dst(norm: NormalizedInstance, params: DstParams | None = None,
         repetition_costs=rep_costs, union_cost=union_cost,
         tree_cost=tree_cost, tree_edges=sorted(tree_edges),
         covered=sorted(covered), coverage=len(covered) / k,
-        degree_violations=ratios, mgf_stats=mgf, s=s, h_prime=h_prime)
+        degree_violations=ratios, mgf_stats=mgf, s=s, h_prime=h_prime,
+        sampler=sampler)
 
 
 def extract_tree(inst, union_edges: set[tuple[int, int]]

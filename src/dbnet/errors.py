@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-CLI exit codes: 0 ok, 2 infeasible, 3 cap exceeded, 4 invariant violation,
-5 IO/parse.
+CLI exit codes: 0 ok, 1 LP solver failure, 2 infeasible, 3 cap exceeded,
+4 invariant violation, 5 IO/parse.
 """
 
 

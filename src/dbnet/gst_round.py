@@ -9,7 +9,7 @@ top-down Bernoulli rounding M times and unions the sampled subtrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +17,10 @@ import numpy as np
 from .errors import InfeasibleError, InvariantError
 from .instances import GroupTreeInstance
 from .lpcore import (INFEASIBLE, build_gst_lp, check_modified_solution,
-                     modify_gst_solution, solve_lp)
+                     modify_gst_solution, rep_rng, solve_lp)
+
+EPS_MONOTONE = 1e-12  # slack of the x' non-increasing check
+EPS_MASS = 1e-9       # slack of the branching-mass check
 
 
 def global_params(n: int) -> tuple[int, int]:
@@ -84,29 +87,28 @@ def build_scaled(inst: GroupTreeInstance, xt: np.ndarray) -> ScaledSolution:
     return ScaledSolution(xt, ell, L, gamma, xp)
 
 
-def check_nonincreasing(inst: GroupTreeInstance, xp: np.ndarray,
-                 tol: float = 1e-12) -> list[str]:
+def check_nonincreasing(inst: GroupTreeInstance, xp: np.ndarray) -> list[str]:
     """x' must be non-increasing on every edge of the support."""
     bad = []
     for u in range(inst.n):
         if xp[u] <= 0:
             continue
         for v in inst.children[u]:
-            if xp[v] > xp[u] + tol:
+            if xp[v] > xp[u] + EPS_MONOTONE:
                 bad.append(f"x' increases on edge ({u}, {v}): "
                            f"{xp[v]} > {xp[u]}")
     return bad
 
 
-def check_branching_mass(inst: GroupTreeInstance, xp: np.ndarray,
-                         tol: float = 1e-9) -> list[str]:
+def check_branching_mass(inst: GroupTreeInstance,
+                         xp: np.ndarray) -> list[str]:
     """Conditional branching mass sum_v x'_v / x'_u must stay below 4 d_u."""
     bad = []
     for u in range(inst.n):
         if xp[u] <= 0 or not inst.children[u]:
             continue
         mass = sum(xp[v] for v in inst.children[u]) / xp[u]
-        if mass > 4 * inst.degree_bound[u] + tol:
+        if mass > 4 * inst.degree_bound[u] + EPS_MASS:
             bad.append(f"branching mass {mass} > 4 d at u={u}")
     return bad
 
@@ -178,15 +180,10 @@ def group_mass(inst: GroupTreeInstance, x: np.ndarray) -> list[float]:
     return [float(sum(x[o] for o in sorted(g))) for g in inst.groups]
 
 
-def rep_rng(seed: int, i: int):
-    return np.random.default_rng([seed, i])
-
-
 @dataclass
 class GstParams:
     M: int | None = None
     seed: int = 0
-    validate: bool = True
 
 
 @dataclass
@@ -205,6 +202,8 @@ class GstRunReport:
     coverage: list[bool]
     degree_violations: dict[int, float]
     z_root: list[float]
+    # the rounding tables over the scaled solution, for further samples
+    rounder: Rounder | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -252,16 +251,14 @@ def run_gst(inst: GroupTreeInstance, params: GstParams | None = None,
         raise InfeasibleError("GST LP is infeasible")
 
     xt = modify_gst_solution(sol.x, inst.n)
-    if params.validate:
-        bad = check_modified_solution(inst, sol.x, xt)
-        if bad:
-            raise InvariantError("modified solution invalid: " + "; ".join(bad))
+    bad = check_modified_solution(inst, sol.x, xt)
+    if bad:
+        raise InvariantError("modified solution invalid: " + "; ".join(bad))
 
     scaled = build_scaled(inst, xt)
-    if params.validate:
-        bad = check_branching_mass(inst, scaled.xp)
-        if bad:
-            raise InvariantError("; ".join(bad))
+    bad = check_branching_mass(inst, scaled.xp)
+    if bad:
+        raise InvariantError("; ".join(bad))
 
     alpha = alpha_sequence(scaled.L, scaled.gamma)
     k = len(inst.groups)
@@ -284,4 +281,4 @@ def run_gst(inst: GroupTreeInstance, params: GstParams | None = None,
         modified_cost=float(costs @ xt), repetition_costs=rep_costs,
         union_cost=union_cost, union_vertices=sorted(union),
         coverage=coverage, degree_violations=union_degree_ratios(inst, union),
-        z_root=group_mass(inst, xt))
+        z_root=group_mass(inst, xt), rounder=rounder)

@@ -87,10 +87,6 @@ class DirectedInstance:
     def cost(self) -> dict[tuple[int, int], int]:
         return {(u, v): c for (u, v, c) in self.edges}
 
-    @property
-    def d_max(self) -> int:
-        return max(self.degree_bound.values())
-
 
 def parse_dst(text: str) -> DirectedInstance:
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
@@ -429,14 +425,6 @@ class GroupTreeInstance:
                     raise FormatError(f"groups overlap at {o}")
                 used.add(o)
 
-    def descendants(self, u: int) -> list[int]:
-        out, stack = [], [u]
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(self.children[v])
-        return out
-
 
 def parse_gst(text: str) -> GroupTreeInstance:
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
@@ -494,10 +482,8 @@ def serialize_gst(inst: GroupTreeInstance) -> str:
     return "\n".join(out) + "\n"
 
 
-def preprocess_gst(inst: GroupTreeInstance,
-                   edge_cost: dict[tuple[int, int], int] | None = None
-                   ) -> GroupTreeInstance:
-    """Shift edge costs to child vertices and push group members to leaves.
+def preprocess_gst(inst: GroupTreeInstance) -> GroupTreeInstance:
+    """Push group members to leaves.
 
     A group membership of an internal vertex v, or of a leaf shared between
     groups, is replaced by a fresh zero-cost synthetic leaf child of v; d_v is
@@ -510,12 +496,6 @@ def preprocess_gst(inst: GroupTreeInstance,
     degree = list(inst.degree_bound)
     synthetic = list(inst.synthetic_leaf)
     groups = [set(g) for g in inst.groups]
-
-    if edge_cost:
-        for (u, v), c in edge_cost.items():
-            if parent[v] != u:
-                raise FormatError(f"edge cost given for non-edge ({u}, {v})")
-            cost[v] += c
 
     membership = {}
     for t, g in enumerate(groups):

@@ -1,5 +1,6 @@
-"""Sparse LP models for both relaxations, a solver front end, and the
-group-Steiner solution modification pass (threshold + power-of-two round-up).
+"""Sparse LP models for both relaxations, a solver front end, the
+group-Steiner solution modification pass (threshold + power-of-two round-up),
+and the named random streams both rounding pipelines draw from.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .instances import GroupTreeInstance
 from .states import BASE, STATE, SUPER, VIRTUAL, SuperTree
 
 EPS_FEAS = 1e-9
-EPS_OBJ = 1e-7
+EPS_CHECK = 1e-9      # slack of the P1-P6 scan
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -69,7 +70,7 @@ class LPSolution:
     objective: float | None
 
 
-def solve_lp(model: LPModel, eps_feas: float = EPS_FEAS) -> LPSolution:
+def solve_lp(model: LPModel) -> LPSolution:
     """Solve to optimality or report infeasibility; never a silent wrong
     answer.  The returned assignment is re-checked against every constraint
     with an independent evaluation pass."""
@@ -90,9 +91,14 @@ def solve_lp(model: LPModel, eps_feas: float = EPS_FEAS) -> LPSolution:
         raise SolverError(f"LP solver failed: {res.message}")
     x = np.clip(res.x, model.lo, model.hi)
     worst = model.max_violation(x)
-    if worst > eps_feas:
+    if worst > EPS_FEAS:
         raise SolverError(f"solution violates constraints by {worst:.3e}")
     return LPSolution(OPTIMAL, x, float(model.obj @ x))
+
+
+def rep_rng(*key: int) -> np.random.Generator:
+    """Independent random stream named by ``key``, e.g. (seed, repetition)."""
+    return np.random.default_rng(list(key))
 
 
 def build_dst_lp(st: SuperTree) -> LPModel:
@@ -201,8 +207,9 @@ def _topo_order(inst: GroupTreeInstance) -> list[int]:
 
 
 def check_modified_solution(inst: GroupTreeInstance, x: np.ndarray,
-                            xt: np.ndarray, tol: float = 1e-9) -> list[str]:
+                            xt: np.ndarray) -> list[str]:
     """Scan P1-P6; returns a list of violation messages (empty when fine)."""
+    tol = EPS_CHECK
     n = inst.n
     bad = []
     lo = 1.0 / (2 * n)

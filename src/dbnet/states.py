@@ -32,10 +32,6 @@ def make_key(r: int, S, rho: dict) -> StateKey:
     return (r, frozenset(S), tuple(sorted(rho.items())))
 
 
-def key_rho(key: StateKey) -> dict:
-    return dict(key[2])
-
-
 def is_allowable_child_pair(parent, left, right) -> bool:
     """Definition of allowable child-pairs over root-portals-pairs.
 
@@ -120,16 +116,6 @@ class StateTreeNode:
     def cost(self, norm: NormalizedInstance) -> int:
         cost = norm.cost
         return sum(o.leaf_cost(cost) for o in self.nodes() if o.is_leaf)
-
-    def involved_terminals(self, norm: NormalizedInstance) -> set[int]:
-        K = norm.inst.terminals
-        out = set()
-        for o in self.nodes():
-            if o.edge is not None and o.edge[1] in K:
-                out.add(o.edge[1])
-            elif o.triple is not None:
-                out |= K & {o.triple[1], o.triple[2]}
-        return out
 
 
 def gen_state_tree(norm: NormalizedInstance, tree: MultiTree,
@@ -359,13 +345,6 @@ class SuperTree:
                 if v in O:
                     O[v].append(o)
         return O
-
-    def vertex_index(self) -> dict[int, list[int]]:
-        O = defaultdict(list)
-        for o in self.base_nodes():
-            for v in self.involved_vertices(o):
-                O[v].append(o)
-        return dict(O)
 
     def height(self) -> int:
         # longest downward path in edges, counting all node kinds

@@ -53,17 +53,6 @@ class RootedTree:
             stack.extend(self.children[u])
         return reversed(order)
 
-    def height(self) -> int:
-        depth = {self.root: 0}
-        best, stack = 0, [self.root]
-        while stack:
-            u = stack.pop()
-            for v in self.children[u]:
-                depth[v] = depth[u] + 1
-                best = max(best, depth[v])
-                stack.append(v)
-        return best
-
 
 def height_budget(n: int) -> int:
     """Depth bound for the recursive balanced partition: ceil(log_1.5 n) + 2."""

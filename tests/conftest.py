@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dbnet.cli import gen_dst, gen_gst
+from dbnet.generators import gen_dst, gen_gst
 from dbnet.instances import lift_tree, normalize, preprocess_gst
 from dbnet.oracle import exact_dst
 from dbnet.states import gen_state_tree

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import random_binary_tree, small_dst
-from dbnet.cli import gen_gst, verify_dst_report
+from dbnet.cli import verify_dst_report
 from dbnet.dst_round import (DstParams, Sampler, concentration_stats,
                              rep_rng, run_dst)
+from dbnet.generators import gen_gst
 from dbnet.gst_round import (GstParams, Rounder, alpha_sequence, build_scaled,
                              check_branching_mass, check_nonincreasing,
                              global_params, group_mass, run_gst)

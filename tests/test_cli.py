@@ -1,11 +1,14 @@
 import json
+import sys
 
 import pytest
 
 from conftest import small_dst
 from dbnet.cli import main
-from dbnet.instances import serialize_dst, serialize_gst
-from dbnet.cli import gen_gst
+from dbnet.generators import gen_dst, gen_gst
+from dbnet.instances import normalize, parse_dst, serialize_dst, serialize_gst
+from dbnet.lpcore import solve_lp
+from dbnet.states import build_super_tree
 
 
 @pytest.fixture()
@@ -92,10 +95,60 @@ def test_run_dst_with_oracle_dominance(tmp_path, dst_file):
     assert doc["lp_cost"] <= doc["oracle"]["cost"] + 1e-6
 
 
-def test_run_gst_with_trials(tmp_path, gst_file):
+def _count_calls(monkeypatch, fn) -> list:
+    """Replace ``fn`` wherever a dbnet module refers to it; one list entry
+    per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "dbnet" or name.startswith("dbnet."):
+            for key, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_run_below_height_budget_keeps_oracle(tmp_path):
+    # h=3 is below this instance's height budget, where the LP (52) may
+    # exceed the optimum (42) without anything being wrong
+    path = tmp_path / "s4.dst"
+    path.write_text(serialize_dst(gen_dst(6, 8, 3, seed=4)))
+    out = tmp_path / "run.json"
+    assert main(["run", "--problem", "dst", "--instance", str(path),
+                 "--height", "3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["oracle"]["status"] == "OPTIMAL"
+    assert doc["lp_cost"] > doc["oracle"]["cost"]
+
+
+def test_run_dst_trials_reuse_the_solve(tmp_path, dst_file, monkeypatch):
+    path, h = dst_file
+    builds = _count_calls(monkeypatch, build_super_tree)
+    solves = _count_calls(monkeypatch, solve_lp)
+    out = tmp_path / "run.json"
+    assert main(["run", "--problem", "dst", "--instance", path,
+                 "--seed", "3", "--height", str(h), "--trials", "300",
+                 "--out", str(out)]) == 0
+    assert (len(builds), len(solves)) == (1, 1)
+    stats = json.loads(out.read_text())["stats"]
+    with open(path) as f:
+        terms = normalize(parse_dst(f.read())).inst.terminals
+    assert sorted(stats["per_terminal_hit"]) == sorted(map(str, terms))
+    assert all(entry["trials"] == 300
+               for entry in stats["per_terminal_hit"].values())
+    assert stats["cost"]["trials"] == 300
+
+
+def test_run_gst_with_trials(tmp_path, gst_file, monkeypatch):
+    solves = _count_calls(monkeypatch, solve_lp)
     out = tmp_path / "run.json"
     assert main(["run", "--problem", "gst", "--instance", gst_file,
                  "--seed", "7", "--trials", "500", "--out", str(out)]) == 0
+    assert len(solves) == 1
     doc = json.loads(out.read_text())
     stats = doc["stats"]["per_group_hit"]
     for entry in stats.values():
@@ -124,7 +177,6 @@ def test_exit_codes(tmp_path):
     assert main(["oracle-dst", "--instance", str(infeasible)]) == 2
     # node cap exceeded
     big = tmp_path / "big.dst"
-    from dbnet.cli import gen_dst
     big.write_text(serialize_dst(gen_dst(8, 14, 4, d_max=3, seed=0)))
     assert main(["solve-dst", "--instance", str(big), "--height", "9",
                  "--node-cap", "2000"]) == 3

@@ -1,6 +1,6 @@
 import pytest
 
-from dbnet.cli import gen_dst, gen_gst
+from dbnet.generators import gen_dst, gen_gst
 from dbnet.errors import FormatError
 from dbnet.instances import (DirectedInstance, GroupTreeInstance, MultiTree,
                              normalize, original_degree, parse_dst, parse_gst,

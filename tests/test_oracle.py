@@ -153,7 +153,7 @@ def _exhaustive_dst(inst):
 
 
 def test_dst_matches_exhaustive_and_feasibility_agrees():
-    from dbnet.cli import gen_dst
+    from dbnet.generators import gen_dst
     import numpy as np
     rng = np.random.default_rng(7)
     for seed in range(15):

@@ -189,8 +189,8 @@ def test_sampled_subtree_goodness():
     st = build_super_tree(norm, h, 2_000_000)
     sol = solve_lp(build_dst_lp(st))
     for i in range(20):
-        out = round_super_tree(st, sol.x, np.random.default_rng([3, i]),
-                               validate=True)
+        out = round_super_tree(st, sol.x, np.random.default_rng([3, i]))
+        assert out.state_tree.depth() <= st.h
         assert out.multi_tree is not None
 
 
