@@ -5,12 +5,14 @@ balanced recursive decompositions of candidate solution trees; the super
 tree contains every good extended state tree of bounded depth as a subtree
 and is the object the LP relaxation is written over.
 
-The super-tree builder avoids materializing dead branches: it first computes,
-bottom-up, the set of "live" states (those admitting a good sub-state-tree)
-together with the minimum depth such a subtree needs, and then expands only
-children that stay live within the remaining depth budget.  The result equals
-the full construction followed by repeated deletion of childless state nodes
-and under-filled virtual nodes.
+The super-tree builder avoids materializing dead branches.  One bottom-up
+fixpoint (``live_states``) finds the "live" states (those admitting a good
+sub-state-tree), the minimum depth such a subtree needs, and every state's
+agreeing edges/triples and child pairs.  The builder only reads that table:
+it sizes the tree exactly, then writes out the children that stay live
+within the remaining depth budget.  The result equals the full construction
+followed by repeated deletion of childless state nodes and under-filled
+virtual nodes.
 """
 
 from __future__ import annotations
@@ -306,13 +308,8 @@ class SuperTree:
     cost: list[int] = field(default_factory=list)
     level: list[int] = field(default_factory=list)
 
-    def add(self, kind, parent, state=None, payload=None, cost=0, level=-1,
-            cap=None):
+    def add(self, kind, parent, state=None, payload=None, cost=0, level=-1):
         i = len(self.kind)
-        if cap is not None and i >= cap:
-            raise CapExceededError(
-                f"super-tree node cap {cap} exceeded at state level {level}; "
-                f"lower n, the height, or the degree bounds")
         self.kind.append(kind)
         self.parent.append(parent)
         self.children.append([])
@@ -378,27 +375,6 @@ class SuperTree:
         return "\n".join(lines) + "\n"
 
 
-def _base_states(norm: NormalizedInstance):
-    """All states with an agreeing edge or triple (depth-0 live states)."""
-    inst = norm.inst
-    K = inst.terminals
-    out = set()
-    for r1 in range(inst.n):
-        if r1 in K:
-            continue
-        d_r = inst.degree_bound[r1]
-        if d_r < 1:
-            continue
-        edges = sorted(v for (v, _) in inst.out_edges(r1))
-        for v in edges:
-            for rho in _leaf_rhos(norm, r1, (v,), d_r):
-                out.add(make_key(r1, frozenset({r1, v} - K), rho))
-        for v, v2 in itertools.combinations(edges, 2):
-            for rho in _leaf_rhos(norm, r1, (v, v2), d_r):
-                out.add(make_key(r1, frozenset({r1, v, v2} - K), rho))
-    return out
-
-
 def _leaf_rhos(norm: NormalizedInstance, r1: int, tails: tuple[int, ...],
                d_r: int):
     """Degree vectors agreeing with the edge/triple (r1, *tails)."""
@@ -414,28 +390,56 @@ def _leaf_rhos(norm: NormalizedInstance, r1: int, tails: tuple[int, ...],
             yield rho
 
 
-def live_states(norm: NormalizedInstance, h: int) -> dict[StateKey, int]:
-    """Minimum good-sub-state-tree depth for every live state, up to h.
+def _pair_order(parent: StateKey, pair: tuple[StateKey, StateKey]):
+    # right root r'', then the left child's share of the parent's other
+    # portals as a bit mask over sorted(S - {r'}), then the degree at r''
+    r1, S, _ = parent
+    (_, S1, rho1), (r2, _, _) = pair
+    mask = sum(1 << i for i, v in enumerate(sorted(S - {r1})) if v in S1)
+    return r2, mask, dict(rho1)[r2]
+
+
+def live_states(norm: NormalizedInstance, h: int) -> dict[StateKey, tuple]:
+    """Every live state up to h, with the children the super-tree gives it.
+
+    Maps each state admitting a good sub-state-tree within h to
+    ``(min depth, base payloads, child pairs)``.  The base payloads are the
+    agreeing edges ``("e", (r', v))`` and triples ``("xi", (r', v, v'))``
+    with their costs, edges first; the child pairs are every (left, right)
+    pair of live states the state joins from, in arena order.
 
     Dijkstra-style fixpoint over the join relation: a parent state built from
     two live children (sharing the right child's root as a portal with equal
     rho value) needs depth 1 + max of the children's depths.
     """
     inst = norm.inst
+    K = inst.terminals
     md: dict[StateKey, int] = {}
+    bases = defaultdict(list)
+    pairs = defaultdict(list)
     heap = []
     counter = itertools.count()
 
-    def offer(key, d):
+    def offer(key, d) -> bool:
         # a state with |S| portals sits at level >= |S| - 1
         if len(key[1]) - 1 + d > h:
-            return
+            return False
         if d < md.get(key, h + 1):
             md[key] = d
             heappush(heap, (d, next(counter), key))
+        return True
 
-    for key in _base_states(norm):
-        offer(key, 0)
+    for r1 in sorted(set(range(inst.n)) - K):
+        edges = sorted(inst.out_edges(r1))
+        leaves = [((v,), ("e", (r1, v)), c) for v, c in edges]
+        leaves += [((v, v2), ("xi", (r1, v, v2)), c + c2)
+                   for (v, c), (v2, c2) in itertools.combinations(edges, 2)]
+        for tails, payload, cost in leaves:
+            S = frozenset({r1, *tails} - K)
+            for rho in _leaf_rhos(norm, r1, tails, inst.degree_bound[r1]):
+                key = make_key(r1, S, rho)
+                if offer(key, 0):
+                    bases[key].append((payload, cost))
 
     final = set()
     by_root = defaultdict(list)
@@ -452,7 +456,9 @@ def live_states(norm: NormalizedInstance, h: int) -> dict[StateKey, int]:
         S = (S1 | S2) - {rr}
         rho = {v: r for v, r in rho1.items() if v != rr}
         rho.update((v, r) for v, r in rho2.items() if v != rr)
-        offer(make_key(rl, S, rho), 1 + max(md[lkey], md[rkey]))
+        key = make_key(rl, S, rho)
+        if offer(key, 1 + max(md[lkey], md[rkey])):
+            pairs[key].append((lkey, rkey))
 
     while heap:
         d, _, key = heappop(heap)
@@ -468,65 +474,65 @@ def live_states(norm: NormalizedInstance, h: int) -> dict[StateKey, int]:
         by_root[r1].append(key)
         for v in S - {r1}:
             by_portal[v].append(key)
-    return {k: d for k, d in md.items() if k in final}
+    return {k: (md[k], bases.get(k, []),
+                sorted(pairs.get(k, []), key=lambda pair: _pair_order(k, pair)))
+            for k in final}
 
 
 def build_super_tree(norm: NormalizedInstance, h: int | None = None,
                      node_cap: int = 5_000_000) -> SuperTree:
     """Construct the pruned super-tree containing all good extended state
-    trees of state-depth at most h."""
+    trees of state-depth at most h.
+
+    Each state node lists its agreeing edges and triples, then one virtual
+    node per child pair whose two states stay live within the remaining
+    depth.  The exact node count is checked against ``node_cap`` at heights
+    0..h in turn (it only grows with the height) before any node exists.
+    """
     inst = norm.inst
     if h is None:
         h = height_budget(inst.n)
-    md = live_states(norm, h)
-    K = inst.terminals
-    nonterminals = sorted(set(range(inst.n)) - K)
+
+    def kids(table, key, budget):
+        # child pairs whose states both fit in budget - 1 more levels
+        return [(k1, k2) for k1, k2 in table[key][2]
+                if table[k1][0] < budget and table[k2][0] < budget]
+
+    for h_try in range(h + 1):
+        table = live_states(norm, h_try)
+        roots = [k for k in (make_key(inst.root, {inst.root}, {inst.root: d})
+                             for d in range(1, inst.degree_bound[inst.root] + 1))
+                 if k in table]
+        sizes = {}
+
+        def size(key, budget):
+            if (key, budget) not in sizes:
+                sizes[key, budget] = 1 + len(table[key][1]) + sum(
+                    1 + size(k1, budget - 1) + size(k2, budget - 1)
+                    for k1, k2 in kids(table, key, budget))
+            return sizes[key, budget]
+
+        total = 1 + sum(size(k, h_try) for k in roots)
+        if total > node_cap:
+            raise CapExceededError(
+                f"super-tree has {total} nodes at height {h_try}, over the "
+                f"node cap {node_cap}; lower n, the height, or the degree "
+                f"bounds")
+
     st = SuperTree(norm, h)
-    root = st.add(SUPER, None, level=-1)
+    top = st.add(SUPER, None, level=-1)
 
-    def expand(key, level, parent):
-        r1, S, rhot = key
-        rho = dict(rhot)
-        p = st.add(STATE, parent, state=key, level=level, cap=node_cap)
-        edges = sorted((v, c) for (v, c) in inst.out_edges(r1))
-        for (v, c) in edges:
-            if frozenset({r1, v} - K) == S and edge_agrees(
-                    norm, (r1, v), S, rho):
-                st.add(BASE, p, payload=("e", (r1, v)), cost=c, level=level,
-                       cap=node_cap)
-        for (v, c1), (v2, c2) in itertools.combinations(edges, 2):
-            if frozenset({r1, v, v2} - K) == S and triple_agrees(
-                    norm, (r1, v, v2), S, rho):
-                st.add(BASE, p, payload=("xi", (r1, v, v2)), cost=c1 + c2,
-                       level=level, cap=node_cap)
-        if level >= h:
-            return
-        budget = h - level - 1
-        others = sorted(S - {r1})
-        for r2 in nonterminals:
-            if r2 in S:
-                continue
-            for mask in range(1 << len(others)):
-                S1 = {r1, r2} | {others[i] for i in range(len(others))
-                                 if mask >> i & 1}
-                S2 = ({r2} | set(others)) - (S1 - {r2})
-                for val in range(1, inst.degree_bound[r2] + 1):
-                    rho1 = {v: rho[v] for v in S1 if v != r2}
-                    rho1[r2] = val
-                    rho2 = {v: rho[v] for v in S2 if v != r2}
-                    rho2[r2] = val
-                    k1 = make_key(r1, S1, rho1)
-                    k2 = make_key(r2, S2, rho2)
-                    if md.get(k1, h + 1) > budget or md.get(k2, h + 1) > budget:
-                        continue
-                    q = st.add(VIRTUAL, p, level=level, cap=node_cap)
-                    expand(k1, level + 1, q)
-                    expand(k2, level + 1, q)
+    def write(key, level, parent):
+        p = st.add(STATE, parent, state=key, level=level)
+        for payload, cost in table[key][1]:
+            st.add(BASE, p, payload=payload, cost=cost, level=level)
+        for k1, k2 in kids(table, key, h - level):
+            q = st.add(VIRTUAL, p, level=level)
+            write(k1, level + 1, q)
+            write(k2, level + 1, q)
 
-    for rho_r in range(1, inst.degree_bound[inst.root] + 1):
-        key = make_key(inst.root, {inst.root}, {inst.root: rho_r})
-        if md.get(key, h + 1) <= h:
-            expand(key, 0, root)
+    for key in roots:
+        write(key, 0, top)
     return st
 
 

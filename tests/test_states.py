@@ -1,15 +1,18 @@
 import copy
+import itertools
 
 import pytest
 
 from conftest import small_dst
-from dbnet.errors import InvariantError
+from dbnet import states
+from dbnet.errors import CapExceededError, InvariantError
+from dbnet.generators import gen_dst
 from dbnet.instances import DirectedInstance, lift_tree, normalize
 from dbnet.lpcore import build_dst_lp, solve_lp
-from dbnet.states import (BASE, STATE, SUPER, VIRTUAL, build_super_tree,
-                          degree_vectors_consistent, edge_agrees,
-                          gen_state_tree, is_allowable_child_pair,
-                          stitch_multi_tree, triple_agrees,
+from dbnet.states import (BASE, STATE, SUPER, VIRTUAL, SuperTree,
+                          build_super_tree, degree_vectors_consistent,
+                          edge_agrees, gen_state_tree, is_allowable_child_pair,
+                          make_key, stitch_multi_tree, triple_agrees,
                           validate_state_tree)
 
 
@@ -198,3 +201,99 @@ def test_dump_mentions_states():
     st = build_super_tree(single_edge(), 3, 10_000)
     text = st.dump()
     assert "state" in text and "base" in text
+
+
+def reference_super_tree(norm, h):
+    """Top-down construction: every (r'', portal mask, degree value)
+    candidate at every state node, kept when both child states admit a good
+    sub-state-tree in the remaining depth (a plain memoized recursion)."""
+    inst = norm.inst
+    K = inst.terminals
+    nonterminals = sorted(set(range(inst.n)) - K)
+
+    def leaves(key):
+        r1, S, rhot = key
+        rho = dict(rhot)
+        edges = sorted(inst.out_edges(r1))
+        out = [(("e", (r1, v)), c) for v, c in edges
+               if frozenset({r1, v} - K) == S
+               and edge_agrees(norm, (r1, v), S, rho)]
+        out += [(("xi", (r1, v, v2)), c1 + c2)
+                for (v, c1), (v2, c2) in itertools.combinations(edges, 2)
+                if frozenset({r1, v, v2} - K) == S
+                and triple_agrees(norm, (r1, v, v2), S, rho)]
+        return out
+
+    def candidates(key):
+        r1, S, rhot = key
+        rho = dict(rhot)
+        others = sorted(S - {r1})
+        for r2 in nonterminals:
+            if r2 in S:
+                continue
+            for mask in range(1 << len(others)):
+                S1 = {r1, r2} | {others[i] for i in range(len(others))
+                                 if mask >> i & 1}
+                S2 = ({r2} | set(others)) - (S1 - {r2})
+                for val in range(1, inst.degree_bound[r2] + 1):
+                    rho1 = {v: rho[v] for v in S1 if v != r2}
+                    rho2 = {v: rho[v] for v in S2 if v != r2}
+                    rho1[r2] = rho2[r2] = val
+                    yield make_key(r1, S1, rho1), make_key(r2, S2, rho2)
+
+    memo = {}
+
+    def live(key, budget):
+        if (key, budget) not in memo:
+            memo[key, budget] = bool(leaves(key)) or budget > 0 and any(
+                live(k1, budget - 1) and live(k2, budget - 1)
+                for k1, k2 in candidates(key))
+        return memo[key, budget]
+
+    st = SuperTree(norm, h)
+
+    def expand(key, level, parent):
+        p = st.add(STATE, parent, state=key, level=level)
+        for payload, cost in leaves(key):
+            st.add(BASE, p, payload=payload, cost=cost, level=level)
+        if level >= h:
+            return
+        for k1, k2 in candidates(key):
+            if live(k1, h - level - 1) and live(k2, h - level - 1):
+                q = st.add(VIRTUAL, p, level=level)
+                expand(k1, level + 1, q)
+                expand(k2, level + 1, q)
+
+    top = st.add(SUPER, None, level=-1)
+    for rho_r in range(1, inst.degree_bound[inst.root] + 1):
+        key = make_key(inst.root, {inst.root}, {inst.root: rho_r})
+        if live(key, h):
+            expand(key, 0, top)
+    return st
+
+
+@pytest.mark.parametrize("shape,seed,h", [((5, 6, 2), 0, 3)]
+                         + [((6, 8, 3), s, h) for s in range(3)
+                            for h in (1, 2)]
+                         + [((6, 8, 3), s, 3) for s in (1, 7, 8)])
+def test_super_tree_matches_reference_builder(shape, seed, h):
+    norm = normalize(gen_dst(*shape, seed=seed))
+    st = build_super_tree(norm, h)
+    ref = reference_super_tree(norm, h)
+    for name in ("kind", "parent", "children", "state", "payload", "cost",
+                 "level"):
+        assert getattr(st, name) == getattr(ref, name), name
+
+
+def test_node_cap_checked_before_allocation(monkeypatch):
+    made = []
+    monkeypatch.setattr(states, "SuperTree",
+                        lambda *a: made.append(a) or SuperTree(*a))
+    norm = normalize(gen_dst(8, 14, 4, d_max=3, seed=0))
+    with pytest.raises(CapExceededError, match="30123 nodes at height 4"):
+        build_super_tree(norm, 9, 2000)
+    assert made == []
+    # the cap bounds the whole arena, super node included
+    assert len(build_super_tree(single_edge(), 3, 3)) == 3
+    with pytest.raises(CapExceededError, match="3 nodes at height 0"):
+        build_super_tree(single_edge(), 3, 2)
