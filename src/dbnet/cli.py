@@ -116,22 +116,14 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_dump_supertree(args) -> int:
-    inst = _load_dst(args.instance)
-    norm = normalize(inst)
-    h = args.height if args.height is not None else height_budget(norm.inst.n)
-    st = build_super_tree(norm, h, args.node_cap)
-    _emit(st.dump(), args.out)
+    norm = normalize(_load_dst(args.instance))
+    _emit(build_super_tree(norm, args.height, args.node_cap).dump(), args.out)
     return 0
 
 
 def cmd_dump_lp(args) -> int:
-    if args.problem == "dst":
-        norm = normalize(_load_dst(args.instance))
-        h = (args.height if args.height is not None
-             else height_budget(norm.inst.n))
-        model = build_dst_lp(build_super_tree(norm, h, args.node_cap))
-    else:
-        model = build_gst_lp(preprocess_gst(_load_gst(args.instance)))
+    problem = PROBLEMS[args.problem]
+    model = problem.lp(problem.prepare(problem.load(args.instance)), args)
     _emit(dump_lp(model), args.out)
     return 0
 
@@ -195,7 +187,8 @@ def _dst_trial_stats(report, trials: int) -> dict:
             for v in st.involved_vertices(o):
                 if v in hits:
                     hits[v][i] = 1.0
-    return {"per_terminal_hit": {str(t): _stat(hits[t]) for t in terms},
+    return {"per_terminal_hit": {str(st.norm.terminal_origin[t]):
+                                 _stat(hits[t]) for t in terms},
             "cost": {"mean": float(np.mean(costs)),
                      "stddev": float(np.std(costs) / math.sqrt(trials)),
                      "trials": trials}}
@@ -311,6 +304,7 @@ class Problem:
     load: Callable      # path -> instance that the oracle and verify read
     gen: Callable       # (spec, seed) -> instance; pops the keys it knows
     prepare: Callable   # instance -> solver input
+    lp: Callable        # (solver input, args) -> LP model
     solve: Callable     # (solver input, args, label) -> run report
     relaxes: Callable   # (solver input, report) -> LP cost <= optimum holds
     oracle: Callable    # instance -> exact result
@@ -325,6 +319,8 @@ PROBLEMS = {
                                        spec.pop("k", 3), spec.pop("d", 3),
                                        seed=seed),
         prepare=lambda inst: normalize(inst),
+        lp=lambda norm, args: build_dst_lp(
+            build_super_tree(norm, args.height, args.node_cap)),
         solve=lambda norm, args, label: run_dst(
             norm, DstParams(h=args.height, Q=args.q, seed=args.seed,
                             node_cap=args.node_cap), label),
@@ -339,6 +335,7 @@ PROBLEMS = {
             gen_gst(spec.pop("n", 20), spec.pop("k", 3),
                     spec.pop("depth", 4), spec.pop("d", 3), seed=seed)),
         prepare=lambda pre: pre,
+        lp=lambda pre, args: build_gst_lp(pre),
         solve=lambda pre, args, label: run_gst(
             pre, GstParams(M=args.m, seed=args.seed), label),
         relaxes=lambda pre, report: True,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleError, InvariantError
+from .errors import CapExceededError, InfeasibleError, InvariantError
 from .instances import MultiTree, NormalizedInstance, original_degree
 from .lpcore import INFEASIBLE, build_dst_lp, rep_rng, solve_lp
 from .states import (BASE, STATE, SUPER, VIRTUAL, SuperTree,
@@ -72,7 +72,6 @@ class RoundingOutcome:
     cost: int
     state_tree: object = None
     multi_tree: MultiTree | None = None
-    copy_counts: dict[int, int] = field(default_factory=dict)
 
 
 def round_super_tree(st: SuperTree, x: np.ndarray, rng, build: bool = True,
@@ -83,11 +82,7 @@ def round_super_tree(st: SuperTree, x: np.ndarray, rng, build: bool = True,
         sampler = Sampler(st, x)
     selected, bases = sampler.sample(rng)
     cost = sum(st.cost[o] for o in bases)
-    counts = {}
-    for o in bases:
-        for v in st.involved_vertices(o):
-            counts[v] = counts.get(v, 0) + 1
-    out = RoundingOutcome(selected, bases, cost, copy_counts=counts)
+    out = RoundingOutcome(selected, bases, cost)
     if build:
         tree = selection_to_state_tree(st, selected)
         out.state_tree = tree
@@ -193,15 +188,23 @@ def run_dst(norm: NormalizedInstance, params: DstParams | None = None,
     params = params or DstParams()
     inst = norm.inst
     orig = norm.original
-    h = params.h if params.h is not None else height_budget(inst.n)
+    budget = height_budget(inst.n)
+    h = params.h if params.h is not None else budget
     k = len(inst.terminals)
     Q = params.Q if params.Q is not None else default_q(h, k)
 
     st = build_super_tree(norm, h, params.node_cap)
-    model = build_dst_lp(st)
-    sol = solve_lp(model)
-    if sol.status == INFEASIBLE:
-        raise InfeasibleError("DST LP is infeasible")
+    try:
+        sol = solve_lp(build_dst_lp(st))
+        if sol.status == INFEASIBLE:
+            raise InfeasibleError("DST LP is infeasible")
+    except InfeasibleError as e:
+        # below the budget a feasible instance may have no tree this shallow
+        if h < budget:
+            raise CapExceededError(
+                f"height {h} is below the height budget {budget} and the "
+                f"super-tree holds no tree ({e}); raise --height") from e
+        raise
     sampler = Sampler(st, sol.x)
 
     rep_costs, base_lists = [], []

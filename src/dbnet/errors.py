@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package.
 
-CLI exit codes: 0 ok, 1 LP solver failure, 2 infeasible, 3 cap exceeded,
+CLI exit codes: 0 ok, 1 LP solver failure, 2 infeasible, 3 cap exceeded
+(also a DB-DST height below the height budget at which no tree fits),
 4 invariant violation, 5 IO/parse.
 """
 
@@ -24,7 +25,7 @@ class InfeasibleError(DbnetError):
 
 
 class CapExceededError(DbnetError):
-    """A configured size limit (node cap, oracle limit) was exceeded."""
+    """A configured size limit (node cap, oracle limit, height) was exceeded."""
 
     exit_code = 3
 

@@ -88,36 +88,41 @@ class DirectedInstance:
         return {(u, v): c for (u, v, c) in self.edges}
 
 
+def _counts(lines: list[list[str]], names: str) -> list[int]:
+    """The non-negative counts on line 2, named like ``'n m k'``."""
+    try:
+        vals = [int(x) for x in lines[1]]
+    except (ValueError, IndexError):
+        vals = []
+    if len(vals) != len(names.split()) or min(vals) < 0:
+        raise FormatError(f"expected '{names}' on line 2")
+    return vals
+
+
+def _fields(ln: list[str], tag: str, count: int) -> list[int]:
+    """The ``count`` integers following ``tag`` on one line."""
+    if ln[0] != tag or len(ln) != count + 1:
+        raise FormatError(f"malformed {tag} line: {' '.join(ln)}")
+    try:
+        return [int(x) for x in ln[1:]]
+    except ValueError:
+        raise FormatError(f"malformed {tag} line: {' '.join(ln)}") from None
+
+
 def parse_dst(text: str) -> DirectedInstance:
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != ["DBDST", "1"]:
         raise FormatError("expected header 'DBDST 1'")
-    try:
-        n, m, k = map(int, lines[1])
-    except (ValueError, IndexError):
-        raise FormatError("expected 'n m k' on line 2")
+    n, m, k = _counts(lines, "n m k")
     if len(lines) != 3 + n + m + k:
         raise FormatError(f"expected {3 + n + m + k} lines, got {len(lines)}")
-    if lines[2][0] != "root":
-        raise FormatError("expected 'root <id>' on line 3")
-    root = int(lines[2][1])
-    degree = {}
-    for ln in lines[3:3 + n]:
-        if ln[0] != "vertex" or len(ln) != 3:
-            raise FormatError(f"malformed vertex line: {' '.join(ln)}")
-        degree[int(ln[1])] = int(ln[2])
+    (root,) = _fields(lines[2], "root", 1)
+    degree = dict(_fields(ln, "vertex", 2) for ln in lines[3:3 + n])
     if sorted(degree) != list(range(n)):
         raise FormatError("vertex lines must cover ids 0..n-1 exactly once")
-    edges = []
-    for ln in lines[3 + n:3 + n + m]:
-        if ln[0] != "edge" or len(ln) != 4:
-            raise FormatError(f"malformed edge line: {' '.join(ln)}")
-        edges.append((int(ln[1]), int(ln[2]), int(ln[3])))
-    terminals = set()
-    for ln in lines[3 + n + m:]:
-        if ln[0] != "terminal" or len(ln) != 2:
-            raise FormatError(f"malformed terminal line: {' '.join(ln)}")
-        terminals.add(int(ln[1]))
+    edges = [tuple(_fields(ln, "edge", 3)) for ln in lines[3 + n:3 + n + m]]
+    terminals = {t for ln in lines[3 + n + m:]
+                 for t in _fields(ln, "terminal", 1)}
     if len(terminals) != k:
         raise FormatError("duplicate terminal ids")
     return DirectedInstance(n, edges, root, frozenset(terminals), degree)
@@ -430,35 +435,30 @@ def parse_gst(text: str) -> GroupTreeInstance:
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != ["DBGST", "1"]:
         raise FormatError("expected header 'DBGST 1'")
-    try:
-        n, k = map(int, lines[1])
-    except (ValueError, IndexError):
-        raise FormatError("expected 'n k' on line 2")
+    n, k = _counts(lines, "n k")
     if len(lines) != 3 + n + k:
         raise FormatError(f"expected {3 + n + k} lines, got {len(lines)}")
-    if lines[2][0] != "root":
-        raise FormatError("expected 'root <id>' on line 3")
-    root = int(lines[2][1])
+    (root,) = _fields(lines[2], "root", 1)
+    if not (0 <= root < n):
+        raise FormatError(f"root id out of range: {root} (n={n})")
     parent = [0] * n
     cost = [0] * n
     degree = [0] * n
     seen = set()
     for ln in lines[3:3 + n]:
-        if ln[0] != "vertex" or len(ln) != 5:
-            raise FormatError(f"malformed vertex line: {' '.join(ln)}")
-        v = int(ln[1])
+        v, p, c, d = _fields(ln, "vertex", 4)
         if not (0 <= v < n):
             raise FormatError(f"vertex id out of range: {v}")
-        parent[v], cost[v], degree[v] = int(ln[2]), int(ln[3]), int(ln[4])
+        if c < 0 or d < 0:
+            raise FormatError(f"negative cost or degree bound for {v}")
+        parent[v], cost[v], degree[v] = p, c, d
         seen.add(v)
     if len(seen) != n:
         raise FormatError("vertex lines must cover ids 0..n-1 exactly once")
     groups = [None] * k
     for ln in lines[3 + n:]:
-        if ln[0] != "group":
-            raise FormatError(f"malformed group line: {' '.join(ln)}")
-        t, size = int(ln[1]), int(ln[2])
-        ids = [int(x) for x in ln[3:]]
+        # 'group <t> <size>' and then any number of ids
+        t, size, *ids = _fields(ln, "group", max(len(ln) - 1, 2))
         if len(ids) != size or not (0 <= t < k) or groups[t] is not None:
             raise FormatError(f"malformed group line: {' '.join(ln)}")
         for o in ids:

@@ -50,13 +50,15 @@ class LPModel:
                                     shape=(len(rows), self.nvar))
         return m, np.array(rhs)
 
-    def max_violation(self, x: np.ndarray) -> float:
+    def max_violation(self, x: np.ndarray, eq, ub) -> float:
+        """Largest violation by ``x`` of the rows, given as the ``(matrix,
+        rhs)`` pairs of ``eq`` and ``ub`` (None when empty), and the bounds."""
         worst = 0.0
-        if self.eq:
-            m, b = self._matrix(self.eq)
+        if eq is not None:
+            m, b = eq
             worst = max(worst, float(np.max(np.abs(m @ x - b))))
-        if self.ub:
-            m, b = self._matrix(self.ub)
+        if ub is not None:
+            m, b = ub
             worst = max(worst, float(np.max(m @ x - b, initial=0.0)))
         worst = max(worst, float(np.max(self.lo - x, initial=0.0)))
         worst = max(worst, float(np.max(x - self.hi, initial=0.0)))
@@ -74,11 +76,10 @@ def solve_lp(model: LPModel) -> LPSolution:
     """Solve to optimality or report infeasibility; never a silent wrong
     answer.  The returned assignment is re-checked against every constraint
     with an independent evaluation pass."""
-    a_eq = b_eq = a_ub = b_ub = None
-    if model.eq:
-        a_eq, b_eq = model._matrix(model.eq)
-    if model.ub:
-        a_ub, b_ub = model._matrix(model.ub)
+    eq = model._matrix(model.eq) if model.eq else None
+    ub = model._matrix(model.ub) if model.ub else None
+    a_eq, b_eq = eq or (None, None)
+    a_ub, b_ub = ub or (None, None)
     res = scipy.optimize.linprog(
         model.obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
         bounds=np.column_stack([model.lo, model.hi]),
@@ -90,7 +91,7 @@ def solve_lp(model: LPModel) -> LPSolution:
     if res.status != 0:
         raise SolverError(f"LP solver failed: {res.message}")
     x = np.clip(res.x, model.lo, model.hi)
-    worst = model.max_violation(x)
+    worst = model.max_violation(x, eq, ub)
     if worst > EPS_FEAS:
         raise SolverError(f"solution violates constraints by {worst:.3e}")
     return LPSolution(OPTIMAL, x, float(model.obj @ x))
@@ -113,7 +114,8 @@ def build_dst_lp(st: SuperTree) -> LPModel:
     O_t = st.terminal_index()
     for t, nodes in sorted(O_t.items()):
         if not nodes:
-            raise InfeasibleError(f"terminal {t} appears in no base node")
+            raise InfeasibleError(f"terminal {st.norm.terminal_origin[t]} "
+                                  f"appears in no base node")
         model.eq.append((list(nodes), [1.0] * len(nodes), 1.0))
 
     for p in range(n):

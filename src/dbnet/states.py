@@ -375,21 +375,6 @@ class SuperTree:
         return "\n".join(lines) + "\n"
 
 
-def _leaf_rhos(norm: NormalizedInstance, r1: int, tails: tuple[int, ...],
-               d_r: int):
-    """Degree vectors agreeing with the edge/triple (r1, *tails)."""
-    inst = norm.inst
-    K = inst.terminals
-    free = [v for v in tails if v not in K]
-    ranges = [range(1, inst.degree_bound[v] + 1) for v in free]
-    for combo in itertools.product(*ranges):
-        rho = dict(zip(free, combo))
-        total = sum(1 if v in K else norm.phi(v, rho[v]) for v in tails)
-        if 1 <= total <= d_r:
-            rho[r1] = total
-            yield rho
-
-
 def _pair_order(parent: StateKey, pair: tuple[StateKey, StateKey]):
     # right root r'', then the left child's share of the parent's other
     # portals as a bit mask over sorted(S - {r'}), then the degree at r''
@@ -435,10 +420,14 @@ def live_states(norm: NormalizedInstance, h: int) -> dict[StateKey, tuple]:
         leaves += [((v, v2), ("xi", (r1, v, v2)), c + c2)
                    for (v, c), (v2, c2) in itertools.combinations(edges, 2)]
         for tails, payload, cost in leaves:
-            S = frozenset({r1, *tails} - K)
-            for rho in _leaf_rhos(norm, r1, tails, inst.degree_bound[r1]):
-                key = make_key(r1, S, rho)
-                if offer(key, 0):
+            # every degree vector the edge/triple agrees with
+            free = [v for v in tails if v not in K]
+            for combo in itertools.product(
+                    *(range(1, inst.degree_bound[v] + 1) for v in free)):
+                rho = dict(zip(free, combo))
+                rho[r1] = sum(_contrib(norm, v, rho) for v in tails)
+                key = make_key(r1, {r1, *free}, rho)
+                if rho[r1] <= inst.degree_bound[r1] and offer(key, 0):
                     bases[key].append((payload, cost))
 
     final = set()
@@ -493,25 +482,23 @@ def build_super_tree(norm: NormalizedInstance, h: int | None = None,
     if h is None:
         h = height_budget(inst.n)
 
-    def kids(table, key, budget):
+    def kids(key, budget):
         # child pairs whose states both fit in budget - 1 more levels
         return [(k1, k2) for k1, k2 in table[key][2]
                 if table[k1][0] < budget and table[k2][0] < budget]
 
+    def size(key, budget):
+        if (key, budget) not in sizes:
+            sizes[key, budget] = 1 + len(table[key][1]) + sum(
+                1 + size(k1, budget - 1) + size(k2, budget - 1)
+                for k1, k2 in kids(key, budget))
+        return sizes[key, budget]
+
     for h_try in range(h + 1):
-        table = live_states(norm, h_try)
+        table, sizes = live_states(norm, h_try), {}
         roots = [k for k in (make_key(inst.root, {inst.root}, {inst.root: d})
                              for d in range(1, inst.degree_bound[inst.root] + 1))
                  if k in table]
-        sizes = {}
-
-        def size(key, budget):
-            if (key, budget) not in sizes:
-                sizes[key, budget] = 1 + len(table[key][1]) + sum(
-                    1 + size(k1, budget - 1) + size(k2, budget - 1)
-                    for k1, k2 in kids(table, key, budget))
-            return sizes[key, budget]
-
         total = 1 + sum(size(k, h_try) for k in roots)
         if total > node_cap:
             raise CapExceededError(
@@ -526,7 +513,7 @@ def build_super_tree(norm: NormalizedInstance, h: int | None = None,
         p = st.add(STATE, parent, state=key, level=level)
         for payload, cost in table[key][1]:
             st.add(BASE, p, payload=payload, cost=cost, level=level)
-        for k1, k2 in kids(table, key, h - level):
+        for k1, k2 in kids(key, h - level):
             q = st.add(VIRTUAL, p, level=level)
             write(k1, level + 1, q)
             write(k2, level + 1, q)

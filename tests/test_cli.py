@@ -6,7 +6,7 @@ import pytest
 from conftest import small_dst
 from dbnet.cli import main
 from dbnet.generators import gen_dst, gen_gst
-from dbnet.instances import normalize, parse_dst, serialize_dst, serialize_gst
+from dbnet.instances import parse_dst, serialize_dst, serialize_gst
 from dbnet.lpcore import solve_lp
 from dbnet.states import build_super_tree
 
@@ -136,7 +136,7 @@ def test_run_dst_trials_reuse_the_solve(tmp_path, dst_file, monkeypatch):
     assert (len(builds), len(solves)) == (1, 1)
     stats = json.loads(out.read_text())["stats"]
     with open(path) as f:
-        terms = normalize(parse_dst(f.read())).inst.terminals
+        terms = parse_dst(f.read()).terminals
     assert sorted(stats["per_terminal_hit"]) == sorted(map(str, terms))
     assert all(entry["trials"] == 300
                for entry in stats["per_terminal_hit"].values())
@@ -180,6 +180,30 @@ def test_exit_codes(tmp_path):
     big.write_text(serialize_dst(gen_dst(8, 14, 4, d_max=3, seed=0)))
     assert main(["solve-dst", "--instance", str(big), "--height", "9",
                  "--node-cap", "2000"]) == 3
+
+
+@pytest.mark.parametrize("height,cause", [
+    ("2", "DST LP is infeasible"),
+    ("1", "terminal 3 appears in no base node")])
+def test_height_below_budget_is_a_cap_error(tmp_path, capsys, height, cause):
+    # the instance solves at --height 3; its height budget is 8
+    path = tmp_path / "s1.dst"
+    path.write_text(serialize_dst(gen_dst(6, 8, 3, seed=1)))
+    assert main(["run", "--problem", "dst", "--instance", str(path),
+                 "--height", height]) == 3
+    err = capsys.readouterr().err
+    assert f"height {height} is below the height budget 8" in err
+    assert cause in err
+
+
+def test_infeasible_at_budget_names_original_terminal(tmp_path, capsys):
+    # terminal 2 has an out-edge, so it is split; nothing reaches it
+    path = tmp_path / "unreach.dst"
+    path.write_text("DBDST 1\n4 2 2\nroot 0\nvertex 0 1\nvertex 1 0\n"
+                    "vertex 2 1\nvertex 3 0\nedge 0 1 1\nedge 2 3 1\n"
+                    "terminal 1\nterminal 2\n")
+    assert main(["solve-dst", "--instance", str(path)]) == 2
+    assert "terminal 2 appears in no base node" in capsys.readouterr().err
 
 
 def test_dump_commands(tmp_path, dst_file, gst_file):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from dbnet.generators import gen_dst, gen_gst
 from dbnet.errors import FormatError
@@ -24,6 +26,62 @@ def test_terminal_out_of_range():
     bad = MINIMAL.replace("terminal 1", "terminal 2")
     with pytest.raises(FormatError, match="id out of range"):
         parse_dst(bad)
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_dst, MINIMAL.replace("root 0", "root x")),
+    (parse_dst, MINIMAL.replace("root 0", "root")),
+    (parse_dst, MINIMAL.replace("vertex 0 1", "vertex 0 a")),
+    (parse_dst, MINIMAL.replace("2 1 1", "2 1 -1")),
+    (parse_gst, "DBGST 1\n2 0\nroot 5\nvertex 0 -1 0 1\nvertex 1 0 1 1\n"),
+    (parse_gst, "DBGST 1\n2 1\nroot 0\nvertex 0 -1 0 1\n"
+                "vertex 1 0 1 1\ngroup\n"),
+    (parse_gst, "DBGST 1\n2 0\nroot 0\nvertex 0 -1 0 1\nvertex 1 0 -5 1\n")])
+def test_malformed_token_is_format_error(parse, text):
+    with pytest.raises(FormatError):
+        parse(text)
+
+
+FUZZ_SEEDS = [(parse_dst, serialize_dst(gen_dst(5, 6, 2, seed=0))),
+              (parse_dst, MINIMAL),
+              (parse_gst, serialize_gst(gen_gst(6, 2, depth=3, seed=0)))]
+FUZZ_TOKENS = ["x", "-1", "0", "1", "2", "7", "99", "1.5", "root", "vertex",
+               "edge", "terminal", "group"]
+
+
+@hs.composite
+def mutated_instance(draw):
+    """A serialized instance with a few tokens or lines replaced, dropped or
+    duplicated, and its parser."""
+    parse, text = draw(hs.sampled_from(FUZZ_SEEDS))
+    lines = [ln.split() for ln in text.splitlines()]
+    for _ in range(draw(hs.integers(1, 4))):
+        i = draw(hs.integers(0, len(lines) - 1))
+        j = draw(hs.integers(0, len(lines[i])))
+        op = draw(hs.sampled_from(["set", "insert", "drop", "dup_line",
+                                   "drop_line"]))
+        if op == "set" and j < len(lines[i]):
+            lines[i][j] = draw(hs.sampled_from(FUZZ_TOKENS))
+        elif op == "insert":
+            lines[i].insert(j, draw(hs.sampled_from(FUZZ_TOKENS)))
+        elif op == "drop" and j < len(lines[i]):
+            del lines[i][j]
+        elif op == "dup_line":
+            lines.insert(i, list(lines[i]))
+        elif op == "drop_line" and len(lines) > 1:
+            del lines[i]
+    return parse, "\n".join(" ".join(ln) for ln in lines) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(mutated_instance())
+def test_parsers_are_total(case):
+    parse, text = case
+    try:
+        inst = parse(text)
+    except FormatError:
+        return
+    assert isinstance(inst, (DirectedInstance, GroupTreeInstance))
 
 
 def test_duplicate_edge_rejected():

@@ -17,6 +17,23 @@ def test_forced_variable():
     assert sol.objective == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("eq,ub", [(True, True), (True, False),
+                                   (False, True)])
+def test_solve_builds_each_matrix_once(monkeypatch, eq, ub):
+    built = []
+    matrix = LPModel._matrix
+    monkeypatch.setattr(LPModel, "_matrix",
+                        lambda self, rows: built.append(rows)
+                        or matrix(self, rows))
+    m = LPModel(2, np.array([1.0, 2.0]))
+    if eq:
+        m.eq.append(([0, 1], [1.0, 1.0], 1.0))
+    if ub:
+        m.ub.append(([0], [1.0], 0.25))
+    assert solve_lp(m).status == OPTIMAL
+    assert len(built) == eq + ub
+
+
 def test_empty_polytope():
     m = LPModel(1, np.array([0.0]))
     m.ub.append(([0], [-1.0], -2.0))  # x >= 2 with x <= 1

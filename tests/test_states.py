@@ -272,7 +272,10 @@ def reference_super_tree(norm, h):
     return st
 
 
-@pytest.mark.parametrize("shape,seed,h", [((5, 6, 2), 0, 3)]
+# (5, 6, 2) seed 1 at h=4 is the one case here where ordering the pairs by
+# degree value before portal mask would change the arena
+@pytest.mark.parametrize("shape,seed,h",
+                         [((5, 6, 2), 0, 3), ((5, 6, 2), 1, 4)]
                          + [((6, 8, 3), s, h) for s in range(3)
                             for h in (1, 2)]
                          + [((6, 8, 3), s, 3) for s in (1, 7, 8)])
