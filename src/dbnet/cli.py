@@ -21,9 +21,10 @@ from .gst_round import GstParams, run_gst, union_degree_ratios
 from .instances import (DirectedInstance, GroupTreeInstance, normalize,
                         parse_dst, parse_gst, preprocess_gst, serialize_dst,
                         serialize_gst)
-from .lpcore import build_dst_lp, build_gst_lp, dump_lp, rep_rng
+from .lpcore import build_dst_lp, build_gst_lp, dump_lp
 from .dst_round import DstParams, run_dst
 from .oracle import exact_dst, exact_gst
+from .rounding import blocks, membership, pair_counts
 from .states import build_super_tree
 from .treekit import height_budget
 
@@ -128,11 +129,10 @@ def cmd_dump_lp(args) -> int:
     return 0
 
 
-def _stat(hits: np.ndarray) -> dict:
-    trials = len(hits)
-    mean = float(np.mean(hits))
+def _stat(hits: int, trials: int) -> dict:
+    mean = hits / trials
     return {"mean": mean,
-            "stddev": float(math.sqrt(mean * (1 - mean) / trials)),
+            "stddev": math.sqrt(mean * (1 - mean) / trials),
             "trials": trials}
 
 
@@ -177,18 +177,26 @@ def _dst_trial_stats(report, trials: int) -> dict:
     report's own LP solution."""
     sampler = report.sampler
     st = sampler.st
-    terms = sorted(st.norm.inst.terminals)
-    hits = {t: np.zeros(trials) for t in terms}
+    norm = st.norm
+    terms = sorted(norm.inst.terminals)
+    node_cost = np.asarray(st.cost, dtype=float)
+    col = {t: j for j, t in enumerate(terms)}
+    terminals_of = membership(len(st), [
+        (o, col[v]) for o in st.base_nodes() for v in st.involved_vertices(o)
+        if v in col])
+    hits = np.zeros(len(terms), dtype=np.int64)
     costs = np.zeros(trials)
-    for i in range(trials):
-        _, bases = sampler.sample(rep_rng(report.seed, TRIAL_STREAM, i))
-        costs[i] = sum(st.cost[o] for o in bases)
-        for o in bases:
-            for v in st.involved_vertices(o):
-                if v in hits:
-                    hits[v][i] = 1.0
-    return {"per_terminal_hit": {str(st.norm.terminal_origin[t]):
-                                 _stat(hits[t]) for t in terms},
+    for start, stop in blocks(trials):
+        rep, node = sampler.sample((report.seed, TRIAL_STREAM), start, stop)
+        rep -= start
+        costs[start:stop] = np.bincount(rep, weights=node_cost[node],
+                                        minlength=stop - start)
+        copies = pair_counts(*terminals_of, len(terms), rep, node,
+                             stop - start)
+        hits += np.count_nonzero(copies, axis=0)
+    return {"per_terminal_hit": {str(norm.terminal_origin[t]):
+                                 _stat(int(c), trials)
+                                 for t, c in zip(terms, hits)},
             "cost": {"mean": float(np.mean(costs)),
                      "stddev": float(np.std(costs) / math.sqrt(trials)),
                      "trials": trials}}
@@ -198,15 +206,17 @@ def _gst_trial_stats(report, trials: int) -> dict:
     """Hit rate per group over fresh roundings of the report's scaled
     solution."""
     rounder = report.rounder
-    groups = rounder.inst.groups
-    hits = np.zeros((len(groups), trials))
-    for i in range(trials):
-        chosen = rounder.sample(rep_rng(report.seed, TRIAL_STREAM, i))
-        for t, g in enumerate(groups):
-            if any(o in chosen for o in g):
-                hits[t, i] = 1.0
-    return {"per_group_hit": {str(t): _stat(hits[t])
-                              for t in range(len(groups))}}
+    inst = rounder.inst
+    k = len(inst.groups)
+    groups_of = membership(inst.n, [(o, g) for g, grp in enumerate(inst.groups)
+                                     for o in grp])
+    hits = np.zeros(k, dtype=np.int64)
+    for start, stop in blocks(trials):
+        rep, node = rounder.sample((report.seed, TRIAL_STREAM), start, stop)
+        copies = pair_counts(*groups_of, k, rep - start, node, stop - start)
+        hits += np.count_nonzero(copies, axis=0)
+    return {"per_group_hit": {str(g): _stat(int(c), trials)
+                              for g, c in enumerate(hits)}}
 
 
 def cmd_verify(args) -> int:

@@ -2,9 +2,10 @@
 
 Each repetition samples a good extended state tree top-down (one child below
 the super node and below every chosen state node, both children below every
-chosen virtual node), stitches it into a multi-tree, and maps its edges back
-through the binarization gadgets to original-graph edges.  The union over Q
-repetitions is pruned to a Steiner tree by breadth-first parent assignment.
+chosen virtual node) with the batched engine of ``rounding``, stitches it
+into a multi-tree, and maps its edges back through the binarization gadgets
+to original-graph edges.  The union over Q repetitions is pruned to a
+Steiner tree by breadth-first parent assignment.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import numpy as np
 
 from .errors import CapExceededError, InfeasibleError, InvariantError
 from .instances import MultiTree, NormalizedInstance, original_degree
-from .lpcore import INFEASIBLE, build_dst_lp, rep_rng, solve_lp
-from .states import (BASE, STATE, SUPER, VIRTUAL, SuperTree,
-                     build_super_tree, selection_to_state_tree,
-                     stitch_multi_tree)
+from .lpcore import INFEASIBLE, build_dst_lp, solve_lp
+from .rounding import ChildTable, blocks, membership, pair_counts, per_rep
+from .states import (BASE, VIRTUAL, SuperTree, build_super_tree,
+                     selection_to_state_tree, stitch_multi_tree)
 from .treekit import height_budget
 
 EPS_PROB = 1e-6
@@ -27,70 +28,67 @@ X_TINY = 1e-12
 
 
 class Sampler:
-    """Precomputed child-choice tables for repeated rounding of one LP
-    solution."""
+    """The child table of one LP solution over the super-tree, for repeated
+    rounding: each chosen state or super node keeps one child by inverse CDF
+    on its own draw slot, each chosen virtual node keeps both children."""
 
     def __init__(self, st: SuperTree, x: np.ndarray):
         self.st = st
-        self.x = x
-        self.choice = {}
-        for p in range(len(st)):
-            if st.kind[p] not in (STATE, SUPER) or x[p] <= X_TINY:
-                continue
-            kids = [c for c in st.children[p] if x[c] > X_TINY]
-            total = float(sum(x[c] for c in kids))
-            if abs(total - x[p]) > EPS_PROB:
-                raise InvariantError(
-                    f"child mass {total} != x[{p}]={x[p]} beyond EPS_PROB")
-            self.choice[p] = (kids, np.cumsum([x[c] / total for c in kids]))
-
-    def sample(self, rng) -> tuple[set[int], list[int]]:
-        """One rounding pass; returns (selected nodes, selected base nodes)."""
-        st = self.st
-        selected, bases = set(), []
-        stack = [st.root]
-        while stack:
-            p = stack.pop()
-            selected.add(p)
+        parent, child, lo, hi = [], [], [], []
+        for p in np.flatnonzero(x > X_TINY).tolist():
             kind = st.kind[p]
-            if kind in (STATE, SUPER):
-                kids, cum = self.choice[p]
-                idx = int(np.searchsorted(cum, rng.random(), side="right"))
-                stack.append(kids[min(idx, len(kids) - 1)])
-            elif kind == VIRTUAL:
-                stack.extend(st.children[p])
+            if kind == BASE:
+                continue
+            if kind == VIRTUAL:
+                kids = st.children[p]
+                lo += [0.0] * len(kids)
+                hi += [math.inf] * len(kids)
             else:
-                bases.append(p)
-        bases.sort()
-        return selected, bases
+                kids = [c for c in st.children[p] if x[c] > X_TINY]
+                total = float(sum(x[c] for c in kids))
+                if abs(total - x[p]) > EPS_PROB:
+                    raise InvariantError(
+                        f"child mass {total} != x[{p}]={x[p]} beyond EPS_PROB")
+                if not kids:
+                    continue
+                cum = np.cumsum([x[c] / total for c in kids]).tolist()
+                lo += [0.0] + cum[:-1]
+                hi += cum[:-1] + [math.inf]
+            parent += [p] * len(kids)
+            child += kids
+        # children of one parent share its slot, so exactly one is kept
+        self.table = ChildTable(len(st), st.root, parent, child, parent,
+                                lo, hi)
+        # base node that can be selected -> the normalized vertices it involves
+        self.involved = membership(len(st), [
+            (o, v) for o in child if st.kind[o] == BASE
+            for v in st.involved_vertices(o)])
+
+    def sample(self, key: tuple[int, ...], start: int,
+               stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Selected (repetition, node) pairs of repetitions start..stop-1 of
+        the stream ``key``."""
+        return self.table.sample(key, start, stop)
 
 
 @dataclass
 class RoundingOutcome:
-    selected: set[int]
-    base_nodes: list[int]
     cost: int
-    state_tree: object = None
-    multi_tree: MultiTree | None = None
+    state_tree: object
+    multi_tree: MultiTree
 
 
-def round_super_tree(st: SuperTree, x: np.ndarray, rng, build: bool = True,
-                     sampler: Sampler | None = None) -> RoundingOutcome:
-    """Sample one extended state tree and (optionally) stitch it and check
-    that the stitched multi-tree is good."""
-    if sampler is None:
-        sampler = Sampler(st, x)
-    selected, bases = sampler.sample(rng)
-    cost = sum(st.cost[o] for o in bases)
-    out = RoundingOutcome(selected, bases, cost)
-    if build:
-        tree = selection_to_state_tree(st, selected)
-        out.state_tree = tree
-        out.multi_tree = stitch_multi_tree(st.norm, tree)
-        _check_good_multi_tree(st.norm, out.multi_tree)
-        if out.multi_tree.cost(st.norm) != cost:
-            raise InvariantError("stitched cost differs from base-node cost")
-    return out
+def round_super_tree(st: SuperTree, selected) -> RoundingOutcome:
+    """Stitch one repetition's selected nodes into a multi-tree and check
+    that it is good and costs what its base nodes cost."""
+    selected = set(np.asarray(selected).tolist())
+    cost = sum(st.cost[o] for o in selected if st.kind[o] == BASE)
+    tree = selection_to_state_tree(st, selected)
+    multi = stitch_multi_tree(st.norm, tree)
+    _check_good_multi_tree(st.norm, multi)
+    if multi.cost(st.norm) != cost:
+        raise InvariantError("stitched cost differs from base-node cost")
+    return RoundingOutcome(cost, tree, multi)
 
 
 def _check_good_multi_tree(norm: NormalizedInstance, tree: MultiTree):
@@ -107,23 +105,18 @@ def _check_good_multi_tree(norm: NormalizedInstance, tree: MultiTree):
                 f"exceeds bound {inst.degree_bound[tree.label[a]]}")
 
 
-def concentration_stats(base_selections: list[list[int]], st: SuperTree,
-                        s: float) -> dict[int, dict[str, float]]:
-    """Per-vertex empirical MGF of the copy count and its maximum."""
-    if not base_selections:
+def concentration_stats(sampler: Sampler, rep: np.ndarray, node: np.ndarray,
+                        trials: int, s: float) -> dict[int, dict[str, float]]:
+    """Per-vertex empirical MGF of the copy count and its maximum over the
+    sampled (repetition, node) pairs of repetitions 0..trials-1."""
+    if trials < 1:
         raise InvariantError("need at least one rounding outcome")
-    trials = len(base_selections)
-    acc = {v: [0.0, 0] for v in range(st.norm.inst.n)}
-    for bases in base_selections:
-        counts = {}
-        for o in bases:
-            for v in st.involved_vertices(o):
-                counts[v] = counts.get(v, 0) + 1
-        for v, m in counts.items():
-            acc[v][0] += math.exp(s * m) - 1.0
-            acc[v][1] = max(acc[v][1], m)
-    return {v: {"mgf": 1.0 + tot / trials, "max_copies": mx}
-            for v, (tot, mx) in acc.items()}
+    n = sampler.st.norm.inst.n
+    copies = pair_counts(*sampler.involved, n, rep, node, trials)
+    mgf = 1.0 + np.expm1(s * copies).sum(axis=0) / trials
+    top = copies.max(axis=0)
+    return {v: {"mgf": float(mgf[v]), "max_copies": int(top[v])}
+            for v in range(n)}
 
 
 @dataclass
@@ -156,7 +149,7 @@ class DstRunReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "problem": "dst",
             "instance": self.instance,
             "seed": self.seed,
@@ -178,8 +171,9 @@ class DstRunReport:
 
 
 def default_q(h: int, k: int) -> int:
-    """Q = ceil((h+1) ln(10 k)): union-bound failure probability <= 1/10."""
-    return math.ceil((h + 1) * math.log(10 * k))
+    """Q = ceil((h+1) ln(10 k)): union-bound failure probability <= 1/10;
+    no repetition at all without terminals."""
+    return math.ceil((h + 1) * math.log(10 * k)) if k else 0
 
 
 def run_dst(norm: NormalizedInstance, params: DstParams | None = None,
@@ -191,7 +185,9 @@ def run_dst(norm: NormalizedInstance, params: DstParams | None = None,
     budget = height_budget(inst.n)
     h = params.h if params.h is not None else budget
     k = len(inst.terminals)
-    Q = params.Q if params.Q is not None else default_q(h, k)
+    # without terminals the LP is all zero and the empty tree is optimal, so
+    # nothing is rounded whatever params.Q says
+    Q = default_q(h, k) if params.Q is None or not k else params.Q
 
     st = build_super_tree(norm, h, params.node_cap)
     try:
@@ -207,17 +203,19 @@ def run_dst(norm: NormalizedInstance, params: DstParams | None = None,
         raise
     sampler = Sampler(st, sol.x)
 
-    rep_costs, base_lists = [], []
+    rep_costs, reps, nodes = [], [], []
     union_edges: set[tuple[int, int]] = set()
-    for i in range(Q):
-        rng = rep_rng(params.seed, i)
-        out = round_super_tree(st, sol.x, rng, build=True, sampler=sampler)
-        rep_costs.append(out.cost)
-        base_lists.append(out.base_nodes)
-        for e in out.multi_tree.edge_labels():
-            oe = norm.edge_origin[e]
-            if oe is not None:
-                union_edges.add(oe)
+    for start, stop in blocks(Q):
+        rep, node = sampler.sample((params.seed,), start, stop)
+        reps.append(rep)
+        nodes.append(node)
+        for selected in per_rep(rep, node, start, stop):
+            out = round_super_tree(st, selected)
+            rep_costs.append(out.cost)
+            for e in out.multi_tree.edge_labels():
+                oe = norm.edge_origin[e]
+                if oe is not None:
+                    union_edges.add(oe)
 
     cost_of = orig.cost
     union_cost = sum(cost_of[e] for e in union_edges)
@@ -231,13 +229,14 @@ def run_dst(norm: NormalizedInstance, params: DstParams | None = None,
 
     h_prime = st.height()
     s = math.log(1 + 1 / (2 * h_prime)) if h_prime > 0 else math.log(2)
-    mgf = concentration_stats(base_lists, st, s)
+    mgf = concentration_stats(sampler, np.concatenate(reps),
+                              np.concatenate(nodes), Q, s) if Q else {}
 
     return DstRunReport(
         instance=label, seed=params.seed, h=h, Q=Q, lp_cost=sol.objective,
         repetition_costs=rep_costs, union_cost=union_cost,
         tree_cost=tree_cost, tree_edges=sorted(tree_edges),
-        covered=sorted(covered), coverage=len(covered) / k,
+        covered=sorted(covered), coverage=len(covered) / k if k else 1.0,
         degree_violations=ratios, mgf_stats=mgf, s=s, h_prime=h_prime,
         sampler=sampler)
 

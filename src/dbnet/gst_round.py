@@ -3,7 +3,8 @@ randomized rounding, repetition and union.
 
 The pipeline solves the tree LP, modifies the solution to power-of-two values
 (P1-P6), computes hop levels and the scaled solution x', then repeats the
-top-down Bernoulli rounding M times and unions the sampled subtrees.
+top-down Bernoulli rounding M times with the batched engine of ``rounding``
+and unions the sampled subtrees.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 from .errors import InfeasibleError, InvariantError
 from .instances import GroupTreeInstance
 from .lpcore import (INFEASIBLE, build_gst_lp, check_modified_solution,
-                     modify_gst_solution, rep_rng, solve_lp)
+                     modify_gst_solution, solve_lp)
+from .rounding import ChildTable, blocks
 
 EPS_MONOTONE = 1e-12  # slack of the x' non-increasing check
 EPS_MASS = 1e-9       # slack of the branching-mass check
@@ -114,46 +116,30 @@ def check_branching_mass(inst: GroupTreeInstance,
 
 
 class Rounder:
-    """Per-vertex child ratio tables prepared once, sampled many times."""
+    """The child table of the scaled solution, for repeated rounding: each
+    child v of a chosen vertex u joins independently with probability
+    x'_v / x'_u, on the draw slot v."""
 
     def __init__(self, inst: GroupTreeInstance, xp: np.ndarray):
         self.inst = inst
-        self.root = inst.root
-        self.tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if xp[inst.root] <= 0:
             raise InvariantError("root not in the support")
-        for u in range(inst.n):
-            if xp[u] <= 0:
-                continue
-            kids = np.array([v for v in inst.children[u] if xp[v] > 0],
-                            dtype=int)
-            if len(kids) == 0:
-                continue
-            ratio = xp[kids] / xp[u]
-            if np.any(ratio > 1 + 1e-9):
-                raise InvariantError(f"child ratio above 1 below u={u}")
-            self.tables[u] = (kids, np.minimum(ratio, 1.0))
+        parent = np.asarray(inst.parent)
+        kids = np.flatnonzero((xp > 0) & (parent >= 0))
+        kids = kids[xp[parent[kids]] > 0]
+        up = parent[kids]
+        ratio = xp[kids] / xp[up]
+        if np.any(ratio > 1 + 1e-9):
+            raise InvariantError(f"child ratio above 1 below "
+                                 f"u={up[ratio > 1 + 1e-9].min()}")
+        self.table = ChildTable(inst.n, inst.root, up, kids, kids,
+                                np.zeros(len(kids)), np.minimum(ratio, 1.0))
 
-    def sample(self, rng) -> set[int]:
-        chosen = {self.root}
-        stack = [self.root]
-        while stack:
-            u = stack.pop()
-            entry = self.tables.get(u)
-            if entry is None:
-                continue
-            kids, ratio = entry
-            take = kids[rng.random(len(kids)) < ratio]
-            for v in take:
-                chosen.add(int(v))
-                stack.append(int(v))
-        return chosen
-
-
-def recursive_round(inst: GroupTreeInstance, xp: np.ndarray, rng) -> set[int]:
-    """One top-down rounding pass; each child of a chosen vertex joins
-    independently with probability x'_v / x'_u."""
-    return Rounder(inst, xp).sample(rng)
+    def sample(self, key: tuple[int, ...], start: int,
+               stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Chosen (repetition, vertex) pairs of repetitions start..stop-1 of
+        the stream ``key``."""
+        return self.table.sample(key, start, stop)
 
 
 def alpha_sequence(L: int, gamma: int) -> list[float]:
@@ -171,8 +157,8 @@ def alpha_sequence(L: int, gamma: int) -> list[float]:
 
 
 def default_m(alpha0: float, k: int) -> int:
-    """Smallest M with (1 - alpha0/2)^M <= 1/(10k)."""
-    return math.ceil(math.log(10 * k) / -math.log1p(-alpha0 / 2))
+    """Smallest M with (1 - alpha0/2)^M <= 1/(10k); none without groups."""
+    return math.ceil(math.log(10 * k) / -math.log1p(-alpha0 / 2)) if k else 0
 
 
 def group_mass(inst: GroupTreeInstance, x: np.ndarray) -> list[float]:
@@ -207,7 +193,7 @@ class GstRunReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "problem": "gst",
             "instance": self.instance,
             "seed": self.seed,
@@ -266,15 +252,18 @@ def run_gst(inst: GroupTreeInstance, params: GstParams | None = None,
 
     rounder = Rounder(inst, scaled.xp)
     costs = np.array(inst.cost)
-    union: set[int] = set()
+    in_union = np.zeros(inst.n, dtype=bool)
+    in_union[inst.root] = True
     rep_costs = []
-    for i in range(M):
-        chosen = rounder.sample(rep_rng(params.seed, i))
-        rep_costs.append(int(sum(costs[v] for v in chosen)))
-        union |= chosen
+    for start, stop in blocks(M):
+        rep, node = rounder.sample((params.seed,), start, stop)
+        rep_costs += np.bincount(rep - start, weights=costs[node],
+                                 minlength=stop - start).astype(int).tolist()
+        in_union[node] = True
 
+    union = set(np.flatnonzero(in_union).tolist())
     coverage = [any(o in union for o in g) for g in inst.groups]
-    union_cost = int(sum(costs[v] for v in union))
+    union_cost = sum(inst.cost[v] for v in union)
     return GstRunReport(
         instance=label, seed=params.seed, L=scaled.L, gamma=scaled.gamma,
         alpha=alpha, M=M, lp_cost=sol.objective,

@@ -1,6 +1,5 @@
-"""Sparse LP models for both relaxations, a solver front end, the
-group-Steiner solution modification pass (threshold + power-of-two round-up),
-and the named random streams both rounding pipelines draw from.
+"""Sparse LP models for both relaxations, a solver front end, and the
+group-Steiner solution modification pass (threshold + power-of-two round-up).
 """
 
 from __future__ import annotations
@@ -95,11 +94,6 @@ def solve_lp(model: LPModel) -> LPSolution:
     if worst > EPS_FEAS:
         raise SolverError(f"solution violates constraints by {worst:.3e}")
     return LPSolution(OPTIMAL, x, float(model.obj @ x))
-
-
-def rep_rng(*key: int) -> np.random.Generator:
-    """Independent random stream named by ``key``, e.g. (seed, repetition)."""
-    return np.random.default_rng(list(key))
 
 
 def build_dst_lp(st: SuperTree) -> LPModel:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dbnet.generators import gen_dst, gen_gst
-from dbnet.instances import lift_tree, normalize, preprocess_gst
+from dbnet.instances import (GroupTreeInstance, lift_tree, normalize,
+                             preprocess_gst)
 from dbnet.oracle import exact_dst
 from dbnet.states import gen_state_tree
 
@@ -36,6 +37,17 @@ def random_binary_tree(rng, n):
         nkids[u] += 1
         nkids[v] = 0
     return parent
+
+
+def broom(depth):
+    """Complete binary tree with every leaf in one group and d == 1, with a
+    modified LP solution x~ that halves at every level."""
+    n = 2 ** (depth + 1) - 1
+    parent = [-1] + [(v - 1) // 2 for v in range(1, n)]
+    leaves = frozenset(range(2 ** depth - 1, n))
+    inst = GroupTreeInstance(n, parent, [0] * n, [leaves], [1] * n)
+    xt = np.ldexp(1.0, -np.floor(np.log2(np.arange(n) + 1)).astype(int))
+    return inst, xt
 
 
 @pytest.fixture(scope="session")

@@ -9,10 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_binary_tree, small_dst
+from conftest import broom, random_binary_tree, small_dst
 from dbnet.cli import verify_dst_report
 from dbnet.dst_round import (DstParams, Sampler, concentration_stats,
-                             rep_rng, run_dst)
+                             run_dst)
 from dbnet.generators import gen_gst
 from dbnet.gst_round import (GstParams, Rounder, alpha_sequence, build_scaled,
                              check_branching_mass, check_nonincreasing,
@@ -21,8 +21,8 @@ from dbnet.instances import lift_tree, preprocess_gst
 from dbnet.lpcore import (build_dst_lp, build_gst_lp, check_modified_solution,
                           modify_gst_solution, solve_lp)
 from dbnet.oracle import OPTIMAL, exact_gst
-from dbnet.states import (build_super_tree, gen_state_tree, stitch_multi_tree,
-                          validate_state_tree)
+from dbnet.states import (BASE, build_super_tree, gen_state_tree,
+                          stitch_multi_tree, validate_state_tree)
 from dbnet.treekit import RootedTree, find_balanced_separator
 
 TRIALS = 10_000
@@ -30,6 +30,11 @@ TRIALS = 10_000
 
 def _ok(num, text):
     print(f"criterion {num:02d} {text} ... PASS")
+
+
+def _hits(rep, node, members):
+    """Number of repetitions that sampled at least one of ``members``."""
+    return len(np.unique(rep[np.isin(node, list(members))]))
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -83,28 +88,25 @@ def test_criterion_03_lp_dominance():
 
 @pytest.fixture(scope="module")
 def dst_corpus():
-    """Per instance: LP vector, super-tree and 10^4 independent roundings."""
+    """Per instance: LP vector, super-tree, its sampler and the (repetition,
+    base node) pairs of 10^4 independent roundings."""
     corpus = []
     for seed in range(20):
-        inst, norm, res, h = small_dst(seed)
+        _, norm, _, h = small_dst(seed)
         st = build_super_tree(norm, h, 5_000_000)
         sol = solve_lp(build_dst_lp(st))
         sampler = Sampler(st, sol.x)
-        selections = []
-        for i in range(TRIALS):
-            _, bases = sampler.sample(rep_rng(7000 + seed, i))
-            selections.append(bases)
-        corpus.append((inst, norm, st, sol, h, selections))
+        rep, node = sampler.sample((7000 + seed,), 0, TRIALS)
+        base = np.asarray(st.kind)[node] == BASE
+        corpus.append((st, sol, h, sampler, rep[base], node[base]))
     return corpus
 
 
 def test_criterion_04_marginals(dst_corpus):
-    for inst, norm, st, sol, h, selections in dst_corpus:
-        counts = {o: 0 for o in st.base_nodes()}
-        for bases in selections:
-            for o in bases:
-                counts[o] += 1
-        for o, c in counts.items():
+    for st, sol, h, sampler, rep, node in dst_corpus:
+        counts = np.bincount(node, minlength=len(st))
+        for o in st.base_nodes():
+            c = int(counts[o])
             p = float(sol.x[o])
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / TRIALS)
             assert abs(c / TRIALS - p) <= 3 * sigma + 1e-9
@@ -112,43 +114,40 @@ def test_criterion_04_marginals(dst_corpus):
 
 
 def test_criterion_05_terminal_coverage(dst_corpus):
-    for inst, norm, st, sol, h, selections in dst_corpus:
-        index = st.terminal_index()
-        for t, nodes in index.items():
-            node_set = set(nodes)
-            hits = sum(bool(node_set.intersection(b)) for b in selections)
-            rate = hits / TRIALS
+    for st, sol, h, sampler, rep, node in dst_corpus:
+        for t, nodes in st.terminal_index().items():
+            rate = _hits(rep, node, nodes) / TRIALS
             sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / TRIALS)
             assert rate >= 1 / (h + 1) - 3 * sigma
     _ok(5, "per-terminal hit rate at least 1/(h+1) minus 3 sigma")
 
 
 def test_criterion_06_expected_cost(dst_corpus):
-    for inst, norm, st, sol, h, selections in dst_corpus:
-        node_cost = {o: st.cost[o] for o in st.base_nodes()}
-        costs = np.array([sum(node_cost[o] for o in b) for b in selections],
-                         dtype=float)
+    for st, sol, h, sampler, rep, node in dst_corpus:
+        node_cost = np.asarray(st.cost, dtype=float)
+        costs = np.bincount(rep, weights=node_cost[node], minlength=TRIALS)
         sigma = float(costs.std(ddof=1)) / math.sqrt(TRIALS)
         assert costs.mean() <= sol.objective + 3 * sigma + 1e-9
     _ok(6, "mean repetition cost stays below the LP cost plus 3 sigma")
 
 
 def test_criterion_07_concentration(dst_corpus):
-    for inst, norm, st, sol, h, selections in dst_corpus:
+    for st, sol, h, sampler, rep, node in dst_corpus:
         hp = st.height()
         s = math.log(1 + 1 / (2 * hp))
-        per_vertex = {}
-        for i, bases in enumerate(selections):
-            counts = {}
-            for o in bases:
-                for v in st.involved_vertices(o):
-                    counts[v] = counts.get(v, 0) + 1
-            for v, m in counts.items():
-                if v not in per_vertex:
-                    per_vertex[v] = np.ones(TRIALS)
-                per_vertex[v][i] = math.exp(s * m)
-        stats = concentration_stats(selections, st, s)
-        for v, arr in per_vertex.items():
+        # per-trial copy counts: one column per involved-vertex position
+        copies = np.zeros((TRIALS, st.norm.inst.n))
+        for pos in (0, 1):
+            vert = np.full(len(st), -1)
+            for o in st.base_nodes():
+                vs = st.involved_vertices(o)
+                if pos < len(vs):
+                    vert[o] = vs[pos]
+            on = vert[node] >= 0
+            np.add.at(copies, (rep[on], vert[node][on]), 1)
+        stats = concentration_stats(sampler, rep, node, TRIALS, s)
+        for v in range(st.norm.inst.n):
+            arr = np.exp(s * copies[:, v])
             sigma = float(arr.std(ddof=1)) / math.sqrt(TRIALS)
             assert arr.mean() <= 1 + 2 / hp + 3 * sigma + 1e-9
             assert stats[v]["mgf"] == pytest.approx(float(arr.mean()))
@@ -187,29 +186,16 @@ def test_criterion_09_gst_scaling_invariants(gst_suite):
 
 # --------------------------------------------------------------- criterion 10
 
-def _broom(depth):
-    """Complete binary tree with every leaf in one group and d == 1."""
-    n = 2 ** (depth + 1) - 1
-    parent = [-1] + [(v - 1) // 2 for v in range(1, n)]
-    from dbnet.instances import GroupTreeInstance
-    leaves = frozenset(range(2 ** depth - 1, n))
-    inst = GroupTreeInstance(n, parent, [0] * n, [leaves], [1] * n)
-    xt = np.ldexp(1.0, -np.floor(np.log2(np.arange(n) + 1)).astype(int))
-    return inst, xt
-
-
 def test_criterion_10_gst_coverage():
     # large synthetic instance where the scaling is active (gamma >= 1)
-    inst, xt = _broom(15)
+    inst, xt = broom(15)
     L, gamma = global_params(inst.n)
     assert gamma >= 1
     scaled = build_scaled(inst, xt)
     alpha0 = alpha_sequence(L, gamma)[0]
     z = group_mass(inst, xt)[0]
-    rounder = Rounder(inst, scaled.xp)
-    hits = sum(bool(rounder.sample(rep_rng(10, i)) & inst.groups[0])
-               for i in range(TRIALS))
-    rate = hits / TRIALS
+    rep, node = Rounder(inst, scaled.xp).sample((10,), 0, TRIALS)
+    rate = _hits(rep, node, inst.groups[0]) / TRIALS
     sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / TRIALS)
     assert rate >= alpha0 * z / 2 - 3 * sigma
 
@@ -222,12 +208,10 @@ def test_criterion_10_gst_coverage():
         sol = solve_lp(build_gst_lp(inst))
         xt2 = modify_gst_solution(sol.x, inst.n)
         scaled = build_scaled(inst, xt2)
-        rounder = Rounder(inst, scaled.xp)
-        samples = [rounder.sample(rep_rng(11 + seed, i))
-                   for i in range(TRIALS)]
+        rep, node = Rounder(inst, scaled.xp).sample((11 + seed,), 0, TRIALS)
         zs = group_mass(inst, xt2)
         for g, grp in enumerate(inst.groups):
-            hit = sum(bool(s & grp) for s in samples) / TRIALS
+            hit = _hits(rep, node, grp) / TRIALS
             sigma = math.sqrt(max(hit * (1 - hit), 1e-12) / TRIALS)
             assert hit >= zs[g] / (4 * L) - 3 * sigma
     _ok(10, "per-group hit rates meet the alpha0*z/2 and z/(4L) floors")

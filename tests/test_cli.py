@@ -42,7 +42,7 @@ def test_solve_and_verify_dst(tmp_path, dst_file):
     assert main(["solve-dst", "--instance", path, "--seed", "1",
                  "--height", str(h), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert main(["verify", "--tree", str(out), "--instance", path]) == 0
 
 
@@ -154,6 +154,29 @@ def test_run_gst_with_trials(tmp_path, gst_file, monkeypatch):
     for entry in stats.values():
         assert set(entry) == {"mean", "stddev", "trials"}
         assert entry["trials"] == 500
+
+
+@pytest.mark.parametrize("problem,text", [
+    ("dst", "DBDST 1\n2 1 0\nroot 0\nvertex 0 1\nvertex 1 0\n"
+            "edge 0 1 5\n"),
+    ("gst", "DBGST 1\n3 0\nroot 0\nvertex 0 -1 0 2\nvertex 1 0 3 1\n"
+            "vertex 2 0 4 1\n")], ids=["dst", "gst"])
+def test_no_terminals_gives_empty_tree(tmp_path, problem, text):
+    path = tmp_path / f"k0.{problem}"
+    path.write_text(text)
+    out = tmp_path / "rep.json"
+    assert main([f"solve-{problem}", "--instance", str(path),
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    if problem == "dst":
+        assert (doc["Q"], doc["tree_edges"], doc["coverage"]) == (0, [], 1.0)
+    else:
+        assert (doc["M"], doc["union_vertices"], doc["coverage"]) == \
+            (0, [0], [])
+    assert main(["verify", "--tree", str(out), "--instance", str(path)]) == 0
+    assert main(["run", "--problem", problem, "--instance", str(path),
+                 "--trials", "20", "--out", str(out)]) == 0
+    assert main(["verify", "--tree", str(out), "--instance", str(path)]) == 0
 
 
 def test_run_generated(tmp_path):

@@ -5,11 +5,12 @@ import pytest
 
 from conftest import small_dst
 from dbnet.dst_round import (DstParams, Sampler, concentration_stats,
-                             default_q, extract_tree, rep_rng,
-                             round_super_tree, run_dst)
+                             default_q, extract_tree, round_super_tree,
+                             run_dst)
 from dbnet.errors import InvariantError
 from dbnet.instances import DirectedInstance, normalize
 from dbnet.lpcore import build_dst_lp, solve_lp
+from dbnet.rounding import per_rep
 from dbnet.states import build_super_tree
 
 
@@ -23,8 +24,9 @@ def single_edge_setup():
 
 def test_single_edge_deterministic():
     _, norm, st, sol = single_edge_setup()
-    for i in range(5):
-        out = round_super_tree(st, sol.x, rep_rng(0, i))
+    rep, node = Sampler(st, sol.x).sample((0,), 0, 5)
+    for selected in per_rep(rep, node, 0, 5):
+        out = round_super_tree(st, selected)
         assert out.state_tree.depth() <= st.h
         assert out.cost == 7
         assert sorted(out.multi_tree.label) == [0, 1]
@@ -60,11 +62,10 @@ def test_half_probability_child():
     x = (x_a + x_b) / 2
     mass = float(x[route_a].sum())
     assert mass == pytest.approx(0.5, abs=1e-3)
-    route_set = set(route_a)
     sampler = Sampler(st, x)
     trials = 10_000
-    seen = sum(bool(route_set & set(sampler.sample(rep_rng(1, i))[1]))
-               for i in range(trials))
+    rep, node = sampler.sample((1,), 0, trials)
+    seen = len(np.unique(rep[np.isin(node, route_a)]))
     sigma = math.sqrt(0.25 / trials)
     assert abs(seen / trials - 0.5) <= 3 * sigma
 
@@ -75,13 +76,9 @@ def test_base_marginals_match_lp():
     sol = solve_lp(build_dst_lp(st))
     sampler = Sampler(st, sol.x)
     trials = 10_000
-    bases = st.base_nodes()
-    counts = {o: 0 for o in bases}
-    for i in range(trials):
-        _, sel = sampler.sample(rep_rng(2, i))
-        for o in sel:
-            counts[o] += 1
-    for o in bases:
+    _, node = sampler.sample((2,), 0, trials)
+    counts = np.bincount(node, minlength=len(st))
+    for o in st.base_nodes():
         p = float(sol.x[o])
         sigma = math.sqrt(max(p * (1 - p), 1e-12) / trials)
         assert abs(counts[o] / trials - p) <= 3 * sigma + 1e-9
@@ -89,10 +86,10 @@ def test_base_marginals_match_lp():
 
 def test_concentration_trivial_cases():
     _, norm, st, sol = single_edge_setup()
-    outs = [round_super_tree(st, sol.x, rep_rng(0, i), build=False)
-            for i in range(50)]
+    sampler = Sampler(st, sol.x)
+    rep, node = sampler.sample((0,), 0, 50)
     s = math.log(1 + 1 / (2 * st.height()))
-    stats = concentration_stats([o.base_nodes for o in outs], st, s)
+    stats = concentration_stats(sampler, rep, node, 50, s)
     # the terminal appears exactly once per sample
     assert stats[1]["mgf"] == pytest.approx(math.exp(s))
     assert stats[1]["max_copies"] == 1
@@ -100,6 +97,7 @@ def test_concentration_trivial_cases():
 
 def test_default_q():
     assert default_q(3, 2) == math.ceil(4 * math.log(20))
+    assert default_q(3, 0) == 0
 
 
 def test_extract_tree_prunes_branches():

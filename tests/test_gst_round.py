@@ -7,8 +7,9 @@ from dbnet.errors import InvariantError
 from dbnet.gst_round import (GstParams, Rounder, alpha_sequence, build_scaled,
                              check_branching_mass, check_nonincreasing,
                              compute_hop_levels, default_m, global_params,
-                             recursive_round, rep_rng, run_gst, scale_solution)
+                             run_gst, scale_solution)
 from dbnet.instances import GroupTreeInstance, preprocess_gst
+from dbnet.rounding import per_rep
 
 
 def chain(costs):
@@ -57,16 +58,17 @@ def test_global_params():
 def test_equal_xp_chain_always_selected():
     inst = chain([0, 1, 1, 1])
     xp = np.ones(4)
-    for i in range(20):
-        assert recursive_round(inst, xp, rep_rng(0, i)) == {0, 1, 2, 3}
+    rep, node = Rounder(inst, xp).sample((0,), 0, 20)
+    for chosen in per_rep(rep, node, 0, 20):
+        assert set(chosen.tolist()) == {0, 1, 2, 3}
 
 
 def test_single_child_half_probability():
     inst = chain([0, 1])
     xp = np.array([1.0, 0.5])
     trials = 10_000
-    seen = sum(1 in recursive_round(inst, xp, rep_rng(1, i))
-               for i in range(trials))
+    _, node = Rounder(inst, xp).sample((1,), 0, trials)
+    seen = np.count_nonzero(node == 1)
     sigma = math.sqrt(0.25 / trials)
     assert abs(seen / trials - 0.5) <= 3 * sigma
 
@@ -82,10 +84,8 @@ def test_marginals_telescoping():
         xp[v] = xp[parent[v]] * (0.5 if rng.random() < 0.4 else 1.0)
     rounder = Rounder(inst, xp)
     trials = 10_000
-    counts = np.zeros(n)
-    for i in range(trials):
-        for v in rounder.sample(rep_rng(2, i)):
-            counts[v] += 1
+    _, node = rounder.sample((2,), 0, trials)
+    counts = np.bincount(node, minlength=n)
     freq = counts / trials
     sigma = np.sqrt(np.maximum(xp * (1 - xp), 1e-12) / trials)
     assert np.all(np.abs(freq - xp) <= 3 * sigma + 1e-9)
@@ -112,6 +112,7 @@ def test_default_m():
     a0 = 0.1
     m = default_m(a0, 4)
     assert (1 - a0 / 2) ** m <= 1 / 40 < (1 - a0 / 2) ** (m - 1)
+    assert default_m(a0, 0) == 0
 
 
 def test_run_gst_forced_path():
@@ -142,7 +143,7 @@ def test_run_gst_invariants_on_suite(gst_suite):
         assert rep.union_cost <= sum(rep.repetition_costs)
         assert len(rep.repetition_costs) == rep.M
         doc = rep.to_dict()
-        assert doc["schema_version"] == 1 and doc["alpha0"] == rep.alpha[0]
+        assert doc["schema_version"] == 2 and doc["alpha0"] == rep.alpha[0]
 
 
 def test_branching_mass_scan(gst_suite):

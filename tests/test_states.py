@@ -186,13 +186,14 @@ def test_oracle_tree_embeds():
 
 
 def test_sampled_subtree_goodness():
-    import numpy as np
-    from dbnet.dst_round import round_super_tree
+    from dbnet.dst_round import Sampler, round_super_tree
+    from dbnet.rounding import per_rep
     _, norm, res, h = small_dst(4)
     st = build_super_tree(norm, h, 2_000_000)
     sol = solve_lp(build_dst_lp(st))
-    for i in range(20):
-        out = round_super_tree(st, sol.x, np.random.default_rng([3, i]))
+    rep, node = Sampler(st, sol.x).sample((3,), 0, 20)
+    for selected in per_rep(rep, node, 0, 20):
+        out = round_super_tree(st, selected)
         assert out.state_tree.depth() <= st.h
         assert out.multi_tree is not None
 
