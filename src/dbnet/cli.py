@@ -29,6 +29,8 @@ from .states import build_super_tree
 from .treekit import height_budget
 
 EPS_OBJ = 1e-7
+# count and seed options that take no negative value, checked before any work
+NON_NEGATIVE = ("seed", "trials", "q", "m", "node_cap")
 # stream key that keeps the --trials draws apart from the report's repetitions
 TRIAL_STREAM = 1 << 32
 
@@ -76,6 +78,8 @@ def _parse_gen_spec(spec: str) -> dict[str, int]:
             out[key.strip()] = int(val)
         except ValueError:
             raise FormatError(f"bad generator value: {part!r}")
+        if out[key.strip()] < 0:
+            raise FormatError(f"negative generator value: {part!r}")
     return out
 
 
@@ -439,6 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in NON_NEGATIVE:
+            value = getattr(args, name, None)
+            if value is not None and value < 0:
+                raise FormatError(f"--{name.replace('_', '-')} must not be "
+                                  f"negative, got {value}")
         return args.func(args)
     except DbnetError as e:
         print(f"dbnet: error: {e}", file=sys.stderr)

@@ -23,12 +23,67 @@ INFEASIBLE = "INFEASIBLE"
 
 
 @dataclass
+class Block:
+    """Constraint rows ``A x (= or <=) rhs`` stored once as COO arrays.
+
+    Entry ``k`` is ``val[k]`` at row ``row[k]``, column ``col[k]``; the
+    entries of a row are contiguous and rows come in order.  Entries are
+    kept unsummed, so a column may appear twice in a row; ``matrix`` sums
+    such duplicates."""
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    rhs: np.ndarray
+
+    @classmethod
+    def of(cls, row, col, val, rhs) -> "Block":
+        """Entries in any row order; within a row they keep their order."""
+        order = np.argsort(row, kind="stable")
+        return cls(np.asarray(row, dtype=np.int64)[order],
+                   np.asarray(col, dtype=np.int64)[order],
+                   np.asarray(val, dtype=float)[order],
+                   np.asarray(rhs, dtype=float))
+
+    @classmethod
+    def from_rows(cls, rows) -> "Block":
+        """From ``(column indices, coefficients, rhs)`` rows."""
+        return cls.of(np.repeat(np.arange(len(rows)),
+                                [len(cols) for cols, _, _ in rows]),
+                      [j for cols, _, _ in rows for j in cols],
+                      [v for _, vals, _ in rows for v in vals],
+                      [b for _, _, b in rows])
+
+    @classmethod
+    def stack(cls, *blocks: "Block") -> "Block":
+        offsets = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+        return cls(np.concatenate([b.row + off
+                                   for b, off in zip(blocks, offsets)]),
+                   np.concatenate([b.col for b in blocks]),
+                   np.concatenate([b.val for b in blocks]),
+                   np.concatenate([b.rhs for b in blocks]))
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+    def rows(self) -> tuple:
+        """The ``(column indices, coefficients, rhs)`` view of every row."""
+        ends = np.searchsorted(self.row, np.arange(len(self) + 1)).tolist()
+        cols, vals = self.col.tolist(), self.val.tolist()
+        return tuple((cols[a:b], vals[a:b], rhs) for a, b, rhs
+                     in zip(ends, ends[1:], self.rhs.tolist()))
+
+    def matrix(self, nvar: int) -> scipy.sparse.csr_matrix:
+        return scipy.sparse.csr_matrix((self.val, (self.row, self.col)),
+                                       shape=(len(self), nvar))
+
+
+@dataclass
 class LPModel:
     nvar: int
     obj: np.ndarray
-    # rows are (column indices, coefficients, rhs); relation by list
-    eq: list = field(default_factory=list)
-    ub: list = field(default_factory=list)
+    eq_block: Block = field(default_factory=lambda: Block.from_rows([]))
+    ub_block: Block = field(default_factory=lambda: Block.from_rows([]))
     lo: np.ndarray = None
     hi: np.ndarray = None
 
@@ -38,16 +93,15 @@ class LPModel:
         if self.hi is None:
             self.hi = np.ones(self.nvar)
 
-    def _matrix(self, rows):
-        data, ri, ci, rhs = [], [], [], []
-        for i, (cols, vals, b) in enumerate(rows):
-            ri.extend([i] * len(cols))
-            ci.extend(cols)
-            data.extend(vals)
-            rhs.append(b)
-        m = scipy.sparse.csr_matrix((data, (ri, ci)),
-                                    shape=(len(rows), self.nvar))
-        return m, np.array(rhs)
+    @property
+    def eq(self) -> tuple:
+        """Equality rows as ``(column indices, coefficients, rhs)``."""
+        return self.eq_block.rows()
+
+    @property
+    def ub(self) -> tuple:
+        """``<=`` rows as ``(column indices, coefficients, rhs)``."""
+        return self.ub_block.rows()
 
     def max_violation(self, x: np.ndarray, eq, ub) -> float:
         """Largest violation by ``x`` of the rows, given as the ``(matrix,
@@ -75,8 +129,8 @@ def solve_lp(model: LPModel) -> LPSolution:
     """Solve to optimality or report infeasibility; never a silent wrong
     answer.  The returned assignment is re-checked against every constraint
     with an independent evaluation pass."""
-    eq = model._matrix(model.eq) if model.eq else None
-    ub = model._matrix(model.ub) if model.ub else None
+    eq, ub = ((blk.matrix(model.nvar), blk.rhs) if len(blk) else None
+              for blk in (model.eq_block, model.ub_block))
     a_eq, b_eq = eq or (None, None)
     a_ub, b_ub = ub or (None, None)
     res = scipy.optimize.linprog(
@@ -96,74 +150,108 @@ def solve_lp(model: LPModel) -> LPSolution:
     return LPSolution(OPTIMAL, x, float(model.obj @ x))
 
 
+def _cover_rows(members: list[list[int]]
+                ) -> tuple[Block, np.ndarray, np.ndarray]:
+    """``sum of x_o over the members o of group t = 1`` for every group t,
+    members in the order given; also the (member, group) pairs as arrays."""
+    member = np.array([o for m in members for o in m], dtype=np.int64)
+    group = np.repeat(np.arange(len(members)), [len(m) for m in members])
+    return (Block.of(group, member, np.ones(len(member)),
+                     np.ones(len(members))), member, group)
+
+
+def _tree_rows(parent: np.ndarray, each: np.ndarray, total: np.ndarray,
+               coef: np.ndarray) -> Block:
+    """Rows with rhs 0 over a rooted tree (``parent`` -1 at the root), node
+    by node: for a node p, one row ``x_c - x_p`` per child c if ``each[p]``,
+    then ``sum_c x_c - coef[p] x_p`` if ``total[p]``."""
+    n = len(parent)
+    kid = np.flatnonzero(parent >= 0)
+    kid = kid[np.argsort(parent[kid], kind="stable")]
+    par = parent[kid]
+    nkids = np.bincount(par, minlength=n)
+    each, total = each.astype(np.int64), total.astype(np.int64)
+    nrows = each * nkids + total
+    start = np.cumsum(nrows) - nrows
+    own = each[par] == 1
+    summed = total[par] == 1
+    rank = np.arange(len(kid)) - (np.cumsum(nkids) - nkids)[par]
+    sum_row = start + each * nkids
+    tot = np.flatnonzero(total)
+    own_row = start[par[own]] + rank[own]
+    return Block.of(
+        np.concatenate([own_row, sum_row[par[summed]], own_row, sum_row[tot]]),
+        np.concatenate([kid[own], kid[summed], par[own], tot]),
+        np.concatenate([np.ones(own.sum() + summed.sum()),
+                        -np.ones(own.sum()), -coef[tot]]),
+        np.zeros(int(nrows.sum())))
+
+
+def _capacity_rows(parent: np.ndarray, member: np.ndarray, group: np.ndarray,
+                   descending: bool) -> Block:
+    """``sum of x_o over the members o of t below p (p included) <= x_p``
+    for every ancestor p of a member of group t, ordered by p (descending
+    or ascending), then t; the members of a row ascend."""
+    ps, ts, os = [], [], []
+    p, t, o = member, group, member
+    while len(p):
+        ps.append(p)
+        ts.append(t)
+        os.append(o)
+        up = parent[p]
+        keep = up >= 0
+        p, t, o = up[keep], t[keep], o[keep]
+    p, t, o = (np.concatenate(a) if a else np.zeros(0, dtype=np.int64)
+               for a in (ps, ts, os))
+    order = np.lexsort((o, t, -p if descending else p))
+    p, t, o = p[order], t[order], o[order]
+    new = np.ones(len(p), dtype=bool)
+    new[1:] = (p[1:] != p[:-1]) | (t[1:] != t[:-1])
+    row = np.cumsum(new) - 1
+    heads = p[new]
+    return Block.of(np.concatenate([row, np.arange(len(heads))]),
+                    np.concatenate([o, heads]),
+                    np.concatenate([np.ones(len(o)), -np.ones(len(heads))]),
+                    np.zeros(len(heads)))
+
+
 def build_dst_lp(st: SuperTree) -> LPModel:
     """LP over super-tree nodes: child sums at state/super nodes, equality
     through virtual nodes, per-terminal capacity and coverage rows."""
     n = len(st)
-    obj = np.zeros(n)
-    for o in st.base_nodes():
-        obj[o] = st.cost[o]
-    model = LPModel(n, obj)
+    kind = np.array(st.kind)
+    obj = np.where(kind == BASE, np.array(st.cost, dtype=float), 0.0)
 
     O_t = st.terminal_index()
     for t, nodes in sorted(O_t.items()):
         if not nodes:
             raise InfeasibleError(f"terminal {st.norm.terminal_origin[t]} "
                                   f"appears in no base node")
-        model.eq.append((list(nodes), [1.0] * len(nodes), 1.0))
-
-    for p in range(n):
-        if st.kind[p] in (STATE, SUPER):
-            kids = st.children[p]
-            model.eq.append((kids + [p], [1.0] * len(kids) + [-1.0], 0.0))
-        elif st.kind[p] == VIRTUAL:
-            for q in st.children[p]:
-                model.eq.append(([q, p], [1.0, -1.0], 0.0))
-
-    # descendant base nodes per terminal, accumulated bottom-up
-    desc = [None] * n
-    for p in range(n - 1, -1, -1):
-        mine = {}
-        if st.kind[p] == BASE:
-            for v in st.involved_vertices(p):
-                if v in O_t:
-                    mine.setdefault(v, []).append(p)
-        for q in st.children[p]:
-            for t, nodes in desc[q].items():
-                mine.setdefault(t, []).extend(nodes)
-        desc[p] = mine
-        for t, nodes in sorted(mine.items()):
-            model.ub.append((nodes + [p], [1.0] * len(nodes) + [-1.0], 0.0))
-    return model
+    cover, member, group = _cover_rows([O_t[t] for t in sorted(O_t)])
+    parent = np.array([-1 if p is None else p for p in st.parent],
+                      dtype=np.int64)
+    child_rows = _tree_rows(parent, kind == VIRTUAL,
+                            (kind == STATE) | (kind == SUPER), np.ones(n))
+    return LPModel(n, obj, eq_block=Block.stack(cover, child_rows),
+                   ub_block=_capacity_rows(parent, member, group,
+                                           descending=True))
 
 
 def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
-    n = inst.n
-    model = LPModel(n, np.array(inst.cost, dtype=float))
     for t, g in enumerate(inst.groups):
         if not g:
             raise InfeasibleError(f"group {t} is empty")
-        members = sorted(g)
-        model.eq.append((members, [1.0] * len(members), 1.0))
-    for u in range(n):
-        for v in inst.children[u]:
-            model.ub.append(([v, u], [1.0, -1.0], 0.0))
-        if inst.children[u]:
-            kids = inst.children[u]
-            model.ub.append((kids + [u],
-                             [1.0] * len(kids) + [-float(inst.degree_bound[u])],
-                             0.0))
-    # capacity rows per (u, t): walk each member up to the root
-    per_ut: dict[tuple[int, int], list[int]] = {}
-    for t, g in enumerate(inst.groups):
-        for o in sorted(g):
-            u = o
-            while u != -1:
-                per_ut.setdefault((u, t), []).append(o)
-                u = inst.parent[u]
-    for (u, t), members in sorted(per_ut.items()):
-        model.ub.append((members + [u], [1.0] * len(members) + [-1.0], 0.0))
-    return model
+    cover, member, group = _cover_rows([sorted(g) for g in inst.groups])
+    parent = np.array(inst.parent, dtype=np.int64)
+    inner = np.bincount(parent[parent >= 0], minlength=inst.n) > 0
+    degree_rows = _tree_rows(parent, inner, inner,
+                             np.array(inst.degree_bound, dtype=float))
+    return LPModel(inst.n, np.array(inst.cost, dtype=float),
+                   eq_block=cover,
+                   ub_block=Block.stack(
+                       degree_rows,
+                       _capacity_rows(parent, member, group,
+                                      descending=False)))
 
 
 def round_up_pow2(v: float) -> float:

@@ -395,7 +395,10 @@ def live_states(norm: NormalizedInstance, h: int) -> dict[StateKey, tuple]:
 
     Dijkstra-style fixpoint over the join relation: a parent state built from
     two live children (sharing the right child's root as a portal with equal
-    rho value) needs depth 1 + max of the children's depths.
+    rho value) needs depth 1 + max of the children's depths.  Finalized
+    states are indexed by (root, rho at the root) for the right-child role
+    and by (portal, rho at the portal) for the left-child role, so a popped
+    state only meets partners that agree at the shared portal.
     """
     inst = norm.inst
     K = inst.terminals
@@ -431,22 +434,17 @@ def live_states(norm: NormalizedInstance, h: int) -> dict[StateKey, tuple]:
                     bases[key].append((payload, cost))
 
     final = set()
-    by_root = defaultdict(list)
-    by_portal = defaultdict(list)
+    # (root or portal, its rho value) -> [(key, |S|, portal bit mask)]
+    as_right = defaultdict(list)
+    as_left = defaultdict(list)
 
-    def join(lkey, rkey):
+    def join(lkey, rkey, rr, d):
+        # both agree at rr and meet only there; the parent's depth is d + 1
         rl, S1, rho1t = lkey
-        rr, S2, rho2t = rkey
-        if S1 & S2 != {rr}:
-            return
-        rho1, rho2 = dict(rho1t), dict(rho2t)
-        if rho1[rr] != rho2[rr]:
-            return
-        S = (S1 | S2) - {rr}
-        rho = {v: r for v, r in rho1.items() if v != rr}
-        rho.update((v, r) for v, r in rho2.items() if v != rr)
-        key = make_key(rl, S, rho)
-        if offer(key, 1 + max(md[lkey], md[rkey])):
+        _, S2, rho2t = rkey
+        rho = tuple(sorted(p for p in rho1t + rho2t if p[0] != rr))
+        key = (rl, (S1 | S2) - {rr}, rho)
+        if offer(key, d + 1):
             pairs[key].append((lkey, rkey))
 
     while heap:
@@ -454,15 +452,23 @@ def live_states(norm: NormalizedInstance, h: int) -> dict[StateKey, tuple]:
         if key in final or md[key] < d:
             continue
         final.add(key)
-        r1, S, _ = key
+        r1, S, rhot = key
+        rho = dict(rhot)
+        mask = sum(1 << v for v in S)
+        # partners were finalized first (depth <= d), so the parent sits at
+        # level |S| + |S'| - 2 + d, within h only for partners this small
+        room = h + 2 - d - len(S)
         for v in S - {r1}:
-            for rkey in by_root[v]:
-                join(key, rkey)
-        for lkey in by_portal[r1]:
-            join(lkey, key)
-        by_root[r1].append(key)
+            for rkey, size, rmask in as_right[v, rho[v]]:
+                if size <= room and mask & rmask == 1 << v:
+                    join(key, rkey, v, d)
+        for lkey, size, lmask in as_left[r1, rho[r1]]:
+            if size <= room and lmask & mask == 1 << r1:
+                join(lkey, key, r1, d)
+        entry = (key, len(S), mask)
+        as_right[r1, rho[r1]].append(entry)
         for v in S - {r1}:
-            by_portal[v].append(key)
+            as_left[v, rho[v]].append(entry)
     return {k: (md[k], bases.get(k, []),
                 sorted(pairs.get(k, []), key=lambda pair: _pair_order(k, pair)))
             for k in final}

@@ -205,6 +205,29 @@ def test_exit_codes(tmp_path):
                  "--node-cap", "2000"]) == 3
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["solve-gst", "--seed", "-1"], "--seed"),
+    (["solve-dst", "--q", "-2"], "--q"),
+    (["solve-dst", "--node-cap", "-1"], "--node-cap"),
+    (["run", "--problem", "gst", "--gen", "n=20,k=2", "--trials", "-3"],
+     "--trials"),
+    (["run", "--problem", "dst", "--gen", "n=6,k=2", "--trials", "-3"],
+     "--trials"),
+    (["run", "--problem", "gst", "--gen", "n=20,k=2", "--m", "-1"], "--m"),
+    (["gen-dst", "--n", "5", "--m", "-3", "--k", "2"], "--m")])
+def test_negative_option_is_format_error(tmp_path, capsys, argv, flag):
+    # a missing instance file: the option is rejected before it is read
+    if argv[0].startswith("solve"):
+        argv = argv + ["--instance", str(tmp_path / "none.txt")]
+    assert main(argv) == 5
+    assert f"{flag} must not be negative" in capsys.readouterr().err
+
+
+def test_negative_generator_value_is_format_error(capsys):
+    assert main(["run", "--problem", "gst", "--gen", "n=20,k=2,seed=-1"]) == 5
+    assert "negative generator value: 'seed=-1'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("height,cause", [
     ("2", "DST LP is infeasible"),
     ("1", "terminal 3 appears in no base node")])

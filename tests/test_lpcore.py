@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.sparse
 
+from conftest import small_dst
 from dbnet.errors import InfeasibleError
 from dbnet.instances import DirectedInstance, GroupTreeInstance, normalize
-from dbnet.lpcore import (INFEASIBLE, OPTIMAL, LPModel, build_dst_lp,
+from dbnet.lpcore import (INFEASIBLE, OPTIMAL, Block, LPModel, build_dst_lp,
                           build_gst_lp, check_modified_solution, dump_lp,
                           modify_gst_solution, round_up_pow2, solve_lp)
-from dbnet.states import build_super_tree
+from dbnet.states import BASE, STATE, SUPER, VIRTUAL, build_super_tree
 
 
 def test_forced_variable():
-    m = LPModel(1, np.array([1.0]))
-    m.ub.append(([0], [-1.0], -1.0))  # x >= 1
+    m = LPModel(1, np.array([1.0]),
+                ub_block=Block.from_rows([([0], [-1.0], -1.0)]))  # x >= 1
     sol = solve_lp(m)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1.0)
@@ -20,23 +23,38 @@ def test_forced_variable():
 @pytest.mark.parametrize("eq,ub", [(True, True), (True, False),
                                    (False, True)])
 def test_solve_builds_each_matrix_once(monkeypatch, eq, ub):
-    built = []
-    matrix = LPModel._matrix
-    monkeypatch.setattr(LPModel, "_matrix",
-                        lambda self, rows: built.append(rows)
-                        or matrix(self, rows))
-    m = LPModel(2, np.array([1.0, 2.0]))
-    if eq:
-        m.eq.append(([0, 1], [1.0, 1.0], 1.0))
-    if ub:
-        m.ub.append(([0], [1.0], 0.25))
+    built, seen = [], {}
+    matrix = Block.matrix
+    monkeypatch.setattr(Block, "matrix", lambda self, nvar: built.append(
+        matrix(self, nvar)) or built[-1])
+    linprog = scipy.optimize.linprog
+
+    def spy_linprog(*args, **kwargs):
+        seen["linprog"] = kwargs["A_eq"], kwargs["A_ub"]
+        return linprog(*args, **kwargs)
+
+    max_violation = LPModel.max_violation
+
+    def spy_max_violation(self, x, eq, ub):
+        seen["check"] = tuple(None if sys is None else sys[0]
+                              for sys in (eq, ub))
+        return max_violation(self, x, eq, ub)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy_linprog)
+    monkeypatch.setattr(LPModel, "max_violation", spy_max_violation)
+    m = LPModel(2, np.array([1.0, 2.0]),
+                eq_block=Block.from_rows([([0, 1], [1.0, 1.0], 1.0)] * eq),
+                ub_block=Block.from_rows([([0], [1.0], 0.25)] * ub))
     assert solve_lp(m).status == OPTIMAL
     assert len(built) == eq + ub
+    want = (built[0] if eq else None, built[-1] if ub else None)
+    for got in (seen["linprog"], seen["check"]):
+        assert all(g is w for g, w in zip(got, want))
 
 
 def test_empty_polytope():
-    m = LPModel(1, np.array([0.0]))
-    m.ub.append(([0], [-1.0], -2.0))  # x >= 2 with x <= 1
+    m = LPModel(1, np.array([0.0]),  # x >= 2 with x <= 1
+                ub_block=Block.from_rows([([0], [-1.0], -2.0)]))
     assert solve_lp(m).status == INFEASIBLE
 
 
@@ -123,8 +141,107 @@ def test_check_modified_on_suite(gst_suite):
 
 
 def test_dump_lp_layout():
-    m = LPModel(2, np.array([1.0, 2.0]))
-    m.eq.append(([0, 1], [1.0, 1.0], 1.0))
+    m = LPModel(2, np.array([1.0, 2.0]),
+                eq_block=Block.from_rows([([0, 1], [1.0, 1.0], 1.0)]))
     text = dump_lp(m)
     for section in ("NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
         assert section in text
+
+
+def reference_dst_rows(st):
+    """The row-list DST LP as first written: (obj, eq rows, ub rows)."""
+    n = len(st)
+    obj = np.zeros(n)
+    for o in st.base_nodes():
+        obj[o] = st.cost[o]
+    eq, ub = [], []
+    O_t = st.terminal_index()
+    for t, nodes in sorted(O_t.items()):
+        eq.append((list(nodes), [1.0] * len(nodes), 1.0))
+    for p in range(n):
+        if st.kind[p] in (STATE, SUPER):
+            kids = st.children[p]
+            eq.append((kids + [p], [1.0] * len(kids) + [-1.0], 0.0))
+        elif st.kind[p] == VIRTUAL:
+            for q in st.children[p]:
+                eq.append(([q, p], [1.0, -1.0], 0.0))
+    desc = [None] * n
+    for p in range(n - 1, -1, -1):
+        mine = {}
+        if st.kind[p] == BASE:
+            for v in st.involved_vertices(p):
+                if v in O_t:
+                    mine.setdefault(v, []).append(p)
+        for q in st.children[p]:
+            for t, nodes in desc[q].items():
+                mine.setdefault(t, []).extend(nodes)
+        desc[p] = mine
+        for t, nodes in sorted(mine.items()):
+            ub.append((nodes + [p], [1.0] * len(nodes) + [-1.0], 0.0))
+    return obj, eq, ub
+
+
+def reference_gst_rows(inst):
+    """The row-list GST LP as first written: (obj, eq rows, ub rows)."""
+    eq, ub = [], []
+    for g in inst.groups:
+        members = sorted(g)
+        eq.append((members, [1.0] * len(members), 1.0))
+    for u in range(inst.n):
+        for v in inst.children[u]:
+            ub.append(([v, u], [1.0, -1.0], 0.0))
+        if inst.children[u]:
+            kids = inst.children[u]
+            ub.append((kids + [u],
+                       [1.0] * len(kids) + [-float(inst.degree_bound[u])],
+                       0.0))
+    per_ut = {}
+    for t, g in enumerate(inst.groups):
+        for o in sorted(g):
+            u = o
+            while u != -1:
+                per_ut.setdefault((u, t), []).append(o)
+                u = inst.parent[u]
+    for (u, t), members in sorted(per_ut.items()):
+        ub.append((members + [u], [1.0] * len(members) + [-1.0], 0.0))
+    return np.array(inst.cost, dtype=float), eq, ub
+
+
+def assert_same_lp(model, obj, eq, ub):
+    assert np.array_equal(model.obj, obj)
+    for blk, rows in ((model.eq_block, eq), (model.ub_block, ub)):
+        assert [list(r) for r in blk.rows()] == [list(r) for r in rows]
+        data = [v for _, vals, _ in rows for v in vals]
+        ri = [i for i, (cols, _, _) in enumerate(rows) for _ in cols]
+        ci = [j for cols, _, _ in rows for j in cols]
+        want = scipy.sparse.csr_matrix((data, (ri, ci)),
+                                       shape=(len(rows), model.nvar))
+        got = blk.matrix(model.nvar)
+        # duplicates summed alike: explicit zeros of x_p - x_p included
+        assert got.shape == want.shape and (got != want).nnz == 0
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+    ref = LPModel(model.nvar, obj, eq_block=Block.from_rows(eq),
+                  ub_block=Block.from_rows(ub))
+    assert dump_lp(model) == dump_lp(ref)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dst_lp_matches_row_lists(seed):
+    _, norm, _, h = small_dst(seed)
+    st = build_super_tree(norm, h)
+    assert_same_lp(build_dst_lp(st), *reference_dst_rows(st))
+
+
+def test_gst_lp_matches_row_lists(gst_suite):
+    for inst in gst_suite:
+        assert_same_lp(build_gst_lp(inst), *reference_gst_rows(inst))
+
+
+def test_capacity_row_of_a_base_node_lists_it_twice():
+    inst = DirectedInstance(2, [(0, 1, 7)], 0, {1}, {0: 1, 1: 0})
+    model = build_dst_lp(build_super_tree(normalize(inst), 3, 10_000))
+    # base node 2 carries terminal 1: x_2 - x_2 <= 0, both entries kept
+    assert model.ub[0] == ([2, 2], [1.0, -1.0], 0.0)
+    assert model.ub_block.matrix(model.nvar)[0, 2] == 0.0

@@ -1,5 +1,7 @@
 import copy
 import itertools
+from collections import defaultdict
+from heapq import heappop, heappush
 
 import pytest
 
@@ -287,6 +289,90 @@ def test_super_tree_matches_reference_builder(shape, seed, h):
     for name in ("kind", "parent", "children", "state", "payload", "cost",
                  "level"):
         assert getattr(st, name) == getattr(ref, name), name
+
+
+def reference_live_states(norm, h):
+    """The unindexed fixpoint as first written: a popped state is tried
+    against every finalized state rooted at one of its portals, and every
+    one carrying its root as a portal."""
+    inst = norm.inst
+    K = inst.terminals
+    md, bases, pairs, heap = {}, defaultdict(list), defaultdict(list), []
+    counter = itertools.count()
+
+    def offer(key, d):
+        if len(key[1]) - 1 + d > h:
+            return False
+        if d < md.get(key, h + 1):
+            md[key] = d
+            heappush(heap, (d, next(counter), key))
+        return True
+
+    for r1 in sorted(set(range(inst.n)) - K):
+        edges = sorted(inst.out_edges(r1))
+        leaves = [((v,), ("e", (r1, v)), c) for v, c in edges]
+        leaves += [((v, v2), ("xi", (r1, v, v2)), c + c2)
+                   for (v, c), (v2, c2) in itertools.combinations(edges, 2)]
+        for tails, payload, cost in leaves:
+            free = [v for v in tails if v not in K]
+            for combo in itertools.product(
+                    *(range(1, inst.degree_bound[v] + 1) for v in free)):
+                rho = dict(zip(free, combo))
+                rho[r1] = sum(1 if v in K else norm.phi(v, rho[v])
+                              for v in tails)
+                key = make_key(r1, {r1, *free}, rho)
+                if rho[r1] <= inst.degree_bound[r1] and offer(key, 0):
+                    bases[key].append((payload, cost))
+
+    final, by_root, by_portal = set(), defaultdict(list), defaultdict(list)
+
+    def join(lkey, rkey):
+        rl, S1, rho1t = lkey
+        rr, S2, rho2t = rkey
+        if S1 & S2 != {rr}:
+            return
+        rho1, rho2 = dict(rho1t), dict(rho2t)
+        if rho1[rr] != rho2[rr]:
+            return
+        rho = {v: r for v, r in rho1.items() if v != rr}
+        rho.update((v, r) for v, r in rho2.items() if v != rr)
+        key = make_key(rl, (S1 | S2) - {rr}, rho)
+        if offer(key, 1 + max(md[lkey], md[rkey])):
+            pairs[key].append((lkey, rkey))
+
+    while heap:
+        d, _, key = heappop(heap)
+        if key in final or md[key] < d:
+            continue
+        final.add(key)
+        r1, S, _ = key
+        for v in S - {r1}:
+            for rkey in by_root[v]:
+                join(key, rkey)
+        for lkey in by_portal[r1]:
+            join(lkey, key)
+        by_root[r1].append(key)
+        for v in S - {r1}:
+            by_portal[v].append(key)
+    return {k: (md[k], bases.get(k, []),
+                sorted(pairs.get(k, []),
+                       key=lambda pair: states._pair_order(k, pair)))
+            for k in final}
+
+
+@pytest.mark.parametrize("shape,seed,h",
+                         [((6, 8, 3), s, h) for s in range(9)
+                          for h in range(1, 5)]
+                         + [((5, 6, 2), s, h) for s in range(3)
+                            for h in range(1, 5)]
+                         + [((8, 14, 4), 1, 4)])
+def test_live_states_match_reference_fixpoint(shape, seed, h):
+    norm = normalize(gen_dst(*shape, seed=seed))
+    table = states.live_states(norm, h)
+    ref = reference_live_states(norm, h)
+    assert table.keys() == ref.keys()
+    for key, (md, bases, pairs) in ref.items():
+        assert table[key] == (md, bases, pairs), key
 
 
 def test_node_cap_checked_before_allocation(monkeypatch):
