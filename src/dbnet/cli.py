@@ -29,8 +29,9 @@ from .states import build_super_tree
 from .treekit import height_budget
 
 EPS_OBJ = 1e-7
-# count and seed options that take no negative value, checked before any work
-NON_NEGATIVE = ("seed", "trials", "q", "m", "node_cap")
+# count, seed and height options that take no negative value, checked before
+# any work
+NON_NEGATIVE = ("seed", "trials", "q", "m", "node_cap", "height")
 # stream key that keeps the --trials draws apart from the report's repetitions
 TRIAL_STREAM = 1 << 32
 
@@ -86,9 +87,13 @@ def _parse_gen_spec(spec: str) -> dict[str, int]:
 def _cost_range(args) -> tuple[int, int]:
     lo, _, hi = args.cost_range.partition(":")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
-        raise FormatError(f"bad cost range: {args.cost_range!r}")
+        raise FormatError(f"bad --cost-range: {args.cost_range!r}")
+    if not 0 <= lo <= hi:
+        raise FormatError(f"--cost-range needs 0 <= low <= high, got "
+                          f"{args.cost_range!r}")
+    return lo, hi
 
 
 def cmd_gen_dst(args) -> int:

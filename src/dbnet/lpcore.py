@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 import scipy.sparse
+import scipy.sparse.csgraph
 
 from .errors import InfeasibleError, SolverError
 from .instances import GroupTreeInstance
@@ -80,18 +81,25 @@ class Block:
 
 @dataclass
 class LPModel:
+    """The full LP.  ``implied`` masks the ``<=`` rows that the other rows
+    and the bounds imply; ``solve_lp`` leaves them out of the solve and
+    checks them afterwards."""
+
     nvar: int
     obj: np.ndarray
     eq_block: Block = field(default_factory=lambda: Block.from_rows([]))
     ub_block: Block = field(default_factory=lambda: Block.from_rows([]))
     lo: np.ndarray = None
     hi: np.ndarray = None
+    implied: np.ndarray = None
 
     def __post_init__(self):
         if self.lo is None:
             self.lo = np.zeros(self.nvar)
         if self.hi is None:
             self.hi = np.ones(self.nvar)
+        if self.implied is None:
+            self.implied = np.zeros(len(self.ub_block), dtype=bool)
 
     @property
     def eq(self) -> tuple:
@@ -125,17 +133,72 @@ class LPSolution:
     objective: float | None
 
 
+def _forced_equal_columns(blk: Block, nvar: int) -> np.ndarray:
+    """The column of every variable once ``a`` and ``b`` share one column
+    for each row ``x_a - x_b = 0`` of ``blk``."""
+    count = np.bincount(blk.row, minlength=len(blk))
+    two = np.flatnonzero(count == 2)
+    at = (np.cumsum(count) - count)[two]
+    a, b = blk.col[at], blk.col[at + 1]
+    va, vb = blk.val[at], blk.val[at + 1]
+    tie = (a != b) & (va != 0) & (va == -vb) & (blk.rhs[two] == 0)
+    graph = scipy.sparse.coo_matrix(
+        (np.ones(int(tie.sum())), (a[tie], b[tie])), shape=(nvar, nvar))
+    return scipy.sparse.csgraph.connected_components(graph, directed=False)[1]
+
+
+def _reduce(model: LPModel, eq, ub):
+    """The LP that HiGHS solves: forced-equal variables share one column
+    and the implied ``<=`` rows are left out; rows left empty are dropped.
+
+    Returns the column of every variable and the objective, ``eq``, ``ub``
+    and bounds over the columns, or None when an empty row cannot hold.  A
+    model with nothing to merge or leave out is returned as it is."""
+    column = _forced_equal_columns(model.eq_block, model.nvar)
+    ncol = int(column.max()) + 1 if model.nvar else 0
+    if ncol == model.nvar and not model.implied.any():
+        return np.arange(model.nvar), model.obj, eq, ub, model.lo, model.hi
+    merge = scipy.sparse.csr_matrix(
+        (np.ones(model.nvar), (np.arange(model.nvar), column)),
+        shape=(model.nvar, ncol))
+    if ub is not None:
+        ub = ub[0][~model.implied], ub[1][~model.implied]
+    systems = []
+    # an empty row reads 0 = rhs or 0 <= rhs
+    for system, holds in ((eq, np.equal), (ub, np.less_equal)):
+        if system is None:
+            systems.append(None)
+            continue
+        m, rhs = system[0] @ merge, system[1]
+        m.eliminate_zeros()
+        full = np.diff(m.indptr) > 0
+        if not holds(0.0, rhs[~full]).all():
+            return None
+        systems.append((m[full], rhs[full]) if full.any() else None)
+    lo = np.full(ncol, -np.inf)
+    hi = np.full(ncol, np.inf)
+    np.maximum.at(lo, column, model.lo)
+    np.minimum.at(hi, column, model.hi)
+    return (column, np.bincount(column, weights=model.obj, minlength=ncol),
+            *systems, lo, hi)
+
+
 def solve_lp(model: LPModel) -> LPSolution:
     """Solve to optimality or report infeasibility; never a silent wrong
-    answer.  The returned assignment is re-checked against every constraint
+    answer.  HiGHS gets the reduced LP of ``_reduce``; its solution, lifted
+    to every variable, is re-checked against every row of the full model
     with an independent evaluation pass."""
     eq, ub = ((blk.matrix(model.nvar), blk.rhs) if len(blk) else None
               for blk in (model.eq_block, model.ub_block))
-    a_eq, b_eq = eq or (None, None)
-    a_ub, b_ub = ub or (None, None)
+    reduced = _reduce(model, eq, ub)
+    if reduced is None:
+        return LPSolution(INFEASIBLE, None, None)
+    column, obj, r_eq, r_ub, lo, hi = reduced
+    a_eq, b_eq = r_eq or (None, None)
+    a_ub, b_ub = r_ub or (None, None)
     res = scipy.optimize.linprog(
-        model.obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-        bounds=np.column_stack([model.lo, model.hi]),
+        obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+        bounds=np.column_stack([lo, hi]),
         method="highs",
         options={"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10})
@@ -143,7 +206,7 @@ def solve_lp(model: LPModel) -> LPSolution:
         return LPSolution(INFEASIBLE, None, None)
     if res.status != 0:
         raise SolverError(f"LP solver failed: {res.message}")
-    x = np.clip(res.x, model.lo, model.hi)
+    x = np.clip(res.x[column], model.lo, model.hi)
     worst = model.max_violation(x, eq, ub)
     if worst > EPS_FEAS:
         raise SolverError(f"solution violates constraints by {worst:.3e}")
@@ -188,36 +251,50 @@ def _tree_rows(parent: np.ndarray, each: np.ndarray, total: np.ndarray,
 
 
 def _capacity_rows(parent: np.ndarray, member: np.ndarray, group: np.ndarray,
-                   descending: bool) -> Block:
+                   descending: bool) -> tuple[Block, np.ndarray]:
     """``sum of x_o over the members o of t below p (p included) <= x_p``
     for every ancestor p of a member of group t, ordered by p (descending
-    or ascending), then t; the members of a row ascend."""
-    ps, ts, os = [], [], []
-    p, t, o = member, group, member
+    or ascending), then t; the members of a row ascend.
+
+    Also flags the rows whose members all come through one child c of p:
+    row (c, t) and ``x_c <= x_p`` imply them.  So do the rows whose only
+    member is p itself (``x_p - x_p <= 0``).  The flagged rows imply each
+    other down to a kept or an empty row, so all of them can go at once."""
+    ps, ts, os, vs = [], [], [], []
+    # via: the child of p that o came through, -1 where o is p
+    p, t, o, via = member, group, member, np.full(len(member), -1)
     while len(p):
         ps.append(p)
         ts.append(t)
         os.append(o)
+        vs.append(via)
         up = parent[p]
         keep = up >= 0
-        p, t, o = up[keep], t[keep], o[keep]
-    p, t, o = (np.concatenate(a) if a else np.zeros(0, dtype=np.int64)
-               for a in (ps, ts, os))
+        p, t, o, via = up[keep], t[keep], o[keep], p[keep]
+    p, t, o, via = (np.concatenate(a) if a else np.zeros(0, dtype=np.int64)
+                    for a in (ps, ts, os, vs))
     order = np.lexsort((o, t, -p if descending else p))
-    p, t, o = p[order], t[order], o[order]
+    p, t, o, via = p[order], t[order], o[order], via[order]
     new = np.ones(len(p), dtype=bool)
     new[1:] = (p[1:] != p[:-1]) | (t[1:] != t[:-1])
     row = np.cumsum(new) - 1
     heads = p[new]
-    return Block.of(np.concatenate([row, np.arange(len(heads))]),
-                    np.concatenate([o, heads]),
-                    np.concatenate([np.ones(len(o)), -np.ones(len(heads))]),
-                    np.zeros(len(heads)))
+    starts = np.flatnonzero(new)
+    implied = (np.minimum.reduceat(via, starts)
+               == np.maximum.reduceat(via, starts))
+    return (Block.of(np.concatenate([row, np.arange(len(heads))]),
+                     np.concatenate([o, heads]),
+                     np.concatenate([np.ones(len(o)), -np.ones(len(heads))]),
+                     np.zeros(len(heads))),
+            implied)
 
 
 def build_dst_lp(st: SuperTree) -> LPModel:
     """LP over super-tree nodes: child sums at state/super nodes, equality
-    through virtual nodes, per-terminal capacity and coverage rows."""
+    through virtual nodes, per-terminal capacity and coverage rows.  A
+    capacity row is flagged as implied by the rule of ``_capacity_rows``:
+    ``x_c <= x_p`` follows from the child-sum or virtual row of p and
+    ``x >= 0``."""
     n = len(st)
     kind = np.array(st.kind)
     obj = np.where(kind == BASE, np.array(st.cost, dtype=float), 0.0)
@@ -232,9 +309,9 @@ def build_dst_lp(st: SuperTree) -> LPModel:
                       dtype=np.int64)
     child_rows = _tree_rows(parent, kind == VIRTUAL,
                             (kind == STATE) | (kind == SUPER), np.ones(n))
+    capacity, implied = _capacity_rows(parent, member, group, descending=True)
     return LPModel(n, obj, eq_block=Block.stack(cover, child_rows),
-                   ub_block=_capacity_rows(parent, member, group,
-                                           descending=True))
+                   ub_block=capacity, implied=implied)
 
 
 def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
@@ -251,7 +328,7 @@ def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
                    ub_block=Block.stack(
                        degree_rows,
                        _capacity_rows(parent, member, group,
-                                      descending=False)))
+                                      descending=False)[0]))
 
 
 def round_up_pow2(v: float) -> float:

@@ -344,13 +344,12 @@ class SuperTree:
         return O
 
     def height(self) -> int:
-        # longest downward path in edges, counting all node kinds
-        depth = [0] * len(self.kind)
-        best = 0
-        for i in range(1, len(self.kind)):
-            depth[i] = depth[self.parent[i]] + 1
-            best = max(best, depth[i])
-        return best
+        """Longest downward path in edges, counting all node kinds.
+
+        The super node has depth 0, a state node at level l depth 2l + 1,
+        and its base and virtual children (level l too) depth 2l + 2."""
+        return max(2 * lv + (1 if k == STATE else 2) if k != SUPER else 0
+                   for k, lv in zip(self.kind, self.level))
 
     def dump(self) -> str:
         lines = []
@@ -490,8 +489,11 @@ def build_super_tree(norm: NormalizedInstance, h: int | None = None,
 
     def kids(key, budget):
         # child pairs whose states both fit in budget - 1 more levels
-        return [(k1, k2) for k1, k2 in table[key][2]
-                if table[k1][0] < budget and table[k2][0] < budget]
+        if (key, budget) not in fits:
+            fits[key, budget] = [(k1, k2) for k1, k2 in table[key][2]
+                                 if table[k1][0] < budget
+                                 and table[k2][0] < budget]
+        return fits[key, budget]
 
     def size(key, budget):
         if (key, budget) not in sizes:
@@ -501,7 +503,7 @@ def build_super_tree(norm: NormalizedInstance, h: int | None = None,
         return sizes[key, budget]
 
     for h_try in range(h + 1):
-        table, sizes = live_states(norm, h_try), {}
+        table, sizes, fits = live_states(norm, h_try), {}, {}
         roots = [k for k in (make_key(inst.root, {inst.root}, {inst.root: d})
                              for d in range(1, inst.degree_bound[inst.root] + 1))
                  if k in table]

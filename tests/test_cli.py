@@ -214,13 +214,26 @@ def test_exit_codes(tmp_path):
     (["run", "--problem", "dst", "--gen", "n=6,k=2", "--trials", "-3"],
      "--trials"),
     (["run", "--problem", "gst", "--gen", "n=20,k=2", "--m", "-1"], "--m"),
-    (["gen-dst", "--n", "5", "--m", "-3", "--k", "2"], "--m")])
+    (["gen-dst", "--n", "5", "--m", "-3", "--k", "2"], "--m"),
+    (["run", "--problem", "dst", "--gen", "n=6,k=2", "--height", "-1"],
+     "--height"),
+    (["solve-dst", "--height", "-1"], "--height"),
+    (["dump-supertree", "--height", "-1"], "--height"),
+    (["dump-lp", "--problem", "dst", "--height", "-1"], "--height")])
 def test_negative_option_is_format_error(tmp_path, capsys, argv, flag):
     # a missing instance file: the option is rejected before it is read
-    if argv[0].startswith("solve"):
+    if argv[0].startswith(("solve", "dump")):
         argv = argv + ["--instance", str(tmp_path / "none.txt")]
     assert main(argv) == 5
     assert f"{flag} must not be negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", [["gen-dst", "--n", "6", "--m", "8", "--k", "2"],
+                                 ["gen-gst", "--n", "20", "--k", "2"]])
+@pytest.mark.parametrize("cost_range", ["5:1", "-3:2", "1-4"])
+def test_bad_cost_range_is_format_error(capsys, cmd, cost_range):
+    assert main(cmd + [f"--cost-range={cost_range}"]) == 5
+    assert "--cost-range" in capsys.readouterr().err
 
 
 def test_negative_generator_value_is_format_error(capsys):

@@ -5,9 +5,12 @@ import scipy.sparse
 
 from conftest import small_dst
 from dbnet.errors import InfeasibleError
-from dbnet.instances import DirectedInstance, GroupTreeInstance, normalize
-from dbnet.lpcore import (INFEASIBLE, OPTIMAL, Block, LPModel, build_dst_lp,
-                          build_gst_lp, check_modified_solution, dump_lp,
+from dbnet.generators import gen_dst, gen_gst
+from dbnet.instances import (DirectedInstance, GroupTreeInstance, normalize,
+                             preprocess_gst)
+from dbnet.lpcore import (EPS_FEAS, INFEASIBLE, OPTIMAL, Block, LPModel,
+                          _capacity_rows, build_dst_lp, build_gst_lp,
+                          check_modified_solution, dump_lp,
                           modify_gst_solution, round_up_pow2, solve_lp)
 from dbnet.states import BASE, STATE, SUPER, VIRTUAL, build_super_tree
 
@@ -20,36 +23,65 @@ def test_forced_variable():
     assert sol.objective == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("eq,ub", [(True, True), (True, False),
-                                   (False, True)])
-def test_solve_builds_each_matrix_once(monkeypatch, eq, ub):
+def tiny_model(eq, ub):
+    return LPModel(2, np.array([1.0, 2.0]),
+                   eq_block=Block.from_rows([([0, 1], [1.0, 1.0], 1.0)] * eq),
+                   ub_block=Block.from_rows([([0], [1.0], 0.25)] * ub))
+
+
+def dst_model():
+    _, norm, _, h = small_dst(0)
+    return build_dst_lp(build_super_tree(norm, h))
+
+
+def gst_model():
+    return build_gst_lp(preprocess_gst(gen_gst(30, 3, seed=2)))
+
+
+@pytest.mark.parametrize("make,reduced", [
+    (lambda: tiny_model(True, True), False),
+    (lambda: tiny_model(True, False), False),
+    (lambda: tiny_model(False, True), False),
+    (dst_model, True),
+    (gst_model, False)], ids=["eq+ub", "eq", "ub", "dst", "gst"])
+def test_solve_checks_the_full_matrices(monkeypatch, make, reduced):
     built, seen = [], {}
     matrix = Block.matrix
     monkeypatch.setattr(Block, "matrix", lambda self, nvar: built.append(
         matrix(self, nvar)) or built[-1])
     linprog = scipy.optimize.linprog
 
-    def spy_linprog(*args, **kwargs):
-        seen["linprog"] = kwargs["A_eq"], kwargs["A_ub"]
-        return linprog(*args, **kwargs)
+    def spy_linprog(c, **kwargs):
+        seen["linprog"] = c, kwargs
+        return linprog(c, **kwargs)
 
     max_violation = LPModel.max_violation
 
     def spy_max_violation(self, x, eq, ub):
-        seen["check"] = tuple(None if sys is None else sys[0]
-                              for sys in (eq, ub))
+        seen["check"] = eq, ub
         return max_violation(self, x, eq, ub)
 
     monkeypatch.setattr(scipy.optimize, "linprog", spy_linprog)
     monkeypatch.setattr(LPModel, "max_violation", spy_max_violation)
-    m = LPModel(2, np.array([1.0, 2.0]),
-                eq_block=Block.from_rows([([0, 1], [1.0, 1.0], 1.0)] * eq),
-                ub_block=Block.from_rows([([0], [1.0], 0.25)] * ub))
-    assert solve_lp(m).status == OPTIMAL
-    assert len(built) == eq + ub
-    want = (built[0] if eq else None, built[-1] if ub else None)
-    for got in (seen["linprog"], seen["check"]):
-        assert all(g is w for g, w in zip(got, want))
+    model = make()
+    assert solve_lp(model).status == OPTIMAL
+    # one matrix per non-empty block, and the check reads exactly those
+    blocks = (model.eq_block, model.ub_block)
+    assert len(built) == sum(len(blk) > 0 for blk in blocks)
+    full = iter(built)
+    want = [next(full) if len(blk) else None for blk in blocks]
+    got = [None if sys is None else sys[0] for sys in seen["check"]]
+    assert all(g is w for g, w in zip(got, want))
+    c, kwargs = seen["linprog"]
+    if reduced:
+        assert len(c) < model.nvar
+        assert kwargs["A_eq"].shape[0] < len(model.eq_block)
+        assert kwargs["A_ub"].shape[0] < len(model.ub_block)
+    else:
+        assert c is model.obj
+        assert kwargs["A_eq"] is want[0] and kwargs["A_ub"] is want[1]
+        assert np.array_equal(kwargs["bounds"],
+                              np.column_stack([model.lo, model.hi]))
 
 
 def test_empty_polytope():
@@ -245,3 +277,53 @@ def test_capacity_row_of_a_base_node_lists_it_twice():
     # base node 2 carries terminal 1: x_2 - x_2 <= 0, both entries kept
     assert model.ub[0] == ([2, 2], [1.0, -1.0], 0.0)
     assert model.ub_block.matrix(model.nvar)[0, 2] == 0.0
+    # vacuous, so solve_lp leaves it out; so are the rows of its ancestors,
+    # which it reaches through one child each
+    assert model.implied.tolist() == [True, True, True]
+
+
+def test_capacity_rows_flag_one_child_and_own_rows():
+    # root 0 with children 1 and 2; node 3 below 1; group {2, 3}
+    parent = np.array([-1, 0, 0, 1])
+    blk, implied = _capacity_rows(parent, np.array([2, 3]), np.array([0, 0]),
+                                  descending=False)
+    heads = [cols[-1] for cols, _, _ in blk.rows()]
+    assert dict(zip(heads, implied.tolist())) == {
+        0: False,   # 2 and 3 come through two children of 0
+        1: True,    # 3 alone, through child 3: implied by row (3, t)
+        2: True,    # x_2 - x_2 <= 0
+        3: True}
+
+
+# gen_dst(7, 14, 4, d_max=1) seeds whose LP optimum at h=4 is fractional
+FRACTIONAL_SEEDS = (3, 9, 12, 13, 15, 17, 22, 30, 38)
+
+
+@pytest.mark.parametrize("case", [("small_dst", s) for s in range(5)]
+                         + [("d_max=1", s) for s in FRACTIONAL_SEEDS],
+                         ids=lambda case: f"{case[0]}-{case[1]}")
+def test_reduced_dst_lp_is_exact(case):
+    corpus, seed = case
+    if corpus == "small_dst":
+        _, norm, _, h = small_dst(seed)
+    else:
+        norm, h = normalize(gen_dst(7, 14, 4, d_max=1, seed=seed)), 4
+    model = build_dst_lp(build_super_tree(norm, h))
+    a_eq = model.eq_block.matrix(model.nvar)
+    a_ub = model.ub_block.matrix(model.nvar)
+    res = scipy.optimize.linprog(
+        model.obj, A_ub=a_ub, b_ub=model.ub_block.rhs, A_eq=a_eq,
+        b_eq=model.eq_block.rhs, bounds=np.column_stack([model.lo, model.hi]),
+        method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                 "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    if case == ("d_max=1", 3):
+        assert res.fun == pytest.approx(32.67, abs=0.01)
+    sol = solve_lp(model)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(res.fun, abs=1e-7)
+    x = sol.x
+    assert np.max(np.abs(a_eq @ x - model.eq_block.rhs)) <= EPS_FEAS
+    assert np.max(a_ub @ x - model.ub_block.rhs) <= EPS_FEAS
+    assert np.all(model.lo <= x) and np.all(x <= model.hi)
+    assert model.obj @ x == pytest.approx(res.fun, abs=1e-7)

@@ -387,3 +387,22 @@ def test_node_cap_checked_before_allocation(monkeypatch):
     assert len(build_super_tree(single_edge(), 3, 3)) == 3
     with pytest.raises(CapExceededError, match="3 nodes at height 0"):
         build_super_tree(single_edge(), 3, 2)
+
+
+def height_by_walk(st):
+    """The longest downward path, walking every node's parent."""
+    depth = [0] * len(st)
+    for i in range(1, len(st)):
+        depth[i] = depth[st.parent[i]] + 1
+    return max(depth)
+
+
+@pytest.mark.parametrize("shape,seeds,heights", [
+    ((6, 8, 3), range(10), range(5)),
+    ((8, 14, 4), range(4), (4,))])
+def test_height_from_levels_matches_walk(shape, seeds, heights):
+    for seed in seeds:
+        norm = normalize(gen_dst(*shape, seed=seed))
+        for h in heights:
+            st = build_super_tree(norm, h)
+            assert st.height() == height_by_walk(st), (seed, h)
