@@ -24,7 +24,7 @@ from .instances import (DirectedInstance, GroupTreeInstance, normalize,
 from .lpcore import build_dst_lp, build_gst_lp, dump_lp
 from .dst_round import DstParams, run_dst
 from .oracle import exact_dst, exact_gst
-from .rounding import blocks, membership, pair_counts
+from .rounding import blocks, csr, membership, pair_counts
 from .states import build_super_tree
 from .treekit import height_budget
 
@@ -188,11 +188,8 @@ def _dst_trial_stats(report, trials: int) -> dict:
     st = sampler.st
     norm = st.norm
     terms = sorted(norm.inst.terminals)
-    node_cost = np.asarray(st.cost, dtype=float)
-    col = {t: j for j, t in enumerate(terms)}
-    terminals_of = membership(len(st), [
-        (o, col[v]) for o in st.base_nodes() for v in st.involved_vertices(o)
-        if v in col])
+    node_cost = st.cost.astype(float)
+    terminals_of = csr(len(st), *st.terminal_members())
     hits = np.zeros(len(terms), dtype=np.int64)
     costs = np.zeros(trials)
     for start, stop in blocks(trials):
@@ -233,6 +230,8 @@ def cmd_verify(args) -> int:
         doc = json.loads(_read(args.tree))
     except json.JSONDecodeError as e:
         raise FormatError(f"bad report JSON: {e}")
+    if not isinstance(doc, dict):
+        raise FormatError("a report must be a JSON object")
     kind = doc.get("problem")
     problem = PROBLEMS.get(kind) if isinstance(kind, str) else None
     if problem is None:
@@ -246,9 +245,40 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _is_id(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _report_field(doc: dict, name: str, default, valid: Callable,
+                  what: str):
+    """``doc[name]`` (``default`` when absent), or a FormatError naming the
+    field unless ``valid`` holds for it."""
+    value = doc.get(name, default)
+    if not valid(value):
+        raise FormatError(f"report field {name!r} must be {what}")
+    return value
+
+
+def _ratios(doc: dict) -> dict:
+    return _report_field(
+        doc, "degree_violations", {},
+        lambda d: isinstance(d, dict) and all(
+            isinstance(r, (int, float)) and not isinstance(r, bool)
+            for r in d.values()),
+        "an object of numbers")
+
+
 def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
+    """Failure messages of a DB-DST report against its instance; a
+    malformed report raises FormatError."""
     bad = []
-    edges = [tuple(e) for e in doc.get("tree_edges", [])]
+    edges = [tuple(e) for e in _report_field(
+        doc, "tree_edges", [],
+        lambda es: isinstance(es, list) and all(
+            isinstance(e, list) and len(e) == 2 and all(map(_is_id, e))
+            for e in es),
+        "a list of [u, v] vertex pairs")]
+    got = _ratios(doc)
     cost = inst.cost
     parent = {}
     for (u, v) in edges:
@@ -279,9 +309,10 @@ def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
     outdeg = {}
     for (u, _) in edges:
         outdeg[u] = outdeg.get(u, 0) + 1
+    # a tail that is no vertex is already reported as an edge not in the
+    # instance
     want = {str(u): d / max(inst.degree_bound[u], 1)
-            for u, d in outdeg.items()}
-    got = doc.get("degree_violations", {})
+            for u, d in outdeg.items() if u in inst.degree_bound}
     if {k: round(v, 9) for k, v in want.items()} != \
             {k: round(v, 9) for k, v in got.items()}:
         bad.append("degree violation ratios mismatch")
@@ -289,23 +320,29 @@ def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
 
 
 def verify_gst_report(inst: GroupTreeInstance, doc: dict) -> list[str]:
+    """Failure messages of a DB-GST-T report against its instance; a
+    malformed report raises FormatError."""
     bad = []
-    union = set(doc.get("union_vertices", []))
+    union = set(_report_field(
+        doc, "union_vertices", [],
+        lambda vs: isinstance(vs, list) and all(map(_is_id, vs)),
+        "a list of vertex ids"))
+    got = _ratios(doc)
     for v in sorted(union):
         if not (0 <= v < inst.n):
             bad.append(f"vertex {v} out of range")
         elif inst.parent[v] != -1 and inst.parent[v] not in union:
             bad.append(f"vertex {v} in union without its parent")
+    union = {v for v in union if 0 <= v < inst.n}
     if inst.root not in union:
         bad.append("root missing from the union")
     coverage = [any(o in union for o in g) for g in inst.groups]
     if coverage != doc.get("coverage"):
         bad.append("coverage flags mismatch")
-    total = sum(inst.cost[v] for v in union if 0 <= v < inst.n)
+    total = sum(inst.cost[v] for v in union)
     if total != doc.get("union_cost"):
         bad.append(f"union cost mismatch: {total} vs {doc.get('union_cost')}")
     want = {str(u): r for u, r in union_degree_ratios(inst, union).items()}
-    got = doc.get("degree_violations", {})
     if {k: round(v, 9) for k, v in want.items()} != \
             {k: round(v, 9) for k, v in got.items()}:
         bad.append("degree violation ratios mismatch")

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CapExceededError, InfeasibleError, InvariantError
 from .instances import MultiTree, NormalizedInstance, original_degree
 from .lpcore import INFEASIBLE, build_dst_lp, solve_lp
-from .rounding import ChildTable, blocks, membership, pair_counts, per_rep
+from .rounding import ChildTable, blocks, csr, pair_counts, per_rep
 from .states import (BASE, VIRTUAL, SuperTree, build_super_tree,
                      selection_to_state_tree, stitch_multi_tree)
 from .treekit import height_budget
@@ -35,8 +35,8 @@ class Sampler:
     def __init__(self, st: SuperTree, x: np.ndarray):
         self.st = st
         parent, child, lo, hi = [], [], [], []
-        for p in np.flatnonzero(x > X_TINY).tolist():
-            kind = st.kind[p]
+        support = np.flatnonzero(x > X_TINY)
+        for p, kind in zip(support.tolist(), st.kind[support].tolist()):
             if kind == BASE:
                 continue
             if kind == VIRTUAL:
@@ -60,9 +60,10 @@ class Sampler:
         self.table = ChildTable(len(st), st.root, parent, child, parent,
                                 lo, hi)
         # base node that can be selected -> the normalized vertices it involves
-        self.involved = membership(len(st), [
-            (o, v) for o in child if st.kind[o] == BASE
-            for v in st.involved_vertices(o)])
+        node, vert = st.involved
+        kept = np.zeros(len(st), dtype=bool)
+        kept[child] = True
+        self.involved = csr(len(st), node[kept[node]], vert[kept[node]])
 
     def sample(self, key: tuple[int, ...], start: int,
                stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -81,8 +82,10 @@ class RoundingOutcome:
 def round_super_tree(st: SuperTree, selected) -> RoundingOutcome:
     """Stitch one repetition's selected nodes into a multi-tree and check
     that it is good and costs what its base nodes cost."""
-    selected = set(np.asarray(selected).tolist())
-    cost = sum(st.cost[o] for o in selected if st.kind[o] == BASE)
+    selected = np.unique(np.asarray(selected, dtype=np.int64))
+    # only base nodes cost anything
+    cost = int(st.cost[selected].sum())
+    selected = set(selected.tolist())
     tree = selection_to_state_tree(st, selected)
     multi = stitch_multi_tree(st.norm, tree)
     _check_good_multi_tree(st.norm, multi)

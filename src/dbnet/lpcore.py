@@ -213,14 +213,11 @@ def solve_lp(model: LPModel) -> LPSolution:
     return LPSolution(OPTIMAL, x, float(model.obj @ x))
 
 
-def _cover_rows(members: list[list[int]]
-                ) -> tuple[Block, np.ndarray, np.ndarray]:
-    """``sum of x_o over the members o of group t = 1`` for every group t,
-    members in the order given; also the (member, group) pairs as arrays."""
-    member = np.array([o for m in members for o in m], dtype=np.int64)
-    group = np.repeat(np.arange(len(members)), [len(m) for m in members])
-    return (Block.of(group, member, np.ones(len(member)),
-                     np.ones(len(members))), member, group)
+def _cover_rows(member: np.ndarray, group: np.ndarray, k: int) -> Block:
+    """``sum of x_o over the members o of group t = 1`` for each group t
+    in 0..k-1, from the (member, group) pairs; a row keeps the order its
+    members are given in."""
+    return Block.of(group, member, np.ones(len(member)), np.ones(k))
 
 
 def _tree_rows(parent: np.ndarray, each: np.ndarray, total: np.ndarray,
@@ -296,20 +293,20 @@ def build_dst_lp(st: SuperTree) -> LPModel:
     ``x_c <= x_p`` follows from the child-sum or virtual row of p and
     ``x >= 0``."""
     n = len(st)
-    kind = np.array(st.kind)
-    obj = np.where(kind == BASE, np.array(st.cost, dtype=float), 0.0)
-
-    O_t = st.terminal_index()
-    for t, nodes in sorted(O_t.items()):
-        if not nodes:
-            raise InfeasibleError(f"terminal {st.norm.terminal_origin[t]} "
-                                  f"appears in no base node")
-    cover, member, group = _cover_rows([O_t[t] for t in sorted(O_t)])
-    parent = np.array([-1 if p is None else p for p in st.parent],
-                      dtype=np.int64)
-    child_rows = _tree_rows(parent, kind == VIRTUAL,
+    kind = st.kind
+    obj = np.where(kind == BASE, st.cost, 0).astype(float)
+    member, group = st.terminal_members()
+    terms = sorted(st.norm.inst.terminals)
+    hit = np.bincount(group, minlength=len(terms))
+    if not hit.all():
+        t = terms[int(np.argmin(hit))]
+        raise InfeasibleError(f"terminal {st.norm.terminal_origin[t]} "
+                              f"appears in no base node")
+    cover = _cover_rows(member, group, len(terms))
+    child_rows = _tree_rows(st.parent, kind == VIRTUAL,
                             (kind == STATE) | (kind == SUPER), np.ones(n))
-    capacity, implied = _capacity_rows(parent, member, group, descending=True)
+    capacity, implied = _capacity_rows(st.parent, member, group,
+                                       descending=True)
     return LPModel(n, obj, eq_block=Block.stack(cover, child_rows),
                    ub_block=capacity, implied=implied)
 
@@ -318,7 +315,11 @@ def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
     for t, g in enumerate(inst.groups):
         if not g:
             raise InfeasibleError(f"group {t} is empty")
-    cover, member, group = _cover_rows([sorted(g) for g in inst.groups])
+    member = np.array([o for g in inst.groups for o in sorted(g)],
+                      dtype=np.int64)
+    group = np.repeat(np.arange(len(inst.groups)),
+                      [len(g) for g in inst.groups])
+    cover = _cover_rows(member, group, len(inst.groups))
     parent = np.array(inst.parent, dtype=np.int64)
     inner = np.bincount(parent[parent >= 0], minlength=inst.n) > 0
     degree_rows = _tree_rows(parent, inner, inner,
@@ -356,15 +357,18 @@ def modify_gst_solution(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _topo_order(inst: GroupTreeInstance) -> list[int]:
-    """Children before parents."""
-    order, stack = [], [inst.root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(inst.children[u])
-    order.reverse()
-    return order
+def _depth(parent: np.ndarray) -> np.ndarray:
+    """Edges from every node up to the root (parent -1), by pointer
+    doubling."""
+    depth = (parent >= 0).astype(np.int64)
+    up = parent.copy()
+    on = np.flatnonzero(up >= 0)
+    while len(on):
+        ahead = up[on]
+        depth[on] += depth[ahead]
+        up[on] = up[ahead]
+        on = on[up[on] >= 0]
+    return depth
 
 
 def check_modified_solution(inst: GroupTreeInstance, x: np.ndarray,
@@ -374,37 +378,44 @@ def check_modified_solution(inst: GroupTreeInstance, x: np.ndarray,
     n = inst.n
     bad = []
     lo = 1.0 / (2 * n)
-    for u in range(n):
-        if xt[u] == 0:
-            continue
-        e = math.log2(xt[u])
-        if abs(e - round(e)) > tol or not (lo - tol <= xt[u] <= 1 + tol):
-            bad.append(f"P1: x~[{u}]={xt[u]} not a power of 2 in [1/(2n), 1]")
-    for u in range(n):
-        for v in inst.children[u]:
-            if xt[v] > xt[u] + tol:
-                bad.append(f"P2: x~ increases on edge ({u}, {v})")
+    nonzero = np.flatnonzero(xt != 0)
+    # a negative value fails the range test
+    e = np.log2(np.abs(xt[nonzero]))
+    off = ((np.abs(e - np.round(e)) > tol) | (xt[nonzero] < lo - tol)
+           | (xt[nonzero] > 1 + tol))
+    for u in nonzero[off].tolist():
+        bad.append(f"P1: x~[{u}]={xt[u]} not a power of 2 in [1/(2n), 1]")
+    parent = np.asarray(inst.parent, dtype=np.int64)
+    kid = np.flatnonzero(parent >= 0)
+    up = parent[kid]
+    rise = xt[kid] > xt[up] + tol
+    for u, v in sorted(zip(up[rise].tolist(), kid[rise].tolist())):
+        bad.append(f"P2: x~ increases on edge ({u}, {v})")
     for t, g in enumerate(inst.groups):
         s = sum(xt[o] for o in g)
         if not (0.5 - tol <= s <= 2 + tol):
             bad.append(f"P3: group {t} mass {s} outside [1/2, 2]")
-    order = _topo_order(inst)
+    # below[u, t]: the mass of group t in the subtree of u, summed level by
+    # level from the deepest, a node's children in increasing order
+    k = len(inst.groups)
+    below = np.zeros((n, k))
     for t, g in enumerate(inst.groups):
-        below = np.zeros(n)
-        for o in g:
-            below[o] = xt[o]
-        for u in order:
-            p = inst.parent[u]
-            if p != -1:
-                below[p] += below[u]
-        worst = np.argmax(below - 2 * xt)
-        if below[worst] > 2 * xt[worst] + tol:
-            bad.append(f"P4: capacity at u={worst}, group {t}: "
-                       f"{below[worst]} > 2x~")
-    for u in range(n):
-        s = sum(xt[v] for v in inst.children[u])
-        if s > 2 * inst.degree_bound[u] * xt[u] + tol:
-            bad.append(f"P5: degree mass at u={u}: {s} > 2 d x~")
+        members = np.fromiter(g, dtype=np.int64, count=len(g))
+        below[members, t] = xt[members]
+    depth = _depth(parent)
+    by_depth = np.argsort(depth, kind="stable")
+    cuts = np.searchsorted(depth[by_depth], np.arange(1, depth.max() + 1))
+    for level in reversed(np.split(by_depth, cuts)[1:]):
+        np.add.at(below, parent[level], below[level])
+    worst = np.argmax(below - 2 * xt[:, None], axis=0)
+    for t, u in enumerate(worst.tolist()):
+        if below[u, t] > 2 * xt[u] + tol:
+            bad.append(f"P4: capacity at u={u}, group {t}: "
+                       f"{below[u, t]} > 2x~")
+    mass = np.bincount(up, weights=xt[kid], minlength=n)
+    degree = np.asarray(inst.degree_bound)
+    for u in np.flatnonzero(mass > 2 * degree * xt + tol).tolist():
+        bad.append(f"P5: degree mass at u={u}: {mass[u]} > 2 d x~")
     c = np.array(inst.cost, dtype=float)
     if c @ xt > 2 * (c @ x) + tol * max(1.0, float(c @ x)):
         bad.append(f"P6: cost {c @ xt} > 2 * {c @ x}")

@@ -22,8 +22,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
 
+import numpy as np
+
 from .errors import CapExceededError, InvariantError
 from .instances import MultiTree, NormalizedInstance, original_degree
+from .rounding import csr, expand
 from .treekit import RootedTree, find_balanced_separator, height_budget, split_at
 
 # a state key is (root, frozenset(portals), tuple(sorted(rho.items())))
@@ -290,36 +293,87 @@ def stitch_multi_tree(norm: NormalizedInstance,
     return mt
 
 
-# super-tree node kinds
-SUPER, STATE, VIRTUAL, BASE = "R", "S", "V", "B"
+# super-tree node kinds, the codes of ``SuperTree.kind``
+SUPER, STATE, VIRTUAL, BASE = 0, 1, 2, 3
+KIND_NAMES = "RSVB"
+# subtree sizes saturate here: states that no root reaches may span more
+# nodes than int64 holds, and a count this large is over any node cap that
+# fits in memory
+SIZE_LIMIT = 2 ** 53
+
+
+def _offsets(counts) -> np.ndarray:
+    """CSR row pointers of rows with these entry counts."""
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+
+class _Column:
+    """``column[i]`` is ``values[ids[i]]``, or None where ``ids[i]`` is -1."""
+
+    __slots__ = ("ids", "values")
+
+    def __init__(self, ids: np.ndarray, values: list):
+        self.ids, self.values = ids, values
+
+    def __getitem__(self, i):
+        j = self.ids[i]
+        return None if j < 0 else self.values[j]
+
+
+class _Rows:
+    """``rows[i]`` is row i of a CSR table, as a list."""
+
+    __slots__ = ("ptr", "col")
+
+    def __init__(self, ptr: np.ndarray, col: np.ndarray):
+        self.ptr, self.col = ptr, col
+
+    def __getitem__(self, i) -> list[int]:
+        return self.col[self.ptr[i]:self.ptr[i + 1]].tolist()
 
 
 @dataclass
 class SuperTree:
-    """Arena holding the pruned output of the super-tree construction."""
+    """Arena holding the pruned output of the super-tree construction as
+    numpy columns, nodes in preorder from the super node 0.
+
+    Node i has ``kind[i]`` (a code above), ``parent[i]`` (-1 at the super
+    node), ``level[i]`` (-1 at the super node) and ``cost[i]`` (0 but at
+    base nodes).  A state node names its state by ``state_id[i]`` into
+    ``keys``, a base node its edge or triple by ``payload_id[i]`` into
+    ``payloads``; both ids are -1 elsewhere.  ``state[i]`` and
+    ``payload[i]`` read through them, ``children[i]`` lists the children of
+    i in index order from the CSR arrays ``child_ptr``/``child``, and
+    ``involved`` pairs each base node with every normalized vertex its edge
+    or triple enters, by node, then position."""
 
     norm: NormalizedInstance
     h: int
-    kind: list[str] = field(default_factory=list)
-    parent: list[int | None] = field(default_factory=list)
-    children: list[list[int]] = field(default_factory=list)
-    state: list[StateKey | None] = field(default_factory=list)
-    payload: list[tuple | None] = field(default_factory=list)
-    cost: list[int] = field(default_factory=list)
-    level: list[int] = field(default_factory=list)
+    kind: np.ndarray
+    parent: np.ndarray
+    level: np.ndarray
+    cost: np.ndarray
+    state_id: np.ndarray
+    keys: list
+    payload_id: np.ndarray
+    payloads: list
+    child_ptr: np.ndarray = field(init=False, repr=False)
+    child: np.ndarray = field(init=False, repr=False)
+    involved: tuple = field(init=False, repr=False)
 
-    def add(self, kind, parent, state=None, payload=None, cost=0, level=-1):
-        i = len(self.kind)
-        self.kind.append(kind)
-        self.parent.append(parent)
-        self.children.append([])
-        self.state.append(state)
-        self.payload.append(payload)
-        self.cost.append(cost)
-        self.level.append(level)
-        if parent is not None:
-            self.children[parent].append(i)
-        return i
+    def __post_init__(self):
+        n = len(self.kind)
+        self.child_ptr, self.child = csr(n, self.parent[1:], np.arange(1, n))
+        self.children = _Rows(self.child_ptr, self.child)
+        self.state = _Column(self.state_id, self.keys)
+        self.payload = _Column(self.payload_id, self.payloads)
+        # ("e", (r', v)) enters v, ("xi", (r', v, v')) enters v and v'
+        heads = [data[1:] for _, data in self.payloads]
+        vert = np.array([v for d in heads for v in d], dtype=np.int64)
+        base = np.flatnonzero(self.payload_id >= 0)
+        pos, entry = expand(_offsets([len(d) for d in heads]),
+                            self.payload_id[base])
+        self.involved = (base[pos], vert[entry])
 
     def __len__(self):
         return len(self.kind)
@@ -328,49 +382,55 @@ class SuperTree:
     def root(self) -> int:
         return 0
 
-    def base_nodes(self):
-        return [i for i, k in enumerate(self.kind) if k == BASE]
+    def base_nodes(self) -> list[int]:
+        return np.flatnonzero(self.kind == BASE).tolist()
 
     def involved_vertices(self, o: int) -> tuple[int, ...]:
-        tag, data = self.payload[o]
-        return (data[1],) if tag == "e" else (data[1], data[2])
+        return self.payload[o][1][1:]
+
+    def terminal_members(self) -> tuple[np.ndarray, np.ndarray]:
+        """(base node, terminal rank) for each base node and terminal it
+        involves, by node; the rank orders the normalized terminals."""
+        terms = np.array(sorted(self.norm.inst.terminals), dtype=np.int64)
+        node, vert = self.involved
+        hit = np.isin(vert, terms)
+        return node[hit], np.searchsorted(terms, vert[hit])
 
     def terminal_index(self) -> dict[int, list[int]]:
-        O = {t: [] for t in self.norm.inst.terminals}
-        for o in self.base_nodes():
-            for v in self.involved_vertices(o):
-                if v in O:
-                    O[v].append(o)
-        return O
+        terms = sorted(self.norm.inst.terminals)
+        node, rank = self.terminal_members()
+        order = np.argsort(rank, kind="stable")
+        cuts = np.searchsorted(rank[order], np.arange(1, len(terms)))
+        return {t: nodes.tolist() for t, nodes
+                in zip(terms, np.split(node[order], cuts))}
 
     def height(self) -> int:
         """Longest downward path in edges, counting all node kinds.
 
         The super node has depth 0, a state node at level l depth 2l + 1,
         and its base and virtual children (level l too) depth 2l + 2."""
-        return max(2 * lv + (1 if k == STATE else 2) if k != SUPER else 0
-                   for k, lv in zip(self.kind, self.level))
+        return int(np.max(2 * self.level + np.where(self.kind == STATE, 1, 2),
+                          where=self.kind != SUPER, initial=0))
 
     def dump(self) -> str:
+        # preorder is index order, and a node's depth follows from its kind
+        # and level as in ``height``
+        state_desc = [f"state r'={r} S={sorted(S)} rho={dict(rho)}"
+                      for r, S, rho in self.keys]
         lines = []
-
-        def rec(i, indent):
-            k = self.kind[i]
+        for k, lv, s, pay, c in zip(
+                self.kind.tolist(), self.level.tolist(),
+                self.state_id.tolist(), self.payload_id.tolist(),
+                self.cost.tolist()):
             if k == SUPER:
-                desc = "super"
+                lines.append("super")
             elif k == STATE:
-                r, S, rho = self.state[i]
-                desc = f"state r'={r} S={sorted(S)} rho={dict(rho)}"
+                lines.append("  " * (2 * lv + 1) + state_desc[s])
             elif k == VIRTUAL:
-                desc = "virtual"
+                lines.append("  " * (2 * lv + 2) + "virtual")
             else:
-                tag, data = self.payload[i]
-                desc = f"base {tag}={data} c={self.cost[i]}"
-            lines.append("  " * indent + desc)
-            for ch in self.children[i]:
-                rec(ch, indent + 1)
-
-        rec(self.root, 0)
+                tag, data = self.payloads[pay]
+                lines.append("  " * (2 * lv + 2) + f"base {tag}={data} c={c}")
         return "\n".join(lines) + "\n"
 
 
@@ -473,6 +533,61 @@ def live_states(norm: NormalizedInstance, h: int) -> dict[StateKey, tuple]:
             for k in final}
 
 
+@dataclass
+class _Table:
+    """A ``live_states`` table as per-state arrays, state s being
+    ``keys[s]``: its min depth ``md[s]``, its base payloads
+    ``payloads[pay_ptr[s]:pay_ptr[s + 1]]`` with costs ``pay_cost``, and its
+    child pairs ``(left[j], right[j])`` for j in
+    ``pair_ptr[s]:pair_ptr[s + 1]``, in arena order."""
+
+    keys: list
+    md: np.ndarray
+    payloads: list
+    pay_cost: np.ndarray
+    pay_ptr: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    pair_ptr: np.ndarray
+
+    @classmethod
+    def of(cls, table: dict) -> "_Table":
+        keys = list(table)
+        index = {k: s for s, k in enumerate(keys)}
+        rows = list(table.values())
+        return cls(keys, np.array([md for md, _, _ in rows], dtype=np.int64),
+                   [p for _, bases, _ in rows for p, _ in bases],
+                   np.array([c for _, bases, _ in rows for _, c in bases],
+                            dtype=np.int64),
+                   _offsets([len(bases) for _, bases, _ in rows]),
+                   np.array([index[k1] for _, _, pairs in rows
+                             for k1, _ in pairs], dtype=np.int64),
+                   np.array([index[k2] for _, _, pairs in rows
+                             for _, k2 in pairs], dtype=np.int64),
+                   _offsets([len(pairs) for _, _, pairs in rows]))
+
+    def kept(self, budget: int) -> np.ndarray:
+        """Mask of the child pairs whose states both fit in budget - 1 more
+        levels."""
+        return (self.md[self.left] < budget) & (self.md[self.right] < budget)
+
+    def sizes(self, h: int) -> list[np.ndarray]:
+        """``size[b][s]``: the nodes of the subtree a state node of state s
+        spans with b more levels to go, for b = 0..h: itself, its base
+        nodes, and per kept pair a virtual node and both child subtrees."""
+        owner = np.repeat(np.arange(len(self.keys)), np.diff(self.pair_ptr))
+        own = 1 + np.diff(self.pay_ptr)
+        size = [own]
+        for b in range(1, h + 1):
+            below = size[-1]
+            span = np.where(self.kept(b),
+                            1 + below[self.left] + below[self.right], 0)
+            total = own + np.bincount(owner, weights=span,
+                                      minlength=len(self.keys))
+            size.append(np.minimum(total, SIZE_LIMIT).astype(np.int64))
+        return size
+
+
 def build_super_tree(norm: NormalizedInstance, h: int | None = None,
                      node_cap: int = 5_000_000) -> SuperTree:
     """Construct the pruned super-tree containing all good extended state
@@ -482,53 +597,65 @@ def build_super_tree(norm: NormalizedInstance, h: int | None = None,
     node per child pair whose two states stay live within the remaining
     depth.  The exact node count is checked against ``node_cap`` at heights
     0..h in turn (it only grows with the height) before any node exists.
+    The arena is then written one level at a time: every node's preorder
+    offset follows from the subtree sizes.
     """
     inst = norm.inst
     if h is None:
         h = height_budget(inst.n)
-
-    def kids(key, budget):
-        # child pairs whose states both fit in budget - 1 more levels
-        if (key, budget) not in fits:
-            fits[key, budget] = [(k1, k2) for k1, k2 in table[key][2]
-                                 if table[k1][0] < budget
-                                 and table[k2][0] < budget]
-        return fits[key, budget]
-
-    def size(key, budget):
-        if (key, budget) not in sizes:
-            sizes[key, budget] = 1 + len(table[key][1]) + sum(
-                1 + size(k1, budget - 1) + size(k2, budget - 1)
-                for k1, k2 in kids(key, budget))
-        return sizes[key, budget]
-
     for h_try in range(h + 1):
-        table, sizes, fits = live_states(norm, h_try), {}, {}
-        roots = [k for k in (make_key(inst.root, {inst.root}, {inst.root: d})
-                             for d in range(1, inst.degree_bound[inst.root] + 1))
-                 if k in table]
-        total = 1 + sum(size(k, h_try) for k in roots)
+        table = live_states(norm, h_try)
+        tab = _Table.of(table)
+        roots = np.array(
+            [tab.keys.index(k) for k in
+             (make_key(inst.root, {inst.root}, {inst.root: d})
+              for d in range(1, inst.degree_bound[inst.root] + 1))
+             if k in table], dtype=np.int64)
+        size = tab.sizes(h_try)
+        total = 1 + int(size[h_try][roots].sum())
         if total > node_cap:
             raise CapExceededError(
                 f"super-tree has {total} nodes at height {h_try}, over the "
                 f"node cap {node_cap}; lower n, the height, or the degree "
                 f"bounds")
 
-    st = SuperTree(norm, h)
-    top = st.add(SUPER, None, level=-1)
-
-    def write(key, level, parent):
-        p = st.add(STATE, parent, state=key, level=level)
-        for payload, cost in table[key][1]:
-            st.add(BASE, p, payload=payload, cost=cost, level=level)
-        for k1, k2 in kids(key, h - level):
-            q = st.add(VIRTUAL, p, level=level)
-            write(k1, level + 1, q)
-            write(k2, level + 1, q)
-
-    for key in roots:
-        write(key, 0, top)
-    return st
+    kind = np.full(total, SUPER, dtype=np.int8)
+    parent = np.full(total, -1, dtype=np.int64)
+    level = np.full(total, -1, dtype=np.int64)
+    cost = np.zeros(total, dtype=np.int64)
+    state_id = np.full(total, -1, dtype=np.int64)
+    payload_id = np.full(total, -1, dtype=np.int64)
+    nbase = np.diff(tab.pay_ptr)
+    # the state nodes of one level: state, preorder offset, parent node
+    s = roots
+    span = size[h][s]
+    at = 1 + np.cumsum(span) - span
+    up = np.zeros(len(s), dtype=np.int64)
+    for lv in range(h + 1):
+        kind[at], parent[at], level[at], state_id[at] = STATE, up, lv, s
+        pos, entry = expand(tab.pay_ptr, s)
+        node = at[pos] + 1 + entry - tab.pay_ptr[s[pos]]
+        kind[node], parent[node], level[node] = BASE, at[pos], lv
+        payload_id[node], cost[node] = entry, tab.pay_cost[entry]
+        budget = h - lv
+        if budget == 0:
+            break
+        # each state node's kept pairs, laid out after its base nodes
+        pair = np.flatnonzero(tab.kept(budget))
+        pos, j = expand(np.searchsorted(pair, tab.pair_ptr), s)
+        left, right = tab.left[pair[j]], tab.right[pair[j]]
+        below = size[budget - 1]
+        span = 1 + below[left] + below[right]
+        ends = np.cumsum(span)
+        first = np.searchsorted(pos, np.arange(len(s)))
+        before = np.concatenate([[0], ends])[first][pos]
+        virtual = at[pos] + 1 + nbase[s[pos]] + ends - span - before
+        kind[virtual], parent[virtual], level[virtual] = VIRTUAL, at[pos], lv
+        s = np.concatenate([left, right])
+        at = np.concatenate([virtual + 1, virtual + 1 + below[left]])
+        up = np.concatenate([virtual, virtual])
+    return SuperTree(norm, h, kind, parent, level, cost, state_id, tab.keys,
+                     payload_id, tab.payloads)
 
 
 def selection_to_state_tree(st: SuperTree, selected: set[int]) -> StateTreeNode:
@@ -539,8 +666,8 @@ def selection_to_state_tree(st: SuperTree, selected: set[int]) -> StateTreeNode:
         kids = [c for c in st.children[i] if c in selected]
         if len(kids) != want:
             raise InvariantError(
-                f"node {i} ({st.kind[i]}) has {len(kids)} selected children, "
-                f"expected {want}")
+                f"node {i} ({KIND_NAMES[st.kind[i]]}) has {len(kids)} "
+                f"selected children, expected {want}")
         return kids
 
     def from_state(p) -> StateTreeNode:
@@ -558,7 +685,8 @@ def selection_to_state_tree(st: SuperTree, selected: set[int]) -> StateTreeNode:
             node.left = from_state(left)
             node.right = from_state(right)
         else:
-            raise InvariantError(f"unexpected child kind {st.kind[c]}")
+            raise InvariantError(
+                f"unexpected child kind {KIND_NAMES[st.kind[c]]}")
         return node
 
     if st.root not in selected:

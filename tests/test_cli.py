@@ -2,6 +2,8 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from conftest import small_dst
 from dbnet.cli import main
@@ -73,6 +75,76 @@ def test_verify_rejects_broken_tree(tmp_path, dst_file, capsys):
     doc["tree_edges"] = doc["tree_edges"] + [[0, 0]]
     out.write_text(json.dumps(doc))
     assert main(["verify", "--tree", str(out), "--instance", path]) == 4
+
+
+@pytest.mark.parametrize("doc,code,says", [
+    ([1, 2], 5, "JSON object"),
+    ({"problem": "dst", "tree_edges": [[0]]}, 5, "'tree_edges'"),
+    ({"problem": "dst", "tree_edges": [["a", "b"]]}, 5, "'tree_edges'"),
+    ({"problem": "dst", "degree_violations": {"0": "a"}}, 5,
+     "'degree_violations'"),
+    ({"problem": "dst", "tree_edges": [[999, 1]]}, 4, "not in the instance"),
+    ({"problem": "gst", "union_vertices": 5}, 5, "'union_vertices'"),
+    ({"problem": "gst", "degree_violations": [1]}, 5, "'degree_violations'"),
+    ({"problem": "gst", "union_vertices": [999]}, 4,
+     "vertex 999 out of range"),
+])
+def test_verify_malformed_report(tmp_path, dst_file, gst_file, capsys, doc,
+                                 code, says):
+    instance = dst_file[0] if "dst" in str(doc) else gst_file
+    out = tmp_path / "rep.json"
+    out.write_text(json.dumps(doc))
+    assert main(["verify", "--tree", str(out), "--instance", instance]) == code
+    assert says in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def real_reports(tmp_path_factory):
+    """A solved report of each problem with its instance file."""
+    where = tmp_path_factory.mktemp("reports")
+    out = []
+    for problem, text, argv in (
+            ("dst", serialize_dst(gen_dst(5, 6, 2, seed=0)), ["--height", "3"]),
+            ("gst", serialize_gst(gen_gst(12, 2, depth=3, seed=0)), [])):
+        path = where / f"a.{problem}"
+        path.write_text(text)
+        rep = where / f"{problem}.json"
+        assert main([f"solve-{problem}", "--instance", str(path), "--out",
+                     str(rep)] + argv) == 0
+        out.append((str(path), json.loads(rep.read_text())))
+    return where, out
+
+
+JSON_VALUES = hs.recursive(
+    hs.none() | hs.booleans() | hs.integers(-3, 10 ** 20) | hs.floats()
+    | hs.text(max_size=3),
+    lambda inner: hs.lists(inner, max_size=3)
+    | hs.dictionaries(hs.text(max_size=2), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(hs.integers(0, 1), hs.data())
+def test_verify_is_total(real_reports, which, data):
+    where, reports = real_reports
+    instance, doc = reports[which]
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(hs.integers(1, 3))):
+        key = data.draw(hs.sampled_from(sorted(doc)))
+        op = data.draw(hs.sampled_from(["set", "drop", "set_item"]))
+        if op == "set":
+            doc[key] = data.draw(JSON_VALUES)
+        elif op == "drop":
+            del doc[key]
+        elif isinstance(doc[key], list) and doc[key]:
+            i = data.draw(hs.integers(0, len(doc[key]) - 1))
+            doc[key][i] = data.draw(JSON_VALUES)
+        if not doc:
+            break
+    out = where / "mutated.json"
+    out.write_text(json.dumps(doc))
+    assert main(["verify", "--tree", str(out), "--instance", instance]) in (
+        0, 4, 5)
 
 
 def test_oracle_commands(tmp_path, dst_file, gst_file):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -8,7 +10,7 @@ from dbnet.errors import InfeasibleError
 from dbnet.generators import gen_dst, gen_gst
 from dbnet.instances import (DirectedInstance, GroupTreeInstance, normalize,
                              preprocess_gst)
-from dbnet.lpcore import (EPS_FEAS, INFEASIBLE, OPTIMAL, Block, LPModel,
+from dbnet.lpcore import (EPS_CHECK, EPS_FEAS, INFEASIBLE, OPTIMAL, Block, LPModel,
                           _capacity_rows, build_dst_lp, build_gst_lp,
                           check_modified_solution, dump_lp,
                           modify_gst_solution, round_up_pow2, solve_lp)
@@ -170,6 +172,90 @@ def test_check_modified_on_suite(gst_suite):
         sol = solve_lp(build_gst_lp(inst))
         xt = modify_gst_solution(sol.x, inst.n)
         assert check_modified_solution(inst, sol.x, xt) == []
+
+
+def reference_check_modified(inst, x, xt):
+    """The P1-P6 scan as first written: Python walks over every vertex,
+    edge and group."""
+    tol, n, bad = EPS_CHECK, inst.n, []
+    lo = 1.0 / (2 * n)
+    for u in range(n):
+        if xt[u] == 0:
+            continue
+        e = math.log2(xt[u])
+        if abs(e - round(e)) > tol or not (lo - tol <= xt[u] <= 1 + tol):
+            bad.append(f"P1: x~[{u}]={xt[u]} not a power of 2 in [1/(2n), 1]")
+    for u in range(n):
+        for v in inst.children[u]:
+            if xt[v] > xt[u] + tol:
+                bad.append(f"P2: x~ increases on edge ({u}, {v})")
+    for t, g in enumerate(inst.groups):
+        s = sum(xt[o] for o in g)
+        if not (0.5 - tol <= s <= 2 + tol):
+            bad.append(f"P3: group {t} mass {s} outside [1/2, 2]")
+    order, stack = [], [inst.root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(inst.children[u])
+    order.reverse()
+    for t, g in enumerate(inst.groups):
+        below = np.zeros(n)
+        for o in g:
+            below[o] = xt[o]
+        for u in order:
+            p = inst.parent[u]
+            if p != -1:
+                below[p] += below[u]
+        worst = np.argmax(below - 2 * xt)
+        if below[worst] > 2 * xt[worst] + tol:
+            bad.append(f"P4: capacity at u={worst}, group {t}: "
+                       f"{below[worst]} > 2x~")
+    for u in range(n):
+        s = sum(xt[v] for v in inst.children[u])
+        if s > 2 * inst.degree_bound[u] * xt[u] + tol:
+            bad.append(f"P5: degree mass at u={u}: {s} > 2 d x~")
+    c = np.array(inst.cost, dtype=float)
+    if c @ xt > 2 * (c @ x) + tol * max(1.0, float(c @ x)):
+        bad.append(f"P6: cost {c @ xt} > 2 * {c @ x}")
+    return bad
+
+
+def corrupt(prop, inst, x, xt):
+    """``(inst, x, xt)`` changed so that property ``prop`` fails."""
+    xt = xt.copy()
+    kids = [v for v in range(inst.n) if v != inst.root and xt[v] > 0]
+    if prop == "P1":
+        xt[kids[0]], xt[kids[-1]] = 0.3, 2.0
+    elif prop == "P2":
+        v = kids[-1]
+        xt[inst.parent[v]] = xt[v] / 2
+    elif prop == "P3":
+        for o in inst.groups[1]:
+            xt[o] = 0.0
+    elif prop == "P4":
+        o = next(o for o in sorted(inst.groups[0]) if xt[o] > 0)
+        xt[inst.parent[o]] = xt[o] / 4
+    elif prop == "P5":
+        # a star of five leaves with degree bound 1, each leaf half in
+        inst = GroupTreeInstance(6, [-1, 0, 0, 0, 0, 0], [0] + [1] * 5,
+                                 [frozenset({v}) for v in range(1, 6)],
+                                 [1] * 6)
+        x = xt = np.array([1.0] + [0.5] * 5)
+    else:
+        x = xt / 4
+    return inst, x, xt
+
+
+@pytest.mark.parametrize("prop", ["P1", "P2", "P3", "P4", "P5", "P6"])
+def test_check_modified_flags_each_property(prop):
+    inst = preprocess_gst(gen_gst(40, 3, depth=4, d_max=3, seed=5))
+    sol = solve_lp(build_gst_lp(inst))
+    inst, x, xt = corrupt(prop, inst, sol.x,
+                          modify_gst_solution(sol.x, inst.n))
+    bad = check_modified_solution(inst, x, xt)
+    assert any(msg.startswith(prop + ":") for msg in bad)
+    assert bad == reference_check_modified(inst, x, xt)
 
 
 def test_dump_lp_layout():

@@ -1,9 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
-from dbnet.errors import CapExceededError
-from dbnet.instances import DirectedInstance, GroupTreeInstance
+from dbnet.errors import CapExceededError, FormatError
+from dbnet.generators import gen_gst
+from dbnet.instances import DirectedInstance, GroupTreeInstance, preprocess_gst
+from dbnet.lpcore import build_gst_lp, solve_lp
 from dbnet.oracle import INFEASIBLE, OPTIMAL, exact_dst, exact_gst
 
 
@@ -170,3 +174,36 @@ def test_dst_matches_exhaustive_and_feasibility_agrees():
                             {0: 1, 1: 0, 2: 0})
     assert exact_dst(star).status == INFEASIBLE
     assert _exhaustive_dst(star) is None
+
+
+def gst_as_dst(inst: GroupTreeInstance) -> DirectedInstance:
+    """The exact DB-DST form of a DB-GST-T instance whose members are leaves
+    and whose root costs nothing: tree edges (parent(v), v) of cost c_v, and
+    per group one sink terminal fed by 0-cost edges from its members.  Sinks
+    have bound 1, the other bounds stay."""
+    n, k = inst.n, len(inst.groups)
+    edges = [(inst.parent[v], v, inst.cost[v]) for v in range(n)
+             if v != inst.root]
+    edges += [(o, n + t, 0) for t, g in enumerate(inst.groups)
+              for o in sorted(g)]
+    bounds = dict(enumerate(inst.degree_bound))
+    bounds.update((n + t, 1) for t in range(k))
+    return DirectedInstance(n + k, edges, inst.root, set(range(n, n + k)),
+                            bounds)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(hs.integers(3, 9), hs.integers(1, 3), hs.integers(2, 4),
+       hs.integers(1, 3), hs.integers(0, 10 ** 6))
+def test_gst_optimum_equals_dst_of_its_reduction(n, k, depth, d_max, seed):
+    try:
+        inst = preprocess_gst(gen_gst(n, k, depth, d_max, seed=seed))
+    except FormatError:
+        assume(False)
+    # exact_dst stops at 12 vertices
+    assume(inst.n + k <= 12)
+    opt = exact_gst(inst)
+    assert opt.status == OPTIMAL
+    assert exact_dst(gst_as_dst(inst)).cost == opt.cost
+    lp = solve_lp(build_gst_lp(inst)).objective
+    assert lp <= opt.cost * (1 + 1e-9) + 1e-9

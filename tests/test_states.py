@@ -4,6 +4,8 @@ from collections import defaultdict
 from heapq import heappop, heappush
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from conftest import small_dst
 from dbnet import states
@@ -206,10 +208,15 @@ def test_dump_mentions_states():
     assert "state" in text and "base" in text
 
 
+FIELDS = ("kind", "parent", "children", "state", "payload", "cost", "level")
+
+
 def reference_super_tree(norm, h):
     """Top-down construction: every (r'', portal mask, degree value)
     candidate at every state node, kept when both child states admit a good
-    sub-state-tree in the remaining depth (a plain memoized recursion)."""
+    sub-state-tree in the remaining depth (a plain memoized recursion).
+    Returns the seven arena fields as lists, with kind codes and parent -1
+    at the super node."""
     inst = norm.inst
     K = inst.terminals
     nonterminals = sorted(set(range(inst.n)) - K)
@@ -253,26 +260,69 @@ def reference_super_tree(norm, h):
                 for k1, k2 in candidates(key))
         return memo[key, budget]
 
-    st = SuperTree(norm, h)
+    ref = {name: [] for name in FIELDS}
+
+    def add(kind, parent, state=None, payload=None, cost=0, level=-1):
+        i = len(ref["kind"])
+        for name, value in zip(FIELDS, (kind, parent, [], state, payload,
+                                        cost, level)):
+            ref[name].append(value)
+        if parent >= 0:
+            ref["children"][parent].append(i)
+        return i
 
     def expand(key, level, parent):
-        p = st.add(STATE, parent, state=key, level=level)
+        p = add(STATE, parent, state=key, level=level)
         for payload, cost in leaves(key):
-            st.add(BASE, p, payload=payload, cost=cost, level=level)
+            add(BASE, p, payload=payload, cost=cost, level=level)
         if level >= h:
             return
         for k1, k2 in candidates(key):
             if live(k1, h - level - 1) and live(k2, h - level - 1):
-                q = st.add(VIRTUAL, p, level=level)
+                q = add(VIRTUAL, p, level=level)
                 expand(k1, level + 1, q)
                 expand(k2, level + 1, q)
 
-    top = st.add(SUPER, None, level=-1)
+    top = add(SUPER, -1)
     for rho_r in range(1, inst.degree_bound[inst.root] + 1):
         key = make_key(inst.root, {inst.root}, {inst.root: rho_r})
         if live(key, h):
             expand(key, 0, top)
-    return st
+    return ref
+
+
+def arena_lists(st):
+    """The seven arena fields of ``st`` as plain lists."""
+    n = len(st)
+    return {"kind": st.kind.tolist(), "parent": st.parent.tolist(),
+            "children": [st.children[i] for i in range(n)],
+            "state": [st.state[i] for i in range(n)],
+            "payload": [st.payload[i] for i in range(n)],
+            "cost": st.cost.tolist(), "level": st.level.tolist()}
+
+
+def render(ref):
+    """``SuperTree.dump`` text of a reference arena, by a preorder walk."""
+    lines = []
+
+    def rec(i, indent):
+        k = ref["kind"][i]
+        if k == SUPER:
+            desc = "super"
+        elif k == STATE:
+            r, S, rho = ref["state"][i]
+            desc = f"state r'={r} S={sorted(S)} rho={dict(rho)}"
+        elif k == VIRTUAL:
+            desc = "virtual"
+        else:
+            tag, data = ref["payload"][i]
+            desc = f"base {tag}={data} c={ref['cost'][i]}"
+        lines.append("  " * indent + desc)
+        for ch in ref["children"][i]:
+            rec(ch, indent + 1)
+
+    rec(0, 0)
+    return "\n".join(lines) + "\n"
 
 
 # (5, 6, 2) seed 1 at h=4 is the one case here where ordering the pairs by
@@ -284,11 +334,22 @@ def reference_super_tree(norm, h):
                          + [((6, 8, 3), s, 3) for s in (1, 7, 8)])
 def test_super_tree_matches_reference_builder(shape, seed, h):
     norm = normalize(gen_dst(*shape, seed=seed))
+    got = arena_lists(build_super_tree(norm, h))
+    ref = reference_super_tree(norm, h)
+    for name in FIELDS:
+        assert got[name] == ref[name], name
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(hs.sampled_from([(3, 3, 1), (4, 5, 2), (5, 6, 2), (5, 8, 3),
+                        (6, 8, 3)]),
+       hs.integers(1, 3), hs.integers(0, 50), hs.integers(0, 4))
+def test_arena_matches_reference_everywhere(shape, d_max, seed, h):
+    norm = normalize(gen_dst(*shape, d_max=d_max, seed=seed))
     st = build_super_tree(norm, h)
     ref = reference_super_tree(norm, h)
-    for name in ("kind", "parent", "children", "state", "payload", "cost",
-                 "level"):
-        assert getattr(st, name) == getattr(ref, name), name
+    assert arena_lists(st) == ref
+    assert st.dump() == render(ref)
 
 
 def reference_live_states(norm, h):
