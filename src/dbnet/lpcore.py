@@ -14,6 +14,7 @@ import scipy.sparse.csgraph
 
 from .errors import InfeasibleError, SolverError
 from .instances import GroupTreeInstance
+from .rounding import csr
 from .states import BASE, STATE, SUPER, VIRTUAL, SuperTree
 
 EPS_FEAS = 1e-9
@@ -220,28 +221,26 @@ def _cover_rows(member: np.ndarray, group: np.ndarray, k: int) -> Block:
     return Block.of(group, member, np.ones(len(member)), np.ones(k))
 
 
-def _tree_rows(parent: np.ndarray, each: np.ndarray, total: np.ndarray,
-               coef: np.ndarray) -> Block:
-    """Rows with rhs 0 over a rooted tree (``parent`` -1 at the root), node
-    by node: for a node p, one row ``x_c - x_p`` per child c if ``each[p]``,
+def _tree_rows(child_ptr: np.ndarray, child: np.ndarray, each: np.ndarray,
+               total: np.ndarray, coef: np.ndarray) -> Block:
+    """Rows with rhs 0 over a rooted tree whose children are CSR (the
+    children of p are ``child[child_ptr[p]:child_ptr[p + 1]]``), node by
+    node: for a node p, one row ``x_c - x_p`` per child c if ``each[p]``,
     then ``sum_c x_c - coef[p] x_p`` if ``total[p]``."""
-    n = len(parent)
-    kid = np.flatnonzero(parent >= 0)
-    kid = kid[np.argsort(parent[kid], kind="stable")]
-    par = parent[kid]
-    nkids = np.bincount(par, minlength=n)
+    nkids = np.diff(child_ptr)
+    par = np.repeat(np.arange(len(nkids)), nkids)
     each, total = each.astype(np.int64), total.astype(np.int64)
     nrows = each * nkids + total
     start = np.cumsum(nrows) - nrows
     own = each[par] == 1
     summed = total[par] == 1
-    rank = np.arange(len(kid)) - (np.cumsum(nkids) - nkids)[par]
+    rank = np.arange(len(child)) - child_ptr[par]
     sum_row = start + each * nkids
     tot = np.flatnonzero(total)
     own_row = start[par[own]] + rank[own]
     return Block.of(
         np.concatenate([own_row, sum_row[par[summed]], own_row, sum_row[tot]]),
-        np.concatenate([kid[own], kid[summed], par[own], tot]),
+        np.concatenate([child[own], child[summed], par[own], tot]),
         np.concatenate([np.ones(own.sum() + summed.sum()),
                         -np.ones(own.sum()), -coef[tot]]),
         np.zeros(int(nrows.sum())))
@@ -303,7 +302,7 @@ def build_dst_lp(st: SuperTree) -> LPModel:
         raise InfeasibleError(f"terminal {st.norm.terminal_origin[t]} "
                               f"appears in no base node")
     cover = _cover_rows(member, group, len(terms))
-    child_rows = _tree_rows(st.parent, kind == VIRTUAL,
+    child_rows = _tree_rows(st.child_ptr, st.child, kind == VIRTUAL,
                             (kind == STATE) | (kind == SUPER), np.ones(n))
     capacity, implied = _capacity_rows(st.parent, member, group,
                                        descending=True)
@@ -321,8 +320,10 @@ def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
                       [len(g) for g in inst.groups])
     cover = _cover_rows(member, group, len(inst.groups))
     parent = np.array(inst.parent, dtype=np.int64)
-    inner = np.bincount(parent[parent >= 0], minlength=inst.n) > 0
-    degree_rows = _tree_rows(parent, inner, inner,
+    kid = np.flatnonzero(parent >= 0)
+    child_ptr, child = csr(inst.n, parent[kid], kid)
+    inner = np.diff(child_ptr) > 0
+    degree_rows = _tree_rows(child_ptr, child, inner, inner,
                              np.array(inst.degree_bound, dtype=float))
     return LPModel(inst.n, np.array(inst.cost, dtype=float),
                    eq_block=cover,

@@ -18,9 +18,8 @@ virtual nodes.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass, field
-from heapq import heappush, heappop
+from functools import cached_property
 
 import numpy as np
 
@@ -296,6 +295,10 @@ def stitch_multi_tree(norm: NormalizedInstance,
 # super-tree node kinds, the codes of ``SuperTree.kind``
 SUPER, STATE, VIRTUAL, BASE = 0, 1, 2, 3
 KIND_NAMES = "RSVB"
+# candidate pairs of the live-state join are filtered this many at a time
+JOIN_BLOCK = 1 << 18
+# bits of an int64 word that a packed state code uses
+WORD_BITS = 63
 # subtree sizes saturate here: states that no root reaches may span more
 # nodes than int64 holds, and a count this large is over any node cap that
 # fits in memory
@@ -434,114 +437,72 @@ class SuperTree:
         return "\n".join(lines) + "\n"
 
 
-def _pair_order(parent: StateKey, pair: tuple[StateKey, StateKey]):
-    # right root r'', then the left child's share of the parent's other
-    # portals as a bit mask over sorted(S - {r'}), then the degree at r''
-    r1, S, _ = parent
-    (_, S1, rho1), (r2, _, _) = pair
-    mask = sum(1 << i for i, v in enumerate(sorted(S - {r1})) if v in S1)
-    return r2, mask, dict(rho1)[r2]
+def _pack(cols: np.ndarray, top: int) -> np.ndarray:
+    """The rows of ``cols`` (entries in 0..top) packed into as few int64
+    words as hold them, so that rows are equal just when their words
+    are."""
+    bits = top.bit_length()
+    per = WORD_BITS // bits
+    words = []
+    for a in range(0, cols.shape[1], per):
+        word = cols[:, a]
+        for c in range(a + 1, min(a + per, cols.shape[1])):
+            word = word << bits | cols[:, c]
+        words.append(word)
+    return np.column_stack(words)
 
 
-def live_states(norm: NormalizedInstance, h: int) -> dict[StateKey, tuple]:
-    """Every live state up to h, with the children the super-tree gives it.
+def _join(lkey: np.ndarray, rkey: np.ndarray):
+    """Every index pair (i, j) with ``lkey[i] == rkey[j]``, by i, then j,
+    as ``(i, j)`` arrays of about ``JOIN_BLOCK`` pairs each."""
+    order = np.argsort(rkey, kind="stable")
+    sorted_key = rkey[order]
+    lo = np.searchsorted(sorted_key, lkey, "left")
+    count = np.searchsorted(sorted_key, lkey, "right") - lo
+    ends = np.cumsum(count)
+    total = ends[-1] if len(ends) else 0
+    cuts = np.searchsorted(ends, np.arange(JOIN_BLOCK, total, JOIN_BLOCK),
+                           "right")
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(lkey)]):
+        c = count[a:b]
+        i = np.repeat(np.arange(a, b), c)
+        step = np.repeat(lo[a:b] - np.cumsum(c) + c, c)
+        yield i, order[np.arange(len(i)) + step]
 
-    Maps each state admitting a good sub-state-tree within h to
-    ``(min depth, base payloads, child pairs)``.  The base payloads are the
-    agreeing edges ``("e", (r', v))`` and triples ``("xi", (r', v, v'))``
-    with their costs, edges first; the child pairs are every (left, right)
-    pair of live states the state joins from, in arena order.
 
-    Dijkstra-style fixpoint over the join relation: a parent state built from
-    two live children (sharing the right child's root as a portal with equal
-    rho value) needs depth 1 + max of the children's depths.  Finalized
-    states are indexed by (root, rho at the root) for the right-child role
-    and by (portal, rho at the portal) for the left-child role, so a popped
-    state only meets partners that agree at the shared portal.
-    """
-    inst = norm.inst
-    K = inst.terminals
-    md: dict[StateKey, int] = {}
-    bases = defaultdict(list)
-    pairs = defaultdict(list)
-    heap = []
-    counter = itertools.count()
-
-    def offer(key, d) -> bool:
-        # a state with |S| portals sits at level >= |S| - 1
-        if len(key[1]) - 1 + d > h:
-            return False
-        if d < md.get(key, h + 1):
-            md[key] = d
-            heappush(heap, (d, next(counter), key))
-        return True
-
-    for r1 in sorted(set(range(inst.n)) - K):
-        edges = sorted(inst.out_edges(r1))
-        leaves = [((v,), ("e", (r1, v)), c) for v, c in edges]
-        leaves += [((v, v2), ("xi", (r1, v, v2)), c + c2)
-                   for (v, c), (v2, c2) in itertools.combinations(edges, 2)]
-        for tails, payload, cost in leaves:
-            # every degree vector the edge/triple agrees with
-            free = [v for v in tails if v not in K]
-            for combo in itertools.product(
-                    *(range(1, inst.degree_bound[v] + 1) for v in free)):
-                rho = dict(zip(free, combo))
-                rho[r1] = sum(_contrib(norm, v, rho) for v in tails)
-                key = make_key(r1, {r1, *free}, rho)
-                if rho[r1] <= inst.degree_bound[r1] and offer(key, 0):
-                    bases[key].append((payload, cost))
-
-    final = set()
-    # (root or portal, its rho value) -> [(key, |S|, portal bit mask)]
-    as_right = defaultdict(list)
-    as_left = defaultdict(list)
-
-    def join(lkey, rkey, rr, d):
-        # both agree at rr and meet only there; the parent's depth is d + 1
-        rl, S1, rho1t = lkey
-        _, S2, rho2t = rkey
-        rho = tuple(sorted(p for p in rho1t + rho2t if p[0] != rr))
-        key = (rl, (S1 | S2) - {rr}, rho)
-        if offer(key, d + 1):
-            pairs[key].append((lkey, rkey))
-
-    while heap:
-        d, _, key = heappop(heap)
-        if key in final or md[key] < d:
-            continue
-        final.add(key)
-        r1, S, rhot = key
-        rho = dict(rhot)
-        mask = sum(1 << v for v in S)
-        # partners were finalized first (depth <= d), so the parent sits at
-        # level |S| + |S'| - 2 + d, within h only for partners this small
-        room = h + 2 - d - len(S)
-        for v in S - {r1}:
-            for rkey, size, rmask in as_right[v, rho[v]]:
-                if size <= room and mask & rmask == 1 << v:
-                    join(key, rkey, v, d)
-        for lkey, size, lmask in as_left[r1, rho[r1]]:
-            if size <= room and lmask & mask == 1 << r1:
-                join(lkey, key, r1, d)
-        entry = (key, len(S), mask)
-        as_right[r1, rho[r1]].append(entry)
-        for v in S - {r1}:
-            as_left[v, rho[v]].append(entry)
-    return {k: (md[k], bases.get(k, []),
-                sorted(pairs.get(k, []), key=lambda pair: _pair_order(k, pair)))
-            for k in final}
+def _intern(code: np.ndarray, new: np.ndarray) -> tuple[np.ndarray,
+                                                        np.ndarray]:
+    """Ids of the rows of ``new`` among the distinct rows of ``code``:
+    an equal row of ``code`` gives its index, the other distinct rows of
+    ``new`` get ``len(code)``, ``len(code) + 1``, ...  Also returns, per
+    fresh id, the first row of ``new`` that has it."""
+    both = np.concatenate([code, new])
+    order = np.lexsort(both.T[::-1])
+    ordered = both[order]
+    start = np.ones(len(both), dtype=bool)
+    start[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    # lexsort is stable, so a group starts at its lowest row
+    first = order[start]
+    fresh = first >= len(code)
+    ids = np.where(fresh, len(code) + np.cumsum(fresh) - 1, first)
+    out = np.empty(len(both), dtype=np.int64)
+    out[order] = ids[np.cumsum(start) - 1]
+    return out[len(code):], first[fresh] - len(code)
 
 
 @dataclass
 class _Table:
-    """A ``live_states`` table as per-state arrays, state s being
-    ``keys[s]``: its min depth ``md[s]``, its base payloads
-    ``payloads[pay_ptr[s]:pay_ptr[s + 1]]`` with costs ``pay_cost``, and its
-    child pairs ``(left[j], right[j])`` for j in
-    ``pair_ptr[s]:pair_ptr[s + 1]``, in arena order."""
+    """The live-state table as per-state arrays.  State s is rooted at
+    ``root[s]``; its portals ascend along ``port[s]`` with their degrees in
+    ``deg[s]``, and the rows are padded by vertex n with degree 0.  ``md[s]`` is its min
+    depth, its base payloads are ``payloads[pay_ptr[s]:pay_ptr[s + 1]]``
+    with costs ``pay_cost``, and its child pairs are ``(left[j], right[j])``
+    for j in ``pair_ptr[s]:pair_ptr[s + 1]``, in arena order.  ``keys[s]``
+    is its state key."""
 
-    keys: list
+    root: np.ndarray
+    port: np.ndarray
+    deg: np.ndarray
     md: np.ndarray
     payloads: list
     pay_cost: np.ndarray
@@ -550,21 +511,17 @@ class _Table:
     right: np.ndarray
     pair_ptr: np.ndarray
 
-    @classmethod
-    def of(cls, table: dict) -> "_Table":
-        keys = list(table)
-        index = {k: s for s, k in enumerate(keys)}
-        rows = list(table.values())
-        return cls(keys, np.array([md for md, _, _ in rows], dtype=np.int64),
-                   [p for _, bases, _ in rows for p, _ in bases],
-                   np.array([c for _, bases, _ in rows for _, c in bases],
-                            dtype=np.int64),
-                   _offsets([len(bases) for _, bases, _ in rows]),
-                   np.array([index[k1] for _, _, pairs in rows
-                             for k1, _ in pairs], dtype=np.int64),
-                   np.array([index[k2] for _, _, pairs in rows
-                             for _, k2 in pairs], dtype=np.int64),
-                   _offsets([len(pairs) for _, _, pairs in rows]))
+    def __len__(self):
+        return len(self.md)
+
+    @cached_property
+    def keys(self) -> list[StateKey]:
+        s, slot = np.nonzero(self.deg)
+        ptr = _offsets(np.bincount(s, minlength=len(self))).tolist()
+        verts = self.port[s, slot].tolist()
+        items = list(zip(verts, self.deg[s, slot].tolist()))
+        return [(r, frozenset(verts[a:b]), tuple(items[a:b]))
+                for r, a, b in zip(self.root.tolist(), ptr, ptr[1:])]
 
     def kept(self, budget: int) -> np.ndarray:
         """Mask of the child pairs whose states both fit in budget - 1 more
@@ -575,7 +532,7 @@ class _Table:
         """``size[b][s]``: the nodes of the subtree a state node of state s
         spans with b more levels to go, for b = 0..h: itself, its base
         nodes, and per kept pair a virtual node and both child subtrees."""
-        owner = np.repeat(np.arange(len(self.keys)), np.diff(self.pair_ptr))
+        owner = np.repeat(np.arange(len(self)), np.diff(self.pair_ptr))
         own = 1 + np.diff(self.pay_ptr)
         size = [own]
         for b in range(1, h + 1):
@@ -583,9 +540,141 @@ class _Table:
             span = np.where(self.kept(b),
                             1 + below[self.left] + below[self.right], 0)
             total = own + np.bincount(owner, weights=span,
-                                      minlength=len(self.keys))
+                                      minlength=len(self))
             size.append(np.minimum(total, SIZE_LIMIT).astype(np.int64))
         return size
+
+
+def live_states(norm: NormalizedInstance, h: int) -> _Table:
+    """Every live state up to h, with the children the super-tree gives it.
+
+    A state is live when it admits a good sub-state-tree within h, and its
+    min depth is the least depth of one.  Its base payloads are the
+    agreeing edges ``("e", (r', v))`` and triples ``("xi", (r', v, v'))``
+    with their costs, edges first; its child pairs are every (left, right)
+    pair of live states it joins from, in arena order.
+
+    The table has a closed form.  Base states have min depth 0.  A left
+    state l and a right state r rooted at a non-root portal v of l join
+    into the state rooted at l's root with degree vector rho_l + rho_r off
+    v when they agree at v, their portals meet only at v, and
+    ``|S_l| + |S_r| - 2 + max(md_l, md_r) <= h`` (the parent's level
+    bound); a joined state's min depth is 1 + the least ``max(md_l, md_r)``
+    over its pairs.  So one pass per depth d = 0..h-1 finds every pair
+    whose deeper state has min depth d, by one sorted join of (state,
+    non-root portal, its degree) against (state, root, its degree), and
+    interns their parents by a packed integer code of the root and the
+    portal slots: parents not seen before get min depth d + 1.  The join is
+    filtered ``JOIN_BLOCK`` candidates at a time.
+    """
+    inst = norm.inst
+    K = inst.terminals
+    n = inst.n
+    # base states in the order they are first met, and each payload's state
+    index: dict[StateKey, int] = {}
+    pay_state, payloads, pay_cost = [], [], []
+    for r1 in sorted(set(range(n)) - K):
+        edges = sorted(inst.out_edges(r1))
+        leaves = [((v,), ("e", (r1, v)), c) for v, c in edges]
+        leaves += [((v, v2), ("xi", (r1, v, v2)), c + c2)
+                   for (v, c), (v2, c2) in itertools.combinations(edges, 2)]
+        for tails, payload, cost in leaves:
+            free = [v for v in tails if v not in K]
+            # a state with |S| portals sits at level >= |S| - 1
+            if len(free) > h:
+                continue
+            # every degree vector the edge/triple agrees with
+            for combo in itertools.product(
+                    *(range(1, inst.degree_bound[v] + 1) for v in free)):
+                rho = dict(zip(free, combo))
+                rho[r1] = sum(_contrib(norm, v, rho) for v in tails)
+                if rho[r1] <= inst.degree_bound[r1]:
+                    key = make_key(r1, {r1, *free}, rho)
+                    pay_state.append(index.setdefault(key, len(index)))
+                    payloads.append(payload)
+                    pay_cost.append(cost)
+
+    # a joined state copies its degrees from its children, so no degree
+    # exceeds the base states' largest; a portal u of degree x is the slot
+    # u * radix + x, a state's slots ascend along its row, padded by n * radix
+    radix = 1 + max((x for _, _, items in index for _, x in items), default=0)
+    pad = n * radix
+    width = max((len(items) for _, _, items in index), default=1)
+    root = np.array([r for r, _, _ in index], dtype=np.int64)
+    slot = np.full((len(index), width), pad, dtype=np.int64)
+    for s, (_, _, items) in enumerate(index):
+        slot[s, :len(items)] = [u * radix + x for u, x in items]
+    root_slot = np.array([r * radix + dict(items)[r] for r, _, items in index],
+                         dtype=np.int64)
+
+    def joined(lefts, rights, d):
+        # (left, right, the parent's slots) in blocks, for every left state
+        # and right state whose root slot is a non-root slot of the left
+        # one, that fit the level bound and meet only there
+        lefts, rights = np.flatnonzero(lefts), np.flatnonzero(rights)
+        s, at = np.nonzero(slot[lefts] < pad)
+        s = lefts[s]
+        key = slot[s, at]
+        keep = key != root_slot[s]
+        s, key = s[keep], key[keep]
+        for i, j in _join(key, root_slot[rights]):
+            l, r = s[i], rights[j]
+            keep = size[l] + size[r] - 2 + d <= h
+            l, r = l[keep], r[keep]
+            # both rows merged without the shared slot; a repeated portal
+            # means the two meet outside it
+            merged = np.concatenate([slot[l], slot[r]], axis=1)
+            merged[merged == root_slot[r][:, None]] = pad
+            merged.sort(axis=1)
+            port = merged // radix
+            keep = ~np.any((port[:, 1:] == port[:, :-1])
+                           & (merged[:, 1:] < pad), axis=1)
+            yield l[keep], r[keep], merged[keep]
+
+    md = np.zeros(len(root), dtype=np.int64)
+    size = np.count_nonzero(slot < pad, axis=1)
+    none = np.zeros(0, dtype=np.int64)
+    joins = [(none, none, none)]
+    for d in range(h):
+        fresh = md == d
+        if not fresh.any():
+            break
+        # a pair fits only if |S_l| + |S_r| - 2 + d <= h, and |S_l| >= 2
+        lefts = (md <= d) & (size <= h + 1 - d)
+        rights = (md <= d) & (size <= h - d)
+        l, r, merged = map(np.concatenate, zip(
+            (none, none, np.zeros((0, 2 * width), dtype=np.int64)),
+            *joined(lefts, rights & fresh, d),
+            *joined(lefts & fresh, rights & ~fresh, d)))
+        psize = size[l] + size[r] - 2
+        width = max(width, int(psize.max(initial=0)))
+        merged = merged[:, :width]
+        slot = np.pad(slot, ((0, 0), (0, width - slot.shape[1])),
+                      constant_values=pad)
+        # a state is its root and slots
+        p, first = _intern(_pack(np.column_stack([root, slot]), pad),
+                           _pack(np.column_stack([root[l], merged]), pad))
+        joins.append((p, l, r))
+        root = np.concatenate([root, root[l[first]]])
+        slot = np.concatenate([slot, merged[first]])
+        root_slot = np.concatenate([root_slot, root_slot[l[first]]])
+        md = np.concatenate([md, np.full(len(first), d + 1)])
+        size = np.concatenate([size, psize[first]])
+
+    p, l, r = map(np.concatenate, zip(*joins))
+    port, deg = np.divmod(slot, radix)
+    # arena order: right root r'', then the left child's portals as a bit
+    # mask, then the degree at r''.  Masks compare as their portals do,
+    # listed downwards and padded by -1 (the parent's root and r'' are in
+    # every left portal set of the parent and r''); no two pairs of one
+    # parent tie
+    down = np.sort(np.where(deg[l] > 0, port[l], -1), axis=1)[:, ::-1]
+    order = np.lexsort((root_slot[r], *down.T[::-1], root[r], p))
+    pair_ptr, left, right = csr(len(md), p[order], l[order], r[order])
+    pay_ptr, pay = csr(len(md), pay_state, np.arange(len(payloads)))
+    return _Table(root, port, deg, md, [payloads[k] for k in pay.tolist()],
+                  np.array(pay_cost, dtype=np.int64)[pay], pay_ptr,
+                  left, right, pair_ptr)
 
 
 def build_super_tree(norm: NormalizedInstance, h: int | None = None,
@@ -604,13 +693,11 @@ def build_super_tree(norm: NormalizedInstance, h: int | None = None,
     if h is None:
         h = height_budget(inst.n)
     for h_try in range(h + 1):
-        table = live_states(norm, h_try)
-        tab = _Table.of(table)
-        roots = np.array(
-            [tab.keys.index(k) for k in
-             (make_key(inst.root, {inst.root}, {inst.root: d})
-              for d in range(1, inst.degree_bound[inst.root] + 1))
-             if k in table], dtype=np.int64)
+        tab = live_states(norm, h_try)
+        # the states (root, {root}, rho), by rho
+        roots = np.flatnonzero((tab.root == inst.root)
+                               & (np.count_nonzero(tab.deg, axis=1) == 1))
+        roots = roots[np.argsort(tab.deg[roots, 0])]
         size = tab.sizes(h_try)
         total = 1 + int(size[h_try][roots].sum())
         if total > node_cap:

@@ -13,11 +13,11 @@ from conftest import broom, random_binary_tree, small_dst
 from dbnet.cli import verify_dst_report
 from dbnet.dst_round import (DstParams, Sampler, concentration_stats,
                              run_dst)
-from dbnet.generators import gen_gst
+from dbnet.generators import gen_dst, gen_gst
 from dbnet.gst_round import (GstParams, Rounder, alpha_sequence, build_scaled,
                              check_branching_mass, check_nonincreasing,
                              global_params, group_mass, run_gst)
-from dbnet.instances import lift_tree, preprocess_gst
+from dbnet.instances import lift_tree, normalize, preprocess_gst
 from dbnet.lpcore import (build_dst_lp, build_gst_lp, check_modified_solution,
                           modify_gst_solution, solve_lp)
 from dbnet.oracle import OPTIMAL, exact_gst
@@ -86,19 +86,34 @@ def test_criterion_03_lp_dominance():
 
 # -------------------------------------------------- shared Monte-Carlo corpus
 
+# gen_dst(7, 14, 4, d_max=1) at h=4: seeds whose LP optimum is fractional
+# (seed 3: 32.67), with state nodes that split their mass between children,
+# so that criteria 04-07 see the sampler's draws
+FRACTIONAL_SEEDS = (3, 9, 12, 13, 15, 17, 22, 30, 38)
+
+
 @pytest.fixture(scope="module")
 def dst_corpus():
     """Per instance: LP vector, super-tree, its sampler and the (repetition,
     base node) pairs of 10^4 independent roundings."""
     corpus = []
-    for seed in range(20):
-        _, norm, _, h = small_dst(seed)
+
+    def add(norm, h, key):
         st = build_super_tree(norm, h, 5_000_000)
         sol = solve_lp(build_dst_lp(st))
         sampler = Sampler(st, sol.x)
-        rep, node = sampler.sample((7000 + seed,), 0, TRIALS)
+        rep, node = sampler.sample(key, 0, TRIALS)
         base = np.asarray(st.kind)[node] == BASE
         corpus.append((st, sol, h, sampler, rep[base], node[base]))
+        return sol
+
+    for seed in range(20):
+        _, norm, _, h = small_dst(seed)
+        add(norm, h, (7000 + seed,))
+    for seed in FRACTIONAL_SEEDS:
+        norm = normalize(gen_dst(7, 14, 4, d_max=1, seed=seed))
+        x = add(norm, 4, (7100 + seed,)).x
+        assert np.any((x > 1e-6) & (x < 1 - 1e-6)), seed
     return corpus
 
 

@@ -6,9 +6,11 @@ from hypothesis import strategies as hs
 
 from dbnet.errors import CapExceededError, FormatError
 from dbnet.generators import gen_gst
-from dbnet.instances import DirectedInstance, GroupTreeInstance, preprocess_gst
-from dbnet.lpcore import build_gst_lp, solve_lp
+from dbnet.instances import (DirectedInstance, GroupTreeInstance, normalize,
+                             preprocess_gst)
+from dbnet.lpcore import build_dst_lp, build_gst_lp, solve_lp
 from dbnet.oracle import INFEASIBLE, OPTIMAL, exact_dst, exact_gst
+from dbnet.states import build_super_tree
 
 
 def test_dst_single_edge():
@@ -207,3 +209,36 @@ def test_gst_optimum_equals_dst_of_its_reduction(n, k, depth, d_max, seed):
     assert exact_dst(gst_as_dst(inst)).cost == opt.cost
     lp = solve_lp(build_gst_lp(inst)).objective
     assert lp <= opt.cost * (1 + 1e-9) + 1e-9
+
+
+def set_cover_triangle() -> GroupTreeInstance:
+    """Root 0, hubs a, b, c = 1, 2, 3 of cost 10, two unit leaves per hub
+    (a1, a2 = 4, 5; b2, b3 = 6, 7; c1, c3 = 8, 9), and groups {a1, c1},
+    {a2, b2}, {b3, c3}: every group hangs below two hubs and every hub
+    serves two groups, so a tree needs two hubs."""
+    return GroupTreeInstance(10, [-1, 0, 0, 0, 1, 1, 2, 2, 3, 3],
+                             [0, 10, 10, 10, 1, 1, 1, 1, 1, 1],
+                             [{4, 8}, {5, 6}, {7, 9}],
+                             [3, 2, 2, 2, 1, 1, 1, 1, 1, 1])
+
+
+def test_set_cover_triangle_gap():
+    inst = set_cover_triangle()
+    sol = solve_lp(build_gst_lp(preprocess_gst(inst)))
+    # every hub and leaf at 1/2: 3 * 10 / 2 + 6 / 2
+    assert sol.objective == pytest.approx(18)
+    assert sol.x[1:] == pytest.approx([0.5] * 9)
+    assert exact_gst(inst).cost == 23
+    # DST form with the hubs joined straight to one terminal per group:
+    # the super-tree LP closes the gap at every height that fits a tree
+    dst = DirectedInstance(
+        7, [(0, 1, 10), (0, 2, 10), (0, 3, 10), (1, 4, 1), (1, 5, 1),
+            (2, 5, 1), (2, 6, 1), (3, 4, 1), (3, 6, 1)],
+        0, {4, 5, 6}, {0: 3, 1: 2, 2: 2, 3: 2, 4: 0, 5: 0, 6: 0})
+    assert exact_dst(dst).cost == 23
+    for h in (3, 4, 5):
+        st = build_super_tree(normalize(dst), h)
+        assert solve_lp(build_dst_lp(st)).objective == pytest.approx(23), h
+    # the exact reduction (a sink per group below the leaves) needs h=4
+    st = build_super_tree(normalize(gst_as_dst(inst)), 4)
+    assert solve_lp(build_dst_lp(st)).objective == pytest.approx(23)

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 from collections import defaultdict
 from heapq import heappop, heappush
 
@@ -352,10 +353,21 @@ def test_arena_matches_reference_everywhere(shape, d_max, seed, h):
     assert st.dump() == render(ref)
 
 
+def pair_order(parent, pair):
+    """Arena order of a state's child pairs: right root r'', then the left
+    child's share of the parent's other portals as a bit mask over
+    sorted(S - {r'}), then the degree at r''."""
+    r1, S, _ = parent
+    (_, S1, rho1), (r2, _, _) = pair
+    mask = sum(1 << i for i, v in enumerate(sorted(S - {r1})) if v in S1)
+    return r2, mask, dict(rho1)[r2]
+
+
 def reference_live_states(norm, h):
-    """The unindexed fixpoint as first written: a popped state is tried
-    against every finalized state rooted at one of its portals, and every
-    one carrying its root as a portal."""
+    """The unindexed Dijkstra-style fixpoint as first written: a popped
+    state is tried against every finalized state rooted at one of its
+    portals, and every one carrying its root as a portal.  Maps each live
+    state key to (min depth, base payloads, child pairs)."""
     inst = norm.inst
     K = inst.terminals
     md, bases, pairs, heap = {}, defaultdict(list), defaultdict(list), []
@@ -417,8 +429,23 @@ def reference_live_states(norm, h):
             by_portal[v].append(key)
     return {k: (md[k], bases.get(k, []),
                 sorted(pairs.get(k, []),
-                       key=lambda pair: states._pair_order(k, pair)))
+                       key=lambda pair: pair_order(k, pair)))
             for k in final}
+
+
+def table_dict(tab):
+    """A ``live_states`` table in the reference's form: state key ->
+    (min depth, [(payload, cost)], [(left key, right key)])."""
+    keys = tab.keys
+    out = {}
+    for s, key in enumerate(keys):
+        a, b = tab.pay_ptr[s], tab.pay_ptr[s + 1]
+        c, e = tab.pair_ptr[s], tab.pair_ptr[s + 1]
+        out[key] = (int(tab.md[s]),
+                    list(zip(tab.payloads[a:b], tab.pay_cost[a:b].tolist())),
+                    [(keys[i], keys[j]) for i, j
+                     in zip(tab.left[c:e].tolist(), tab.right[c:e].tolist())])
+    return out
 
 
 @pytest.mark.parametrize("shape,seed,h",
@@ -429,11 +456,50 @@ def reference_live_states(norm, h):
                          + [((8, 14, 4), 1, 4)])
 def test_live_states_match_reference_fixpoint(shape, seed, h):
     norm = normalize(gen_dst(*shape, seed=seed))
-    table = states.live_states(norm, h)
+    tab = states.live_states(norm, h)
+    table = table_dict(tab)
     ref = reference_live_states(norm, h)
+    assert len(tab) == len(ref)
     assert table.keys() == ref.keys()
     for key, (md, bases, pairs) in ref.items():
         assert table[key] == (md, bases, pairs), key
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(hs.sampled_from([(3, 3, 1), (4, 5, 2), (5, 6, 2), (5, 8, 3),
+                        (6, 8, 3)]),
+       hs.integers(1, 3), hs.integers(0, 50), hs.integers(0, 5))
+def test_array_fixpoint_matches_reference_everywhere(shape, d_max, seed, h):
+    norm = normalize(gen_dst(*shape, d_max=d_max, seed=seed))
+    assert table_dict(states.live_states(norm, h)) == reference_live_states(
+        norm, h)
+
+
+def test_live_states_wide_instance():
+    # 74 normalized vertices: a dense (root, degree vector) code of a state
+    # would take more than one int64, and its portal set more than one
+    # 64-bit mask
+    norm = normalize(gen_dst(48, 70, 8, d_max=4, seed=0))
+    ref = reference_live_states(norm, 3)
+    top = defaultdict(int)
+    for _, _, rho in ref:
+        for v, x in rho:
+            top[v] = max(top[v], x)
+    assert norm.inst.n > 64
+    assert norm.inst.n * math.prod(x + 1 for x in top.values()) > 2 ** 63
+    assert table_dict(states.live_states(norm, 3)) == ref
+
+
+@pytest.mark.parametrize("shape,d_max,seed,h",
+                         [((6, 8, 3), 3, s, 4) for s in range(3)]
+                         + [((5, 8, 3), 2, 0, 5), ((8, 14, 4), 3, 1, 4)])
+def test_live_states_in_blocks_and_words(monkeypatch, shape, d_max, seed, h):
+    # a join filtered 7 pairs at a time, and state codes of 2-3 words
+    monkeypatch.setattr(states, "JOIN_BLOCK", 7)
+    monkeypatch.setattr(states, "WORD_BITS", 16)
+    norm = normalize(gen_dst(*shape, d_max=d_max, seed=seed))
+    assert table_dict(states.live_states(norm, h)) == reference_live_states(
+        norm, h)
 
 
 def test_node_cap_checked_before_allocation(monkeypatch):
