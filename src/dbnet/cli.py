@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DbnetError, FormatError, InvariantError
+from .errors import (CapExceededError, DbnetError, FormatError,
+                     InvariantError)
 from .generators import gen_dst, gen_gst
 from .gst_round import GstParams, run_gst, union_degree_ratios
 from .instances import (DirectedInstance, GroupTreeInstance, normalize,
@@ -61,12 +62,6 @@ def _emit_json(doc: dict, out: str | None):
 
 def _load_dst(path: str) -> DirectedInstance:
     return parse_dst(_read(path))
-
-
-def _load_gst(path: str) -> GroupTreeInstance:
-    inst = parse_gst(_read(path))
-    inst.validate_groups()
-    return inst
 
 
 def _parse_gen_spec(spec: str) -> dict[str, int]:
@@ -162,9 +157,6 @@ def cmd_run(args) -> int:
     prep = problem.prepare(inst)
     report = problem.solve(prep, args, label)
     doc = report.to_dict()
-    if (args.strict_coverage and args.problem == "dst"
-            and report.coverage < 1.0):
-        raise InvariantError("extracted tree does not cover all terminals")
     try:
         res = problem.oracle(inst)
     except DbnetError:
@@ -386,7 +378,7 @@ PROBLEMS = {
         trial_stats=lambda report, trials: _dst_trial_stats(report, trials),
         verify=lambda inst, doc: verify_dst_report(inst, doc)),
     "gst": Problem(
-        load=lambda path: preprocess_gst(_load_gst(path)),
+        load=lambda path: preprocess_gst(parse_gst(_read(path))),
         gen=lambda spec, seed: preprocess_gst(
             gen_gst(spec.pop("n", 20), spec.pop("k", 3),
                     spec.pop("depth", 4), spec.pop("d", 3), seed=seed)),
@@ -407,10 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
                                             "experiment driver")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, instance=True):
+    def common(sp, seed=False, instance=True):
         if instance:
             sp.add_argument("--instance", required=True)
-        sp.add_argument("--seed", type=int, default=0)
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out")
 
     sp = sub.add_parser("gen-dst")
@@ -419,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--d-max", type=int, default=3)
     sp.add_argument("--cost-range", default="1:20")
-    common(sp, instance=False)
+    common(sp, seed=True, instance=False)
     sp.set_defaults(func=cmd_gen_dst)
 
     sp = sub.add_parser("gen-gst")
@@ -428,18 +421,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--depth", type=int, default=4)
     sp.add_argument("--d-max", type=int, default=3)
     sp.add_argument("--cost-range", default="1:20")
-    common(sp, instance=False)
+    common(sp, seed=True, instance=False)
     sp.set_defaults(func=cmd_gen_gst)
 
     sp = sub.add_parser("solve-dst")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--q", type=int)
     sp.add_argument("--height", type=int)
     sp.add_argument("--node-cap", type=int, default=5_000_000)
     sp.set_defaults(func=cmd_solve, problem="dst")
 
     sp = sub.add_parser("solve-gst")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--m", type=int)
     sp.set_defaults(func=cmd_solve, problem="gst")
 
@@ -458,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int)
     sp.add_argument("--height", type=int)
     sp.add_argument("--node-cap", type=int, default=5_000_000)
-    sp.add_argument("--strict-coverage", action="store_true")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_run)
 
@@ -494,6 +486,10 @@ def main(argv: list[str] | None = None) -> int:
     except DbnetError as e:
         print(f"dbnet: error: {e}", file=sys.stderr)
         return e.exit_code
+    except MemoryError:
+        print(f"dbnet: error: {args.cmd} ran out of memory; lower n, the "
+              f"height or the degree bounds", file=sys.stderr)
+        return CapExceededError.exit_code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 CLI exit codes: 0 ok, 1 LP solver failure, 2 infeasible, 3 cap exceeded
-(also a DB-DST height below the height budget at which no tree fits),
-4 invariant violation, 5 IO/parse.
+(also a DB-DST height below the height budget at which no tree fits, and
+a MemoryError), 4 invariant violation, 5 IO/parse.
 """
 
 

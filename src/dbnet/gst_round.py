@@ -45,16 +45,14 @@ def compute_hop_levels(inst: GroupTreeInstance, xt: np.ndarray) -> np.ndarray:
         raise InvariantError("root has zero value; nothing to round")
     ell = np.full(inst.n, -1, dtype=int)
     ell[inst.root] = 0
-    stack = [inst.root]
-    while stack:
-        u = stack.pop()
-        for v in inst.children[u]:
-            if xt[v] <= 0:
-                continue
-            if xt[v] > xt[u]:
-                raise InvariantError(f"x~ increases on edge ({u}, {v})")
-            ell[v] = ell[u] + (1 if xt[v] < xt[u] else 0)
-            stack.append(v)
+    for level in inst.levels[1:]:
+        v = level[(xt[level] > 0) & (ell[inst.parent[level]] >= 0)]
+        u = inst.parent[v]
+        rise = np.flatnonzero(xt[v] > xt[u])
+        if len(rise):
+            i = rise[0]
+            raise InvariantError(f"x~ increases on edge ({u[i]}, {v[i]})")
+        ell[v] = ell[u] + (xt[v] < xt[u])
     return ell
 
 
@@ -124,7 +122,7 @@ class Rounder:
         self.inst = inst
         if xp[inst.root] <= 0:
             raise InvariantError("root not in the support")
-        parent = np.asarray(inst.parent)
+        parent = inst.parent
         kids = np.flatnonzero((xp > 0) & (parent >= 0))
         kids = kids[xp[parent[kids]] > 0]
         up = parent[kids]
@@ -217,13 +215,15 @@ class GstRunReport:
 def union_degree_ratios(inst: GroupTreeInstance,
                         union: set[int]) -> dict[int, float]:
     """Distinct real (non-synthetic) children in the union per vertex,
-    relative to the degree bound."""
+    relative to the degree bound of the input, which is the bound less
+    one per synthetic child."""
     out = {}
     for u in sorted(union):
-        kids = [v for v in inst.children[u]
-                if v in union and not inst.synthetic_leaf[v]]
-        if kids:
-            out[u] = len(kids) / max(inst.degree_bound[u], 1)
+        kids = inst.children[u]
+        synthetic = sum(inst.synthetic_leaf[v] for v in kids)
+        real = [v for v in kids if v in union and not inst.synthetic_leaf[v]]
+        if real:
+            out[u] = len(real) / max(inst.degree_bound[u] - synthetic, 1)
     return out
 
 

@@ -26,7 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import FormatError
+from .rounding import Rows, csr, expand
 
 PHI_CONST_ONE = "one"
 PHI_IDENTITY = "identity"
@@ -380,10 +383,18 @@ def original_degree(norm: NormalizedInstance, tree: MultiTree) -> list[int]:
 
 @dataclass
 class GroupTreeInstance:
-    """Rooted tree with vertex costs, disjoint leaf groups and degree bounds."""
+    """Rooted tree with vertex costs, groups and degree bounds.
+
+    ``parent`` is an int64 array, -1 at the root.  The tree is built once
+    here: the children of u are ``child[child_ptr[u]:child_ptr[u + 1]]`` in
+    increasing id order and ``children[u]`` lists them, and ``levels`` holds
+    the vertices level by level from the root, each level in increasing id
+    order.  A group may hold internal vertices and share members with
+    another; after ``preprocess_gst`` the groups are disjoint sets of
+    leaves."""
 
     n: int
-    parent: list[int]          # parent[v], -1 for the root
+    parent: np.ndarray
     cost: list[int]
     groups: list[frozenset[int]]
     degree_bound: list[int]
@@ -393,38 +404,35 @@ class GroupTreeInstance:
         if self.synthetic_leaf is None:
             self.synthetic_leaf = [False] * self.n
         self.groups = [frozenset(g) for g in self.groups]
-        self.children = [[] for _ in range(self.n)]
-        roots = []
-        for v, p in enumerate(self.parent):
-            if p == -1:
-                roots.append(v)
-            else:
-                if not (0 <= p < self.n):
-                    raise FormatError(f"parent id out of range for {v}")
-                self.children[p].append(v)
+        self.parent = parent = np.array(self.parent, dtype=np.int64)
+        out = np.flatnonzero((parent < -1) | (parent >= self.n))
+        if len(out):
+            raise FormatError(f"parent id out of range for {out[0]}")
+        roots = np.flatnonzero(parent == -1).tolist()
         if len(roots) != 1:
             raise FormatError(f"tree must have one root, found {roots}")
         self.root = roots[0]
-        # reachability doubles as the acyclicity check
-        seen, stack = {self.root}, [self.root]
-        while stack:
-            u = stack.pop()
-            for w in self.children[u]:
-                seen.add(w)
-                stack.append(w)
-        if len(seen) != self.n:
+        kid = np.flatnonzero(parent >= 0)
+        self.child_ptr, self.child = csr(self.n, parent[kid], kid)
+        self.children = Rows(self.child_ptr, self.child)
+        # every vertex has one parent, so the expansion from the root meets
+        # each vertex at most once and misses exactly those on or below a
+        # cycle
+        self.levels = [np.array(roots)]
+        while len(level := self.child[expand(self.child_ptr,
+                                             self.levels[-1])[1]]):
+            self.levels.append(np.sort(level))
+        if sum(map(len, self.levels)) != self.n:
             raise FormatError("parent mapping does not form a rooted tree")
 
-    def is_leaf(self, v: int) -> bool:
-        return not self.children[v]
-
     def validate_groups(self):
+        leaf = (np.diff(self.child_ptr) == 0).tolist()
         used = set()
         for t, g in enumerate(self.groups):
             for o in g:
                 if not (0 <= o < self.n):
                     raise FormatError(f"group member id out of range: {o}")
-                if not self.is_leaf(o):
+                if not leaf[o]:
                     raise FormatError(f"group {t} member {o} is not a leaf")
                 if o in used:
                     raise FormatError(f"groups overlap at {o}")
@@ -491,7 +499,7 @@ def preprocess_gst(inst: GroupTreeInstance) -> GroupTreeInstance:
     unchanged.
     """
     n = inst.n
-    parent = list(inst.parent)
+    parent = inst.parent.tolist()
     cost = list(inst.cost)
     degree = list(inst.degree_bound)
     synthetic = list(inst.synthetic_leaf)

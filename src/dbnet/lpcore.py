@@ -14,7 +14,6 @@ import scipy.sparse.csgraph
 
 from .errors import InfeasibleError, SolverError
 from .instances import GroupTreeInstance
-from .rounding import csr
 from .states import BASE, STATE, SUPER, VIRTUAL, SuperTree
 
 EPS_FEAS = 1e-9
@@ -319,17 +318,14 @@ def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
     group = np.repeat(np.arange(len(inst.groups)),
                       [len(g) for g in inst.groups])
     cover = _cover_rows(member, group, len(inst.groups))
-    parent = np.array(inst.parent, dtype=np.int64)
-    kid = np.flatnonzero(parent >= 0)
-    child_ptr, child = csr(inst.n, parent[kid], kid)
-    inner = np.diff(child_ptr) > 0
-    degree_rows = _tree_rows(child_ptr, child, inner, inner,
+    inner = np.diff(inst.child_ptr) > 0
+    degree_rows = _tree_rows(inst.child_ptr, inst.child, inner, inner,
                              np.array(inst.degree_bound, dtype=float))
     return LPModel(inst.n, np.array(inst.cost, dtype=float),
                    eq_block=cover,
                    ub_block=Block.stack(
                        degree_rows,
-                       _capacity_rows(parent, member, group,
+                       _capacity_rows(inst.parent, member, group,
                                       descending=False)[0]))
 
 
@@ -358,20 +354,6 @@ def modify_gst_solution(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _depth(parent: np.ndarray) -> np.ndarray:
-    """Edges from every node up to the root (parent -1), by pointer
-    doubling."""
-    depth = (parent >= 0).astype(np.int64)
-    up = parent.copy()
-    on = np.flatnonzero(up >= 0)
-    while len(on):
-        ahead = up[on]
-        depth[on] += depth[ahead]
-        up[on] = up[ahead]
-        on = on[up[on] >= 0]
-    return depth
-
-
 def check_modified_solution(inst: GroupTreeInstance, x: np.ndarray,
                             xt: np.ndarray) -> list[str]:
     """Scan P1-P6; returns a list of violation messages (empty when fine)."""
@@ -386,9 +368,8 @@ def check_modified_solution(inst: GroupTreeInstance, x: np.ndarray,
            | (xt[nonzero] > 1 + tol))
     for u in nonzero[off].tolist():
         bad.append(f"P1: x~[{u}]={xt[u]} not a power of 2 in [1/(2n), 1]")
-    parent = np.asarray(inst.parent, dtype=np.int64)
-    kid = np.flatnonzero(parent >= 0)
-    up = parent[kid]
+    kid = inst.child
+    up = inst.parent[kid]
     rise = xt[kid] > xt[up] + tol
     for u, v in sorted(zip(up[rise].tolist(), kid[rise].tolist())):
         bad.append(f"P2: x~ increases on edge ({u}, {v})")
@@ -403,11 +384,8 @@ def check_modified_solution(inst: GroupTreeInstance, x: np.ndarray,
     for t, g in enumerate(inst.groups):
         members = np.fromiter(g, dtype=np.int64, count=len(g))
         below[members, t] = xt[members]
-    depth = _depth(parent)
-    by_depth = np.argsort(depth, kind="stable")
-    cuts = np.searchsorted(depth[by_depth], np.arange(1, depth.max() + 1))
-    for level in reversed(np.split(by_depth, cuts)[1:]):
-        np.add.at(below, parent[level], below[level])
+    for level in reversed(inst.levels[1:]):
+        np.add.at(below, inst.parent[level], below[level])
     worst = np.argmax(below - 2 * xt[:, None], axis=0)
     for t, u in enumerate(worst.tolist()):
         if below[u, t] > 2 * xt[u] + tol:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import CapExceededError
 from .instances import DirectedInstance, GroupTreeInstance
 
@@ -150,13 +152,7 @@ def exact_gst(inst: GroupTreeInstance, max_k: int = GST_MAX_K,
     best: dict[int, list[float]] = {}
     pick: dict[int, list[list[tuple[int, int]] | None]] = {}
 
-    order = []
-    stack = [inst.root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(inst.children[u])
-    for u in reversed(order):
+    for u in np.concatenate(inst.levels[::-1]).tolist():
         own = member_mask[u]
         # g[c][mask] = cheapest combination of exactly c children of u that
         # covers at least mask, with decisions kept for reconstruction
@@ -194,12 +190,12 @@ def exact_gst(inst: GroupTreeInstance, max_k: int = GST_MAX_K,
 
     if best[inst.root][full] is INF:
         return ExactResult(INFEASIBLE)
-    verts = []
-    todo = [(inst.root, full)]
-    while todo:
-        u, mask = todo.pop()
-        verts.append(u)
-        todo.extend(pick[u][mask])
-    edges = sorted((inst.parent[v], v) for v in verts if v != inst.root)
+    # the groups each chosen vertex's subtree covers, from the root down
+    need = {inst.root: full}
+    for u in np.concatenate(inst.levels).tolist():
+        if u in need:
+            need.update(pick[u][need[u]])
+    parent = inst.parent.tolist()
+    edges = sorted((parent[v], v) for v in need if v != inst.root)
     return ExactResult(OPTIMAL, int(best[inst.root][full]), edges,
-                       sorted(verts))
+                       sorted(need))

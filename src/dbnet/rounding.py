@@ -73,6 +73,18 @@ def csr(n: int, rows, *cols) -> tuple[np.ndarray, ...]:
     return (ptr, *(np.asarray(c)[order] for c in cols))
 
 
+class Rows:
+    """``rows[i]`` is row i of a CSR table, as a list."""
+
+    __slots__ = ("ptr", "col")
+
+    def __init__(self, ptr: np.ndarray, col: np.ndarray):
+        self.ptr, self.col = ptr, col
+
+    def __getitem__(self, i) -> list[int]:
+        return self.col[self.ptr[i]:self.ptr[i + 1]].tolist()
+
+
 def membership(n: int, pairs: list[tuple[int, int]]) -> tuple[np.ndarray, ...]:
     """``(ptr, col)``: the integer columns each node 0..n-1 counts towards,
     from (node, column) pairs."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CapExceededError, InvariantError
 from .instances import MultiTree, NormalizedInstance, original_degree
-from .rounding import csr, expand
+from .rounding import Rows, csr, expand
 from .treekit import RootedTree, find_balanced_separator, height_budget, split_at
 
 # a state key is (root, frozenset(portals), tuple(sorted(rho.items())))
@@ -323,18 +323,6 @@ class _Column:
         return None if j < 0 else self.values[j]
 
 
-class _Rows:
-    """``rows[i]`` is row i of a CSR table, as a list."""
-
-    __slots__ = ("ptr", "col")
-
-    def __init__(self, ptr: np.ndarray, col: np.ndarray):
-        self.ptr, self.col = ptr, col
-
-    def __getitem__(self, i) -> list[int]:
-        return self.col[self.ptr[i]:self.ptr[i + 1]].tolist()
-
-
 @dataclass
 class SuperTree:
     """Arena holding the pruned output of the super-tree construction as
@@ -367,7 +355,7 @@ class SuperTree:
     def __post_init__(self):
         n = len(self.kind)
         self.child_ptr, self.child = csr(n, self.parent[1:], np.arange(1, n))
-        self.children = _Rows(self.child_ptr, self.child)
+        self.children = Rows(self.child_ptr, self.child)
         self.state = _Column(self.state_id, self.keys)
         self.payload = _Column(self.payload_id, self.payloads)
         # ("e", (r', v)) enters v, ("xi", (r', v, v')) enters v and v'

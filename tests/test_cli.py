@@ -348,3 +348,42 @@ def test_dump_commands(tmp_path, dst_file, gst_file):
     assert "ENDATA" in out.read_text()
     assert main(["dump-lp", "--problem", "gst", "--instance", gst_file,
                  "--out", str(out)]) == 0
+
+
+GST_HEAD = "DBGST 1\n4 {k}\nroot 0\nvertex 0 -1 0 2\nvertex 1 0 3 1\n"
+
+
+@pytest.mark.parametrize("text,ratios", [
+    # group member 1 has a child
+    (GST_HEAD.format(k=1) + "vertex 2 1 4 1\nvertex 3 0 5 1\ngroup 0 1 1\n",
+     {"0": 0.5}),
+    # two groups share the leaf 1
+    (GST_HEAD.format(k=2) + "vertex 2 0 4 1\nvertex 3 0 5 1\ngroup 0 1 1\n"
+     "group 1 1 1\n", {"0": 0.5}),
+    # 1 keeps its one real child under its bound 1 beside a synthetic leaf
+    (GST_HEAD.format(k=2) + "vertex 2 1 4 1\nvertex 3 0 5 1\ngroup 0 1 1\n"
+     "group 1 1 2\n", {"0": 0.5, "1": 1.0})],
+    ids=["internal-member", "shared-leaf", "ratio-of-file-bound"])
+def test_run_gst_members_preprocessed(tmp_path, text, ratios):
+    path = tmp_path / "a.gst"
+    path.write_text(text)
+    out = tmp_path / "run.json"
+    assert main(["run", "--problem", "gst", "--instance", str(path),
+                 "--out", str(out)]) == 0
+    assert main(["verify", "--tree", str(out), "--instance", str(path)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["oracle"]["status"] == "OPTIMAL"
+    assert doc["lp_cost"] <= doc["oracle"]["cost"] + 1e-6
+    assert doc["degree_violations"] == ratios
+
+
+def test_memory_error_is_a_cap_error(dst_file, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("dbnet.states.live_states", exhausted)
+    path, h = dst_file
+    assert main(["run", "--problem", "dst", "--instance", path,
+                 "--height", str(h)]) == 3
+    err = capsys.readouterr().err
+    assert "run ran out of memory" in err and "height" in err

@@ -1,9 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from dbnet.errors import InvariantError
+from dbnet.errors import FormatError, InvariantError
+from dbnet.generators import gen_gst
 from dbnet.gst_round import (GstParams, Rounder, alpha_sequence, build_scaled,
                              check_branching_mass, check_nonincreasing,
                              compute_hop_levels, default_m, global_params,
@@ -30,6 +34,84 @@ def test_hop_levels_examples():
 def test_hop_levels_reject_increase():
     with pytest.raises(InvariantError):
         compute_hop_levels(chain([0, 1, 1]), np.array([0.5, 1.0, 1.0]))
+
+
+def dfs_hop_levels(inst, xt):
+    """compute_hop_levels as first written: a depth-first walk over the
+    support from the root."""
+    if xt[inst.root] <= 0:
+        raise InvariantError("root has zero value; nothing to round")
+    ell = np.full(inst.n, -1, dtype=int)
+    ell[inst.root] = 0
+    stack = [inst.root]
+    while stack:
+        u = stack.pop()
+        for v in inst.children[u]:
+            if xt[v] <= 0:
+                continue
+            if xt[v] > xt[u]:
+                raise InvariantError(f"x~ increases on edge ({u}, {v})")
+            ell[v] = ell[u] + (1 if xt[v] < xt[u] else 0)
+            stack.append(v)
+    return ell
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(hs.integers(1, 6), hs.integers(1, 4), hs.integers(1, 3),
+       hs.integers(0, 10 ** 6), hs.booleans(), hs.data())
+def test_tree_arrays_and_hop_levels(depth, d_max, k, seed, rise, data):
+    # a gen_gst tree with its ids shuffled, so that ids do not follow levels
+    n = data.draw(hs.integers(2, min(sum(d_max ** i for i in range(depth + 1)),
+                                     40)))
+    try:
+        tree = gen_gst(n, k, depth, d_max, seed=seed)
+    except FormatError:  # fewer than k leaves
+        return
+    new = data.draw(hs.permutations(range(n)))
+    parent = [0] * n
+    for v in range(n):
+        parent[new[v]] = -1 if v == 0 else new[tree.parent[v]]
+    inst = GroupTreeInstance(n, parent, [0] * n, [], [1] * n)
+
+    levels = [lv.tolist() for lv in inst.levels]
+    assert sorted(sum(levels, [])) == list(range(n))
+    assert levels[0] == [inst.root] == [new[0]]
+    for above, level in zip(levels, levels[1:]):
+        assert level == sorted(level)
+        assert set(inst.parent[level].tolist()) <= set(above)
+    for u in range(n):
+        assert inst.children[u] == [v for v in range(n) if parent[v] == u]
+
+    # x~ halves or keeps its value below each vertex, and is 0 at random;
+    # parents precede children in the ids of gen_gst
+    drop = data.draw(hs.lists(hs.integers(0, 2), min_size=n, max_size=n))
+    zero = data.draw(hs.lists(hs.integers(0, 3), min_size=n, max_size=n))
+    xt = np.zeros(n)
+    xt[new[0]] = 1.0
+    for v in range(1, n):
+        above = xt[new[tree.parent[v]]]
+        if zero[v]:
+            xt[new[v]] = np.ldexp(above if above > 0 else 1.0, -drop[v])
+    if rise:
+        support = np.flatnonzero(dfs_hop_levels(inst, xt) >= 0)
+        support = support[support != inst.root]
+        if not len(support):
+            return
+        v = int(support[data.draw(hs.integers(0, len(support) - 1))])
+        xt[v] = 2 * xt[inst.parent[v]]
+        for levels_of in (dfs_hop_levels, compute_hop_levels):
+            with pytest.raises(InvariantError) as err:
+                levels_of(inst, xt)
+        # the named edge is a rising edge whose upper end is in the support
+        u, v = map(int, re.search(r"\((\d+), (\d+)\)",
+                                  str(err.value)).groups())
+        assert inst.parent[v] == u and xt[v] > xt[u] > 0
+        while u != inst.root:
+            u = inst.parent[u]
+            assert xt[u] > 0
+    else:
+        assert np.array_equal(compute_hop_levels(inst, xt),
+                              dfs_hop_levels(inst, xt))
 
 
 def test_scale_examples():

@@ -203,3 +203,14 @@ def test_preprocess_gst_shared_leaf():
     assert pre.degree_bound[1] == inst.degree_bound[1] + 2
     assert pre.groups[0] != pre.groups[1]
     pre.validate_groups()
+
+
+@pytest.mark.parametrize("parent,says", [
+    ([-1, 0, 3], "parent id out of range for 2"),
+    ([-1, 0, -1], "tree must have one root, found [0, 2]"),
+    ([-1, 2, 1], "parent mapping does not form a rooted tree")],
+    ids=["out-of-range", "two-roots", "cycle"])
+def test_group_tree_rejects_bad_parents(parent, says):
+    with pytest.raises(FormatError) as err:
+        GroupTreeInstance(3, parent, [0] * 3, [], [1] * 3)
+    assert str(err.value) == says
