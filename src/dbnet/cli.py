@@ -18,15 +18,15 @@ import numpy as np
 from .errors import (CapExceededError, DbnetError, FormatError,
                      InvariantError)
 from .generators import gen_dst, gen_gst
-from .gst_round import GstParams, run_gst, union_degree_ratios
+from .gst_round import run_gst, union_degree_ratios
 from .instances import (DirectedInstance, GroupTreeInstance, normalize,
                         parse_dst, parse_gst, preprocess_gst, serialize_dst,
                         serialize_gst)
 from .lpcore import build_dst_lp, build_gst_lp, dump_lp
-from .dst_round import DstParams, run_dst
+from .dst_round import run_dst
 from .oracle import exact_dst, exact_gst
 from .rounding import blocks, csr, membership, pair_counts
-from .states import build_super_tree
+from .states import NODE_CAP, build_super_tree
 from .treekit import height_budget
 
 EPS_OBJ = 1e-7
@@ -39,10 +39,12 @@ TRIAL_STREAM = 1 << 32
 
 def _read(path: str) -> str:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return f.read()
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path} is not UTF-8 text: {e}")
 
 
 def _emit(text: str, out: str | None):
@@ -370,8 +372,8 @@ PROBLEMS = {
         lp=lambda norm, args: build_dst_lp(
             build_super_tree(norm, args.height, args.node_cap)),
         solve=lambda norm, args, label: run_dst(
-            norm, DstParams(h=args.height, Q=args.q, seed=args.seed,
-                            node_cap=args.node_cap), label),
+            norm, h=args.height, Q=args.q, seed=args.seed,
+            node_cap=args.node_cap, label=label),
         # below the height budget the super-tree may miss every optimal tree
         relaxes=lambda norm, report: report.h >= height_budget(norm.inst.n),
         oracle=lambda inst: exact_dst(inst),
@@ -385,7 +387,7 @@ PROBLEMS = {
         prepare=lambda pre: pre,
         lp=lambda pre, args: build_gst_lp(pre),
         solve=lambda pre, args, label: run_gst(
-            pre, GstParams(M=args.m, seed=args.seed), label),
+            pre, M=args.m, seed=args.seed, label=label),
         relaxes=lambda pre, report: True,
         oracle=lambda pre: exact_gst(pre),
         trial_stats=lambda report, trials: _gst_trial_stats(report, trials),
@@ -428,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, seed=True)
     sp.add_argument("--q", type=int)
     sp.add_argument("--height", type=int)
-    sp.add_argument("--node-cap", type=int, default=5_000_000)
+    sp.add_argument("--node-cap", type=int, default=NODE_CAP)
     sp.set_defaults(func=cmd_solve, problem="dst")
 
     sp = sub.add_parser("solve-gst")
@@ -450,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int)
     sp.add_argument("--m", type=int)
     sp.add_argument("--height", type=int)
-    sp.add_argument("--node-cap", type=int, default=5_000_000)
+    sp.add_argument("--node-cap", type=int, default=NODE_CAP)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_run)
 
@@ -462,14 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dump-supertree")
     common(sp)
     sp.add_argument("--height", type=int)
-    sp.add_argument("--node-cap", type=int, default=5_000_000)
+    sp.add_argument("--node-cap", type=int, default=NODE_CAP)
     sp.set_defaults(func=cmd_dump_supertree)
 
     sp = sub.add_parser("dump-lp")
     sp.add_argument("--problem", choices=["dst", "gst"], required=True)
     common(sp)
     sp.add_argument("--height", type=int)
-    sp.add_argument("--node-cap", type=int, default=5_000_000)
+    sp.add_argument("--node-cap", type=int, default=NODE_CAP)
     sp.set_defaults(func=cmd_dump_lp)
     return p
 

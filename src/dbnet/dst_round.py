@@ -19,7 +19,8 @@ from .errors import CapExceededError, InfeasibleError, InvariantError
 from .instances import MultiTree, NormalizedInstance, original_degree
 from .lpcore import INFEASIBLE, build_dst_lp, solve_lp
 from .rounding import ChildTable, blocks, csr, pair_counts, per_rep
-from .states import (BASE, VIRTUAL, SuperTree, build_super_tree,
+from .report import RunReport
+from .states import (BASE, NODE_CAP, VIRTUAL, SuperTree, build_super_tree,
                      selection_to_state_tree, stitch_multi_tree)
 from .treekit import height_budget
 
@@ -123,15 +124,9 @@ def concentration_stats(sampler: Sampler, rep: np.ndarray, node: np.ndarray,
 
 
 @dataclass
-class DstParams:
-    h: int | None = None
-    Q: int | None = None
-    seed: int = 0
-    node_cap: int = 5_000_000
+class DstRunReport(RunReport):
+    PROBLEM = "dst"
 
-
-@dataclass
-class DstRunReport:
     instance: str
     seed: int
     h: int
@@ -150,28 +145,6 @@ class DstRunReport:
     # the rounding tables over the solved super-tree, for further samples
     sampler: Sampler | None = field(default=None, repr=False, compare=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 2,
-            "problem": "dst",
-            "instance": self.instance,
-            "seed": self.seed,
-            "h": self.h,
-            "Q": self.Q,
-            "lp_cost": self.lp_cost,
-            "repetition_costs": self.repetition_costs,
-            "union_cost": self.union_cost,
-            "tree_cost": self.tree_cost,
-            "tree_edges": [list(e) for e in self.tree_edges],
-            "covered": self.covered,
-            "coverage": self.coverage,
-            "degree_violations": {str(v): r for v, r in
-                                  sorted(self.degree_violations.items())},
-            "mgf_stats": {str(v): d for v, d in sorted(self.mgf_stats.items())},
-            "s": self.s,
-            "h_prime": self.h_prime,
-        }
-
 
 def default_q(h: int, k: int) -> int:
     """Q = ceil((h+1) ln(10 k)): union-bound failure probability <= 1/10;
@@ -179,20 +152,20 @@ def default_q(h: int, k: int) -> int:
     return math.ceil((h + 1) * math.log(10 * k)) if k else 0
 
 
-def run_dst(norm: NormalizedInstance, params: DstParams | None = None,
+def run_dst(norm: NormalizedInstance, h: int | None = None,
+            Q: int | None = None, seed: int = 0, node_cap: int = NODE_CAP,
             label: str = "") -> DstRunReport:
     """Full DB-DST pipeline: super-tree, LP, Q roundings, union, extraction."""
-    params = params or DstParams()
     inst = norm.inst
     orig = norm.original
     budget = height_budget(inst.n)
-    h = params.h if params.h is not None else budget
+    h = h if h is not None else budget
     k = len(inst.terminals)
     # without terminals the LP is all zero and the empty tree is optimal, so
-    # nothing is rounded whatever params.Q says
-    Q = default_q(h, k) if params.Q is None or not k else params.Q
+    # nothing is rounded whatever Q says
+    Q = default_q(h, k) if Q is None or not k else Q
 
-    st = build_super_tree(norm, h, params.node_cap)
+    st = build_super_tree(norm, h, node_cap)
     try:
         sol = solve_lp(build_dst_lp(st))
         if sol.status == INFEASIBLE:
@@ -209,7 +182,7 @@ def run_dst(norm: NormalizedInstance, params: DstParams | None = None,
     rep_costs, reps, nodes = [], [], []
     union_edges: set[tuple[int, int]] = set()
     for start, stop in blocks(Q):
-        rep, node = sampler.sample((params.seed,), start, stop)
+        rep, node = sampler.sample((seed,), start, stop)
         reps.append(rep)
         nodes.append(node)
         for selected in per_rep(rep, node, start, stop):
@@ -236,7 +209,7 @@ def run_dst(norm: NormalizedInstance, params: DstParams | None = None,
                               np.concatenate(nodes), Q, s) if Q else {}
 
     return DstRunReport(
-        instance=label, seed=params.seed, h=h, Q=Q, lp_cost=sol.objective,
+        instance=label, seed=seed, h=h, Q=Q, lp_cost=sol.objective,
         repetition_costs=rep_costs, union_cost=union_cost,
         tree_cost=tree_cost, tree_edges=sorted(tree_edges),
         covered=sorted(covered), coverage=len(covered) / k if k else 1.0,

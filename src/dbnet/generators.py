@@ -54,15 +54,20 @@ def gen_gst(n: int, k: int, depth: int = 4, d_max: int = 3,
     parent = [-1] * n
     level = [0] * n
     fanout = [0] * n
+    # the eligible parents, ascending: below the depth with fan-out to spare
+    ok = [0]
     for v in range(1, n):
-        ok = [u for u in range(v)
-              if level[u] < depth and fanout[u] < d_max]
         if not ok:
             raise FormatError("depth/d_max too tight for n vertices")
-        u = int(ok[rng.integers(len(ok))])
+        i = int(rng.integers(len(ok)))
+        u = ok[i]
         parent[v] = u
         level[v] = level[u] + 1
         fanout[u] += 1
+        if fanout[u] == d_max:
+            del ok[i]
+        if level[v] < depth:
+            ok.append(v)
     children = [[] for _ in range(n)]
     for v in range(1, n):
         children[parent[v]].append(v)

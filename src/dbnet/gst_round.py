@@ -19,6 +19,7 @@ from .errors import InfeasibleError, InvariantError
 from .instances import GroupTreeInstance
 from .lpcore import (INFEASIBLE, build_gst_lp, check_modified_solution,
                      modify_gst_solution, solve_lp)
+from .report import RunReport
 from .rounding import ChildTable, blocks
 
 EPS_MONOTONE = 1e-12  # slack of the x' non-increasing check
@@ -165,18 +166,15 @@ def group_mass(inst: GroupTreeInstance, x: np.ndarray) -> list[float]:
 
 
 @dataclass
-class GstParams:
-    M: int | None = None
-    seed: int = 0
+class GstRunReport(RunReport):
+    PROBLEM = "gst"
 
-
-@dataclass
-class GstRunReport:
     instance: str
     seed: int
     L: int
     gamma: int
     alpha: list[float]
+    alpha0: float
     M: int
     lp_cost: float
     modified_cost: float
@@ -188,28 +186,6 @@ class GstRunReport:
     z_root: list[float]
     # the rounding tables over the scaled solution, for further samples
     rounder: Rounder | None = field(default=None, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 2,
-            "problem": "gst",
-            "instance": self.instance,
-            "seed": self.seed,
-            "L": self.L,
-            "gamma": self.gamma,
-            "alpha": self.alpha,
-            "alpha0": self.alpha[0],
-            "M": self.M,
-            "lp_cost": self.lp_cost,
-            "modified_cost": self.modified_cost,
-            "repetition_costs": self.repetition_costs,
-            "union_cost": self.union_cost,
-            "union_vertices": self.union_vertices,
-            "coverage": self.coverage,
-            "degree_violations": {str(v): r for v, r in
-                                  sorted(self.degree_violations.items())},
-            "z_root": self.z_root,
-        }
 
 
 def union_degree_ratios(inst: GroupTreeInstance,
@@ -227,10 +203,9 @@ def union_degree_ratios(inst: GroupTreeInstance,
     return out
 
 
-def run_gst(inst: GroupTreeInstance, params: GstParams | None = None,
+def run_gst(inst: GroupTreeInstance, M: int | None = None, seed: int = 0,
             label: str = "") -> GstRunReport:
     """Full DB-GST-T pipeline on a preprocessed instance."""
-    params = params or GstParams()
     model = build_gst_lp(inst)
     sol = solve_lp(model)
     if sol.status == INFEASIBLE:
@@ -248,7 +223,7 @@ def run_gst(inst: GroupTreeInstance, params: GstParams | None = None,
 
     alpha = alpha_sequence(scaled.L, scaled.gamma)
     k = len(inst.groups)
-    M = params.M if params.M is not None else default_m(alpha[0], k)
+    M = M if M is not None else default_m(alpha[0], k)
 
     rounder = Rounder(inst, scaled.xp)
     costs = np.array(inst.cost)
@@ -256,7 +231,7 @@ def run_gst(inst: GroupTreeInstance, params: GstParams | None = None,
     in_union[inst.root] = True
     rep_costs = []
     for start, stop in blocks(M):
-        rep, node = rounder.sample((params.seed,), start, stop)
+        rep, node = rounder.sample((seed,), start, stop)
         rep_costs += np.bincount(rep - start, weights=costs[node],
                                  minlength=stop - start).astype(int).tolist()
         in_union[node] = True
@@ -265,8 +240,8 @@ def run_gst(inst: GroupTreeInstance, params: GstParams | None = None,
     coverage = [any(o in union for o in g) for g in inst.groups]
     union_cost = sum(inst.cost[v] for v in union)
     return GstRunReport(
-        instance=label, seed=params.seed, L=scaled.L, gamma=scaled.gamma,
-        alpha=alpha, M=M, lp_cost=sol.objective,
+        instance=label, seed=seed, L=scaled.L, gamma=scaled.gamma,
+        alpha=alpha, alpha0=alpha[0], M=M, lp_cost=sol.objective,
         modified_cost=float(costs @ xt), repetition_costs=rep_costs,
         union_cost=union_cost, union_vertices=sorted(union),
         coverage=coverage, degree_violations=union_degree_ratios(inst, union),

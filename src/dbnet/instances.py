@@ -53,6 +53,7 @@ class DirectedInstance:
         for (u, v, c) in self.edges:
             self._out[u].append((v, c))
             self._in[v].append((u, c))
+        self.cost = {(u, v): c for (u, v, c) in self.edges}
 
     def validate(self):
         def check_id(x, what):
@@ -85,10 +86,6 @@ class DirectedInstance:
 
     def in_edges(self, v: int) -> list[tuple[int, int]]:
         return self._in[v]
-
-    @property
-    def cost(self) -> dict[tuple[int, int], int]:
-        return {(u, v): c for (u, v, c) in self.edges}
 
 
 def _counts(lines: list[list[str]], names: str) -> list[int]:
@@ -190,15 +187,10 @@ def normalize(inst: DirectedInstance) -> NormalizedInstance:
     edge_origin = {(u, v): (u, v) for (u, v) in edges}
     terminals = set(inst.terminals)
     terminal_origin = {}
-
-    indeg = {v: 0 for v in range(n)}
-    outdeg = {v: 0 for v in range(n)}
-    for (u, v) in edges:
-        outdeg[u] += 1
-        indeg[v] += 1
+    heads = {u: [v for (v, _) in inst.out_edges(u)] for u in range(n)}
 
     for t in sorted(inst.terminals):
-        if indeg[t] == 1 and outdeg[t] == 0:
+        if len(inst.in_edges(t)) == 1 and not heads[t]:
             terminal_origin[t] = t
             continue
         tp = n
@@ -213,12 +205,14 @@ def normalize(inst: DirectedInstance) -> NormalizedInstance:
         terminals.discard(t)
         terminals.add(tp)
         terminal_origin[tp] = t
-        outdeg[t] += 1
+        heads[t].append(tp)
 
     d_max = max(degree.values()) if degree else 1
 
+    # u is an original vertex and no gadget writes an edge out of a later
+    # one, so heads[u] are u's out-edges
     for u in sorted(set(range(n)) - terminals):
-        out = sorted(v for (a, v) in edges if a == u)
+        out = sorted(heads[u])
         if len(out) <= 2:
             continue
         leaf_cost = {v: edges.pop((u, v)) for v in out}

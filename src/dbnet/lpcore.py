@@ -321,7 +321,10 @@ def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
     inner = np.diff(inst.child_ptr) > 0
     degree_rows = _tree_rows(inst.child_ptr, inst.child, inner, inner,
                              np.array(inst.degree_bound, dtype=float))
-    return LPModel(inst.n, np.array(inst.cost, dtype=float),
+    # every tree holds the root; only with a group do the rows force it
+    lo = np.zeros(inst.n)
+    lo[inst.root] = 1
+    return LPModel(inst.n, np.array(inst.cost, dtype=float), lo=lo,
                    eq_block=cover,
                    ub_block=Block.stack(
                        degree_rows,

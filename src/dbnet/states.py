@@ -303,6 +303,8 @@ WORD_BITS = 63
 # nodes than int64 holds, and a count this large is over any node cap that
 # fits in memory
 SIZE_LIMIT = 2 ** 53
+# default cap on the super-tree node count
+NODE_CAP = 5_000_000
 
 
 def _offsets(counts) -> np.ndarray:
@@ -666,7 +668,7 @@ def live_states(norm: NormalizedInstance, h: int) -> _Table:
 
 
 def build_super_tree(norm: NormalizedInstance, h: int | None = None,
-                     node_cap: int = 5_000_000) -> SuperTree:
+                     node_cap: int = NODE_CAP) -> SuperTree:
     """Construct the pruned super-tree containing all good extended state
     trees of state-depth at most h.
 

@@ -11,10 +11,10 @@ import pytest
 
 from conftest import broom, random_binary_tree, small_dst
 from dbnet.cli import verify_dst_report
-from dbnet.dst_round import (DstParams, Sampler, concentration_stats,
+from dbnet.dst_round import (Sampler, concentration_stats,
                              run_dst)
 from dbnet.generators import gen_dst, gen_gst
-from dbnet.gst_round import (GstParams, Rounder, alpha_sequence, build_scaled,
+from dbnet.gst_round import (Rounder, alpha_sequence, build_scaled,
                              check_branching_mass, check_nonincreasing,
                              global_params, group_mass, run_gst)
 from dbnet.instances import lift_tree, normalize, preprocess_gst
@@ -176,7 +176,7 @@ def test_criterion_08_end_to_end_dst():
     for seed in range(50):
         inst, norm, res, h = small_dst(seed, n=6 + seed % 5,
                                        m=5 + seed % 5 + seed % 4)
-        rep = run_dst(norm, DstParams(h=h, seed=seed), label=f"run{seed}")
+        rep = run_dst(norm, h=h, seed=seed, label=f"run{seed}")
         issues = verify_dst_report(inst, rep.to_dict())
         assert issues == []
         assert all(r >= 0 and math.isfinite(r)
@@ -239,7 +239,7 @@ def test_criterion_11_end_to_end_gst():
     for seed in range(50):
         inst = preprocess_gst(gen_gst(20 + seed % 30, 2 + seed % 4,
                                       depth=4, d_max=3, seed=2000 + seed))
-        rep = run_gst(inst, GstParams(seed=seed), label=f"run{seed}")
+        rep = run_gst(inst, seed=seed, label=f"run{seed}")
         full += all(rep.coverage)
         assert all(math.isfinite(r) and r >= 0
                    for r in rep.degree_violations.values())

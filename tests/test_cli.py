@@ -387,3 +387,53 @@ def test_memory_error_is_a_cap_error(dst_file, monkeypatch, capsys):
                  "--height", str(h)]) == 3
     err = capsys.readouterr().err
     assert "run ran out of memory" in err and "height" in err
+
+
+NOT_UTF8 = b"DBDST 1\n\xff\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-dst", "--instance", "{bad}"],
+    ["solve-gst", "--instance", "{bad}"],
+    ["oracle-dst", "--instance", "{bad}"],
+    ["oracle-gst", "--instance", "{bad}"],
+    ["run", "--problem", "dst", "--instance", "{bad}"],
+    ["run", "--problem", "gst", "--instance", "{bad}"],
+    ["dump-lp", "--problem", "gst", "--instance", "{bad}"],
+    ["verify", "--tree", "{report}", "--instance", "{bad}"],
+    ["verify", "--tree", "{bad}", "--instance", "{dst}"]],
+    ids=["solve-dst", "solve-gst", "oracle-dst", "oracle-gst", "run-dst",
+         "run-gst", "dump-lp", "verify-instance", "verify-report"])
+def test_file_not_utf8_is_format_error(tmp_path, dst_file, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    path, h = dst_file
+    report = tmp_path / "rep.json"
+    assert main(["solve-dst", "--instance", path, "--height", str(h),
+                 "--out", str(report)]) == 0
+    capsys.readouterr()
+    argv = [a.format(bad=bad, report=report, dst=path) for a in argv]
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert f"{bad} is not UTF-8 text" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text,lp_cost", [
+    # the root costs 3 and nothing asks for its child
+    ("DBGST 1\n2 0\nroot 0\nvertex 0 -1 3 1\nvertex 1 0 4 1\n", 3.0),
+    # the root alone
+    ("DBGST 1\n1 0\nroot 0\nvertex 0 -1 0 1\n", 0.0)],
+    ids=["costly-root", "root-only"])
+def test_gst_without_groups_keeps_the_root(tmp_path, text, lp_cost):
+    path = tmp_path / "k0.gst"
+    path.write_text(text)
+    out = tmp_path / "rep.json"
+    for cmd in (["solve-gst"], ["run", "--problem", "gst", "--trials", "20"]):
+        assert main(cmd + ["--instance", str(path), "--out", str(out)]) == 0
+        assert main(["verify", "--tree", str(out),
+                     "--instance", str(path)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["lp_cost"], doc["union_vertices"], doc["coverage"]) == \
+        (lp_cost, [0], [])
+    assert doc["union_cost"] == doc["oracle"]["cost"]
+    assert doc["lp_cost"] <= doc["oracle"]["cost"] + 1e-9

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import small_dst
-from dbnet.dst_round import (DstParams, Sampler, concentration_stats,
+from dbnet.dst_round import (Sampler, concentration_stats,
                              default_q, extract_tree, round_super_tree,
                              run_dst)
 from dbnet.errors import InvariantError
@@ -110,7 +110,7 @@ def test_extract_tree_prunes_branches():
 
 def test_run_dst_report_fields():
     _, norm, res, h = small_dst(3)
-    rep = run_dst(norm, DstParams(h=h, seed=5))
+    rep = run_dst(norm, h=h, seed=5)
     doc = rep.to_dict()
     for key in ("schema_version", "lp_cost", "repetition_costs", "union_cost",
                 "tree_cost", "coverage", "degree_violations", "mgf_stats"):
@@ -122,6 +122,6 @@ def test_run_dst_report_fields():
 
 def test_run_dst_deterministic():
     _, norm, _, h = small_dst(6)
-    a = run_dst(norm, DstParams(h=h, seed=9)).to_dict()
-    b = run_dst(norm, DstParams(h=h, seed=9)).to_dict()
+    a = run_dst(norm, h=h, seed=9).to_dict()
+    b = run_dst(norm, h=h, seed=9).to_dict()
     assert a == b

@@ -8,7 +8,7 @@ from hypothesis import strategies as hs
 
 from dbnet.errors import FormatError, InvariantError
 from dbnet.generators import gen_gst
-from dbnet.gst_round import (GstParams, Rounder, alpha_sequence, build_scaled,
+from dbnet.gst_round import (Rounder, alpha_sequence, build_scaled,
                              check_branching_mass, check_nonincreasing,
                              compute_hop_levels, default_m, global_params,
                              run_gst, scale_solution)
@@ -199,7 +199,7 @@ def test_default_m():
 
 def test_run_gst_forced_path():
     inst = preprocess_gst(chain([1, 2, 4]))
-    rep = run_gst(inst, GstParams(seed=0))
+    rep = run_gst(inst, seed=0)
     assert all(rep.coverage)
     assert rep.union_cost == 7
     assert all(c == 7 for c in rep.repetition_costs)
@@ -214,14 +214,14 @@ def test_run_gst_disjoint_star(gst_suite):
                              [k] + [1] * (2 * k))
     runs, covered = 30, 0
     for seed in range(runs):
-        rep = run_gst(preprocess_gst(inst), GstParams(seed=seed))
+        rep = run_gst(preprocess_gst(inst), seed=seed)
         covered += all(rep.coverage)
     assert covered / runs >= 1 - 1 / (10 * k)
 
 
 def test_run_gst_invariants_on_suite(gst_suite):
     for inst in gst_suite[:6]:
-        rep = run_gst(inst, GstParams(seed=1))
+        rep = run_gst(inst, seed=1)
         assert rep.union_cost <= sum(rep.repetition_costs)
         assert len(rep.repetition_costs) == rep.M
         doc = rep.to_dict()

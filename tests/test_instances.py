@@ -1,10 +1,14 @@
+import dataclasses
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from dbnet.generators import gen_dst, gen_gst
 from dbnet.errors import FormatError
-from dbnet.instances import (DirectedInstance, GroupTreeInstance, MultiTree,
+from dbnet.instances import (PHI_CONST_ONE, PHI_IDENTITY, DirectedInstance,
+                             GroupTreeInstance, MultiTree, NormalizedInstance,
                              normalize, original_degree, parse_dst, parse_gst,
                              preprocess_gst, serialize_dst, serialize_gst)
 
@@ -214,3 +218,130 @@ def test_group_tree_rejects_bad_parents(parent, says):
     with pytest.raises(FormatError) as err:
         GroupTreeInstance(3, parent, [0] * 3, [], [1] * 3)
     assert str(err.value) == says
+
+
+def reference_normalize(inst: DirectedInstance) -> NormalizedInstance:
+    """``normalize`` as first written: degrees recounted from the edge list
+    and every vertex's out-edges found by a scan of all edges."""
+    n = inst.n
+    edges = {(u, v): c for (u, v, c) in inst.edges}
+    degree = dict(inst.degree_bound)
+    origin = {v: v for v in range(n)}
+    phi_kind = {v: PHI_CONST_ONE for v in range(n)}
+    edge_origin = {(u, v): (u, v) for (u, v) in edges}
+    terminals = set(inst.terminals)
+    terminal_origin = {}
+
+    indeg = {v: 0 for v in range(n)}
+    outdeg = {v: 0 for v in range(n)}
+    for (u, v) in edges:
+        outdeg[u] += 1
+        indeg[v] += 1
+
+    for t in sorted(inst.terminals):
+        if indeg[t] == 1 and outdeg[t] == 0:
+            terminal_origin[t] = t
+            continue
+        tp = n
+        n += 1
+        edges[(t, tp)] = 0
+        edge_origin[(t, tp)] = None
+        degree[t] = degree[t] + 1
+        degree[tp] = 0
+        origin[tp] = t
+        phi_kind[tp] = PHI_CONST_ONE
+        terminals.discard(t)
+        terminals.add(tp)
+        terminal_origin[tp] = t
+        outdeg[t] += 1
+
+    d_max = max(degree.values()) if degree else 1
+
+    for u in sorted(set(range(n)) - terminals):
+        out = sorted(v for (a, v) in edges if a == u)
+        if len(out) <= 2:
+            continue
+        leaf_cost = {v: edges.pop((u, v)) for v in out}
+        leaf_orig = {v: edge_origin.pop((u, v)) for v in out}
+
+        def attach(parent, leaves):
+            nonlocal n
+            if len(leaves) == 1:
+                w = leaves[0]
+                edges[(parent, w)] = leaf_cost[w]
+                edge_origin[(parent, w)] = leaf_orig[w]
+                return
+            g = n
+            n += 1
+            degree[g] = d_max
+            origin[g] = u
+            phi_kind[g] = PHI_IDENTITY
+            edges[(parent, g)] = 0
+            edge_origin[(parent, g)] = None
+            mid = (len(leaves) + 1) // 2
+            attach(g, leaves[:mid])
+            attach(g, leaves[mid:])
+
+        mid = (len(out) + 1) // 2
+        attach(u, out[:mid])
+        attach(u, out[mid:])
+
+    norm = DirectedInstance(
+        n, [(u, v, c) for ((u, v), c) in sorted(edges.items())], inst.root,
+        frozenset(terminals), degree)
+    return NormalizedInstance(norm, inst, origin, phi_kind, edge_origin,
+                              terminal_origin)
+
+
+def assert_same_normalized(got: NormalizedInstance, want: NormalizedInstance):
+    for f in dataclasses.fields(NormalizedInstance):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a == b, f.name
+        if isinstance(a, dict):
+            # insertion order too: later stages iterate these maps
+            assert list(a.items()) == list(b.items()), f.name
+    assert list(got.inst.degree_bound.items()) == \
+        list(want.inst.degree_bound.items())
+    assert got.inst.cost == want.inst.cost
+
+
+@hs.composite
+def dst_shape(draw):
+    n = draw(hs.integers(3, 12))
+    m = draw(hs.integers(n - 1, min((n - 1) ** 2, 4 * n)))
+    return gen_dst(n, m, draw(hs.integers(1, n - 1)),
+                   d_max=draw(hs.integers(1, 4)),
+                   seed=draw(hs.integers(0, 2 ** 16)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(dst_shape())
+def test_normalize_matches_reference(inst):
+    assert_same_normalized(normalize(inst), reference_normalize(inst))
+
+
+@pytest.mark.parametrize("d_max", [1, 2, 3, 4])
+def test_normalize_matches_reference_with_gadgets(d_max):
+    inst = gen_dst(10, 40, 4, d_max=d_max, seed=d_max)
+    assert max(len(inst.out_edges(u)) for u in range(inst.n)) >= 3
+    norm = normalize(inst)
+    assert PHI_IDENTITY in norm.phi_kind.values()
+    assert_same_normalized(norm, reference_normalize(inst))
+
+
+def test_edge_costs_built_once():
+    inst = gen_dst(8, 14, 4, seed=0)
+    assert inst.cost is inst.cost
+    assert inst.cost == {(u, v): c for (u, v, c) in inst.edges}
+
+
+def test_normalize_is_not_quadratic():
+    # 6000 vertices with three out-edges each: a scan of all edges per
+    # vertex takes seconds, reading the adjacency about a tenth of one
+    n = 6000
+    edges = [(u, v, 1) for u in range(n) for v in range(u + 1, min(u + 4, n))]
+    inst = DirectedInstance(n, edges, 0, {n - 1}, {v: 3 for v in range(n)})
+    start = time.perf_counter()
+    norm = normalize(inst)
+    assert time.perf_counter() - start < 1.0
+    assert norm.inst.n == n + n - 2

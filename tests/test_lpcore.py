@@ -325,7 +325,7 @@ def reference_gst_rows(inst):
     return np.array(inst.cost, dtype=float), eq, ub
 
 
-def assert_same_lp(model, obj, eq, ub):
+def assert_same_lp(model, obj, eq, ub, lo=None):
     assert np.array_equal(model.obj, obj)
     for blk, rows in ((model.eq_block, eq), (model.ub_block, ub)):
         assert [list(r) for r in blk.rows()] == [list(r) for r in rows]
@@ -341,7 +341,7 @@ def assert_same_lp(model, obj, eq, ub):
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)
     ref = LPModel(model.nvar, obj, eq_block=Block.from_rows(eq),
-                  ub_block=Block.from_rows(ub))
+                  ub_block=Block.from_rows(ub), lo=lo)
     assert dump_lp(model) == dump_lp(ref)
 
 
@@ -354,7 +354,10 @@ def test_dst_lp_matches_row_lists(seed):
 
 def test_gst_lp_matches_row_lists(gst_suite):
     for inst in gst_suite:
-        assert_same_lp(build_gst_lp(inst), *reference_gst_rows(inst))
+        # every tree holds the root
+        lo = np.zeros(inst.n)
+        lo[inst.root] = 1
+        assert_same_lp(build_gst_lp(inst), *reference_gst_rows(inst), lo=lo)
 
 
 def test_capacity_row_of_a_base_node_lists_it_twice():

@@ -10,9 +10,9 @@ import pytest
 
 from conftest import broom, small_dst
 from dbnet import rounding
-from dbnet.dst_round import X_TINY, DstParams, Sampler, run_dst
+from dbnet.dst_round import X_TINY, Sampler, run_dst
 from dbnet.generators import gen_gst
-from dbnet.gst_round import GstParams, Rounder, build_scaled, run_gst
+from dbnet.gst_round import Rounder, build_scaled, run_gst
 from dbnet.instances import preprocess_gst
 from dbnet.lpcore import (build_dst_lp, build_gst_lp, modify_gst_solution,
                           solve_lp)
@@ -132,8 +132,8 @@ def test_block_size_does_not_change_draws(monkeypatch, block):
     def outputs():
         return (engine_sets(sampler, (3,), 50),
                 engine_sets(rounder, (3,), 50),
-                run_dst(norm, DstParams(h=h, Q=20, seed=4)).to_dict(),
-                run_gst(pre, GstParams(M=30, seed=4)).to_dict())
+                run_dst(norm, h=h, Q=20, seed=4).to_dict(),
+                run_gst(pre, M=30, seed=4).to_dict())
 
     default = outputs()
     monkeypatch.setattr(rounding, "BLOCK", block)
