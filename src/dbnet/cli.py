@@ -7,6 +7,7 @@ up what differs in ``PROBLEMS``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -395,6 +396,7 @@ PROBLEMS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="dbnet",
                                 description="degree-bounded network design "

@@ -2,10 +2,11 @@
 
 Each repetition samples a good extended state tree top-down (one child below
 the super node and below every chosen state node, both children below every
-chosen virtual node) with the batched engine of ``rounding``, stitches it
-into a multi-tree, and maps its edges back through the binarization gadgets
-to original-graph edges.  The union over Q repetitions is pruned to a
-Steiner tree by breadth-first parent assignment.
+chosen virtual node) with the batched engine of ``rounding``.  Each distinct
+selection is stitched once into a multi-tree, checked, and its edges mapped
+back through the binarization gadgets to original-graph edges.  The union
+over Q repetitions is pruned to a Steiner tree by breadth-first parent
+assignment.
 """
 
 from __future__ import annotations
@@ -181,17 +182,23 @@ def run_dst(norm: NormalizedInstance, h: int | None = None,
 
     rep_costs, reps, nodes = [], [], []
     union_edges: set[tuple[int, int]] = set()
+    # each distinct selection is stitched and checked once
+    seen: dict[bytes, int] = {}
     for start, stop in blocks(Q):
         rep, node = sampler.sample((seed,), start, stop)
         reps.append(rep)
         nodes.append(node)
         for selected in per_rep(rep, node, start, stop):
-            out = round_super_tree(st, selected)
-            rep_costs.append(out.cost)
-            for e in out.multi_tree.edge_labels():
-                oe = norm.edge_origin[e]
-                if oe is not None:
-                    union_edges.add(oe)
+            selected = np.unique(selected)
+            sig = selected.tobytes()
+            if sig not in seen:
+                out = round_super_tree(st, selected)
+                seen[sig] = out.cost
+                for e in out.multi_tree.edge_labels():
+                    oe = norm.edge_origin[e]
+                    if oe is not None:
+                        union_edges.add(oe)
+            rep_costs.append(seen[sig])
 
     cost_of = orig.cost
     union_cost = sum(cost_of[e] for e in union_edges)

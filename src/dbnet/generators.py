@@ -24,10 +24,15 @@ def gen_dst(n: int, m: int, k: int, d_max: int = 3,
     lo, hi = cost_range
     fanout = [0] * n
     edges = {}
+    # the eligible parents, ascending: earlier vertices with fan-out to spare
+    ok = [0]
     for v in range(1, n):
-        ok = [u for u in range(v) if fanout[u] < d_max]
-        u = int(ok[rng.integers(len(ok))])
+        i = int(rng.integers(len(ok)))
+        u = ok[i]
         fanout[u] += 1
+        if fanout[u] == d_max:
+            del ok[i]
+        ok.append(v)
         edges[(u, v)] = int(rng.integers(lo, hi + 1))
     while len(edges) < m:
         u = int(rng.integers(n))

@@ -3,9 +3,9 @@
 Both algorithms round one LP solution top-down many times.  The support is a
 CSR child table: every entry is a child ``c`` below a parent, with a draw
 slot and an interval ``[lo_c, hi_c)``.  The engine advances a frontier of
-(repetition, node) pairs one level at a time for a block of repetitions and
-keeps ``c`` when its parent was kept and ``lo_c <= U(key, rep, slot_c) <
-hi_c``.  Children sharing a slot and tiling ``[0, inf)`` give an inverse-CDF
+(repetition, node) pairs for a block of repetitions and keeps ``c`` when its
+parent was kept and ``lo_c <= U(key, rep, slot_c) < hi_c``, drawing only
+where that outcome is uncertain.  Children sharing a slot and tiling ``[0, inf)`` give an inverse-CDF
 choice of exactly one; an interval ``[0, p)`` on a slot of its own is an
 independent Bernoulli(p) coin.
 
@@ -121,28 +121,55 @@ def per_rep(rep: np.ndarray, node: np.ndarray, start: int,
 
 
 class ChildTable:
-    """The rounding support as CSR rows of children, one row per node."""
+    """The rounding support as CSR rows of children, one row per node, read
+    component by component.
+
+    The entries must form a tree below ``root``: every child has one entry.
+    Draws lie in [0, 1 - 2^-53], so a sure entry, with ``lo <= 0`` and
+    ``hi >= 1``, is kept whenever its parent is, and one with ``lo >= 1``,
+    ``hi <= 0`` or ``lo >= hi`` never is.  The sure entries join nodes into components,
+    each named by its top node, its head.  ``sample`` keeps whole components
+    and draws only the remaining entries, stored under the head of their
+    parent's component; the child of a kept one is the head of the next."""
 
     def __init__(self, n: int, root: int, parent, child, slot, lo, hi):
         self.root = root
-        self.ptr, self.child, self.salt, self.lo, self.hi = csr(
-            n, parent, np.asarray(child, dtype=np.int64), _salt(slot),
-            np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        parent = np.asarray(parent, dtype=np.int64)
+        child = np.asarray(child, dtype=np.int64)
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        sure = (lo <= 0) & (hi >= 1)
+        drawn = ~sure & (lo < 1) & (hi > 0) & (lo < hi)
+        # head by pointer jumping along the sure entries
+        head = np.arange(n)
+        head[child[sure]] = parent[sure]
+        up = child[sure]
+        while len(up):
+            head[up] = head[head[up]]
+            up = up[head[up] != head[head[up]]]
+        members = np.concatenate(([root], child[sure | drawn]))
+        self.member_ptr, self.member = csr(n, head[members], members)
+        self.drawn_ptr, self.child, self.salt, self.lo, self.hi = csr(
+            n, head[parent[drawn]], child[drawn], _salt(slot)[drawn],
+            lo[drawn], hi[drawn])
 
     def sample(self, key: tuple[int, ...], start: int,
                stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Kept (repetition, node) pairs of repetitions start..stop-1,
-        root included, level by level."""
+        """Kept (repetition, node) pairs of repetitions start..stop-1, root
+        included, component by component."""
         state = _rep_states(key, np.arange(start, stop))
         rep = np.arange(stop - start)
-        node = np.full(stop - start, self.root, dtype=np.int64)
-        reps, nodes = [rep], [node]
-        while len(node):
-            pos, entry = expand(self.ptr, node)
+        head = np.full(stop - start, self.root, dtype=np.int64)
+        reps, nodes = [rep[:0]], [head[:0]]
+        while len(head):
+            pos, entry = expand(self.member_ptr, head)
+            reps.append(rep[pos])
+            nodes.append(self.member[entry])
+            if not len(self.child):
+                break
+            pos, entry = expand(self.drawn_ptr, head)
             rep = rep[pos]
             u = _unit(state[rep], self.salt[entry])
             keep = (self.lo[entry] <= u) & (u < self.hi[entry])
-            rep, node = rep[keep], self.child[entry[keep]]
-            reps.append(rep)
-            nodes.append(node)
+            rep, head = rep[keep], self.child[entry[keep]]
         return np.concatenate(reps) + start, np.concatenate(nodes)

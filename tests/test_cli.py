@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import small_dst
-from dbnet.cli import main
+from dbnet.cli import build_parser, main
 from dbnet.generators import gen_dst, gen_gst
 from dbnet.instances import parse_dst, serialize_dst, serialize_gst
 from dbnet.lpcore import solve_lp
@@ -437,3 +437,36 @@ def test_gst_without_groups_keeps_the_root(tmp_path, text, lp_cost):
         (lp_cost, [0], [])
     assert doc["union_cost"] == doc["oracle"]["cost"]
     assert doc["lp_cost"] <= doc["oracle"]["cost"] + 1e-9
+
+
+def test_parser_built_once_gives_independent_namespaces(tmp_path, gst_file,
+                                                        monkeypatch):
+    parser = build_parser()
+    assert build_parser() is parser
+    seen = []
+    parse = parser.parse_args
+
+    def spy(argv):
+        seen.append(parse(argv))
+        return seen[-1]
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    outs = [tmp_path / f"{i}.json" for i in range(3)]
+    assert main(["run", "--problem", "gst", "--instance", gst_file,
+                 "--seed", "3", "--trials", "20", "--m", "5",
+                 "--out", str(outs[0])]) == 0
+    assert main(["solve-gst", "--instance", gst_file,
+                 "--out", str(outs[1])]) == 0
+    assert main(["run", "--problem", "gst", "--instance", gst_file,
+                 "--out", str(outs[2])]) == 0
+    first, second, third = map(vars, seen)
+    assert (first["cmd"], first["seed"], first["trials"], first["m"]) == \
+        ("run", 3, 20, 5)
+    assert (second["cmd"], second["seed"], second["m"]) == \
+        ("solve-gst", 0, None)
+    assert "trials" not in second and "problem" in second
+    assert (third["seed"], third["trials"], third["m"]) == (0, 0, None)
+    docs = [json.loads(out.read_text()) for out in outs]
+    assert [d["seed"] for d in docs] == [3, 0, 0]
+    assert docs[0]["M"] == 5 and docs[2]["M"] == docs[1]["M"] != 5
+    assert "stats" in docs[0] and "stats" not in docs[2]

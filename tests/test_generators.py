@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from dbnet.errors import FormatError
-from dbnet.generators import gen_gst
-from dbnet.instances import GroupTreeInstance, serialize_gst
+from dbnet.generators import gen_dst, gen_gst
+from dbnet.instances import (DirectedInstance, GroupTreeInstance,
+                             serialize_dst, serialize_gst)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -62,9 +63,39 @@ def reference_gen_gst(n, k, depth=4, d_max=3, cost_range=(1, 20), seed=0):
                              [frozenset(g) for g in groups], bounds)
 
 
+def reference_gen_dst(n, m, k, d_max=3, cost_range=(1, 20), seed=0):
+    """``gen_dst`` as first written: the eligible parents of every vertex
+    found by a scan of all earlier vertices."""
+    if n < 2 or k < 1 or k > n - 1 or m < n - 1 or d_max < 1:
+        raise FormatError("inconsistent generator parameters")
+    if m > (n - 1) * (n - 1):
+        raise FormatError("too many edges requested")
+    rng = np.random.default_rng(seed)
+    lo, hi = cost_range
+    fanout = [0] * n
+    edges = {}
+    for v in range(1, n):
+        ok = [u for u in range(v) if fanout[u] < d_max]
+        u = int(ok[rng.integers(len(ok))])
+        fanout[u] += 1
+        edges[(u, v)] = int(rng.integers(lo, hi + 1))
+    while len(edges) < m:
+        u = int(rng.integers(n))
+        v = int(rng.integers(1, n))
+        if u != v and (u, v) not in edges:
+            edges[(u, v)] = int(rng.integers(lo, hi + 1))
+    terminals = sorted(int(t) for t in
+                       rng.choice(np.arange(1, n), size=k, replace=False))
+    bounds = {v: max(int(rng.integers(1, d_max + 1)), fanout[v])
+              for v in range(n)}
+    triples = [(u, v, c) for (u, v), c in sorted(edges.items())]
+    return DirectedInstance(n, triples, 0, frozenset(terminals), bounds)
+
+
 def outcome(gen, *args, **kwargs) -> str:
+    serialize = serialize_dst if "dst" in gen.__name__ else serialize_gst
     try:
-        return serialize_gst(gen(*args, **kwargs))
+        return serialize(gen(*args, **kwargs))
     except FormatError as e:
         return f"FormatError: {e}"
 
@@ -96,3 +127,27 @@ def test_gen_gst_20k_is_the_benchmark_instance():
     (want,) = [entry["sha256"] for path, entry in recorded.items()
                if path.endswith("/gst-20000-10-10-4-s0.gst")]
     assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((8, 14, 4), {"seed": 0}),
+    ((6, 8, 3), {"seed": 4}),
+    ((7, 14, 4), {"d_max": 1, "seed": 3}),
+    ((300, 450, 20), {"seed": 1}),
+    ((200, 199, 5), {"d_max": 1, "seed": 2}),
+    ((2, 1, 1), {"d_max": 1, "seed": 0}),
+    ((500, 2000, 10), {"d_max": 6, "cost_range": (0, 3), "seed": 5}),
+    ((5, 17, 2), {"seed": 0}),
+    ((5, 3, 2), {"seed": 0})],
+    ids=["dst-h4", "mc", "fractional", "sparse", "path", "pair", "dense",
+         "too-many-edges", "too-few-edges"])
+def test_gen_dst_matches_reference(args, kwargs):
+    assert outcome(gen_dst, *args, **kwargs) == \
+        outcome(reference_gen_dst, *args, **kwargs)
+
+
+def test_gen_dst_is_not_quadratic():
+    # the scan of all earlier vertices took about 14 s at this size
+    start = time.perf_counter()
+    gen_dst(20000, 30000, 20, seed=0)
+    assert time.perf_counter() - start < 3.0
