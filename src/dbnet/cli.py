@@ -27,7 +27,7 @@ from .lpcore import build_dst_lp, build_gst_lp, dump_lp
 from .dst_round import run_dst
 from .oracle import exact_dst, exact_gst
 from .rounding import blocks, csr, membership, pair_counts
-from .states import NODE_CAP, build_super_tree
+from .states import NODE_CAP, build_super_tree, oracle_height
 from .treekit import height_budget
 
 EPS_OBJ = 1e-7
@@ -166,8 +166,9 @@ def cmd_run(args) -> int:
         res = None
     if res is not None:
         doc["oracle"] = res.to_dict()
-        if (res.status == "OPTIMAL" and problem.relaxes(prep, report)
-                and report.lp_cost > res.cost + EPS_OBJ * (1 + res.cost)):
+        if (res.status == "OPTIMAL"
+                and report.lp_cost > res.cost + EPS_OBJ * (1 + res.cost)
+                and problem.relaxes(prep, report, res)):
             raise InvariantError(
                 f"LP cost {report.lp_cost} exceeds oracle {res.cost}")
     if args.trials:
@@ -178,21 +179,22 @@ def cmd_run(args) -> int:
 
 def _dst_trial_stats(report, trials: int) -> dict:
     """Hit rate per terminal and sample cost over fresh roundings of the
-    report's own LP solution."""
-    sampler = report.sampler
-    st = sampler.st
+    report's own LP solution, summed per kept component rather than per
+    node."""
+    table = report.sampler.table
+    st = report.sampler.st
     norm = st.norm
     terms = sorted(norm.inst.terminals)
-    node_cost = st.cost.astype(float)
-    terminals_of = csr(len(st), *st.terminal_members())
+    head_cost = table.head_sums(st.cost.astype(float))
+    terminals_of = table.head_rows(*csr(len(st), *st.terminal_members()))
     hits = np.zeros(len(terms), dtype=np.int64)
     costs = np.zeros(trials)
     for start, stop in blocks(trials):
-        rep, node = sampler.sample((report.seed, TRIAL_STREAM), start, stop)
+        rep, head = table.heads((report.seed, TRIAL_STREAM), start, stop)
         rep -= start
-        costs[start:stop] = np.bincount(rep, weights=node_cost[node],
+        costs[start:stop] = np.bincount(rep, weights=head_cost[head],
                                         minlength=stop - start)
-        copies = pair_counts(*terminals_of, len(terms), rep, node,
+        copies = pair_counts(*terminals_of, len(terms), rep, head,
                              stop - start)
         hits += np.count_nonzero(copies, axis=0)
     return {"per_terminal_hit": {str(norm.terminal_origin[t]):
@@ -205,16 +207,16 @@ def _dst_trial_stats(report, trials: int) -> dict:
 
 def _gst_trial_stats(report, trials: int) -> dict:
     """Hit rate per group over fresh roundings of the report's scaled
-    solution."""
-    rounder = report.rounder
-    inst = rounder.inst
+    solution, counted per kept component rather than per vertex."""
+    table = report.rounder.table
+    inst = report.rounder.inst
     k = len(inst.groups)
-    groups_of = membership(inst.n, [(o, g) for g, grp in enumerate(inst.groups)
-                                     for o in grp])
+    groups_of = table.head_rows(*membership(
+        inst.n, [(o, g) for g, grp in enumerate(inst.groups) for o in grp]))
     hits = np.zeros(k, dtype=np.int64)
     for start, stop in blocks(trials):
-        rep, node = rounder.sample((report.seed, TRIAL_STREAM), start, stop)
-        copies = pair_counts(*groups_of, k, rep - start, node, stop - start)
+        rep, head = table.heads((report.seed, TRIAL_STREAM), start, stop)
+        copies = pair_counts(*groups_of, k, rep - start, head, stop - start)
         hits += np.count_nonzero(copies, axis=0)
     return {"per_group_hit": {str(g): _stat(int(c), trials)
                               for g, c in enumerate(hits)}}
@@ -357,7 +359,7 @@ class Problem:
     prepare: Callable   # instance -> solver input
     lp: Callable        # (solver input, args) -> LP model
     solve: Callable     # (solver input, args, label) -> run report
-    relaxes: Callable   # (solver input, report) -> LP cost <= optimum holds
+    relaxes: Callable   # (solver input, report, oracle) -> LP <= optimum
     oracle: Callable    # instance -> exact result
     trial_stats: Callable  # (report, trials) -> "stats" section
     verify: Callable    # (instance, report doc) -> failure messages
@@ -375,8 +377,12 @@ PROBLEMS = {
         solve=lambda norm, args, label: run_dst(
             norm, h=args.height, Q=args.q, seed=args.seed,
             node_cap=args.node_cap, label=label),
-        # below the height budget the super-tree may miss every optimal tree
-        relaxes=lambda norm, report: report.h >= height_budget(norm.inst.n),
+        # the super-tree holds every tree whose decomposition fits in h: the
+        # height budget bounds that depth for every tree, oracle_height for
+        # the oracle's
+        relaxes=lambda norm, report, res: (
+            report.h >= height_budget(norm.inst.n)
+            or report.h >= oracle_height(norm, res.edges)),
         oracle=lambda inst: exact_dst(inst),
         trial_stats=lambda report, trials: _dst_trial_stats(report, trials),
         verify=lambda inst, doc: verify_dst_report(inst, doc)),
@@ -389,7 +395,7 @@ PROBLEMS = {
         lp=lambda pre, args: build_gst_lp(pre),
         solve=lambda pre, args, label: run_gst(
             pre, M=args.m, seed=args.seed, label=label),
-        relaxes=lambda pre, report: True,
+        relaxes=lambda pre, report, res: True,
         oracle=lambda pre: exact_gst(pre),
         trial_stats=lambda report, trials: _gst_trial_stats(report, trials),
         verify=lambda pre, doc: verify_gst_report(pre, doc)),

@@ -130,7 +130,9 @@ class ChildTable:
     ``hi <= 0`` or ``lo >= hi`` never is.  The sure entries join nodes into components,
     each named by its top node, its head.  ``sample`` keeps whole components
     and draws only the remaining entries, stored under the head of their
-    parent's component; the child of a kept one is the head of the next."""
+    parent's component; the child of a kept one is the head of the next.
+    ``heads`` stops short of expanding the components into their members,
+    for counts that ``head_sums`` and ``head_rows`` give per component."""
 
     def __init__(self, n: int, root: int, parent, child, slot, lo, hi):
         self.root = root
@@ -149,27 +151,50 @@ class ChildTable:
             up = up[head[up] != head[head[up]]]
         members = np.concatenate(([root], child[sure | drawn]))
         self.member_ptr, self.member = csr(n, head[members], members)
+        self.member_head = np.repeat(np.arange(n), np.diff(self.member_ptr))
         self.drawn_ptr, self.child, self.salt, self.lo, self.hi = csr(
             n, head[parent[drawn]], child[drawn], _salt(slot)[drawn],
             lo[drawn], hi[drawn])
 
-    def sample(self, key: tuple[int, ...], start: int,
-               stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Kept (repetition, node) pairs of repetitions start..stop-1, root
-        included, component by component."""
+    def heads(self, key: tuple[int, ...], start: int,
+              stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Kept (repetition, component head) pairs of repetitions
+        start..stop-1, the root's component first, then round by round
+        the heads that the drawn entries below the last round keep."""
         state = _rep_states(key, np.arange(start, stop))
         rep = np.arange(stop - start)
         head = np.full(stop - start, self.root, dtype=np.int64)
-        reps, nodes = [rep[:0]], [head[:0]]
-        while len(head):
-            pos, entry = expand(self.member_ptr, head)
-            reps.append(rep[pos])
-            nodes.append(self.member[entry])
-            if not len(self.child):
-                break
+        reps, heads = [rep], [head]
+        while len(head) and len(self.child):
             pos, entry = expand(self.drawn_ptr, head)
             rep = rep[pos]
             u = _unit(state[rep], self.salt[entry])
             keep = (self.lo[entry] <= u) & (u < self.hi[entry])
             rep, head = rep[keep], self.child[entry[keep]]
-        return np.concatenate(reps) + start, np.concatenate(nodes)
+            reps.append(rep)
+            heads.append(head)
+        return np.concatenate(reps) + start, np.concatenate(heads)
+
+    def sample(self, key: tuple[int, ...], start: int,
+               stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Kept (repetition, node) pairs of repetitions start..stop-1, root
+        included, component by component."""
+        rep, head = self.heads(key, start, stop)
+        pos, entry = expand(self.member_ptr, head)
+        return rep[pos], self.member[entry]
+
+    def head_sums(self, weight: np.ndarray) -> np.ndarray:
+        """Per head, the sum of ``weight`` over its component's members;
+        0 at a node that heads no component."""
+        return np.bincount(self.member_head, weights=weight[self.member],
+                           minlength=len(self.member_ptr) - 1)
+
+    def head_rows(self, ptr: np.ndarray,
+                  col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(ptr, col)`` of a CSR table over nodes, regrouped by head: a
+        head's row holds the rows of all its component's members, with
+        multiplicity, so ``pair_counts`` over heads counts what it counts
+        over their members."""
+        pos, entry = expand(ptr, self.member)
+        return csr(len(self.member_ptr) - 1, self.member_head[pos],
+                   col[entry])

@@ -24,7 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapExceededError, InvariantError
-from .instances import MultiTree, NormalizedInstance, original_degree
+from .instances import (MultiTree, NormalizedInstance, lift_tree,
+                        original_degree)
 from .rounding import Rows, csr, expand
 from .treekit import RootedTree, find_balanced_separator, height_budget, split_at
 
@@ -174,6 +175,15 @@ def gen_state_tree(norm: NormalizedInstance, tree: MultiTree,
     return gen(rt, 0)
 
 
+def oracle_height(norm: NormalizedInstance, edges) -> int:
+    """Depth of the balanced decomposition of a tree of original edges,
+    such as an oracle optimum: the smallest height at which that tree
+    certainly embeds into the super-tree, so that the super-tree LP costs
+    at most what the tree costs."""
+    return gen_state_tree(norm, lift_tree(norm, set(map(tuple, edges)))
+                          ).depth()
+
+
 def validate_state_tree(norm: NormalizedInstance, root: StateTreeNode,
                         h: int | None = None) -> list[str]:
     """Check the good-state-tree conditions; returns a list of violations."""
@@ -305,6 +315,16 @@ WORD_BITS = 63
 SIZE_LIMIT = 2 ** 53
 # default cap on the super-tree node count
 NODE_CAP = 5_000_000
+# cap on the child pairs one depth pass of ``live_states`` joins, checked
+# before ``_intern`` sorts them with the whole table.  A joined pair holds
+# its merged slot row (2 * width int64 words) and two state ids, 80 bytes at
+# width 4 before the sort's copies, more than a super-tree node, so a pass
+# over NODE_CAP pairs needs more memory than the largest arena the default
+# node cap admits, though most pairs never reach the super-tree.  At h=5
+# no pass of gen_dst(8, 14, 4) seeds 0-3 joins more than 40,911 pairs,
+# while gen_dst(2000, 3000, 20) would join 7.8 million in pass 2 and run
+# out of a 3 GB address space.
+PAIR_CAP = NODE_CAP
 
 
 def _offsets(counts) -> np.ndarray:
@@ -555,7 +575,9 @@ def live_states(norm: NormalizedInstance, h: int) -> _Table:
     non-root portal, its degree) against (state, root, its degree), and
     interns their parents by a packed integer code of the root and the
     portal slots: parents not seen before get min depth d + 1.  The join is
-    filtered ``JOIN_BLOCK`` candidates at a time.
+    filtered ``JOIN_BLOCK`` candidates at a time, and a pass that joins
+    more than ``PAIR_CAP`` pairs raises CapExceededError before they are
+    interned.
     """
     inst = norm.inst
     K = inst.terminals
@@ -632,10 +654,19 @@ def live_states(norm: NormalizedInstance, h: int) -> _Table:
         # a pair fits only if |S_l| + |S_r| - 2 + d <= h, and |S_l| >= 2
         lefts = (md <= d) & (size <= h + 1 - d)
         rights = (md <= d) & (size <= h - d)
-        l, r, merged = map(np.concatenate, zip(
-            (none, none, np.zeros((0, 2 * width), dtype=np.int64)),
-            *joined(lefts, rights & fresh, d),
-            *joined(lefts & fresh, rights & ~fresh, d)))
+        found = [(none, none, np.zeros((0, 2 * width), dtype=np.int64))]
+        pairs = 0
+        for block in itertools.chain(joined(lefts, rights & fresh, d),
+                                     joined(lefts & fresh, rights & ~fresh,
+                                            d)):
+            pairs += len(block[0])
+            if pairs > PAIR_CAP:
+                raise CapExceededError(
+                    f"live states join at least {pairs} child pairs in depth "
+                    f"pass {d} at height {h}, over the pair cap {PAIR_CAP}; "
+                    f"lower n, the height, or the degree bounds")
+            found.append(block)
+        l, r, merged = map(np.concatenate, zip(*found))
         psize = size[l] + size[r] - 2
         width = max(width, int(psize.max(initial=0)))
         merged = merged[:, :width]

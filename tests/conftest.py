@@ -2,17 +2,9 @@ import numpy as np
 import pytest
 
 from dbnet.generators import gen_dst, gen_gst
-from dbnet.instances import (GroupTreeInstance, lift_tree, normalize,
-                             preprocess_gst)
+from dbnet.instances import GroupTreeInstance, normalize, preprocess_gst
 from dbnet.oracle import exact_dst
-from dbnet.states import gen_state_tree
-
-
-def oracle_height(norm, oracle_edges):
-    """Depth of the balanced decomposition of the oracle tree; the smallest
-    height at which that solution certainly embeds into the super-tree."""
-    mt = lift_tree(norm, set(map(tuple, oracle_edges)))
-    return gen_state_tree(norm, mt).depth()
+from dbnet.states import oracle_height
 
 
 def small_dst(seed, n=6, m=8, k=3, d_max=3):
@@ -48,6 +40,23 @@ def broom(depth):
     inst = GroupTreeInstance(n, parent, [0] * n, [leaves], [1] * n)
     xt = np.ldexp(1.0, -np.floor(np.log2(np.arange(n) + 1)).astype(int))
     return inst, xt
+
+
+def set_cover_triangle() -> GroupTreeInstance:
+    """Root 0, hubs a, b, c = 1, 2, 3 of cost 10, two unit leaves per hub
+    (a1, a2 = 4, 5; b2, b3 = 6, 7; c1, c3 = 8, 9), and groups {a1, c1},
+    {a2, b2}, {b3, c3}: every group hangs below two hubs and every hub
+    serves two groups, so a tree needs two hubs."""
+    return GroupTreeInstance(10, [-1, 0, 0, 0, 1, 1, 2, 2, 3, 3],
+                             [0, 10, 10, 10, 1, 1, 1, 1, 1, 1],
+                             [{4, 8}, {5, 6}, {7, 9}],
+                             [3, 2, 2, 2, 1, 1, 1, 1, 1, 1])
+
+
+# gen_dst(7, 14, 4, d_max=1) at h=4: seeds whose LP optimum is fractional
+# (seed 3: 32.67), with state nodes that split their mass between children,
+# so that the rounding's draws matter
+FRACTIONAL_SEEDS = (3, 9, 12, 13, 15, 17, 22, 30, 38)
 
 
 @pytest.fixture(scope="session")

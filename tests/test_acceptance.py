@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import broom, random_binary_tree, small_dst
+from conftest import (FRACTIONAL_SEEDS, broom, random_binary_tree,
+                      set_cover_triangle, small_dst)
 from dbnet.cli import verify_dst_report
 from dbnet.dst_round import (Sampler, concentration_stats,
                              run_dst)
@@ -85,12 +86,6 @@ def test_criterion_03_lp_dominance():
 
 
 # -------------------------------------------------- shared Monte-Carlo corpus
-
-# gen_dst(7, 14, 4, d_max=1) at h=4: seeds whose LP optimum is fractional
-# (seed 3: 32.67), with state nodes that split their mass between children,
-# so that criteria 04-07 see the sampler's draws
-FRACTIONAL_SEEDS = (3, 9, 12, 13, 15, 17, 22, 30, 38)
-
 
 @pytest.fixture(scope="module")
 def dst_corpus():
@@ -189,7 +184,7 @@ def test_criterion_08_end_to_end_dst():
 # ---------------------------------------------------------------- criterion 9
 
 def test_criterion_09_gst_scaling_invariants(gst_suite):
-    for inst in gst_suite:
+    for inst in gst_suite + [preprocess_gst(set_cover_triangle())]:
         sol = solve_lp(build_gst_lp(inst))
         xt = modify_gst_solution(sol.x, inst.n)
         assert check_modified_solution(inst, sol.x, xt) == []
@@ -214,22 +209,29 @@ def test_criterion_10_gst_coverage():
     sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / TRIALS)
     assert rate >= alpha0 * z / 2 - 3 * sigma
 
-    # small instances where gamma == 0: plain 1/(4L) guarantee
-    for seed in range(5):
-        inst = preprocess_gst(gen_gst(30 + 4 * seed, 3, depth=4, d_max=3,
-                                      seed=500 + seed))
+    # small instances where gamma == 0: plain 1/(4L) guarantee, and every
+    # vertex kept with probability x', the product of the ratios
+    # x'_child / x'_parent on its path; the set-cover triangle's LP is
+    # fractional, every hub and leaf at 1/2
+    small = [preprocess_gst(gen_gst(30 + 4 * seed, 3, depth=4, d_max=3,
+                                    seed=500 + seed)) for seed in range(5)]
+    for i, inst in enumerate(small + [preprocess_gst(set_cover_triangle())]):
         L, gamma = global_params(inst.n)
         assert gamma == 0
         sol = solve_lp(build_gst_lp(inst))
         xt2 = modify_gst_solution(sol.x, inst.n)
-        scaled = build_scaled(inst, xt2)
-        rep, node = Rounder(inst, scaled.xp).sample((11 + seed,), 0, TRIALS)
+        xp = build_scaled(inst, xt2).xp
+        rep, node = Rounder(inst, xp).sample((11 + i,), 0, TRIALS)
+        freq = np.bincount(node, minlength=inst.n) / TRIALS
+        sigma = np.sqrt(np.maximum(xp * (1 - xp), 1e-12) / TRIALS)
+        assert np.all(np.abs(freq - xp) <= 3 * sigma + 1e-9)
         zs = group_mass(inst, xt2)
         for g, grp in enumerate(inst.groups):
             hit = _hits(rep, node, grp) / TRIALS
             sigma = math.sqrt(max(hit * (1 - hit), 1e-12) / TRIALS)
             assert hit >= zs[g] / (4 * L) - 3 * sigma
-    _ok(10, "per-group hit rates meet the alpha0*z/2 and z/(4L) floors")
+    _ok(10, "per-group hit rates meet the alpha0*z/2 and z/(4L) floors, "
+            "and selection frequencies match x'")
 
 
 # --------------------------------------------------------------- criterion 11
@@ -246,7 +248,15 @@ def test_criterion_11_end_to_end_gst():
         if rep.lp_cost > 0:
             assert rep.union_cost / rep.lp_cost <= 4 * 2 ** rep.gamma * rep.M
     assert full >= 45
-    _ok(11, f"{full}/50 end-to-end runs cover every group within the bound")
+    # the set-cover triangle, whose LP (18) is below its optimum (23)
+    inst = preprocess_gst(set_cover_triangle())
+    rep = run_gst(inst, seed=11, label="triangle")
+    assert all(rep.coverage)
+    assert rep.union_cost / rep.lp_cost <= 4 * 2 ** rep.gamma * rep.M
+    assert all(math.isfinite(r) and r >= 0
+               for r in rep.degree_violations.values())
+    _ok(11, f"{full}/50 end-to-end runs and the set-cover triangle cover "
+            f"every group within the bound")
 
 
 # --------------------------------------------------------------- criterion 12

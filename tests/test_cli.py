@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import small_dst
+from dbnet import cli
 from dbnet.cli import build_parser, main
 from dbnet.generators import gen_dst, gen_gst
-from dbnet.instances import parse_dst, serialize_dst, serialize_gst
+from dbnet.instances import normalize, parse_dst, serialize_dst, serialize_gst
 from dbnet.lpcore import solve_lp
-from dbnet.states import build_super_tree
+from dbnet.states import build_super_tree, oracle_height
+from dbnet.treekit import height_budget
 
 
 @pytest.fixture()
@@ -195,6 +197,30 @@ def test_run_below_height_budget_keeps_oracle(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["oracle"]["status"] == "OPTIMAL"
     assert doc["lp_cost"] > doc["oracle"]["cost"]
+    # nor does the oracle tree fit: its decomposition needs more than h=3
+    norm = normalize(gen_dst(6, 8, 3, seed=4))
+    assert oracle_height(norm, doc["oracle"]["edges"]) > 3
+
+
+def test_lp_above_oracle_under_its_certificate_exits_4(tmp_path, dst_file,
+                                                        monkeypatch, capsys):
+    # h is the oracle tree's decomposition height, below the height budget:
+    # that tree embeds into the super-tree, so the LP cannot cost more
+    path, h = dst_file
+    with open(path) as f:
+        assert h < height_budget(normalize(parse_dst(f.read())).inst.n)
+    real = cli.run_dst
+
+    def inflated(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.lp_cost += 1
+        return report
+
+    monkeypatch.setattr(cli, "run_dst", inflated)
+    out = tmp_path / "run.json"
+    assert main(["run", "--problem", "dst", "--instance", path,
+                 "--height", str(h), "--out", str(out)]) == 4
+    assert "exceeds oracle" in capsys.readouterr().err
 
 
 def test_run_dst_trials_reuse_the_solve(tmp_path, dst_file, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
+from conftest import set_cover_triangle
 from dbnet.errors import CapExceededError, FormatError
 from dbnet.generators import gen_gst
 from dbnet.instances import (DirectedInstance, GroupTreeInstance, normalize,
@@ -209,17 +210,6 @@ def test_gst_optimum_equals_dst_of_its_reduction(n, k, depth, d_max, seed):
     assert exact_dst(gst_as_dst(inst)).cost == opt.cost
     lp = solve_lp(build_gst_lp(inst)).objective
     assert lp <= opt.cost * (1 + 1e-9) + 1e-9
-
-
-def set_cover_triangle() -> GroupTreeInstance:
-    """Root 0, hubs a, b, c = 1, 2, 3 of cost 10, two unit leaves per hub
-    (a1, a2 = 4, 5; b2, b3 = 6, 7; c1, c3 = 8, 9), and groups {a1, c1},
-    {a2, b2}, {b3, c3}: every group hangs below two hubs and every hub
-    serves two groups, so a tree needs two hubs."""
-    return GroupTreeInstance(10, [-1, 0, 0, 0, 1, 1, 2, 2, 3, 3],
-                             [0, 10, 10, 10, 1, 1, 1, 1, 1, 1],
-                             [{4, 8}, {5, 6}, {7, 9}],
-                             [3, 2, 2, 2, 1, 1, 1, 1, 1, 1])
 
 
 def test_set_cover_triangle_gap():

@@ -6,7 +6,9 @@ decision.  The engine must select exactly the same nodes in every
 repetition, whatever its block size, on the pipelines' tables and on random
 tables that mix sure, drawn and never-kept entries.  It must draw only for
 the entries whose outcome is uncertain, and ``run_dst`` must stitch each
-distinct selection once.
+distinct selection once.  Its kept component heads, expanded, give the
+same arrays as its sample, and sums and counts per component equal those
+per node.
 """
 import math
 
@@ -223,6 +225,63 @@ def test_child_table_matches_reference_walk(table):
             got += [sorted(s.tolist())
                     for s in rounding.per_rep(rep, node, start, stop)]
         assert got == want
+
+
+def reference_sample(engine, key, start, stop):
+    """The engine's sample as one loop: the members of each round's heads,
+    then the draws below them."""
+    state = rounding._rep_states(key, np.arange(start, stop))
+    rep = np.arange(stop - start)
+    head = np.full(stop - start, engine.root, dtype=np.int64)
+    reps, nodes = [rep[:0]], [head[:0]]
+    while len(head):
+        pos, entry = rounding.expand(engine.member_ptr, head)
+        reps.append(rep[pos])
+        nodes.append(engine.member[entry])
+        if not len(engine.child):
+            break
+        pos, entry = rounding.expand(engine.drawn_ptr, head)
+        rep = rep[pos]
+        u = rounding._unit(state[rep], engine.salt[entry])
+        keep = (engine.lo[entry] <= u) & (u < engine.hi[entry])
+        rep, head = rep[keep], engine.child[entry[keep]]
+    return np.concatenate(reps) + start, np.concatenate(nodes)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(child_tables(), hs.data())
+def test_heads_expand_to_sample_and_count_alike(table, data):
+    n, parent, child, slot, lo, hi = table
+    engine = rounding.ChildTable(n, 0, parent, child, slot, lo, hi)
+    # each node counts towards up to three of four columns, with repeats,
+    # and has an integer weight
+    ncol = 4
+    cols = data.draw(hs.lists(hs.lists(hs.integers(0, ncol - 1), max_size=3),
+                              min_size=n, max_size=n))
+    ptr, col = rounding.membership(n, [(v, c) for v in range(n)
+                                       for c in cols[v]])
+    weight = np.array(data.draw(hs.lists(hs.integers(0, 20), min_size=n,
+                                         max_size=n)), dtype=float)
+    head_ptr, head_col = engine.head_rows(ptr, col)
+    head_weight = engine.head_sums(weight)
+    for start, stop in ((0, 40), (7, 8), (5, 5)):
+        rep, node = engine.sample((31,), start, stop)
+        want = reference_sample(engine, (31,), start, stop)
+        assert rep.tolist() == want[0].tolist()
+        assert node.tolist() == want[1].tolist()
+        hrep, head = engine.heads((31,), start, stop)
+        pos, entry = rounding.expand(engine.member_ptr, head)
+        assert np.array_equal(hrep[pos], rep)
+        assert np.array_equal(engine.member[entry], node)
+        nrep = stop - start
+        assert np.array_equal(
+            rounding.pair_counts(head_ptr, head_col, ncol, hrep - start, head,
+                                 nrep),
+            rounding.pair_counts(ptr, col, ncol, rep - start, node, nrep))
+        assert np.array_equal(
+            np.bincount(hrep - start, weights=head_weight[head],
+                        minlength=nrep),
+            np.bincount(rep - start, weights=weight[node], minlength=nrep))
 
 
 def _count_draws(monkeypatch) -> list[int]:

@@ -1,8 +1,14 @@
 import copy
 import itertools
 import math
+import os
+import resource
+import subprocess
+import sys
+import time
 from collections import defaultdict
 from heapq import heappop, heappush
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +18,8 @@ from conftest import small_dst
 from dbnet import states
 from dbnet.errors import CapExceededError, InvariantError
 from dbnet.generators import gen_dst
-from dbnet.instances import DirectedInstance, lift_tree, normalize
+from dbnet.instances import (DirectedInstance, lift_tree, normalize,
+                             serialize_dst)
 from dbnet.lpcore import build_dst_lp, solve_lp
 from dbnet.states import (BASE, STATE, SUPER, VIRTUAL, SuperTree,
                           build_super_tree, degree_vectors_consistent,
@@ -514,6 +521,42 @@ def test_node_cap_checked_before_allocation(monkeypatch):
     assert len(build_super_tree(single_edge(), 3, 3)) == 3
     with pytest.raises(CapExceededError, match="3 nodes at height 0"):
         build_super_tree(single_edge(), 3, 2)
+
+
+def test_pair_cap_checked_before_interning(monkeypatch):
+    interned = []
+    intern = states._intern
+    monkeypatch.setattr(states, "_intern",
+                        lambda *a: interned.append(a) or intern(*a))
+    monkeypatch.setattr(states, "PAIR_CAP", 10)
+    norm = normalize(gen_dst(8, 14, 4, d_max=3, seed=0))
+    with pytest.raises(CapExceededError, match=r"at least \d+ child pairs in "
+                       r"depth pass 0 at height 4, over the pair cap 10"):
+        states.live_states(norm, 4)
+    assert interned == []
+
+
+def test_large_table_fails_fast_under_a_memory_limit(tmp_path):
+    # at h=5 this table would join 7.8 million pairs in depth pass 2 and
+    # run out of a 3 GB address space before any node-cap decision
+    path = tmp_path / "big.dst"
+    path.write_text(serialize_dst(gen_dst(2000, 3000, 20, seed=0)))
+    src = str(Path(states.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "dbnet.cli", "dump-supertree", "--instance",
+         str(path), "--height", "5", "--out", str(tmp_path / "st.txt")],
+        env=env, preexec_fn=limit, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert "depth pass 2 at height 5, over the pair cap" in proc.stderr
+    assert time.perf_counter() - start < 60
 
 
 def height_by_walk(st):
