@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
 import scipy.sparse.csgraph
+from scipy.optimize._highspy import _core as highs
 
 from .errors import InfeasibleError, SolverError
 from .instances import GroupTreeInstance
@@ -29,8 +30,7 @@ class Block:
 
     Entry ``k`` is ``val[k]`` at row ``row[k]``, column ``col[k]``; the
     entries of a row are contiguous and rows come in order.  Entries are
-    kept unsummed, so a column may appear twice in a row; ``matrix`` sums
-    such duplicates."""
+    kept unsummed, so a column may appear twice in a row."""
 
     row: np.ndarray
     col: np.ndarray
@@ -74,10 +74,6 @@ class Block:
         return tuple((cols[a:b], vals[a:b], rhs) for a, b, rhs
                      in zip(ends, ends[1:], self.rhs.tolist()))
 
-    def matrix(self, nvar: int) -> scipy.sparse.csr_matrix:
-        return scipy.sparse.csr_matrix((self.val, (self.row, self.col)),
-                                       shape=(len(self), nvar))
-
 
 @dataclass
 class LPModel:
@@ -111,19 +107,21 @@ class LPModel:
         """``<=`` rows as ``(column indices, coefficients, rhs)``."""
         return self.ub_block.rows()
 
-    def max_violation(self, x: np.ndarray, eq, ub) -> float:
-        """Largest violation by ``x`` of the rows, given as the ``(matrix,
-        rhs)`` pairs of ``eq`` and ``ub`` (None when empty), and the bounds."""
-        worst = 0.0
-        if eq is not None:
-            m, b = eq
-            worst = max(worst, float(np.max(np.abs(m @ x - b))))
-        if ub is not None:
-            m, b = ub
-            worst = max(worst, float(np.max(m @ x - b, initial=0.0)))
-        worst = max(worst, float(np.max(self.lo - x, initial=0.0)))
-        worst = max(worst, float(np.max(x - self.hi, initial=0.0)))
-        return worst
+    @cached_property
+    def system(self) -> tuple[Block, np.ndarray]:
+        """Every row, the ``<=`` rows first, as ``lower <= A x <= rhs``:
+        the stacked block and ``lower`` (-inf, or the rhs of an ``=`` row)."""
+        return (Block.stack(self.ub_block, self.eq_block),
+                np.concatenate([np.full(len(self.ub_block), -np.inf),
+                                self.eq_block.rhs]))
+
+    def max_violation(self, x: np.ndarray) -> float:
+        """Largest violation by ``x`` of the rows and the bounds."""
+        blk, lower = self.system
+        ax = np.bincount(blk.row, blk.val * x[blk.col], minlength=len(blk))
+        return float(np.max(np.concatenate(
+            [ax - blk.rhs, lower - ax, self.lo - x, x - self.hi]),
+            initial=0.0))
 
 
 @dataclass
@@ -147,40 +145,59 @@ def _forced_equal_columns(blk: Block, nvar: int) -> np.ndarray:
     return scipy.sparse.csgraph.connected_components(graph, directed=False)[1]
 
 
-def _reduce(model: LPModel, eq, ub):
-    """The LP that HiGHS solves: forced-equal variables share one column
-    and the implied ``<=`` rows are left out; rows left empty are dropped.
+def _reduce(model: LPModel):
+    """The LP that HiGHS solves: forced-equal variables share one column,
+    the implied ``<=`` rows are left out and rows left empty are dropped.
 
-    Returns the column of every variable and the objective, ``eq``, ``ub``
-    and bounds over the columns, or None when an empty row cannot hold.  A
-    model with nothing to merge or leave out is returned as it is."""
+    Returns the column of every variable, the objective, the CSC matrix
+    and row bounds of the ``system`` rows kept, and the column bounds; or
+    None when an empty row cannot hold."""
     column = _forced_equal_columns(model.eq_block, model.nvar)
     ncol = int(column.max()) + 1 if model.nvar else 0
-    if ncol == model.nvar and not model.implied.any():
-        return np.arange(model.nvar), model.obj, eq, ub, model.lo, model.hi
-    merge = scipy.sparse.csr_matrix(
-        (np.ones(model.nvar), (np.arange(model.nvar), column)),
-        shape=(model.nvar, ncol))
-    if ub is not None:
-        ub = ub[0][~model.implied], ub[1][~model.implied]
-    systems = []
-    # an empty row reads 0 = rhs or 0 <= rhs
-    for system, holds in ((eq, np.equal), (ub, np.less_equal)):
-        if system is None:
-            systems.append(None)
-            continue
-        m, rhs = system[0] @ merge, system[1]
-        m.eliminate_zeros()
-        full = np.diff(m.indptr) > 0
-        if not holds(0.0, rhs[~full]).all():
-            return None
-        systems.append((m[full], rhs[full]) if full.any() else None)
+    blk, lower = model.system
+    a = scipy.sparse.csr_matrix((blk.val, (blk.row, column[blk.col])),
+                                shape=(len(blk), ncol))
+    a.eliminate_zeros()
+    keep = np.ones(len(blk), dtype=bool)
+    keep[:len(model.implied)] = ~model.implied
+    full = keep & (np.diff(a.indptr) > 0)
+    empty = keep & ~full
+    # an empty row reads lower <= 0 <= rhs
+    if not ((lower[empty] <= 0) & (blk.rhs[empty] >= 0)).all():
+        return None
     lo = np.full(ncol, -np.inf)
     hi = np.full(ncol, np.inf)
     np.maximum.at(lo, column, model.lo)
     np.minimum.at(hi, column, model.hi)
     return (column, np.bincount(column, weights=model.obj, minlength=ncol),
-            *systems, lo, hi)
+            a[full].tocsc(), lower[full], blk.rhs[full], lo, hi)
+
+
+def _run_highs(obj, a, row_lo, row_hi, lo, hi):
+    """HiGHS dual simplex with presolve on ``min obj x`` over ``row_lo <=
+    a x <= row_hi`` and ``lo <= x <= hi``, ``a`` in CSC form.  Returns the
+    model status and x (None unless optimal)."""
+    lp = highs.HighsLp()
+    lp.num_col_, lp.num_row_ = a.shape[1], a.shape[0]
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = obj, lo, hi
+    lp.row_lower_, lp.row_upper_ = row_lo, row_hi
+    m = lp.a_matrix_
+    m.format_ = highs.MatrixFormat.kColwise
+    m.num_col_, m.num_row_ = a.shape[1], a.shape[0]
+    m.start_, m.index_, m.value_ = a.indptr, a.indices, a.data
+    solver = highs._Highs()
+    for option, value in (("output_flag", False), ("log_to_console", False),
+                          ("presolve", "on"), ("simplex_strategy", 1),
+                          ("primal_feasibility_tolerance", 1e-10),
+                          ("dual_feasibility_tolerance", 1e-10)):
+        solver.setOptionValue(option, value)
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        return highs.HighsModelStatus.kModelError, None
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        return status, None
+    return status, np.array(solver.getSolution().col_value)
 
 
 def solve_lp(model: LPModel) -> LPSolution:
@@ -188,27 +205,19 @@ def solve_lp(model: LPModel) -> LPSolution:
     answer.  HiGHS gets the reduced LP of ``_reduce``; its solution, lifted
     to every variable, is re-checked against every row of the full model
     with an independent evaluation pass."""
-    eq, ub = ((blk.matrix(model.nvar), blk.rhs) if len(blk) else None
-              for blk in (model.eq_block, model.ub_block))
-    reduced = _reduce(model, eq, ub)
+    reduced = _reduce(model)
     if reduced is None:
         return LPSolution(INFEASIBLE, None, None)
-    column, obj, r_eq, r_ub, lo, hi = reduced
-    a_eq, b_eq = r_eq or (None, None)
-    a_ub, b_ub = r_ub or (None, None)
-    res = scipy.optimize.linprog(
-        obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-        bounds=np.column_stack([lo, hi]),
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-10,
-                 "dual_feasibility_tolerance": 1e-10})
-    if res.status == 2:
+    column, *lp = reduced
+    status, x = _run_highs(*lp)
+    if status in (highs.HighsModelStatus.kInfeasible,
+                  highs.HighsModelStatus.kModelError):
         return LPSolution(INFEASIBLE, None, None)
-    if res.status != 0:
-        raise SolverError(f"LP solver failed: {res.message}")
-    x = np.clip(res.x[column], model.lo, model.hi)
-    worst = model.max_violation(x, eq, ub)
-    if worst > EPS_FEAS:
+    if x is None:
+        raise SolverError(f"LP solver failed: HiGHS status {status.name}")
+    x = np.clip(x[column], model.lo, model.hi)
+    worst = model.max_violation(x)
+    if not worst <= EPS_FEAS:
         raise SolverError(f"solution violates constraints by {worst:.3e}")
     return LPSolution(OPTIMAL, x, float(model.obj @ x))
 

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse
+from scipy.optimize._highspy import _core as highs
 
-from conftest import small_dst
-from dbnet.errors import InfeasibleError
+from conftest import FRACTIONAL_SEEDS, small_dst
+from dbnet import lpcore
+from dbnet.cli import main
+from dbnet.errors import InfeasibleError, SolverError
 from dbnet.generators import gen_dst, gen_gst
 from dbnet.instances import (DirectedInstance, GroupTreeInstance, normalize,
-                             preprocess_gst)
+                             preprocess_gst, serialize_gst)
 from dbnet.lpcore import (EPS_CHECK, EPS_FEAS, INFEASIBLE, OPTIMAL, Block, LPModel,
-                          _capacity_rows, build_dst_lp, build_gst_lp,
+                          _capacity_rows, _reduce, build_dst_lp, build_gst_lp,
                           check_modified_solution, dump_lp,
                           modify_gst_solution, round_up_pow2, solve_lp)
 from dbnet.states import BASE, STATE, SUPER, VIRTUAL, build_super_tree
@@ -31,59 +34,112 @@ def tiny_model(eq, ub):
                    ub_block=Block.from_rows([([0], [1.0], 0.25)] * ub))
 
 
-def dst_model():
-    _, norm, _, h = small_dst(0)
+def csr(blk, nvar):
+    """The duplicate-summed matrix of a block's rows."""
+    return scipy.sparse.csr_matrix((blk.val, (blk.row, blk.col)),
+                                   shape=(len(blk), nvar))
+
+
+TOLERANCES = {"primal_feasibility_tolerance": 1e-10,
+              "dual_feasibility_tolerance": 1e-10}
+
+
+def linprog_x(model, column, obj, a_ub, b_ub, a_eq, b_eq, lo, hi):
+    """``scipy.optimize.linprog`` on an LP over the columns, lifted to the
+    variables of ``model`` as ``solve_lp`` lifts it."""
+    res = scipy.optimize.linprog(obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq,
+                                 b_eq=b_eq, bounds=np.column_stack([lo, hi]),
+                                 method="highs", options=TOLERANCES)
+    assert res.status == 0
+    return np.clip(res.x[column], model.lo, model.hi)
+
+
+def full_linprog_x(model):
+    return linprog_x(model, np.arange(model.nvar), model.obj,
+                     csr(model.ub_block, model.nvar), model.ub_block.rhs,
+                     csr(model.eq_block, model.nvar), model.eq_block.rhs,
+                     model.lo, model.hi)
+
+
+def reduced_linprog_x(model):
+    column, obj, a, row_lo, row_hi, lo, hi = _reduce(model)
+    a = a.tocsr()
+    ub = np.isneginf(row_lo)
+    return linprog_x(model, column, obj, a[ub], row_hi[ub], a[~ub],
+                     row_hi[~ub], lo, hi)
+
+
+def gst_case(seed):
+    return build_gst_lp(preprocess_gst(gen_gst(40, 3, 4, 3, seed=seed)))
+
+
+def dst_case(corpus, seed):
+    if corpus == "small_dst":
+        _, norm, _, h = small_dst(seed)
+    else:
+        norm, h = normalize(gen_dst(7, 14, 4, d_max=1, seed=seed)), 4
     return build_dst_lp(build_super_tree(norm, h))
 
 
-def gst_model():
-    return build_gst_lp(preprocess_gst(gen_gst(30, 3, seed=2)))
+# (label, model maker, whether linprog on the full model gives that x too)
+SOLVE_CASES = (
+    [("eq+ub", lambda: tiny_model(True, True), True),
+     ("eq", lambda: tiny_model(True, False), True),
+     ("ub", lambda: tiny_model(False, True), True)]
+    + [(f"small_dst-{s}", lambda s=s: dst_case("small_dst", s), False)
+       for s in range(5)]
+    + [(f"d_max=1-{s}", lambda s=s: dst_case("d_max=1", s), False)
+       for s in FRACTIONAL_SEEDS]
+    + [(f"gst-{s}", lambda s=s: gst_case(s), True) for s in range(6)])
 
 
-@pytest.mark.parametrize("make,reduced", [
-    (lambda: tiny_model(True, True), False),
-    (lambda: tiny_model(True, False), False),
-    (lambda: tiny_model(False, True), False),
-    (dst_model, True),
-    (gst_model, False)], ids=["eq+ub", "eq", "ub", "dst", "gst"])
-def test_solve_checks_the_full_matrices(monkeypatch, make, reduced):
-    built, seen = [], {}
-    matrix = Block.matrix
-    monkeypatch.setattr(Block, "matrix", lambda self, nvar: built.append(
-        matrix(self, nvar)) or built[-1])
-    linprog = scipy.optimize.linprog
-
-    def spy_linprog(c, **kwargs):
-        seen["linprog"] = c, kwargs
-        return linprog(c, **kwargs)
-
-    max_violation = LPModel.max_violation
-
-    def spy_max_violation(self, x, eq, ub):
-        seen["check"] = eq, ub
-        return max_violation(self, x, eq, ub)
-
-    monkeypatch.setattr(scipy.optimize, "linprog", spy_linprog)
-    monkeypatch.setattr(LPModel, "max_violation", spy_max_violation)
+@pytest.mark.parametrize("make,full_too", [case[1:] for case in SOLVE_CASES],
+                         ids=[case[0] for case in SOLVE_CASES])
+def test_solve_matches_linprog_bitwise(make, full_too):
+    # the direct HiGHS call gives the vertex that scipy.optimize.linprog
+    # gives on the LP it solves; a DST LP has other optimal vertices, so
+    # its reference is linprog on the reduced LP
     model = make()
-    assert solve_lp(model).status == OPTIMAL
-    # one matrix per non-empty block, and the check reads exactly those
-    blocks = (model.eq_block, model.ub_block)
-    assert len(built) == sum(len(blk) > 0 for blk in blocks)
-    full = iter(built)
-    want = [next(full) if len(blk) else None for blk in blocks]
-    got = [None if sys is None else sys[0] for sys in seen["check"]]
-    assert all(g is w for g, w in zip(got, want))
-    c, kwargs = seen["linprog"]
-    if reduced:
-        assert len(c) < model.nvar
-        assert kwargs["A_eq"].shape[0] < len(model.eq_block)
-        assert kwargs["A_ub"].shape[0] < len(model.ub_block)
-    else:
-        assert c is model.obj
-        assert kwargs["A_eq"] is want[0] and kwargs["A_ub"] is want[1]
-        assert np.array_equal(kwargs["bounds"],
-                              np.column_stack([model.lo, model.hi]))
+    sol = solve_lp(model)
+    assert sol.status == OPTIMAL
+    assert sol.x.tobytes() == reduced_linprog_x(model).tobytes()
+    if full_too:
+        assert sol.x.tobytes() == full_linprog_x(model).tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda: tiny_model(True, True),
+                                  lambda: tiny_model(True, False),
+                                  lambda: tiny_model(False, True),
+                                  lambda: dst_case("small_dst", 0),
+                                  lambda: gst_case(0)],
+                         ids=["eq+ub", "eq", "ub", "dst", "gst"])
+def test_solve_rejects_a_perturbed_answer(monkeypatch, make):
+    model = make()
+    # the column of a member of the first cover row (of x_0 in x_0 <= 1/4
+    # without one), moved by 1/2 inside its bounds
+    var = model.eq_block.col[0] if len(model.eq_block) else 0
+    j = _reduce(model)[0][var]
+    run_highs = lpcore._run_highs
+
+    def perturbed(*lp):
+        status, x = run_highs(*lp)
+        x = x.copy()
+        x[j] += 0.5 if x[j] < 0.5 else -0.5
+        return status, x
+
+    monkeypatch.setattr(lpcore, "_run_highs", perturbed)
+    with pytest.raises(SolverError, match="solution violates constraints"):
+        solve_lp(model)
+
+
+def test_failed_highs_status_is_a_solver_error(monkeypatch, tmp_path):
+    monkeypatch.setattr(lpcore, "_run_highs", lambda *lp: (
+        highs.HighsModelStatus.kIterationLimit, None))
+    with pytest.raises(SolverError, match="kIterationLimit"):
+        solve_lp(gst_case(0))
+    path = tmp_path / "a.gst"
+    path.write_text(serialize_gst(gen_gst(25, 3, seed=4)))
+    assert main(["solve-gst", "--instance", str(path)]) == 1
 
 
 def test_empty_polytope():
@@ -334,7 +390,7 @@ def assert_same_lp(model, obj, eq, ub, lo=None):
         ci = [j for cols, _, _ in rows for j in cols]
         want = scipy.sparse.csr_matrix((data, (ri, ci)),
                                        shape=(len(rows), model.nvar))
-        got = blk.matrix(model.nvar)
+        got = csr(blk, model.nvar)
         # duplicates summed alike: explicit zeros of x_p - x_p included
         assert got.shape == want.shape and (got != want).nnz == 0
         assert np.array_equal(got.indptr, want.indptr)
@@ -365,7 +421,7 @@ def test_capacity_row_of_a_base_node_lists_it_twice():
     model = build_dst_lp(build_super_tree(normalize(inst), 3, 10_000))
     # base node 2 carries terminal 1: x_2 - x_2 <= 0, both entries kept
     assert model.ub[0] == ([2, 2], [1.0, -1.0], 0.0)
-    assert model.ub_block.matrix(model.nvar)[0, 2] == 0.0
+    assert csr(model.ub_block, model.nvar)[0, 2] == 0.0
     # vacuous, so solve_lp leaves it out; so are the rows of its ancestors,
     # which it reaches through one child each
     assert model.implied.tolist() == [True, True, True]
@@ -384,35 +440,43 @@ def test_capacity_rows_flag_one_child_and_own_rows():
         3: True}
 
 
-# gen_dst(7, 14, 4, d_max=1) seeds whose LP optimum at h=4 is fractional
-FRACTIONAL_SEEDS = (3, 9, 12, 13, 15, 17, 22, 30, 38)
+def assert_reduced_lp_is_exact(model):
+    """The solve of the reduced LP is feasible for the full model and as
+    cheap as linprog on the full model; returns that cost."""
+    best = model.obj @ full_linprog_x(model)
+    sol = solve_lp(model)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(best, abs=1e-7)
+    x = sol.x
+    a_eq, a_ub = (csr(blk, model.nvar)
+                  for blk in (model.eq_block, model.ub_block))
+    assert np.max(np.abs(a_eq @ x - model.eq_block.rhs)) <= EPS_FEAS
+    assert np.max(a_ub @ x - model.ub_block.rhs) <= EPS_FEAS
+    assert np.all(model.lo <= x) and np.all(x <= model.hi)
+    return best
 
 
 @pytest.mark.parametrize("case", [("small_dst", s) for s in range(5)]
                          + [("d_max=1", s) for s in FRACTIONAL_SEEDS],
                          ids=lambda case: f"{case[0]}-{case[1]}")
 def test_reduced_dst_lp_is_exact(case):
-    corpus, seed = case
-    if corpus == "small_dst":
-        _, norm, _, h = small_dst(seed)
-    else:
-        norm, h = normalize(gen_dst(7, 14, 4, d_max=1, seed=seed)), 4
-    model = build_dst_lp(build_super_tree(norm, h))
-    a_eq = model.eq_block.matrix(model.nvar)
-    a_ub = model.ub_block.matrix(model.nvar)
-    res = scipy.optimize.linprog(
-        model.obj, A_ub=a_ub, b_ub=model.ub_block.rhs, A_eq=a_eq,
-        b_eq=model.eq_block.rhs, bounds=np.column_stack([model.lo, model.hi]),
-        method="highs", options={"primal_feasibility_tolerance": 1e-10,
-                                 "dual_feasibility_tolerance": 1e-10})
-    assert res.status == 0
+    model = dst_case(*case)
+    # forced-equal variables share a column; implied rows are left out
+    _, _, a, row_lo, *_ = _reduce(model)
+    assert a.shape[1] < model.nvar
+    assert np.sum(np.isneginf(row_lo)) <= np.sum(~model.implied)
+    best = assert_reduced_lp_is_exact(model)
     if case == ("d_max=1", 3):
-        assert res.fun == pytest.approx(32.67, abs=0.01)
-    sol = solve_lp(model)
-    assert sol.status == OPTIMAL
-    assert sol.objective == pytest.approx(res.fun, abs=1e-7)
-    x = sol.x
-    assert np.max(np.abs(a_eq @ x - model.eq_block.rhs)) <= EPS_FEAS
-    assert np.max(a_ub @ x - model.ub_block.rhs) <= EPS_FEAS
-    assert np.all(model.lo <= x) and np.all(x <= model.hi)
-    assert model.obj @ x == pytest.approx(res.fun, abs=1e-7)
+        assert best == pytest.approx(32.67, abs=0.01)
+
+
+@pytest.mark.parametrize("n,k,depth,d_max,seed", [
+    (40, 3, 4, 3, 0), (40, 3, 4, 3, 5), (60, 4, 5, 2, 1), (80, 5, 5, 3, 2),
+    (120, 6, 6, 3, 3), (2000, 8, 8, 4, 0)])
+def test_reduced_gst_lp_is_exact(n, k, depth, d_max, seed):
+    # the x_o - x_o <= 0 capacity rows of the members are left out
+    model = build_gst_lp(preprocess_gst(gen_gst(n, k, depth, d_max,
+                                                seed=seed)))
+    assert _reduce(model)[2].shape[0] < len(model.eq_block) + len(
+        model.ub_block)
+    assert_reduced_lp_is_exact(model)

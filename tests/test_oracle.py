@@ -6,12 +6,12 @@ from hypothesis import strategies as hs
 
 from conftest import set_cover_triangle
 from dbnet.errors import CapExceededError, FormatError
-from dbnet.generators import gen_gst
+from dbnet.generators import gen_dst, gen_gst
 from dbnet.instances import (DirectedInstance, GroupTreeInstance, normalize,
                              preprocess_gst)
 from dbnet.lpcore import build_dst_lp, build_gst_lp, solve_lp
 from dbnet.oracle import INFEASIBLE, OPTIMAL, exact_dst, exact_gst
-from dbnet.states import build_super_tree
+from dbnet.states import build_super_tree, oracle_height
 
 
 def test_dst_single_edge():
@@ -210,6 +210,26 @@ def test_gst_optimum_equals_dst_of_its_reduction(n, k, depth, d_max, seed):
     assert exact_dst(gst_as_dst(inst)).cost == opt.cost
     lp = solve_lp(build_gst_lp(inst)).objective
     assert lp <= opt.cost * (1 + 1e-9) + 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(hs.integers(4, 6), hs.integers(5, 8), hs.integers(1, 3),
+       hs.integers(0, 1), hs.integers(0, 10 ** 6))
+def test_dst_lp_at_most_oracle_under_its_certificate(n, m, k, extra, seed):
+    # at h >= oracle_height the oracle's tree embeds into the super-tree,
+    # so the super-tree LP is a relaxation of it; the node cap keeps the
+    # dense shapes at h=5 out
+    inst = gen_dst(n, m, k, seed=seed)
+    opt = exact_dst(inst)
+    assert opt.status == OPTIMAL
+    norm = normalize(inst)
+    h = oracle_height(norm, opt.edges) + extra
+    try:
+        st = build_super_tree(norm, h, node_cap=50_000)
+    except CapExceededError:
+        assume(False)
+    lp = solve_lp(build_dst_lp(st))
+    assert lp.objective <= opt.cost + 1e-7
 
 
 def test_set_cover_triangle_gap():
