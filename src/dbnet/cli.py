@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,14 +71,17 @@ def _load_dst(path: str) -> DirectedInstance:
 def _parse_gen_spec(spec: str) -> dict[str, int]:
     out = {}
     for part in spec.split(","):
-        if "=" not in part:
+        key, eq, val = part.partition("=")
+        key = key.strip()
+        if not eq:
             raise FormatError(f"bad generator spec item: {part!r}")
-        key, val = part.split("=", 1)
+        if key in out:
+            raise FormatError(f"repeated generator key: {key!r}")
         try:
-            out[key.strip()] = int(val)
+            out[key] = int(val)
         except ValueError:
             raise FormatError(f"bad generator value: {part!r}")
-        if out[key.strip()] < 0:
+        if out[key] < 0:
             raise FormatError(f"negative generator value: {part!r}")
     return out
 
@@ -303,9 +307,7 @@ def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
     total = sum(cost.get(e, 0) for e in edges)
     if total != doc.get("tree_cost"):
         bad.append(f"tree cost mismatch: {total} vs {doc.get('tree_cost')}")
-    outdeg = {}
-    for (u, _) in edges:
-        outdeg[u] = outdeg.get(u, 0) + 1
+    outdeg = Counter(u for u, _ in edges)
     # a tail that is no vertex is already reported as an edge not in the
     # instance
     want = {str(u): d / max(inst.degree_bound[u], 1)

@@ -12,6 +12,7 @@ assignment.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,9 +206,7 @@ def run_dst(norm: NormalizedInstance, h: int | None = None,
     tree_edges, covered = extract_tree(orig, union_edges)
     tree_cost = sum(cost_of[e] for e in tree_edges)
 
-    outdeg = {}
-    for (u, _) in tree_edges:
-        outdeg[u] = outdeg.get(u, 0) + 1
+    outdeg = Counter(u for u, _ in tree_edges)
     ratios = {u: d / max(orig.degree_bound[u], 1) for u, d in outdeg.items()}
 
     h_prime = st.height()

@@ -466,6 +466,8 @@ def parse_gst(text: str) -> GroupTreeInstance:
         for o in ids:
             if not (0 <= o < n):
                 raise FormatError(f"group member id out of range: {o}")
+        if len(set(ids)) != size:
+            raise FormatError(f"repeated group member: {' '.join(ln)}")
         groups[t] = frozenset(ids)
     inst = GroupTreeInstance(n, parent, cost, groups, degree)
     if parent[root] != -1:

@@ -10,11 +10,11 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.csgraph
 from scipy.optimize._highspy import _core as highs
 
 from .errors import InfeasibleError, SolverError
 from .instances import GroupTreeInstance
+from .rounding import tops
 from .states import BASE, STATE, SUPER, VIRTUAL, SuperTree
 
 EPS_FEAS = 1e-9
@@ -79,7 +79,9 @@ class Block:
 class LPModel:
     """The full LP.  ``implied`` masks the ``<=`` rows that the other rows
     and the bounds imply; ``solve_lp`` leaves them out of the solve and
-    checks them afterwards."""
+    checks them afterwards.  ``tie[c] = p`` declares that the rows force
+    ``x_c = x_p``, -1 where they force nothing; the ties form a forest,
+    and ``solve_lp`` gives each of its trees one column."""
 
     nvar: int
     obj: np.ndarray
@@ -88,6 +90,7 @@ class LPModel:
     lo: np.ndarray = None
     hi: np.ndarray = None
     implied: np.ndarray = None
+    tie: np.ndarray = None
 
     def __post_init__(self):
         if self.lo is None:
@@ -96,6 +99,8 @@ class LPModel:
             self.hi = np.ones(self.nvar)
         if self.implied is None:
             self.implied = np.zeros(len(self.ub_block), dtype=bool)
+        if self.tie is None:
+            self.tie = np.full(self.nvar, -1)
 
     @property
     def eq(self) -> tuple:
@@ -131,29 +136,18 @@ class LPSolution:
     objective: float | None
 
 
-def _forced_equal_columns(blk: Block, nvar: int) -> np.ndarray:
-    """The column of every variable once ``a`` and ``b`` share one column
-    for each row ``x_a - x_b = 0`` of ``blk``."""
-    count = np.bincount(blk.row, minlength=len(blk))
-    two = np.flatnonzero(count == 2)
-    at = (np.cumsum(count) - count)[two]
-    a, b = blk.col[at], blk.col[at + 1]
-    va, vb = blk.val[at], blk.val[at + 1]
-    tie = (a != b) & (va != 0) & (va == -vb) & (blk.rhs[two] == 0)
-    graph = scipy.sparse.coo_matrix(
-        (np.ones(int(tie.sum())), (a[tie], b[tie])), shape=(nvar, nvar))
-    return scipy.sparse.csgraph.connected_components(graph, directed=False)[1]
-
-
 def _reduce(model: LPModel):
-    """The LP that HiGHS solves: forced-equal variables share one column,
-    the implied ``<=`` rows are left out and rows left empty are dropped.
+    """The LP that HiGHS solves: each tree of ties is one column, the
+    implied ``<=`` rows are left out and rows left empty are dropped.
 
     Returns the column of every variable, the objective, the CSC matrix
     and row bounds of the ``system`` rows kept, and the column bounds; or
     None when an empty row cannot hold."""
-    column = _forced_equal_columns(model.eq_block, model.nvar)
-    ncol = int(column.max()) + 1 if model.nvar else 0
+    # columns in the order of the trees' tops
+    linked = np.flatnonzero(model.tie >= 0)
+    top = tops(model.nvar, linked, model.tie[linked])
+    column = (np.cumsum(top == np.arange(model.nvar)) - 1)[top]
+    ncol = model.nvar - len(linked)
     blk, lower = model.system
     a = scipy.sparse.csr_matrix((blk.val, (blk.row, column[blk.col])),
                                 shape=(len(blk), ncol))
@@ -312,10 +306,16 @@ def build_dst_lp(st: SuperTree) -> LPModel:
     cover = _cover_rows(member, group, len(terms))
     child_rows = _tree_rows(st.child_ptr, st.child, kind == VIRTUAL,
                             (kind == STATE) | (kind == SUPER), np.ones(n))
+    # x_c - x_p = 0 rows: per child of a virtual p, or the child-sum row of
+    # a p with one child c (base nodes have none)
+    par = st.parent[st.child]
+    tied = (kind[par] == VIRTUAL) | (np.diff(st.child_ptr)[par] == 1)
+    tie = np.full(n, -1)
+    tie[st.child[tied]] = par[tied]
     capacity, implied = _capacity_rows(st.parent, member, group,
                                        descending=True)
     return LPModel(n, obj, eq_block=Block.stack(cover, child_rows),
-                   ub_block=capacity, implied=implied)
+                   ub_block=capacity, implied=implied, tie=tie)
 
 
 def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
@@ -416,32 +416,21 @@ def check_modified_solution(inst: GroupTreeInstance, x: np.ndarray,
 def dump_lp(model: LPModel) -> str:
     """Fixed-layout MPS-like text dump for cross-checking with external
     solvers."""
+    rows = ([("E", f"EQ{i:06d}", row) for i, row in enumerate(model.eq)]
+            + [("L", f"UB{i:06d}", row) for i, row in enumerate(model.ub)])
     lines = ["NAME          DBNET", "ROWS", " N  COST"]
-    for i in range(len(model.eq)):
-        lines.append(f" E  EQ{i:06d}")
-    for i in range(len(model.ub)):
-        lines.append(f" L  UB{i:06d}")
-    cols: dict[int, list[tuple[str, float]]] = {}
-    for j in range(model.nvar):
-        if model.obj[j]:
-            cols.setdefault(j, []).append(("COST", model.obj[j]))
-    for i, (cc, vv, _) in enumerate(model.eq):
+    lines += [f" {sense}  {name}" for sense, name, _ in rows]
+    cols = {j: [("COST", model.obj[j])] for j in range(model.nvar)
+            if model.obj[j]}
+    for _, name, (cc, vv, _) in rows:
         for j, v in zip(cc, vv):
-            cols.setdefault(j, []).append((f"EQ{i:06d}", v))
-    for i, (cc, vv, _) in enumerate(model.ub):
-        for j, v in zip(cc, vv):
-            cols.setdefault(j, []).append((f"UB{i:06d}", v))
+            cols.setdefault(j, []).append((name, v))
     lines.append("COLUMNS")
     for j in sorted(cols):
-        for row, v in cols[j]:
-            lines.append(f"    X{j:06d}    {row}    {v:.12g}")
+        lines += [f"    X{j:06d}    {row}    {v:.12g}" for row, v in cols[j]]
     lines.append("RHS")
-    for i, (_, _, b) in enumerate(model.eq):
-        if b:
-            lines.append(f"    RHS    EQ{i:06d}    {b:.12g}")
-    for i, (_, _, b) in enumerate(model.ub):
-        if b:
-            lines.append(f"    RHS    UB{i:06d}    {b:.12g}")
+    lines += [f"    RHS    {name}    {b:.12g}" for _, name, (_, _, b) in rows
+              if b]
     lines.append("BOUNDS")
     for j in range(model.nvar):
         lines.append(f" UP BND    X{j:06d}    {model.hi[j]:.12g}")

@@ -73,6 +73,17 @@ def csr(n: int, rows, *cols) -> tuple[np.ndarray, ...]:
     return (ptr, *(np.asarray(c)[order] for c in cols))
 
 
+def tops(n: int, child: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """The top of every node 0..n-1 in the forest of links ``child[j] ->
+    parent[j]``, one link at most per child, by pointer jumping."""
+    top = np.arange(n)
+    top[child] = parent
+    while len(child):
+        top[child] = top[top[child]]
+        child = child[top[child] != top[top[child]]]
+    return top
+
+
 class Rows:
     """``rows[i]`` is row i of a CSR table, as a list."""
 
@@ -142,13 +153,7 @@ class ChildTable:
         hi = np.asarray(hi, dtype=float)
         sure = (lo <= 0) & (hi >= 1)
         drawn = ~sure & (lo < 1) & (hi > 0) & (lo < hi)
-        # head by pointer jumping along the sure entries
-        head = np.arange(n)
-        head[child[sure]] = parent[sure]
-        up = child[sure]
-        while len(up):
-            head[up] = head[head[up]]
-            up = up[head[up] != head[head[up]]]
+        head = tops(n, child[sure], parent[sure])
         members = np.concatenate(([root], child[sure | drawn]))
         self.member_ptr, self.member = csr(n, head[members], members)
         self.member_head = np.repeat(np.arange(n), np.diff(self.member_ptr))

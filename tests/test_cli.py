@@ -339,6 +339,15 @@ def test_negative_generator_value_is_format_error(capsys):
     assert "negative generator value: 'seed=-1'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("problem,spec", [("dst", "n=5,n=7"),
+                                          ("gst", "n=20,k=2,k=3"),
+                                          ("dst", "seed=1,n=6,seed=1")])
+def test_repeated_generator_key_is_format_error(capsys, problem, spec):
+    # a later value would silently win over an earlier one
+    assert main(["run", "--problem", problem, "--gen", spec]) == 5
+    assert "repeated generator key" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("height,cause", [
     ("2", "DST LP is infeasible"),
     ("1", "terminal 3 appears in no base node")])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from dbnet.cli import main
 from dbnet.generators import gen_dst, gen_gst
 from dbnet.errors import FormatError
 from dbnet.instances import (PHI_CONST_ONE, PHI_IDENTITY, DirectedInstance,
@@ -91,6 +92,19 @@ def test_parsers_are_total(case):
 def test_duplicate_edge_rejected():
     with pytest.raises(FormatError, match="duplicate"):
         DirectedInstance(2, [(0, 1, 5), (0, 1, 6)], 0, {1}, {0: 1, 1: 0})
+
+
+def test_repeated_group_member_rejected(tmp_path):
+    text = serialize_gst(GroupTreeInstance(3, [-1, 0, 0], [0, 1, 1],
+                                           [frozenset({1, 2})], [2, 1, 1]))
+    assert "group 0 2 1 2\n" in text
+    # the size check passes, but the group would shrink to {1}
+    bad = text.replace("group 0 2 1 2", "group 0 2 1 1")
+    with pytest.raises(FormatError, match="repeated group member"):
+        parse_gst(bad)
+    path = tmp_path / "bad.gst"
+    path.write_text(bad)
+    assert main(["oracle-gst", "--instance", str(path)]) == 5
 
 
 def test_round_trip_generated():

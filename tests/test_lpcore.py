@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse
+import scipy.sparse.csgraph
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 from scipy.optimize._highspy import _core as highs
 
 from conftest import FRACTIONAL_SEEDS, small_dst
 from dbnet import lpcore
 from dbnet.cli import main
-from dbnet.errors import InfeasibleError, SolverError
+from dbnet.errors import CapExceededError, InfeasibleError, SolverError
 from dbnet.generators import gen_dst, gen_gst
 from dbnet.instances import (DirectedInstance, GroupTreeInstance, normalize,
                              preprocess_gst, serialize_gst)
@@ -480,3 +483,97 @@ def test_reduced_gst_lp_is_exact(n, k, depth, d_max, seed):
     assert _reduce(model)[2].shape[0] < len(model.eq_block) + len(
         model.ub_block)
     assert_reduced_lp_is_exact(model)
+
+
+def reference_reduce(model):
+    """``_reduce`` with its columns found from the rows, as first written:
+    the two variables of each row ``x_a - x_b = 0`` share one column, and
+    the columns are scipy's connected components of those rows."""
+    eq = model.eq_block
+    count = np.bincount(eq.row, minlength=len(eq))
+    two = np.flatnonzero(count == 2)
+    at = (np.cumsum(count) - count)[two]
+    a, b = eq.col[at], eq.col[at + 1]
+    va, vb = eq.val[at], eq.val[at + 1]
+    tie = (a != b) & (va != 0) & (va == -vb) & (eq.rhs[two] == 0)
+    graph = scipy.sparse.coo_matrix((np.ones(int(tie.sum())),
+                                     (a[tie], b[tie])),
+                                    shape=(model.nvar, model.nvar))
+    column = scipy.sparse.csgraph.connected_components(graph,
+                                                       directed=False)[1]
+    ncol = int(column.max()) + 1 if model.nvar else 0
+    blk, lower = model.system
+    mat = scipy.sparse.csr_matrix((blk.val, (blk.row, column[blk.col])),
+                                  shape=(len(blk), ncol))
+    mat.eliminate_zeros()
+    keep = np.ones(len(blk), dtype=bool)
+    keep[:len(model.implied)] = ~model.implied
+    full = keep & (np.diff(mat.indptr) > 0)
+    empty = keep & ~full
+    if not ((lower[empty] <= 0) & (blk.rhs[empty] >= 0)).all():
+        return None
+    lo = np.full(ncol, -np.inf)
+    hi = np.full(ncol, np.inf)
+    np.maximum.at(lo, column, model.lo)
+    np.minimum.at(hi, column, model.hi)
+    return (column, np.bincount(column, weights=model.obj, minlength=ncol),
+            mat[full].tocsc(), lower[full], blk.rhs[full], lo, hi)
+
+
+def same_reduction(model) -> bool:
+    """Whether ``_reduce`` and ``reference_reduce`` agree array for array."""
+    got, want = _reduce(model), reference_reduce(model)
+    if got is None or want is None:
+        return got is want
+
+    def arrays(reduced):
+        column, obj, a, *rest = reduced
+        return [column, obj, a.indptr, a.indices, a.data, a.shape, *rest]
+
+    return all(np.array_equal(g, w)
+               for g, w in zip(arrays(got), arrays(want)))
+
+
+@hs.composite
+def dst_shapes(draw):
+    """``gen_dst`` shapes (n, m, k) from (3, 3, 1) to (6, 8, 3)."""
+    n = draw(hs.integers(3, 6))
+    return (n, draw(hs.integers(max(n - 1, 3), min(8, (n - 1) ** 2))),
+            draw(hs.integers(1, min(3, n - 1))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(dst_shapes(), hs.integers(1, 3), hs.integers(0, 4),
+       hs.integers(0, 10 ** 6))
+def test_declared_ties_are_the_tie_rows(shape, d_max, h, seed):
+    # the builder's ties give the columns that the x_a - x_b = 0 rows give;
+    # a height too small to hold any terminal is filtered out
+    try:
+        st = build_super_tree(normalize(gen_dst(*shape, d_max, seed=seed)),
+                              h, node_cap=50_000)
+        model = build_dst_lp(st)
+    except (CapExceededError, InfeasibleError):
+        assume(False)
+    assert same_reduction(model)
+
+
+def test_gst_models_declare_no_tie(gst_suite):
+    for inst in gst_suite:
+        model = build_gst_lp(inst)
+        assert (model.tie == -1).all()
+        assert same_reduction(model)
+
+
+@pytest.mark.parametrize("change", ["extra", "missing"])
+def test_a_wrong_tie_fails_the_reference(change):
+    _, norm, _, h = small_dst(0)
+    st = build_super_tree(norm, h)
+    model = build_dst_lp(st)
+    assert same_reduction(model)
+    if change == "extra":
+        # a child of a state node with other children: a sum row, no tie
+        c = np.flatnonzero((model.tie == -1) & (st.parent >= 0))[0]
+        model.tie[c] = st.parent[c]
+    else:
+        model.tie[np.flatnonzero(model.tie >= 0)[0]] = -1
+    assert not same_reduction(model)

@@ -232,6 +232,32 @@ def test_dst_lp_at_most_oracle_under_its_certificate(n, m, k, extra, seed):
     assert lp.objective <= opt.cost + 1e-7
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(hs.integers(3, 9), hs.integers(1, 3), hs.integers(2, 4),
+       hs.integers(1, 3), hs.integers(0, 1), hs.integers(0, 10 ** 6))
+def test_dst_lp_of_the_gst_reduction_at_most_gst_optimum(n, k, depth, d_max,
+                                                        extra, seed):
+    # at h >= the oracle height of the reduction's optimum, the super-tree
+    # LP of the DB-DST form relaxes the DB-GST-T optimum
+    try:
+        inst = preprocess_gst(gen_gst(n, k, depth, d_max, seed=seed))
+    except FormatError:
+        assume(False)
+    assume(inst.n + k <= 12)
+    opt = exact_gst(inst)
+    dst = gst_as_dst(inst)
+    res = exact_dst(dst)
+    assert opt.status == res.status == OPTIMAL and res.cost == opt.cost
+    norm = normalize(dst)
+    h = oracle_height(norm, res.edges) + extra
+    try:
+        st = build_super_tree(norm, h, node_cap=50_000)
+    except CapExceededError:
+        assume(False)
+    lp = solve_lp(build_dst_lp(st))
+    assert lp.objective <= opt.cost + 1e-7
+
+
 def test_set_cover_triangle_gap():
     inst = set_cover_triangle()
     sol = solve_lp(build_gst_lp(preprocess_gst(inst)))

@@ -21,6 +21,7 @@ from dbnet.generators import gen_dst
 from dbnet.instances import (DirectedInstance, lift_tree, normalize,
                              serialize_dst)
 from dbnet.lpcore import build_dst_lp, solve_lp
+from dbnet.oracle import exact_dst
 from dbnet.states import (BASE, STATE, SUPER, VIRTUAL, SuperTree,
                           build_super_tree, degree_vectors_consistent,
                           edge_agrees, gen_state_tree, is_allowable_child_pair,
@@ -118,6 +119,25 @@ def test_stitch_round_trip():
         assert mt2.cost(norm) == res.cost
         assert sorted(mt2.label) == sorted(mt.label)
         assert sorted(mt2.edge_labels()) == sorted(mt.edge_labels())
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(hs.integers(3, 7), hs.integers(0, 4), hs.integers(1, 3),
+       hs.integers(1, 3), hs.integers(0, 10 ** 6))
+def test_lift_decompose_stitch_round_trip(n, extra, k, d_max, seed):
+    # normalize -> lift -> gen_state_tree -> stitch gives back the oracle's
+    # original edges, each once, through edge_origin, at the same cost
+    inst = gen_dst(n, min(n - 1 + extra, (n - 1) ** 2), min(k, n - 1),
+                   d_max, seed=seed)
+    res = exact_dst(inst)
+    assert res.status == "OPTIMAL"
+    norm = normalize(inst)
+    mt = lift_tree(norm, set(map(tuple, res.edges)))
+    back = stitch_multi_tree(norm, gen_state_tree(norm, mt))
+    origin = [norm.edge_origin[e] for e in back.edge_labels()]
+    assert sorted(e for e in origin if e is not None) == sorted(
+        map(tuple, res.edges))
+    assert back.cost(norm) == mt.cost(norm) == res.cost
 
 
 def test_super_tree_single_edge():
