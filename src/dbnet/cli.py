@@ -285,6 +285,8 @@ def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
     for (u, v) in edges:
         if (u, v) not in cost:
             bad.append(f"edge ({u}, {v}) not in the instance")
+        if v == inst.root:
+            bad.append(f"edge ({u}, {v}) enters the root")
         if v in parent:
             bad.append(f"vertex {v} has two parents")
         parent[v] = u

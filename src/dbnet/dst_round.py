@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceededError, InfeasibleError, InvariantError
-from .instances import MultiTree, NormalizedInstance, original_degree
+from .instances import (PHI_IDENTITY, MultiTree, NormalizedInstance,
+                        original_degree)
 from .lpcore import INFEASIBLE, build_dst_lp, solve_lp
 from .rounding import ChildTable, blocks, csr, pair_counts, per_rep
 from .report import RunReport
@@ -97,18 +98,30 @@ def round_super_tree(st: SuperTree, selected) -> RoundingOutcome:
     return RoundingOutcome(cost, tree, multi)
 
 
+def _copy_of(norm: NormalizedInstance, v: int) -> str:
+    """A copy of normalized vertex v, named by the original vertex it
+    stands for."""
+    o = norm.origin[v]
+    part = ("" if o == v else "'s gadget"
+            if norm.phi_kind[v] == PHI_IDENTITY else "'s sink")
+    return f"a copy of {o}{part}"
+
+
 def _check_good_multi_tree(norm: NormalizedInstance, tree: MultiTree):
     inst = norm.inst
-    if tree.label[tree.root] != inst.root:
-        raise InvariantError("multi-tree not rooted at a copy of the root")
+    top = tree.label[tree.root]
+    if top != inst.root:
+        raise InvariantError(f"multi-tree rooted at {_copy_of(norm, top)}, "
+                             f"not at a copy of the root {inst.root}")
     rho = original_degree(norm, tree)
-    for a in range(len(tree)):
-        if not tree.children[a] and tree.label[a] not in inst.terminals:
-            raise InvariantError(f"leaf copy of non-terminal {tree.label[a]}")
-        if rho[a] > inst.degree_bound[tree.label[a]]:
+    for a, v in enumerate(tree.label):
+        if not tree.children[a] and v not in inst.terminals:
             raise InvariantError(
-                f"original degree {rho[a]} of a copy of {tree.label[a]} "
-                f"exceeds bound {inst.degree_bound[tree.label[a]]}")
+                f"{_copy_of(norm, v)} is a leaf but not a terminal")
+        if rho[a] > inst.degree_bound[v]:
+            raise InvariantError(
+                f"original degree {rho[a]} of {_copy_of(norm, v)} "
+                f"exceeds bound {inst.degree_bound[v]}")
 
 
 def concentration_stats(sampler: Sampler, rep: np.ndarray, node: np.ndarray,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvariantError
 from .rounding import Rows, csr, expand
 
 PHI_CONST_ONE = "one"
@@ -149,6 +149,9 @@ class NormalizedInstance:
     back to the original vertex it stands for (a binarization gadget vertex
     maps to the gadget owner).  `edge_origin` maps each edge to the original
     edge whose cost it carries, or None for zero-cost structural edges.
+    `edge_path` maps each original edge (u, w), and the sink edge (t, t') of
+    each split terminal, to the normalized edges from u (or t) through its
+    gadget that realize it, in order from the top.
     """
 
     inst: DirectedInstance
@@ -157,6 +160,8 @@ class NormalizedInstance:
     phi_kind: dict[int, str]
     edge_origin: dict[tuple[int, int], tuple[int, int] | None]
     terminal_origin: dict[int, int] = field(default_factory=dict)
+    edge_path: dict[tuple[int, int], tuple[tuple[int, int], ...]] = field(
+        default_factory=dict)
 
     def phi(self, v: int, rho: int) -> int:
         if self.phi_kind[v] == PHI_CONST_ONE:
@@ -185,6 +190,7 @@ def normalize(inst: DirectedInstance) -> NormalizedInstance:
     origin = {v: v for v in range(n)}
     phi_kind = {v: PHI_CONST_ONE for v in range(n)}
     edge_origin = {(u, v): (u, v) for (u, v) in edges}
+    edge_path = {(u, v): ((u, v),) for (u, v) in edges}
     terminals = set(inst.terminals)
     terminal_origin = {}
     heads = {u: [v for (v, _) in inst.out_edges(u)] for u in range(n)}
@@ -197,6 +203,7 @@ def normalize(inst: DirectedInstance) -> NormalizedInstance:
         n += 1
         edges[(t, tp)] = 0
         edge_origin[(t, tp)] = None
+        edge_path[(t, tp)] = ((t, tp),)
         degree[t] = degree[t] + 1
         degree[tp] = 0
         origin[tp] = t
@@ -218,14 +225,16 @@ def normalize(inst: DirectedInstance) -> NormalizedInstance:
         leaf_cost = {v: edges.pop((u, v)) for v in out}
         leaf_orig = {v: edge_origin.pop((u, v)) for v in out}
 
-        def attach(parent, leaves):
-            # give `parent` one child covering `leaves`: the leaf itself, or
-            # a fresh gadget vertex whose subtree covers the halves
+        def attach(parent, leaves, path):
+            # give `parent`, reached from u along `path`, one child covering
+            # `leaves`: the leaf itself, or a fresh gadget vertex whose
+            # subtree covers the halves
             nonlocal n
             if len(leaves) == 1:
                 w = leaves[0]
                 edges[(parent, w)] = leaf_cost[w]
                 edge_origin[(parent, w)] = leaf_orig[w]
+                edge_path[(u, w)] = path + ((parent, w),)
                 return
             g = n
             n += 1
@@ -234,13 +243,14 @@ def normalize(inst: DirectedInstance) -> NormalizedInstance:
             phi_kind[g] = PHI_IDENTITY
             edges[(parent, g)] = 0
             edge_origin[(parent, g)] = None
+            path = path + ((parent, g),)
             mid = (len(leaves) + 1) // 2
-            attach(g, leaves[:mid])
-            attach(g, leaves[mid:])
+            attach(g, leaves[:mid], path)
+            attach(g, leaves[mid:], path)
 
         mid = (len(out) + 1) // 2
-        attach(u, out[:mid])
-        attach(u, out[mid:])
+        attach(u, out[:mid], ())
+        attach(u, out[mid:], ())
 
     norm = DirectedInstance(
         n,
@@ -250,7 +260,7 @@ def normalize(inst: DirectedInstance) -> NormalizedInstance:
         degree,
     )
     return NormalizedInstance(norm, inst, origin, phi_kind, edge_origin,
-                              terminal_origin)
+                              terminal_origin, edge_path)
 
 
 class MultiTree:
@@ -300,75 +310,47 @@ def lift_tree(norm: NormalizedInstance,
               edges: set[tuple[int, int]]) -> MultiTree:
     """Map an original-graph solution tree into the normalized instance.
 
-    `edges` must form an out-arborescence rooted at the original root whose
-    leaves are terminals.  Each original edge (u, v) becomes the path through
-    u's binarization gadget ending in the leaf edge that carries (u, v); a
-    split terminal additionally gains its zero-cost sink edge.  The result is
-    a multi-tree over the normalized instance with the same cost.
+    `edges` must form an out-arborescence rooted at the original root.  Each
+    original edge (u, v) becomes its `edge_path` through u's binarization
+    gadget, and a split terminal of the tree gains the path to its sink.
+    The result is a multi-tree over the normalized instance with the same
+    cost.  An edge that is no original edge, or an edge set that is not one
+    tree from the root, raises InvariantError.
     """
     inst = norm.original
-    kids: dict[int, set[int]] = {}
-    for (u, v) in edges:
-        kids.setdefault(u, set()).add(v)
-
-    split_of = {t: tp for tp, t in norm.terminal_origin.items() if tp != t}
-    out_adj: dict[int, list[int]] = {}
-    for (a, b, _) in norm.inst.edges:
-        out_adj.setdefault(a, []).append(b)
-
-    def gadget_edges(u: int) -> list[tuple[int, int]]:
-        # normalized edges realizing u's chosen out-edges (and its sink edge
-        # when u is a split terminal), pruned to the needed gadget paths
-        want = kids.get(u, set())
-        want_sink = u in split_of
-        keep: list[tuple[int, int]] = []
-
-        def walk(a: int) -> bool:
-            used = False
-            for b in sorted(out_adj.get(a, [])):
-                e = (a, b)
-                oe = norm.edge_origin.get(e)
-                if oe is not None:
-                    hit = oe[0] == u and oe[1] in want
-                elif norm.origin[b] == u and norm.phi_kind[b] == PHI_IDENTITY:
-                    hit = walk(b)
-                elif norm.origin[b] == u and b != u:
-                    hit = want_sink  # the split sink edge (u, u')
-                else:
-                    hit = False
-                if hit:
-                    keep.append(e)
-                    used = True
-            return used
-
-        walk(u)
-        return keep
-
-    lifted: dict[int, list[int]] = {}
-    for u in {inst.root} | {w for e in edges for w in e}:
-        for (a, b) in gadget_edges(u):
-            lifted.setdefault(a, []).append(b)
+    for e in sorted(edges):
+        if e not in inst.cost:
+            raise InvariantError(f"edge {e} is not an edge of the instance")
+    on_tree = {w for e in edges for w in e}
+    sinks = [(t, tp) for tp, t in norm.terminal_origin.items()
+             if tp != t and t in on_tree]
+    lifted: dict[int, set[int]] = {}
+    for e in [*edges, *sinks]:
+        for (a, b) in norm.edge_path[e]:
+            lifted.setdefault(a, set()).add(b)
 
     mt = MultiTree()
+    seen = set()
     stack = [(inst.root, None)]
     while stack:
         v, parent = stack.pop()
+        if v in seen:
+            raise InvariantError(f"vertex {v} is reached twice from the root")
+        seen.add(v)
         a = mt.add_node(v, parent)
         for w in sorted(lifted.get(v, []), reverse=True):
             stack.append((w, a))
-    mt.check_edges(norm)
+    missed = sorted(e for e in edges if e[0] not in seen)
+    if missed:
+        raise InvariantError(f"edge {missed[0]} is not reached from the root")
     return mt
 
 
 def original_degree(norm: NormalizedInstance, tree: MultiTree) -> list[int]:
     """Original degrees: rho=0 at leaves, else the sum of phi(child rho)."""
-    depth = [0] * len(tree)
-    for a in range(len(tree)):
-        p = tree.parent[a]
-        if p is not None:
-            depth[a] = depth[p] + 1  # parents precede children by construction
     rho = [0] * len(tree)
-    for a in sorted(range(len(tree)), key=lambda a: -depth[a]):
+    # add_node puts every parent before its children
+    for a in reversed(range(len(tree))):
         if tree.children[a]:
             rho[a] = sum(norm.phi(tree.label[b], rho[b])
                          for b in tree.children[a])
@@ -418,6 +400,18 @@ class GroupTreeInstance:
             self.levels.append(np.sort(level))
         if sum(map(len, self.levels)) != self.n:
             raise FormatError("parent mapping does not form a rooted tree")
+
+    def rises(self, x: np.ndarray, tol: float) -> list[tuple[int, int]]:
+        """The edges (u, v), in increasing order, on which x of the child v
+        exceeds x of its parent u by more than ``tol``."""
+        up = self.parent[self.child]
+        rise = x[self.child] > x[up] + tol
+        return list(zip(up[rise].tolist(), self.child[rise].tolist()))
+
+    def child_mass(self, x: np.ndarray) -> np.ndarray:
+        """Per vertex, the sum of x over its children in increasing order."""
+        return np.bincount(self.parent[self.child], weights=x[self.child],
+                           minlength=self.n)
 
     def validate_groups(self):
         leaf = (np.diff(self.child_ptr) == 0).tolist()

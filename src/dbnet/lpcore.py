@@ -380,10 +380,7 @@ def check_modified_solution(inst: GroupTreeInstance, x: np.ndarray,
            | (xt[nonzero] > 1 + tol))
     for u in nonzero[off].tolist():
         bad.append(f"P1: x~[{u}]={xt[u]} not a power of 2 in [1/(2n), 1]")
-    kid = inst.child
-    up = inst.parent[kid]
-    rise = xt[kid] > xt[up] + tol
-    for u, v in sorted(zip(up[rise].tolist(), kid[rise].tolist())):
+    for u, v in inst.rises(xt, tol):
         bad.append(f"P2: x~ increases on edge ({u}, {v})")
     for t, g in enumerate(inst.groups):
         s = sum(xt[o] for o in g)
@@ -403,7 +400,7 @@ def check_modified_solution(inst: GroupTreeInstance, x: np.ndarray,
         if below[u, t] > 2 * xt[u] + tol:
             bad.append(f"P4: capacity at u={u}, group {t}: "
                        f"{below[u, t]} > 2x~")
-    mass = np.bincount(up, weights=xt[kid], minlength=n)
+    mass = inst.child_mass(xt)
     degree = np.asarray(inst.degree_bound)
     for u in np.flatnonzero(mass > 2 * degree * xt + tol).tolist():
         bad.append(f"P5: degree mass at u={u}: {mass[u]} > 2 d x~")

@@ -79,6 +79,26 @@ def test_verify_rejects_broken_tree(tmp_path, dst_file, capsys):
     assert main(["verify", "--tree", str(out), "--instance", path]) == 4
 
 
+def test_verify_rejects_an_edge_into_the_root(tmp_path, capsys):
+    path = tmp_path / "a.dst"
+    path.write_text("DBDST 1\n3 3 1\nroot 0\nvertex 0 2\nvertex 1 2\n"
+                    "vertex 2 2\nedge 0 1 3\nedge 1 0 4\nedge 1 2 5\n"
+                    "terminal 2\n")
+    out = tmp_path / "rep.json"
+    assert main(["run", "--problem", "dst", "--instance", str(path),
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["tree_edges"] == [[0, 1], [1, 2]]
+    # the cycle 0 -> 1 -> 0, with a matching cost and degree ratios
+    doc.update(tree_edges=[[0, 1], [1, 0], [1, 2]], tree_cost=12,
+               degree_violations={"0": 0.5, "1": 1.0})
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--tree", str(out), "--instance", str(path)]) == 4
+    assert capsys.readouterr().err.splitlines()[0] == \
+        "verify: edge (1, 0) enters the root"
+
+
 @pytest.mark.parametrize("doc,code,says", [
     ([1, 2], 5, "JSON object"),
     ({"problem": "dst", "tree_edges": [[0]]}, 5, "'tree_edges'"),

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import small_dst
-from dbnet.dst_round import (Sampler, concentration_stats,
-                             default_q, extract_tree, round_super_tree,
-                             run_dst)
+from dbnet.dst_round import (Sampler, _check_good_multi_tree,
+                             concentration_stats, default_q, extract_tree,
+                             round_super_tree, run_dst)
 from dbnet.errors import InvariantError
-from dbnet.instances import DirectedInstance, normalize
+from dbnet.instances import DirectedInstance, MultiTree, normalize
 from dbnet.lpcore import build_dst_lp, solve_lp
 from dbnet.rounding import per_rep
 from dbnet.states import build_super_tree
@@ -38,6 +38,35 @@ def test_sampler_rejects_bad_mass():
     x[st.base_nodes()[0]] = 0.5
     with pytest.raises(InvariantError):
         Sampler(st, x)
+
+
+def multi_tree(*labels):
+    """A multi-tree from (label, parent index) pairs in index order."""
+    mt = MultiTree()
+    for label, parent in labels:
+        mt.add_node(label, parent)
+    return mt
+
+
+@pytest.mark.parametrize("labels,says", [
+    ([(6, None), (1, 0), (2, 0)],
+     "multi-tree rooted at a copy of 0's gadget, not at a copy of the root 0"),
+    ([(0, None), (6, 0), (3, 0)],
+     "a copy of 0's gadget is a leaf but not a terminal"),
+    ([(0, None), (6, 0), (1, 1), (4, 2), (3, 3)],
+     "original degree 1 of a copy of 1's sink exceeds bound 0")],
+    ids=["root", "leaf", "degree"])
+def test_bad_multi_tree_names_original_vertices(labels, says):
+    # the star 0 -> 1, 2, 3 gets the gadget 6 above 1 and 2; terminal 1 has
+    # an out-edge and 2 two in-edges, so they are split into 1 -> 4, 2 -> 5
+    inst = DirectedInstance(4, [(0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 2, 1)],
+                            0, {1, 2, 3}, {0: 3, 1: 1, 2: 0, 3: 0})
+    norm = normalize(inst)
+    assert norm.edge_path[(0, 1)] == ((0, 6), (6, 1))
+    assert norm.edge_path[(1, 4)] == ((1, 4),)
+    with pytest.raises(InvariantError) as err:
+        _check_good_multi_tree(norm, multi_tree(*labels))
+    assert str(err.value) == says
 
 
 def test_half_probability_child():

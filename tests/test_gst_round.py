@@ -130,6 +130,65 @@ def test_scale_examples():
     assert check_nonincreasing(inst, xp) == []
 
 
+def loop_check_nonincreasing(inst, xp):
+    """check_nonincreasing as first written: a loop over every vertex."""
+    bad = []
+    for u in range(inst.n):
+        if xp[u] <= 0:
+            continue
+        for v in inst.children[u]:
+            if xp[v] > xp[u] + 1e-12:
+                bad.append(f"x' increases on edge ({u}, {v}): "
+                           f"{xp[v]} > {xp[u]}")
+    return bad
+
+
+def loop_check_branching_mass(inst, xp):
+    """check_branching_mass as first written: a loop over every vertex."""
+    bad = []
+    for u in range(inst.n):
+        if xp[u] <= 0 or not inst.children[u]:
+            continue
+        mass = sum(xp[v] for v in inst.children[u]) / xp[u]
+        if mass > 4 * inst.degree_bound[u] + 1e-9:
+            bad.append(f"branching mass {mass} > 4 d at u={u}")
+    return bad
+
+
+def test_gst_checks_match_their_loops():
+    # ids do not follow levels: 7 hangs below 2, 3 below 6
+    inst = GroupTreeInstance(8, [-1, 0, 0, 6, 1, 1, 1, 2], [0] * 8, [],
+                             [1, 1, 2, 1, 1, 1, 1, 1])
+    rising = [
+        # rises on (0, 1), (1, 5), (6, 3) and (2, 7), none within the
+        # slack on (1, 6)
+        [0.5, 0.75, 0.25, 0.9, 0.0, 0.9, 0.75 + 1e-13, 1.0],
+        # rises below the zero 1 do not count, the one on (2, 7) does
+        [1 / 3, 0.0, 1 / 3, 0.01, 0.7, 0.7, 0.7, 1 / 3 + 1e-3]]
+    heavy = [
+        # child mass 0.9 / 0.2 = 4.499999999999999 > 4 d at 1
+        [0.3, 0.2, 0.1, 0.1, 0.3, 0.3, 0.3, 0.1],
+        # 9 > 4 d at 2 and 10 > 4 d at 6; 0.4 / 0.1 at 0 is within the slack
+        [0.1, 0.3, 0.1, 1.0, 0.5, 0.5, 0.1, 0.9]]
+    for xp in map(np.array, rising + heavy):
+        assert check_nonincreasing(inst, xp) == \
+            loop_check_nonincreasing(inst, xp)
+        assert check_branching_mass(inst, xp) == \
+            loop_check_branching_mass(inst, xp)
+    assert [len(check_nonincreasing(inst, np.array(xp)))
+            for xp in rising] == [4, 1]
+    assert [len(check_branching_mass(inst, np.array(xp)))
+            for xp in heavy] == [1, 2]
+    rng = np.random.default_rng(0)
+    for seed in range(50):
+        tree = gen_gst(30, 2, seed=seed)
+        xp = rng.random(tree.n) * (rng.random(tree.n) < 0.8)
+        assert check_nonincreasing(tree, xp) == \
+            loop_check_nonincreasing(tree, xp)
+        assert check_branching_mass(tree, xp) == \
+            loop_check_branching_mass(tree, xp)
+
+
 def test_global_params():
     L, gamma = global_params(16)
     assert L == 5 and gamma == 0

@@ -303,8 +303,51 @@ def reference_normalize(inst: DirectedInstance) -> NormalizedInstance:
     norm = DirectedInstance(
         n, [(u, v, c) for ((u, v), c) in sorted(edges.items())], inst.root,
         frozenset(terminals), degree)
-    return NormalizedInstance(norm, inst, origin, phi_kind, edge_origin,
-                              terminal_origin)
+    out = NormalizedInstance(norm, inst, origin, phi_kind, edge_origin,
+                             terminal_origin)
+    out.edge_path = reference_edge_path(out)
+    return out
+
+
+def reference_edge_path(norm: NormalizedInstance) -> dict:
+    """Each original edge's gadget path, and each split terminal's sink
+    path, found again by walking the normalized out-edges and guessing each
+    edge's role from ``edge_origin``, ``phi_kind`` and ``origin``, as
+    ``lift_tree`` did before ``normalize`` recorded the paths."""
+    out_adj = {}
+    for (a, b, _) in norm.inst.edges:
+        out_adj.setdefault(a, []).append(b)
+
+    def gadget_edges(u, want, want_sink):
+        keep = []
+
+        def walk(a):
+            used = False
+            for b in sorted(out_adj.get(a, [])):
+                e = (a, b)
+                oe = norm.edge_origin.get(e)
+                if oe is not None:
+                    hit = oe[0] == u and oe[1] in want
+                elif norm.origin[b] == u and norm.phi_kind[b] == PHI_IDENTITY:
+                    hit = walk(b)
+                elif norm.origin[b] == u and b != u:
+                    hit = want_sink  # the split sink edge (u, u')
+                else:
+                    hit = False
+                if hit:
+                    keep.append(e)
+                    used = True
+            return used
+
+        walk(u)
+        return tuple(reversed(keep))
+
+    paths = {(u, w): gadget_edges(u, {w}, False)
+             for (u, w, _) in norm.original.edges}
+    for tp, t in norm.terminal_origin.items():
+        if tp != t:
+            paths[(t, tp)] = gadget_edges(t, set(), True)
+    return paths
 
 
 def assert_same_normalized(got: NormalizedInstance, want: NormalizedInstance):
@@ -340,7 +383,40 @@ def test_normalize_matches_reference_with_gadgets(d_max):
     assert max(len(inst.out_edges(u)) for u in range(inst.n)) >= 3
     norm = normalize(inst)
     assert PHI_IDENTITY in norm.phi_kind.values()
+    assert max(map(len, norm.edge_path.values())) >= 3
     assert_same_normalized(norm, reference_normalize(inst))
+
+
+def test_edge_path_guard_catches_a_missing_gadget_edge():
+    inst = gen_dst(10, 40, 4, d_max=2, seed=2)
+    want = reference_normalize(inst)
+    norm = normalize(inst)
+    e, path = next((e, p) for e, p in norm.edge_path.items() if len(p) >= 2)
+    for i in range(len(path)):
+        norm.edge_path[e] = path[:i] + path[i + 1:]
+        with pytest.raises(AssertionError, match="edge_path"):
+            assert_same_normalized(norm, want)
+    norm.edge_path[e] = path
+    assert_same_normalized(norm, want)
+
+
+def test_edge_path_holds_the_sink_of_a_split_terminal():
+    # terminal 1 has out-edges, so it is split into 1 -> 5, and its four
+    # heads 2, 3, 4, 5 get the gadgets 6 above 2, 3 and 7 above 4, 5
+    inst = DirectedInstance(5, [(0, 1, 4), (1, 2, 1), (1, 3, 1), (1, 4, 1)],
+                            0, {1, 2, 3, 4}, {0: 1, 1: 3, 2: 0, 3: 0, 4: 0})
+    norm = normalize(inst)
+    assert norm.edge_path == {
+        (0, 1): ((0, 1),), (1, 2): ((1, 6), (6, 2)),
+        (1, 3): ((1, 6), (6, 3)), (1, 4): ((1, 7), (7, 4)),
+        (1, 5): ((1, 7), (7, 5))}
+    assert norm.edge_path == reference_edge_path(norm)
+    # the star 0 -> 1, 2, 3 gets the gadget 4 above 1 and 2
+    star = DirectedInstance(4, [(0, 1, 1), (0, 2, 2), (0, 3, 3)], 0,
+                            {1, 2, 3}, {0: 3, 1: 0, 2: 0, 3: 0})
+    assert normalize(star).edge_path == {
+        (0, 1): ((0, 4), (4, 1)), (0, 2): ((0, 4), (4, 2)),
+        (0, 3): ((0, 3),)}
 
 
 def test_edge_costs_built_once():

@@ -90,6 +90,26 @@ def test_gen_triple_case():
     assert tau.cost(norm) == 5
 
 
+def test_lift_tree_raises_on_what_is_not_a_tree():
+    inst = gen_dst(6, 8, 3, seed=1)
+    norm = normalize(inst)
+    res = exact_dst(inst)
+    tree = set(map(tuple, res.edges))
+    assert lift_tree(norm, tree).cost(norm) == res.cost == 45
+    # no such edge
+    with pytest.raises(InvariantError, match=r"edge \(0, 99\) is not an edge"):
+        lift_tree(norm, {(0, 99)})
+    # a real edge whose tail 2 is not on the tree
+    assert (2, 3) in inst.cost and 2 not in {w for e in tree for w in e}
+    with pytest.raises(InvariantError, match=r"edge \(2, 3\) is not reached"):
+        lift_tree(norm, tree | {(2, 3)})
+    # a second parent for 3, and a cycle through the root
+    with pytest.raises(InvariantError, match="vertex 3 is reached twice"):
+        lift_tree(norm, {(0, 1), (1, 2), (1, 3), (2, 3)})
+    with pytest.raises(InvariantError, match="vertex 1 is reached twice"):
+        lift_tree(norm, {(0, 1), (1, 3), (3, 1)})
+
+
 def test_validator_detects_faults():
     _, norm, res, _ = small_dst(2)
     mt = lift_tree(norm, set(map(tuple, res.edges)))
