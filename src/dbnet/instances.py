@@ -100,13 +100,18 @@ def _counts(lines: list[list[str]], names: str) -> list[int]:
 
 
 def _fields(ln: list[str], tag: str, count: int) -> list[int]:
-    """The ``count`` integers following ``tag`` on one line."""
+    """The ``count`` integers following ``tag`` on one line, each one that
+    an int64 holds."""
     if ln[0] != tag or len(ln) != count + 1:
         raise FormatError(f"malformed {tag} line: {' '.join(ln)}")
     try:
-        return [int(x) for x in ln[1:]]
+        vals = [int(x) for x in ln[1:]]
     except ValueError:
         raise FormatError(f"malformed {tag} line: {' '.join(ln)}") from None
+    if min(vals) < -2 ** 63 or max(vals) >= 2 ** 63:
+        raise FormatError(f"{tag} line holds an integer beyond int64: "
+                          f"{' '.join(ln)}")
+    return vals
 
 
 def parse_dst(text: str) -> DirectedInstance:
@@ -125,6 +130,9 @@ def parse_dst(text: str) -> DirectedInstance:
                  for t in _fields(ln, "terminal", 1)}
     if len(terminals) != k:
         raise FormatError("duplicate terminal ids")
+    # a sum of costs, such as a triple's, must fit in int64
+    if sum(c for _, _, c in edges) >= 2 ** 63:
+        raise FormatError("edge costs sum beyond int64")
     return DirectedInstance(n, edges, root, frozenset(terminals), degree)
 
 
@@ -451,6 +459,8 @@ def parse_gst(text: str) -> GroupTreeInstance:
         seen.add(v)
     if len(seen) != n:
         raise FormatError("vertex lines must cover ids 0..n-1 exactly once")
+    if sum(cost) >= 2 ** 63:
+        raise FormatError("vertex costs sum beyond int64")
     groups = [None] * k
     for ln in lines[3 + n:]:
         # 'group <t> <size>' and then any number of ids

@@ -6,11 +6,12 @@ tree contains every good extended state tree of bounded depth as a subtree
 and is the object the LP relaxation is written over.
 
 The super-tree builder avoids materializing dead branches.  One bottom-up
-fixpoint (``live_states``) finds the "live" states (those admitting a good
-sub-state-tree), the minimum depth such a subtree needs, and every state's
-agreeing edges/triples and child pairs.  The builder only reads that table:
-it sizes the tree exactly, then writes out the children that stay live
-within the remaining depth budget.  The result equals the full construction
+fixpoint (``live_states``), ordered by height, finds the "live" states
+(those admitting a good sub-state-tree), the minimum depth such a subtree
+needs, every state's agreeing edges/triples and child pairs, and the exact
+super-tree size at each height, checked against the node cap.  The builder
+only reads that table: it writes out the children that stay live within
+the remaining depth budget.  The result equals the full construction
 followed by repeated deletion of childless state nodes and under-filled
 virtual nodes.
 """
@@ -315,15 +316,15 @@ WORD_BITS = 63
 SIZE_LIMIT = 2 ** 53
 # default cap on the super-tree node count
 NODE_CAP = 5_000_000
-# cap on the child pairs one depth pass of ``live_states`` joins, checked
-# before ``_intern`` sorts them with the whole table.  A joined pair holds
-# its merged slot row (2 * width int64 words) and two state ids, 80 bytes at
-# width 4 before the sort's copies, more than a super-tree node, so a pass
+# cap on the child pairs one round of ``live_states`` joins, checked before
+# ``_intern`` sorts them with the whole table.  A joined pair holds its
+# merged slot row (2 * width int64 words) and two state ids, 80 bytes at
+# width 4 before the sort's copies, more than a super-tree node, so a round
 # over NODE_CAP pairs needs more memory than the largest arena the default
 # node cap admits, though most pairs never reach the super-tree.  At h=5
-# no pass of gen_dst(8, 14, 4) seeds 0-3 joins more than 40,911 pairs,
-# while gen_dst(2000, 3000, 20) would join 7.8 million in pass 2 and run
-# out of a 3 GB address space.
+# no round of gen_dst(8, 14, 4) seeds 0-3 joins more than 36,026 pairs,
+# while gen_dst(2000, 3000, 20) would join over 5 million in depth pass 2
+# at height 5 and run out of a 3 GB address space.
 PAIR_CAP = NODE_CAP
 
 
@@ -504,11 +505,16 @@ def _intern(code: np.ndarray, new: np.ndarray) -> tuple[np.ndarray,
 class _Table:
     """The live-state table as per-state arrays.  State s is rooted at
     ``root[s]``; its portals ascend along ``port[s]`` with their degrees in
-    ``deg[s]``, and the rows are padded by vertex n with degree 0.  ``md[s]`` is its min
-    depth, its base payloads are ``payloads[pay_ptr[s]:pay_ptr[s + 1]]``
-    with costs ``pay_cost``, and its child pairs are ``(left[j], right[j])``
-    for j in ``pair_ptr[s]:pair_ptr[s + 1]``, in arena order.  ``keys[s]``
-    is its state key."""
+    ``deg[s]``, and the rows are padded by vertex n with degree 0.  ``md[s]``
+    is its min depth, its base payloads are
+    ``payloads[pay_ptr[s]:pay_ptr[s + 1]]`` with costs ``pay_cost``, and its
+    child pairs are ``(left[j], right[j])`` for j in
+    ``pair_ptr[s]:pair_ptr[s + 1]``, in arena order, with the larger min
+    depth of the two in ``depth[j]``.  ``nodes[b][s]`` counts the subtree a
+    state node of s spans with b = 0..h levels to go: itself, its base
+    nodes, and per pair of depth below b a virtual node and both child
+    subtrees.  ``roots`` are the states (root, {root}, rho), by rho, and
+    ``keys[s]`` is the key of s."""
 
     root: np.ndarray
     port: np.ndarray
@@ -519,7 +525,10 @@ class _Table:
     pay_ptr: np.ndarray
     left: np.ndarray
     right: np.ndarray
+    depth: np.ndarray
     pair_ptr: np.ndarray
+    roots: np.ndarray
+    nodes: list
 
     def __len__(self):
         return len(self.md)
@@ -533,29 +542,9 @@ class _Table:
         return [(r, frozenset(verts[a:b]), tuple(items[a:b]))
                 for r, a, b in zip(self.root.tolist(), ptr, ptr[1:])]
 
-    def kept(self, budget: int) -> np.ndarray:
-        """Mask of the child pairs whose states both fit in budget - 1 more
-        levels."""
-        return (self.md[self.left] < budget) & (self.md[self.right] < budget)
 
-    def sizes(self, h: int) -> list[np.ndarray]:
-        """``size[b][s]``: the nodes of the subtree a state node of state s
-        spans with b more levels to go, for b = 0..h: itself, its base
-        nodes, and per kept pair a virtual node and both child subtrees."""
-        owner = np.repeat(np.arange(len(self)), np.diff(self.pair_ptr))
-        own = 1 + np.diff(self.pay_ptr)
-        size = [own]
-        for b in range(1, h + 1):
-            below = size[-1]
-            span = np.where(self.kept(b),
-                            1 + below[self.left] + below[self.right], 0)
-            total = own + np.bincount(owner, weights=span,
-                                      minlength=len(self))
-            size.append(np.minimum(total, SIZE_LIMIT).astype(np.int64))
-        return size
-
-
-def live_states(norm: NormalizedInstance, h: int) -> _Table:
+def live_states(norm: NormalizedInstance, h: int,
+                node_cap: int = NODE_CAP) -> _Table:
     """Every live state up to h, with the children the super-tree gives it.
 
     A state is live when it admits a good sub-state-tree within h, and its
@@ -567,17 +556,19 @@ def live_states(norm: NormalizedInstance, h: int) -> _Table:
     The table has a closed form.  Base states have min depth 0.  A left
     state l and a right state r rooted at a non-root portal v of l join
     into the state rooted at l's root with degree vector rho_l + rho_r off
-    v when they agree at v, their portals meet only at v, and
+    v when they agree at v and their portals meet only at v, at the height
     ``|S_l| + |S_r| - 2 + max(md_l, md_r) <= h`` (the parent's level
     bound); a joined state's min depth is 1 + the least ``max(md_l, md_r)``
-    over its pairs.  So one pass per depth d = 0..h-1 finds every pair
-    whose deeper state has min depth d, by one sorted join of (state,
-    non-root portal, its degree) against (state, root, its degree), and
-    interns their parents by a packed integer code of the root and the
-    portal slots: parents not seen before get min depth d + 1.  The join is
-    filtered ``JOIN_BLOCK`` candidates at a time, and a pass that joins
-    more than ``PAIR_CAP`` pairs raises CapExceededError before they are
-    interned.
+    over its pairs.  So one round per height t = 0..h and depth
+    d = 0..t-1 finds every pair of height t whose deeper state has min
+    depth d, by one sorted join of (state, non-root portal, its degree)
+    against (state, root, its degree), and interns their parents by a
+    packed integer code of the root and the portal slots: parents not seen
+    before get min depth d + 1 and join in later rounds.  The join is
+    filtered ``JOIN_BLOCK`` candidates at a time.  A round that joins more
+    than ``PAIR_CAP`` pairs raises CapExceededError before they are
+    interned, and after the last round of each height t so does a
+    super-tree of height t over ``node_cap`` nodes.
     """
     inst = norm.inst
     K = inst.terminals
@@ -619,10 +610,10 @@ def live_states(norm: NormalizedInstance, h: int) -> _Table:
     root_slot = np.array([r * radix + dict(items)[r] for r, _, items in index],
                          dtype=np.int64)
 
-    def joined(lefts, rights, d):
+    def joined(lefts, rights, t, d):
         # (left, right, the parent's slots) in blocks, for every left state
         # and right state whose root slot is a non-root slot of the left
-        # one, that fit the level bound and meet only there
+        # one, that make a pair of height t and meet only there
         lefts, rights = np.flatnonzero(lefts), np.flatnonzero(rights)
         s, at = np.nonzero(slot[lefts] < pad)
         s = lefts[s]
@@ -631,7 +622,7 @@ def live_states(norm: NormalizedInstance, h: int) -> _Table:
         s, key = s[keep], key[keep]
         for i, j in _join(key, root_slot[rights]):
             l, r = s[i], rights[j]
-            keep = size[l] + size[r] - 2 + d <= h
+            keep = size[l] + size[r] - 2 + d == t
             l, r = l[keep], r[keep]
             # both rows merged without the shared slot; a repeated portal
             # means the two meet outside it
@@ -646,43 +637,64 @@ def live_states(norm: NormalizedInstance, h: int) -> _Table:
     md = np.zeros(len(root), dtype=np.int64)
     size = np.count_nonzero(slot < pad, axis=1)
     none = np.zeros(0, dtype=np.int64)
-    joins = [(none, none, none)]
-    for d in range(h):
-        fresh = md == d
-        if not fresh.any():
-            break
-        # a pair fits only if |S_l| + |S_r| - 2 + d <= h, and |S_l| >= 2
-        lefts = (md <= d) & (size <= h + 1 - d)
-        rights = (md <= d) & (size <= h - d)
-        found = [(none, none, np.zeros((0, 2 * width), dtype=np.int64))]
-        pairs = 0
-        for block in itertools.chain(joined(lefts, rights & fresh, d),
-                                     joined(lefts & fresh, rights & ~fresh,
-                                            d)):
-            pairs += len(block[0])
-            if pairs > PAIR_CAP:
-                raise CapExceededError(
-                    f"live states join at least {pairs} child pairs in depth "
-                    f"pass {d} at height {h}, over the pair cap {PAIR_CAP}; "
-                    f"lower n, the height, or the degree bounds")
-            found.append(block)
-        l, r, merged = map(np.concatenate, zip(*found))
-        psize = size[l] + size[r] - 2
-        width = max(width, int(psize.max(initial=0)))
-        merged = merged[:, :width]
-        slot = np.pad(slot, ((0, 0), (0, width - slot.shape[1])),
-                      constant_values=pad)
-        # a state is its root and slots
-        p, first = _intern(_pack(np.column_stack([root, slot]), pad),
-                           _pack(np.column_stack([root[l], merged]), pad))
-        joins.append((p, l, r))
-        root = np.concatenate([root, root[l[first]]])
-        slot = np.concatenate([slot, merged[first]])
-        root_slot = np.concatenate([root_slot, root_slot[l[first]]])
-        md = np.concatenate([md, np.full(len(first), d + 1)])
-        size = np.concatenate([size, psize[first]])
+    joins, nodes = [(none, none, none)], []
+    for t in range(h + 1):
+        # a pair of height t in round d has |S_l| + |S_r| = t + 2 - d, and
+        # a parent found in round d joins only in later rounds
+        for d in range(max(0, t + 2 - 2 * int(size.max(initial=0))), t):
+            if d > md.max():
+                break
+            fresh = md == d
+            lefts = (md <= d) & (size <= t + 1 - d)
+            rights = (md <= d) & (size <= t - d)
+            found, pairs = [], 0
+            for block in itertools.chain(
+                    joined(lefts, rights & fresh, t, d),
+                    joined(lefts & fresh, rights & ~fresh, t, d)):
+                pairs += len(block[0])
+                if pairs > PAIR_CAP:
+                    raise CapExceededError(
+                        f"live states join at least {pairs} child pairs in "
+                        f"depth pass {d} at height {h}, over the pair cap "
+                        f"{PAIR_CAP}; lower n, the height, or the degree "
+                        f"bounds")
+                found.append(block)
+            if not pairs:
+                continue
+            nodes = []
+            l, r, merged = map(np.concatenate, zip(*found))
+            psize = size[l] + size[r] - 2
+            width = max(width, int(psize.max()))
+            merged = merged[:, :width]
+            slot = np.pad(slot, ((0, 0), (0, width - slot.shape[1])),
+                          constant_values=pad)
+            # a state is its root and slots
+            p, first = _intern(_pack(np.column_stack([root, slot]), pad),
+                               _pack(np.column_stack([root[l], merged]), pad))
+            joins.append((p, l, r))
+            root = np.concatenate([root, root[l[first]]])
+            slot = np.concatenate([slot, merged[first]])
+            root_slot = np.concatenate([root_slot, root_slot[l[first]]])
+            md = np.concatenate([md, np.full(len(first), d + 1)])
+            size = np.concatenate([size, psize[first]])
+        if not nodes:  # subtree sizes, cleared by every pair found
+            p, l, r = map(np.concatenate, zip(*joins))
+            depth = np.maximum(md[l], md[r])
+            nodes = [1 + np.bincount(pay_state, minlength=len(md))]
+        for b in range(len(nodes), t + 1):
+            span = np.where(depth < b, 1 + nodes[-1][l] + nodes[-1][r], 0)
+            sub = nodes[0] + np.bincount(p, weights=span, minlength=len(md))
+            nodes.append(np.minimum(sub, SIZE_LIMIT).astype(np.int64))
+        # the states (root, {root}, rho), by rho
+        roots = np.flatnonzero((root == inst.root) & (size == 1))
+        roots = roots[np.argsort(slot[roots, 0])]
+        total = 1 + int(nodes[t][roots].sum())
+        if total > node_cap:
+            raise CapExceededError(
+                f"super-tree has {total} nodes at height {t}, over the "
+                f"node cap {node_cap}; lower n, the height, or the degree "
+                f"bounds")
 
-    p, l, r = map(np.concatenate, zip(*joins))
     port, deg = np.divmod(slot, radix)
     # arena order: right root r'', then the left child's portals as a bit
     # mask, then the degree at r''.  Masks compare as their portals do,
@@ -691,11 +703,12 @@ def live_states(norm: NormalizedInstance, h: int) -> _Table:
     # parent tie
     down = np.sort(np.where(deg[l] > 0, port[l], -1), axis=1)[:, ::-1]
     order = np.lexsort((root_slot[r], *down.T[::-1], root[r], p))
-    pair_ptr, left, right = csr(len(md), p[order], l[order], r[order])
+    pair_ptr, left, right, depth = csr(len(md), p[order], l[order],
+                                       r[order], depth[order])
     pay_ptr, pay = csr(len(md), pay_state, np.arange(len(payloads)))
     return _Table(root, port, deg, md, [payloads[k] for k in pay.tolist()],
                   np.array(pay_cost, dtype=np.int64)[pay], pay_ptr,
-                  left, right, pair_ptr)
+                  left, right, depth, pair_ptr, roots, nodes)
 
 
 def build_super_tree(norm: NormalizedInstance, h: int | None = None,
@@ -705,28 +718,20 @@ def build_super_tree(norm: NormalizedInstance, h: int | None = None,
 
     Each state node lists its agreeing edges and triples, then one virtual
     node per child pair whose two states stay live within the remaining
-    depth.  The exact node count is checked against ``node_cap`` at heights
-    0..h in turn (it only grows with the height) before any node exists.
-    The arena is then written one level at a time: every node's preorder
-    offset follows from the subtree sizes.
+    depth.  ``live_states`` checks the exact node count against
+    ``node_cap`` at every height up to h before any node exists.  The arena
+    is then written one level at a time: every node's preorder offset
+    follows from the subtree sizes.
     """
-    inst = norm.inst
     if h is None:
-        h = height_budget(inst.n)
-    for h_try in range(h + 1):
-        tab = live_states(norm, h_try)
-        # the states (root, {root}, rho), by rho
-        roots = np.flatnonzero((tab.root == inst.root)
-                               & (np.count_nonzero(tab.deg, axis=1) == 1))
-        roots = roots[np.argsort(tab.deg[roots, 0])]
-        size = tab.sizes(h_try)
-        total = 1 + int(size[h_try][roots].sum())
-        if total > node_cap:
-            raise CapExceededError(
-                f"super-tree has {total} nodes at height {h_try}, over the "
-                f"node cap {node_cap}; lower n, the height, or the degree "
-                f"bounds")
-
+        h = height_budget(norm.inst.n)
+    tab = live_states(norm, h, node_cap)
+    # the state nodes of one level: state, preorder offset, parent node
+    s = tab.roots
+    span = tab.nodes[h][s]
+    at = 1 + np.cumsum(span) - span
+    up = np.zeros(len(s), dtype=np.int64)
+    total = 1 + int(span.sum())
     kind = np.full(total, SUPER, dtype=np.int8)
     parent = np.full(total, -1, dtype=np.int64)
     level = np.full(total, -1, dtype=np.int64)
@@ -734,11 +739,6 @@ def build_super_tree(norm: NormalizedInstance, h: int | None = None,
     state_id = np.full(total, -1, dtype=np.int64)
     payload_id = np.full(total, -1, dtype=np.int64)
     nbase = np.diff(tab.pay_ptr)
-    # the state nodes of one level: state, preorder offset, parent node
-    s = roots
-    span = size[h][s]
-    at = 1 + np.cumsum(span) - span
-    up = np.zeros(len(s), dtype=np.int64)
     for lv in range(h + 1):
         kind[at], parent[at], level[at], state_id[at] = STATE, up, lv, s
         pos, entry = expand(tab.pay_ptr, s)
@@ -746,13 +746,13 @@ def build_super_tree(norm: NormalizedInstance, h: int | None = None,
         kind[node], parent[node], level[node] = BASE, at[pos], lv
         payload_id[node], cost[node] = entry, tab.pay_cost[entry]
         budget = h - lv
-        if budget == 0:
+        if budget == 0 or s.size == 0:
             break
         # each state node's kept pairs, laid out after its base nodes
-        pair = np.flatnonzero(tab.kept(budget))
+        pair = np.flatnonzero(tab.depth < budget)
         pos, j = expand(np.searchsorted(pair, tab.pair_ptr), s)
         left, right = tab.left[pair[j]], tab.right[pair[j]]
-        below = size[budget - 1]
+        below = tab.nodes[budget - 1]
         span = 1 + below[left] + below[right]
         ends = np.cumsum(span)
         first = np.searchsorted(pos, np.arange(len(s)))

@@ -1,12 +1,13 @@
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import small_dst
-from dbnet import cli
+from dbnet import cli, states
 from dbnet.cli import build_parser, main
 from dbnet.generators import gen_dst, gen_gst
 from dbnet.instances import normalize, parse_dst, serialize_dst, serialize_gst
@@ -471,6 +472,49 @@ def test_file_not_utf8_is_format_error(tmp_path, dst_file, capsys, argv):
     assert main(argv) == 5
     err = capsys.readouterr().err
     assert f"{bad} is not UTF-8 text" in err and "Traceback" not in err
+
+
+HUGE = 10 ** 25
+PATH_DST = ("DBDST 1\n3 2 1\nroot 0\nvertex 0 2\nvertex 1 2\nvertex 2 0\n"
+            "edge 0 1 {c}\nedge 1 2 3\nterminal 2\n")
+STAR_DST = ("DBDST 1\n3 2 2\nroot 0\nvertex 0 2\nvertex 1 0\nvertex 2 0\n"
+            "edge 0 1 {c}\nedge 0 2 {c}\nterminal 1\nterminal 2\n")
+STAR_GST = ("DBGST 1\n3 1\nroot 0\nvertex 0 -1 0 2\nvertex 1 {p} 3 1\n"
+            "vertex 2 0 {c} 1\ngroup 0 1 2\n")
+
+
+@pytest.mark.parametrize("problem,text,cause", [
+    ("dst", PATH_DST.format(c=HUGE), f"edge line holds an integer beyond "
+     f"int64: edge 0 1 {HUGE}"),
+    # each cost fits in int64, but not the triple of both
+    ("dst", STAR_DST.format(c=2 ** 62), "edge costs sum beyond int64"),
+    ("gst", STAR_GST.format(p=HUGE, c=4), f"vertex line holds an integer "
+     f"beyond int64: vertex 1 {HUGE} 3 1"),
+    ("gst", STAR_GST.format(p=0, c=HUGE), f"vertex line holds an integer "
+     f"beyond int64: vertex 2 0 {HUGE} 1")],
+    ids=["dst-cost", "dst-triple-cost", "gst-parent", "gst-cost"])
+def test_integer_beyond_int64_is_format_error(tmp_path, capsys, problem,
+                                              text, cause):
+    path = tmp_path / f"big.{problem}"
+    path.write_text(text)
+    assert main(["run", "--problem", problem, "--instance", str(path)]) == 5
+    assert cause in capsys.readouterr().err
+
+
+def test_absurd_height_costs_no_more_rounds(tmp_path, monkeypatch):
+    # the path's table stops growing at a small height; above it the
+    # fixpoint joins nothing and each height adds one level of subtree sizes
+    path = tmp_path / "path.dst"
+    path.write_text(PATH_DST.format(c=5))
+    joins = _count_calls(monkeypatch, states._join)
+    rounds = []
+    for h in (10, 1000):
+        start = time.perf_counter()
+        assert main(["run", "--problem", "dst", "--instance", str(path),
+                     "--height", str(h), "--out", str(tmp_path / "r")]) == 0
+        rounds.append(len(joins))
+    assert rounds[1] == 2 * rounds[0]
+    assert time.perf_counter() - start < 3
 
 
 @pytest.mark.parametrize("text,lp_cost", [

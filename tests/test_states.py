@@ -563,6 +563,36 @@ def test_node_cap_checked_before_allocation(monkeypatch):
         build_super_tree(single_edge(), 3, 2)
 
 
+@pytest.mark.parametrize("shape,seed", [((6, 8, 3), s) for s in range(3)]
+                         + [((8, 14, 4), 0)])
+def test_node_cap_decided_at_every_height(shape, seed):
+    # a cap just below the arena of height t stops a build of height 5 at
+    # the first height whose arena exceeds it, not at height 5
+    norm = normalize(gen_dst(*shape, seed=seed))
+    sizes = [len(build_super_tree(norm, t)) for t in range(6)]
+    for t in range(6):
+        cap = sizes[t] - 1
+        first = next(u for u, size in enumerate(sizes) if size > cap)
+        with pytest.raises(CapExceededError, match=(
+                f"has {sizes[first]} nodes at height {first}, over the "
+                f"node cap {cap};")):
+            build_super_tree(norm, 5, node_cap=cap)
+
+
+def test_one_fixpoint_per_build(monkeypatch):
+    tables = []
+    live = states.live_states
+    monkeypatch.setattr(states, "live_states",
+                        lambda *a: tables.append(live(*a)) or tables[-1])
+    for seed in range(3):
+        norm = normalize(gen_dst(6, 8, 3, seed=seed))
+        for h in range(6):
+            tables.clear()
+            build_super_tree(norm, h)
+            assert len(tables) == 1
+            assert table_dict(tables[0]) == table_dict(live(norm, h))
+
+
 def test_pair_cap_checked_before_interning(monkeypatch):
     interned = []
     intern = states._intern
