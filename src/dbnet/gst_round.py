@@ -99,7 +99,8 @@ def check_branching_mass(inst: GroupTreeInstance,
     """Conditional branching mass sum_v x'_v / x'_u must stay below 4 d_u."""
     mass = np.divide(inst.child_mass(xp), xp, out=np.zeros(inst.n),
                      where=xp > 0)
-    over = mass > 4 * np.asarray(inst.degree_bound) + EPS_MASS
+    # in floats: 4 d of a bound near 2^63 wraps in int64
+    over = mass > 4 * np.asarray(inst.degree_bound, dtype=float) + EPS_MASS
     return [f"branching mass {mass[u]} > 4 d at u={u}"
             for u in np.flatnonzero(over).tolist()]
 

@@ -4,18 +4,45 @@ group-Steiner solution modification pass (threshold + power-of-two round-up).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
-from scipy.optimize._highspy import _core as highs
 
 from .errors import InfeasibleError, SolverError
 from .instances import GroupTreeInstance
 from .rounding import tops
 from .states import BASE, STATE, SUPER, VIRTUAL, SuperTree
+
+
+def _load_highs():
+    """scipy's HiGHS binding ``scipy.optimize._highspy._core``, loaded from
+    its file without importing the ``scipy.optimize`` package or
+    ``scipy.sparse``, which took most of dbnet's start-up.  The module is
+    registered under its full name, so a later ``import scipy.optimize``
+    reuses it rather than initialising it again."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("no scipy, whose HiGHS binding dbnet solves with")
+    where = os.path.join(os.path.dirname(scipy.origin), "optimize", "_highspy")
+    spec = importlib.machinery.PathFinder.find_spec(name, [where])
+    if spec is None:
+        raise ImportError(f"no HiGHS binding _core in {where}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+highs = _load_highs()
 
 EPS_FEAS = 1e-9
 EPS_CHECK = 1e-9      # slack of the P1-P6 scan
@@ -136,49 +163,85 @@ class LPSolution:
     objective: float | None
 
 
+def _csc(blk: Block, keep: np.ndarray, column: np.ndarray, ncol: int):
+    """The column-wise matrix of the rows ``keep`` of ``blk``, with the
+    variable ``j`` in column ``column[j]`` (an integer array that holds
+    ``ncol``): the duplicate entries summed and the zeros dropped, as
+    scipy's ``csr_matrix``, ``eliminate_zeros`` and ``tocsc`` give it.
+    Returns ``(start, index, value, shape)`` over the rows that keep an
+    entry, and the mask of those rows."""
+    col = column[blk.col]
+    # the entries of the rows left out go to column ncol, cut off below
+    if not keep.all():
+        col[~keep[blk.row]] = ncol
+    # a stable sort keeps each column's entries in row order, so the
+    # entries of one row and column are neighbours
+    order = np.argsort(col, kind="stable")
+    col = col[order]
+    edge = np.searchsorted(col, np.arange(ncol + 1, dtype=col.dtype))
+    order, col = order[:edge[ncol]], col[:edge[ncol]]
+    row, val = blk.row[order], blk.val[order]
+    # each full-size temporary freed early is memory the next one reuses
+    del order
+    new = np.ones(len(row), dtype=bool)
+    new[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+    first = np.flatnonzero(new)
+    if len(first) < len(row):
+        val = np.add.reduceat(val, first)
+    nonzero = val != 0
+    first, val = first[nonzero], val[nonzero]
+    row = row[first]
+    full = np.bincount(row, minlength=len(blk)) > 0
+    index = (np.cumsum(full, dtype=np.int32) - 1)[row]
+    return ((np.searchsorted(first, edge).astype(np.int32), index, val,
+             (int(np.count_nonzero(full)), ncol)), full)
+
+
 def _reduce(model: LPModel):
     """The LP that HiGHS solves: each tree of ties is one column, the
     implied ``<=`` rows are left out and rows left empty are dropped.
 
-    Returns the column of every variable, the objective, the CSC matrix
-    and row bounds of the ``system`` rows kept, and the column bounds; or
-    None when an empty row cannot hold."""
+    Returns the column of every variable, the objective, the matrix of
+    ``_csc`` and the row bounds of the ``system`` rows kept, and the column
+    bounds; or None when an empty row cannot hold."""
     # columns in the order of the trees' tops
     linked = np.flatnonzero(model.tie >= 0)
     top = tops(model.nvar, linked, model.tie[linked])
     column = (np.cumsum(top == np.arange(model.nvar)) - 1)[top]
     ncol = model.nvar - len(linked)
     blk, lower = model.system
-    a = scipy.sparse.csr_matrix((blk.val, (blk.row, column[blk.col])),
-                                shape=(len(blk), ncol))
-    a.eliminate_zeros()
     keep = np.ones(len(blk), dtype=bool)
     keep[:len(model.implied)] = ~model.implied
-    full = keep & (np.diff(a.indptr) > 0)
+    # numpy sorts 16-bit keys by radix; _csc needs room for column ncol
+    narrow = column.astype(np.uint16 if ncol < 1 << 16 else np.int64)
+    a, full = _csc(blk, keep, narrow, ncol)
     empty = keep & ~full
     # an empty row reads lower <= 0 <= rhs
     if not ((lower[empty] <= 0) & (blk.rhs[empty] >= 0)).all():
         return None
-    lo = np.full(ncol, -np.inf)
-    hi = np.full(ncol, np.inf)
-    np.maximum.at(lo, column, model.lo)
-    np.minimum.at(hi, column, model.hi)
+    # the variables of each column, which holds at least one
+    order = np.argsort(narrow, kind="stable")
+    first = np.searchsorted(narrow[order], np.arange(ncol))
     return (column, np.bincount(column, weights=model.obj, minlength=ncol),
-            a[full].tocsc(), lower[full], blk.rhs[full], lo, hi)
+            a, lower[full], blk.rhs[full],
+            np.maximum.reduceat(model.lo[order], first),
+            np.minimum.reduceat(model.hi[order], first))
 
 
 def _run_highs(obj, a, row_lo, row_hi, lo, hi):
     """HiGHS dual simplex with presolve on ``min obj x`` over ``row_lo <=
-    a x <= row_hi`` and ``lo <= x <= hi``, ``a`` in CSC form.  Returns the
-    model status and x (None unless optimal)."""
+    a x <= row_hi`` and ``lo <= x <= hi``, ``a`` the ``(start, index, value,
+    shape)`` of a column-wise matrix.  Returns the model status and x (None
+    unless optimal)."""
+    start, index, value, (nrow, ncol) = a
     lp = highs.HighsLp()
-    lp.num_col_, lp.num_row_ = a.shape[1], a.shape[0]
+    lp.num_col_, lp.num_row_ = ncol, nrow
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = obj, lo, hi
     lp.row_lower_, lp.row_upper_ = row_lo, row_hi
     m = lp.a_matrix_
     m.format_ = highs.MatrixFormat.kColwise
-    m.num_col_, m.num_row_ = a.shape[1], a.shape[0]
-    m.start_, m.index_, m.value_ = a.indptr, a.indices, a.data
+    m.num_col_, m.num_row_ = ncol, nrow
+    m.start_, m.index_, m.value_ = start, index, value
     solver = highs._Highs()
     for option, value in (("output_flag", False), ("log_to_console", False),
                           ("presolve", "on"), ("simplex_strategy", 1),
@@ -328,8 +391,11 @@ def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
                       [len(g) for g in inst.groups])
     cover = _cover_rows(member, group, len(inst.groups))
     inner = np.diff(inst.child_ptr) > 0
+    # a bound above n binds nothing, and HiGHS rejects a coefficient near
+    # 2^63, so the degree row reads at most n
     degree_rows = _tree_rows(inst.child_ptr, inst.child, inner, inner,
-                             np.array(inst.degree_bound, dtype=float))
+                             np.minimum(np.array(inst.degree_bound,
+                                                 dtype=float), inst.n))
     # every tree holds the root; only with a group do the rows force it
     lo = np.zeros(inst.n)
     lo[inst.root] = 1
@@ -401,7 +467,8 @@ def check_modified_solution(inst: GroupTreeInstance, x: np.ndarray,
             bad.append(f"P4: capacity at u={u}, group {t}: "
                        f"{below[u, t]} > 2x~")
     mass = inst.child_mass(xt)
-    degree = np.asarray(inst.degree_bound)
+    # in floats: 2 d of a bound near 2^63 wraps in int64
+    degree = np.asarray(inst.degree_bound, dtype=float)
     for u in np.flatnonzero(mass > 2 * degree * xt + tol).tolist():
         bad.append(f"P5: degree mass at u={u}: {mass[u]} > 2 d x~")
     c = np.array(inst.cost, dtype=float)

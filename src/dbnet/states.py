@@ -19,6 +19,7 @@ virtual nodes.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -551,7 +552,9 @@ def live_states(norm: NormalizedInstance, h: int,
     min depth is the least depth of one.  Its base payloads are the
     agreeing edges ``("e", (r', v))`` and triples ``("xi", (r', v, v'))``
     with their costs, edges first; its child pairs are every (left, right)
-    pair of live states it joins from, in arena order.
+    pair of live states it joins from, in arena order.  A base state's
+    portal v takes no degree above the number of original edges a tree can
+    hang below v: a larger one never meets a state rooted at v.
 
     The table has a closed form.  Base states have min depth 0.  A left
     state l and a right state r rooted at a non-root portal v of l join
@@ -573,6 +576,11 @@ def live_states(norm: NormalizedInstance, h: int,
     inst = norm.inst
     K = inst.terminals
     n = inst.n
+    # a tree uses at most the original edges whose gadget paths leave v, so
+    # a portal v guesses its degree in 1..min(d_v, that count); a larger
+    # guess never meets a state rooted at v
+    most = Counter(u for path in norm.edge_path.values() for u, _ in path)
+    guess = {v: min(inst.degree_bound[v], most[v]) for v in range(n)}
     # base states in the order they are first met, and each payload's state
     index: dict[StateKey, int] = {}
     pay_state, payloads, pay_cost = [], [], []
@@ -588,7 +596,7 @@ def live_states(norm: NormalizedInstance, h: int,
                 continue
             # every degree vector the edge/triple agrees with
             for combo in itertools.product(
-                    *(range(1, inst.degree_bound[v] + 1) for v in free)):
+                    *(range(1, guess[v] + 1) for v in free)):
                 rho = dict(zip(free, combo))
                 rho[r1] = sum(_contrib(norm, v, rho) for v in tails)
                 if rho[r1] <= inst.degree_bound[r1]:

@@ -569,3 +569,28 @@ def test_parser_built_once_gives_independent_namespaces(tmp_path, gst_file,
     assert [d["seed"] for d in docs] == [3, 0, 0]
     assert docs[0]["M"] == 5 and docs[2]["M"] == docs[1]["M"] != 5
     assert "stats" in docs[0] and "stats" not in docs[2]
+
+
+def gst_bound_text(v, bound):
+    """``gen-gst --n 12 --k 2 --depth 3 --seed 0`` with vertex v's degree
+    bound set to ``bound``."""
+    lines = serialize_gst(gen_gst(12, 2, depth=3, seed=0)).splitlines()
+    at = next(i for i, line in enumerate(lines)
+              if line.split()[:2] == ["vertex", str(v)])
+    lines[at] = " ".join(lines[at].split()[:-1] + [str(bound)])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("v", range(12))
+def test_gst_degree_bound_near_int64_max_runs(tmp_path, v):
+    # 4 d and 2 d x~ of a bound of 2^63 - 1 wrapped in int64 (exit 4), and
+    # HiGHS rejected it as a coefficient (exit 2); a bound above n binds
+    # nothing, so the LP is the one of bound n
+    lp_cost = []
+    for bound in (2 ** 63 - 1, 12):
+        path, out = tmp_path / f"{bound}.gst", tmp_path / f"{bound}.json"
+        path.write_text(gst_bound_text(v, bound))
+        assert main(["run", "--problem", "gst", "--instance", str(path),
+                     "--out", str(out)]) == 0
+        lp_cost.append(json.loads(out.read_text())["lp_cost"])
+    assert lp_cost[0] == lp_cost[1]

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,9 +68,16 @@ def full_linprog_x(model):
                      model.lo, model.hi)
 
 
+def scipy_matrix(a):
+    """scipy's CSC matrix of a ``(start, index, value, shape)`` from
+    ``_reduce``."""
+    start, index, value, shape = a
+    return scipy.sparse.csc_matrix((value, index, start), shape=shape)
+
+
 def reduced_linprog_x(model):
     column, obj, a, row_lo, row_hi, lo, hi = _reduce(model)
-    a = a.tocsr()
+    a = scipy_matrix(a).tocsr()
     ub = np.isneginf(row_lo)
     return linprog_x(model, column, obj, a[ub], row_hi[ub], a[~ub],
                      row_hi[~ub], lo, hi)
@@ -143,6 +154,53 @@ def test_failed_highs_status_is_a_solver_error(monkeypatch, tmp_path):
     path = tmp_path / "a.gst"
     path.write_text(serialize_gst(gen_gst(25, 3, seed=4)))
     assert main(["solve-gst", "--instance", str(path)]) == 1
+
+
+def fresh_python(code: str) -> str:
+    """The output of ``code`` run in a new interpreter that imports dbnet
+    from this checkout."""
+    src = str(Path(lpcore.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_leaves_scipy_optimize_and_sparse_out():
+    # dbnet loads only the HiGHS extension module, from its file
+    loaded = set(fresh_python(
+        "import sys, dbnet.cli\n"
+        "print(*(m for m in sys.modules if m.startswith('scipy')))").split())
+    assert "scipy.optimize._highspy._core" in loaded
+    assert not {"scipy.optimize", "scipy.sparse"} & loaded
+
+
+def test_scipy_optimize_reuses_the_loaded_binding():
+    # imported after dbnet, scipy.optimize finds the binding dbnet loaded,
+    # and linprog and solve_lp both solve with it
+    out = fresh_python(
+        "import numpy as np\n"
+        "from dbnet import lpcore\n"
+        "import scipy.optimize\n"
+        "from scipy.optimize._highspy import _core\n"
+        "import scipy.optimize._highspy._core as core\n"
+        "res = scipy.optimize.linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1],\n"
+        "                             method='highs')\n"
+        "m = lpcore.LPModel(1, np.array([1.0]), ub_block=lpcore.Block.\n"
+        "                   from_rows([([0], [-1.0], -1.0)]))\n"
+        "print(_core is lpcore.highs and core is lpcore.highs,\n"
+        "      res.status, res.x.tolist(), lpcore.solve_lp(m).objective)")
+    assert out.split() == ["True", "0", "[1.0,", "0.0]", "1.0"]
+    assert sys.modules["scipy.optimize._highspy._core"] is lpcore.highs
+    assert highs is lpcore.highs
+
+
+def test_missing_binding_names_its_directory(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+    monkeypatch.setattr(lpcore.importlib.machinery.PathFinder, "find_spec",
+                        lambda *args: None)
+    with pytest.raises(ImportError, match=r"_core in .*optimize.*_highspy"):
+        lpcore._load_highs()
 
 
 def test_empty_polytope():
@@ -466,7 +524,7 @@ def test_reduced_dst_lp_is_exact(case):
     model = dst_case(*case)
     # forced-equal variables share a column; implied rows are left out
     _, _, a, row_lo, *_ = _reduce(model)
-    assert a.shape[1] < model.nvar
+    assert a[3][1] < model.nvar
     assert np.sum(np.isneginf(row_lo)) <= np.sum(~model.implied)
     best = assert_reduced_lp_is_exact(model)
     if case == ("d_max=1", 3):
@@ -480,7 +538,7 @@ def test_reduced_gst_lp_is_exact(n, k, depth, d_max, seed):
     # the x_o - x_o <= 0 capacity rows of the members are left out
     model = build_gst_lp(preprocess_gst(gen_gst(n, k, depth, d_max,
                                                 seed=seed)))
-    assert _reduce(model)[2].shape[0] < len(model.eq_block) + len(
+    assert _reduce(model)[2][3][0] < len(model.eq_block) + len(
         model.ub_block)
     assert_reduced_lp_is_exact(model)
 
@@ -521,17 +579,17 @@ def reference_reduce(model):
 
 
 def same_reduction(model) -> bool:
-    """Whether ``_reduce`` and ``reference_reduce`` agree array for array."""
+    """Whether ``_reduce`` and ``reference_reduce`` agree array for array,
+    the index arrays in scipy's dtype too."""
     got, want = _reduce(model), reference_reduce(model)
     if got is None or want is None:
         return got is want
-
-    def arrays(reduced):
-        column, obj, a, *rest = reduced
-        return [column, obj, a.indptr, a.indices, a.data, a.shape, *rest]
-
-    return all(np.array_equal(g, w)
-               for g, w in zip(arrays(got), arrays(want)))
+    column, obj, a, *rest = want
+    want = [column, obj, a.indptr, a.indices, a.data, a.shape, *rest]
+    column, obj, a, *rest = got
+    got = [column, obj, *a, *rest]
+    return (a[0].dtype == want[2].dtype and a[1].dtype == want[3].dtype
+            and all(np.array_equal(g, w) for g, w in zip(got, want)))
 
 
 @hs.composite

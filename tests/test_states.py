@@ -18,10 +18,11 @@ from conftest import small_dst
 from dbnet import states
 from dbnet.errors import CapExceededError, InvariantError
 from dbnet.generators import gen_dst
-from dbnet.instances import (DirectedInstance, lift_tree, normalize,
-                             serialize_dst)
+from dbnet.instances import (PHI_IDENTITY, DirectedInstance, lift_tree,
+                             normalize, serialize_dst)
 from dbnet.lpcore import build_dst_lp, solve_lp
 from dbnet.oracle import exact_dst
+from dbnet.treekit import height_budget
 from dbnet.states import (BASE, STATE, SUPER, VIRTUAL, SuperTree,
                           build_super_tree, degree_vectors_consistent,
                           edge_agrees, gen_state_tree, is_allowable_child_pair,
@@ -175,6 +176,26 @@ def test_super_tree_rho_pruning():
     st = build_super_tree(normalize(inst), 3, 10_000)
     states = [st.state[i] for i in range(len(st)) if st.kind[i] == STATE]
     assert all(dict(s[2])[0] == 1 for s in states)
+
+
+def diamond(bound):
+    """Two paths 0 -> 1 -> 3 and 0 -> 2 -> 3 to the terminals 1 and 3, every
+    degree bound ``bound``; no vertex has more than two out-edges."""
+    return normalize(DirectedInstance(
+        4, [(0, 1, 1), (0, 2, 2), (1, 3, 3), (2, 3, 4)], 0, {1, 3},
+        {v: bound for v in range(4)}))
+
+
+@pytest.mark.parametrize("bound", [300, 1000])
+def test_degree_guesses_stop_at_what_a_tree_can_use(bound):
+    # a portal guesses no degree above its out-degree, so a huge bound
+    # builds the table and super-tree of bound 2; without that clamp the
+    # base states alone ran to 300 or 1000 guesses per portal
+    small, big = diamond(2), diamond(bound)
+    h = height_budget(big.inst.n)
+    assert len(states.live_states(big, h)) == len(
+        states.live_states(small, h))
+    assert build_super_tree(big, h).dump() == build_super_tree(small, h).dump()
 
 
 def test_super_tree_triple_node():
@@ -410,13 +431,27 @@ def pair_order(parent, pair):
     return r2, mask, dict(rho1)[r2]
 
 
+def largest_degrees(norm):
+    """The largest degree each vertex can take in a tree: one per out-edge,
+    except that a gadget child counts its own largest.  A gadget vertex has
+    a larger id than the vertex whose out-star it splits."""
+    inst = norm.inst
+    most = {}
+    for v in reversed(range(inst.n)):
+        most[v] = sum(most[b] if norm.phi_kind[b] == PHI_IDENTITY else 1
+                      for b, _ in inst.out_edges(v))
+    return most
+
+
 def reference_live_states(norm, h):
     """The unindexed Dijkstra-style fixpoint as first written: a popped
     state is tried against every finalized state rooted at one of its
-    portals, and every one carrying its root as a portal.  Maps each live
-    state key to (min depth, base payloads, child pairs)."""
+    portals, and every one carrying its root as a portal.  A portal v
+    guesses degrees up to the least of d_v and its ``largest_degrees``.
+    Maps each live state key to (min depth, base payloads, child pairs)."""
     inst = norm.inst
     K = inst.terminals
+    most = largest_degrees(norm)
     md, bases, pairs, heap = {}, defaultdict(list), defaultdict(list), []
     counter = itertools.count()
 
@@ -436,7 +471,8 @@ def reference_live_states(norm, h):
         for tails, payload, cost in leaves:
             free = [v for v in tails if v not in K]
             for combo in itertools.product(
-                    *(range(1, inst.degree_bound[v] + 1) for v in free)):
+                    *(range(1, min(inst.degree_bound[v], most[v]) + 1)
+                      for v in free)):
                 rho = dict(zip(free, combo))
                 rho[r1] = sum(1 if v in K else norm.phi(v, rho[v])
                               for v in tails)
@@ -607,8 +643,9 @@ def test_pair_cap_checked_before_interning(monkeypatch):
 
 
 def test_large_table_fails_fast_under_a_memory_limit(tmp_path):
-    # at h=5 this table would join 7.8 million pairs in depth pass 2 and
-    # run out of a 3 GB address space before any node-cap decision
+    # at h=6 this table would join over 5 million pairs in depth pass 2 and
+    # run out of a 3 GB address space before any node-cap decision (at h=5,
+    # with no portal guessing a degree above its out-degree, it builds)
     path = tmp_path / "big.dst"
     path.write_text(serialize_dst(gen_dst(2000, 3000, 20, seed=0)))
     src = str(Path(states.__file__).resolve().parents[1])
@@ -621,11 +658,11 @@ def test_large_table_fails_fast_under_a_memory_limit(tmp_path):
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "dbnet.cli", "dump-supertree", "--instance",
-         str(path), "--height", "5", "--out", str(tmp_path / "st.txt")],
+         str(path), "--height", "6", "--out", str(tmp_path / "st.txt")],
         env=env, preexec_fn=limit, capture_output=True, text=True,
         timeout=300)
     assert proc.returncode == 3, proc.stderr
-    assert "depth pass 2 at height 5, over the pair cap" in proc.stderr
+    assert "depth pass 2 at height 6, over the pair cap" in proc.stderr
     assert time.perf_counter() - start < 60
 
 
