@@ -24,6 +24,7 @@ Costs are non-negative integers in files; LP work downstream uses floats.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,6 +115,18 @@ def _fields(ln: list[str], tag: str, count: int) -> list[int]:
     return vals
 
 
+def _check_cost_sum(lines: list[list[str]], costs: list[int], tag: str):
+    """Costs, one per line, must sum below 2^53: the LP objective and every
+    tree cost are sums of them in float64, which holds each integer below
+    2^53 exactly (and 2^62 next to small costs made HiGHS fail)."""
+    if sum(costs) < 2 ** 53:
+        return
+    for ln, total in zip(lines, itertools.accumulate(costs)):
+        if total >= 2 ** 53:
+            raise FormatError(f"{tag} costs sum to 2^53 or more by line: "
+                              f"{' '.join(ln)}")
+
+
 def parse_dst(text: str) -> DirectedInstance:
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != ["DBDST", "1"]:
@@ -130,9 +143,8 @@ def parse_dst(text: str) -> DirectedInstance:
                  for t in _fields(ln, "terminal", 1)}
     if len(terminals) != k:
         raise FormatError("duplicate terminal ids")
-    # a sum of costs, such as a triple's, must fit in int64
-    if sum(c for _, _, c in edges) >= 2 ** 63:
-        raise FormatError("edge costs sum beyond int64")
+    _check_cost_sum(lines[3 + n:3 + n + m], [c for _, _, c in edges],
+                    "edge")
     return DirectedInstance(n, edges, root, frozenset(terminals), degree)
 
 
@@ -449,6 +461,7 @@ def parse_gst(text: str) -> GroupTreeInstance:
     cost = [0] * n
     degree = [0] * n
     seen = set()
+    line_costs = []
     for ln in lines[3:3 + n]:
         v, p, c, d = _fields(ln, "vertex", 4)
         if not (0 <= v < n):
@@ -456,11 +469,11 @@ def parse_gst(text: str) -> GroupTreeInstance:
         if c < 0 or d < 0:
             raise FormatError(f"negative cost or degree bound for {v}")
         parent[v], cost[v], degree[v] = p, c, d
+        line_costs.append(c)
         seen.add(v)
     if len(seen) != n:
         raise FormatError("vertex lines must cover ids 0..n-1 exactly once")
-    if sum(cost) >= 2 ** 63:
-        raise FormatError("vertex costs sum beyond int64")
+    _check_cost_sum(lines[3:3 + n], line_costs, "vertex")
     groups = [None] * k
     for ln in lines[3 + n:]:
         # 'group <t> <size>' and then any number of ids

@@ -161,15 +161,76 @@ class LPSolution:
     status: str
     x: np.ndarray | None
     objective: float | None
+    iterations: int = 0     # HiGHS's simplex iterations
 
 
-def _csc(blk: Block, keep: np.ndarray, column: np.ndarray, ncol: int):
+def _weights(n: int) -> np.ndarray:
+    """sin(1), ..., sin(n).  They are linearly independent over the
+    rationals (e^i is transcendental), so two different rows of rational
+    values have different exact weighted sums, and their float sums meet
+    only by rounding."""
+    return np.sin(np.arange(1.0, n + 1))
+
+
+def _repeats(row, col, val, count, lower, rhs, ncol):
+    """The mask of the rows that repeat an earlier row: the same entries and
+    the same bounds.  ``row``, ``col`` and ``val`` are the entries in column
+    order, so each row's entries come in column order; ``count`` is each
+    row's number of entries, none 0.  Rows are grouped by a fingerprint,
+    the sum of their values and rhs weighted by ``_weights``, and then
+    compared exactly with the earliest row of their group."""
+    weight = _weights(ncol + 1)
+    key = weight[col]
+    key *= val
+    key = np.bincount(row, key, minlength=len(count)) + weight[ncol] * rhs
+    rows = np.argsort(key)
+    # the rows whose fingerprint another row shares
+    twin = np.zeros(len(rows) + 1, dtype=bool)
+    twin[1:-1] = key[rows[1:]] == key[rows[:-1]]
+    rows = rows[twin[1:] | twin[:-1]]
+    repeat = np.zeros(len(count), dtype=bool)
+    if not len(rows):
+        return repeat
+    # the entries of those rows, by row and by column within a row
+    mine = np.zeros(len(count), dtype=bool)
+    mine[rows] = True
+    at = np.flatnonzero(mine[row])
+    at = at[np.argsort(row[at] * (ncol + 1) + col[at])]
+    row, col, val = row[at], col[at], val[at]
+    # each round drops the rows equal to the earliest row of their group; a
+    # row that differs from it is in a group of its own next round
+    while len(rows):
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = key[rows[1:]] != key[rows[:-1]]
+        head = np.minimum.reduceat(rows, np.flatnonzero(new))[
+            np.cumsum(new) - 1]
+        same = ((count[rows] == count[head]) & (lower[rows] == lower[head])
+                & (rhs[rows] == rhs[head]) & (rows != head))
+        pair = np.flatnonzero(same)
+        if len(pair):
+            # entry i of a row and of its head, row after row
+            n = count[rows[pair]]
+            offset = np.cumsum(n) - n
+            step = np.arange(offset[-1] + n[-1])
+            a = np.repeat(np.searchsorted(row, rows[pair]) - offset, n) + step
+            b = np.repeat(np.searchsorted(row, head[pair]) - offset, n) + step
+            same[pair[np.logical_or.reduceat(
+                (col[a] != col[b]) | (val[a] != val[b]), offset)]] = False
+        repeat[rows[same]] = True
+        rows = rows[~same & (rows != head)]
+    return repeat
+
+
+def _csc(blk: Block, lower: np.ndarray, keep: np.ndarray, column: np.ndarray,
+         ncol: int):
     """The column-wise matrix of the rows ``keep`` of ``blk``, with the
     variable ``j`` in column ``column[j]`` (an integer array that holds
     ``ncol``): the duplicate entries summed and the zeros dropped, as
-    scipy's ``csr_matrix``, ``eliminate_zeros`` and ``tocsc`` give it.
-    Returns ``(start, index, value, shape)`` over the rows that keep an
-    entry, and the mask of those rows."""
+    scipy's ``csr_matrix``, ``eliminate_zeros`` and ``tocsc`` give it, and
+    every row that repeats an earlier one (``_repeats``, with the row
+    bounds ``lower`` and ``blk.rhs``) left out.  Returns ``(start, index,
+    value, shape)`` over the rows that keep an entry and repeat no row, the
+    mask of the rows that keep an entry, and the mask of the rows kept."""
     col = column[blk.col]
     # the entries of the rows left out go to column ncol, cut off below
     if not keep.all():
@@ -178,28 +239,47 @@ def _csc(blk: Block, keep: np.ndarray, column: np.ndarray, ncol: int):
     # entries of one row and column are neighbours
     order = np.argsort(col, kind="stable")
     col = col[order]
-    edge = np.searchsorted(col, np.arange(ncol + 1, dtype=col.dtype))
-    order, col = order[:edge[ncol]], col[:edge[ncol]]
+    end = np.searchsorted(col, ncol)
+    order, col = order[:end], col[:end]
     row, val = blk.row[order], blk.val[order]
     # each full-size temporary freed early is memory the next one reuses
     del order
     new = np.ones(len(row), dtype=bool)
     new[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
     first = np.flatnonzero(new)
+    del new
     if len(first) < len(row):
         val = np.add.reduceat(val, first)
     nonzero = val != 0
-    first, val = first[nonzero], val[nonzero]
+    first = first[nonzero]
+    val = val[nonzero]
+    del nonzero
     row = row[first]
-    full = np.bincount(row, minlength=len(blk)) > 0
-    index = (np.cumsum(full, dtype=np.int32) - 1)[row]
-    return ((np.searchsorted(first, edge).astype(np.int32), index, val,
-             (int(np.count_nonzero(full)), ncol)), full)
+    col = col[first]
+    del first
+    count = np.bincount(row, minlength=len(blk))
+    full = count > 0
+    # number the rows that keep an entry, then the rows that repeat none
+    row = (np.cumsum(full) - 1)[row]
+    at = np.flatnonzero(full)
+    repeat = _repeats(row, col, val, count[at], lower[at], blk.rhs[at], ncol)
+    kept = full.copy()
+    kept[at[repeat]] = False
+    mine = ~repeat[row] if repeat.any() else slice(None)
+    index = (np.cumsum(~repeat, dtype=np.int32) - 1)[row]
+    del row
+    col = col[mine]
+    val = val[mine]
+    index = index[mine]
+    start = np.searchsorted(col, np.arange(ncol + 1, dtype=col.dtype))
+    return ((start.astype(np.int32), index, val,
+             (int(np.count_nonzero(kept)), ncol)), full, kept)
 
 
 def _reduce(model: LPModel):
     """The LP that HiGHS solves: each tree of ties is one column, the
-    implied ``<=`` rows are left out and rows left empty are dropped.
+    implied ``<=`` rows are left out, rows left empty are dropped and so is
+    every row that repeats an earlier one.
 
     Returns the column of every variable, the objective, the matrix of
     ``_csc`` and the row bounds of the ``system`` rows kept, and the column
@@ -214,7 +294,7 @@ def _reduce(model: LPModel):
     keep[:len(model.implied)] = ~model.implied
     # numpy sorts 16-bit keys by radix; _csc needs room for column ncol
     narrow = column.astype(np.uint16 if ncol < 1 << 16 else np.int64)
-    a, full = _csc(blk, keep, narrow, ncol)
+    a, full, kept = _csc(blk, lower, keep, narrow, ncol)
     empty = keep & ~full
     # an empty row reads lower <= 0 <= rhs
     if not ((lower[empty] <= 0) & (blk.rhs[empty] >= 0)).all():
@@ -223,16 +303,32 @@ def _reduce(model: LPModel):
     order = np.argsort(narrow, kind="stable")
     first = np.searchsorted(narrow[order], np.arange(ncol))
     return (column, np.bincount(column, weights=model.obj, minlength=ncol),
-            a, lower[full], blk.rhs[full],
+            a, lower[kept], blk.rhs[kept],
             np.maximum.reduceat(model.lo[order], first),
             np.minimum.reduceat(model.hi[order], first))
 
 
-def _run_highs(obj, a, row_lo, row_hi, lo, hi):
-    """HiGHS dual simplex with presolve on ``min obj x`` over ``row_lo <=
-    a x <= row_hi`` and ``lo <= x <= hi``, ``a`` the ``(start, index, value,
-    shape)`` of a column-wise matrix.  Returns the model status and x (None
-    unless optimal)."""
+# HiGHS 1.12's bit of kPresolveRuleParallelRowsAndCols in presolve_rule_off.
+# The rule finds the identical sibling columns of repeated sub-state-trees
+# in the DST LP at a cost of most of the presolve time, and the repeated
+# rows it would also find are dropped by _reduce already.
+PRESOLVE_RULE_PARALLEL_ROWS_AND_COLS = 1 << 13
+
+# every option dbnet sets on HiGHS, in order
+HIGHS_OPTIONS = (("output_flag", False), ("log_to_console", False),
+                 ("presolve", "on"),
+                 ("presolve_rule_off", PRESOLVE_RULE_PARALLEL_ROWS_AND_COLS),
+                 ("simplex_strategy", 1),
+                 ("primal_feasibility_tolerance", 1e-10),
+                 ("dual_feasibility_tolerance", 1e-10))
+
+
+def _run_highs(solver, obj, a, row_lo, row_hi, lo, hi):
+    """Runs ``solver``, a new ``_Highs``, with ``HIGHS_OPTIONS``: the dual
+    simplex with presolve on ``min obj x`` over ``row_lo <= a x <= row_hi``
+    and ``lo <= x <= hi``, ``a`` the ``(start, index, value, shape)`` of a
+    column-wise matrix.  Returns the model status and x (None unless
+    optimal)."""
     start, index, value, (nrow, ncol) = a
     lp = highs.HighsLp()
     lp.num_col_, lp.num_row_ = ncol, nrow
@@ -242,11 +338,7 @@ def _run_highs(obj, a, row_lo, row_hi, lo, hi):
     m.format_ = highs.MatrixFormat.kColwise
     m.num_col_, m.num_row_ = ncol, nrow
     m.start_, m.index_, m.value_ = start, index, value
-    solver = highs._Highs()
-    for option, value in (("output_flag", False), ("log_to_console", False),
-                          ("presolve", "on"), ("simplex_strategy", 1),
-                          ("primal_feasibility_tolerance", 1e-10),
-                          ("dual_feasibility_tolerance", 1e-10)):
+    for option, value in HIGHS_OPTIONS:
         solver.setOptionValue(option, value)
     if solver.passModel(lp) == highs.HighsStatus.kError:
         return highs.HighsModelStatus.kModelError, None
@@ -266,7 +358,11 @@ def solve_lp(model: LPModel) -> LPSolution:
     if reduced is None:
         return LPSolution(INFEASIBLE, None, None)
     column, *lp = reduced
-    status, x = _run_highs(*lp)
+    solver = highs._Highs()
+    status, x = _run_highs(solver, *lp)
+    iterations = solver.getInfo().simplex_iteration_count
+    # HiGHS frees its copy of the LP before the check allocates
+    del solver
     if status in (highs.HighsModelStatus.kInfeasible,
                   highs.HighsModelStatus.kModelError):
         return LPSolution(INFEASIBLE, None, None)
@@ -276,7 +372,7 @@ def solve_lp(model: LPModel) -> LPSolution:
     worst = model.max_violation(x)
     if not worst <= EPS_FEAS:
         raise SolverError(f"solution violates constraints by {worst:.3e}")
-    return LPSolution(OPTIMAL, x, float(model.obj @ x))
+    return LPSolution(OPTIMAL, x, float(model.obj @ x), iterations)
 
 
 def _cover_rows(member: np.ndarray, group: np.ndarray, k: int) -> Block:

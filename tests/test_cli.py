@@ -170,6 +170,52 @@ def test_verify_is_total(real_reports, which, data):
         0, 4, 5)
 
 
+# most mutants stop at parsing; 500 of them take about 3 s
+MUTANTS = 500
+FUZZ_TOKENS = [str(2 ** 62), str(2 ** 63 - 1), str(10 ** 25), "-1", "1.5",
+               "0", "1", "2", "3", "DBDST", "DBGST", "root", "vertex",
+               "edge", "terminal", "group"]
+FUZZ_TEXTS = {"dst": [serialize_dst(gen_dst(5, 7, 2, seed=s))
+                      for s in range(4)],
+              "gst": [serialize_gst(gen_gst(12, 2, depth=3, seed=s))
+                      for s in range(4)]}
+
+
+@settings(derandomize=True, deadline=None, max_examples=MUTANTS)
+@given(hs.sampled_from(sorted(FUZZ_TEXTS)), hs.integers(0, 3), hs.data())
+def test_run_on_a_mutated_instance_exits_with_a_documented_code(
+        tmp_path_factory, problem, which, data):
+    # tokens replaced by huge, negative, float, small and keyword tokens;
+    # lines inserted, deleted and duplicated
+    lines = [ln.split() for ln in FUZZ_TEXTS[problem][which].splitlines()]
+    for _ in range(data.draw(hs.integers(1, 3))):
+        i = data.draw(hs.integers(0, len(lines) - 1))
+        # a line op changes the line count, which parsing rejects at once,
+        # so token ops come four times as often
+        op = data.draw(hs.sampled_from(["token"] * 4 + ["insert", "delete",
+                                                     "duplicate"]))
+        if op == "token":
+            j = data.draw(hs.integers(0, len(lines[i]) - 1))
+            lines[i][j] = data.draw(hs.sampled_from(FUZZ_TOKENS))
+        elif op == "insert":
+            lines.insert(i, data.draw(hs.lists(hs.sampled_from(FUZZ_TOKENS)
+                                               | hs.integers(0, 12).map(str),
+                                               min_size=1, max_size=4)))
+        elif op == "delete" and len(lines) > 1:
+            del lines[i]
+        else:
+            lines.insert(i, list(lines[i]))
+    where = tmp_path_factory.getbasetemp()
+    path = where / f"mutant.{problem}"
+    path.write_text("\n".join(" ".join(ln) for ln in lines) + "\n")
+    try:
+        code = main(["run", "--problem", problem, "--instance", str(path),
+                     "--height", "3", "--out", str(where / "mutant.json")])
+    except SystemExit as e:
+        code = e.code
+    assert code in (0, 2, 3, 4, 5)
+
+
 def test_oracle_commands(tmp_path, dst_file, gst_file):
     path, _ = dst_file
     out = tmp_path / "o.json"
@@ -486,8 +532,9 @@ STAR_GST = ("DBGST 1\n3 1\nroot 0\nvertex 0 -1 0 2\nvertex 1 {p} 3 1\n"
 @pytest.mark.parametrize("problem,text,cause", [
     ("dst", PATH_DST.format(c=HUGE), f"edge line holds an integer beyond "
      f"int64: edge 0 1 {HUGE}"),
-    # each cost fits in int64, but not the triple of both
-    ("dst", STAR_DST.format(c=2 ** 62), "edge costs sum beyond int64"),
+    # each cost fits in int64, but not below the 2^53 of float64 integers
+    ("dst", STAR_DST.format(c=2 ** 62), "edge costs sum to 2^53 or more by "
+     f"line: edge 0 1 {2 ** 62}"),
     ("gst", STAR_GST.format(p=HUGE, c=4), f"vertex line holds an integer "
      f"beyond int64: vertex 1 {HUGE} 3 1"),
     ("gst", STAR_GST.format(p=0, c=HUGE), f"vertex line holds an integer "
@@ -499,6 +546,47 @@ def test_integer_beyond_int64_is_format_error(tmp_path, capsys, problem,
     path.write_text(text)
     assert main(["run", "--problem", problem, "--instance", str(path)]) == 5
     assert cause in capsys.readouterr().err
+
+
+def with_cost(text: str, edge: str, cost: int) -> str:
+    """``text`` with the cost of the line ``edge u v ...`` set to ``cost``."""
+    return "\n".join(f"{edge} {cost}" if ln.rsplit(" ", 1)[0] == edge
+                     else ln for ln in text.splitlines()) + "\n"
+
+
+@pytest.mark.parametrize("seed,edge", [(1, "edge 0 4"), (3, "edge 0 3"),
+                                       (3, "edge 3 4")])
+def test_cost_sum_from_2_to_the_53_is_format_error(tmp_path, capsys, seed,
+                                                   edge):
+    # an edge cost of 2^62 made HiGHS fail (exit 1) on these instances;
+    # float64 holds every integer cost sum below 2^53, so that is the bound
+    text = serialize_dst(gen_dst(5, 7, 2, seed=seed))
+    others = sum(int(ln.split()[3]) for ln in text.splitlines()
+                 if ln.startswith("edge ") and not ln.startswith(edge + " "))
+    path = tmp_path / "big.dst"
+    argv = ["run", "--problem", "dst", "--instance", str(path), "--height",
+            "3", "--out", str(tmp_path / "r.json")]
+    path.write_text(with_cost(text, edge, 2 ** 62))
+    assert main(argv) == 5
+    assert (f"edge costs sum to 2^53 or more by line: {edge} {2 ** 62}"
+            in capsys.readouterr().err)
+    path.write_text(with_cost(text, edge, 2 ** 53 - 1 - others))
+    assert main(argv) == 0
+    path.write_text(with_cost(text, edge, 2 ** 53 - others))
+    assert main(argv) == 5
+
+
+def test_gst_cost_sum_from_2_to_the_53_is_format_error(tmp_path, capsys):
+    # vertex 1 costs 3
+    path = tmp_path / "big.gst"
+    argv = ["run", "--problem", "gst", "--instance", str(path), "--out",
+            str(tmp_path / "r.json")]
+    path.write_text(STAR_GST.format(p=0, c=2 ** 53 - 4))
+    assert main(argv) == 0
+    path.write_text(STAR_GST.format(p=0, c=2 ** 53 - 3))
+    assert main(argv) == 5
+    assert (f"vertex costs sum to 2^53 or more by line: vertex 2 0 "
+            f"{2 ** 53 - 3} 1" in capsys.readouterr().err)
 
 
 def test_absurd_height_costs_no_more_rounds(tmp_path, monkeypatch):

@@ -51,21 +51,15 @@ TOLERANCES = {"primal_feasibility_tolerance": 1e-10,
               "dual_feasibility_tolerance": 1e-10}
 
 
-def linprog_x(model, column, obj, a_ub, b_ub, a_eq, b_eq, lo, hi):
-    """``scipy.optimize.linprog`` on an LP over the columns, lifted to the
-    variables of ``model`` as ``solve_lp`` lifts it."""
-    res = scipy.optimize.linprog(obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq,
-                                 b_eq=b_eq, bounds=np.column_stack([lo, hi]),
-                                 method="highs", options=TOLERANCES)
-    assert res.status == 0
-    return np.clip(res.x[column], model.lo, model.hi)
-
-
 def full_linprog_x(model):
-    return linprog_x(model, np.arange(model.nvar), model.obj,
-                     csr(model.ub_block, model.nvar), model.ub_block.rhs,
-                     csr(model.eq_block, model.nvar), model.eq_block.rhs,
-                     model.lo, model.hi)
+    """``scipy.optimize.linprog`` on the full model."""
+    res = scipy.optimize.linprog(
+        model.obj, A_ub=csr(model.ub_block, model.nvar),
+        b_ub=model.ub_block.rhs, A_eq=csr(model.eq_block, model.nvar),
+        b_eq=model.eq_block.rhs, bounds=np.column_stack([model.lo, model.hi]),
+        method="highs", options=TOLERANCES)
+    assert res.status == 0
+    return np.clip(res.x, model.lo, model.hi)
 
 
 def scipy_matrix(a):
@@ -75,12 +69,28 @@ def scipy_matrix(a):
     return scipy.sparse.csc_matrix((value, index, start), shape=shape)
 
 
-def reduced_linprog_x(model):
+def highs_solver(model, *extra):
+    """scipy's HiGHS binding, reached through ``scipy.optimize`` and run
+    here with dbnet's options and then ``extra`` ones on the LP of
+    ``_reduce``; returns it and the column of every variable."""
     column, obj, a, row_lo, row_hi, lo, hi = _reduce(model)
-    a = scipy_matrix(a).tocsr()
-    ub = np.isneginf(row_lo)
-    return linprog_x(model, column, obj, a[ub], row_hi[ub], a[~ub],
-                     row_hi[~ub], lo, hi)
+    mat = scipy_matrix(a)
+    lp = highs.HighsLp()
+    lp.num_row_, lp.num_col_ = mat.shape
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = obj, lo, hi
+    lp.row_lower_, lp.row_upper_ = row_lo, row_hi
+    a_matrix = lp.a_matrix_
+    a_matrix.format_ = highs.MatrixFormat.kColwise
+    a_matrix.num_row_, a_matrix.num_col_ = mat.shape
+    a_matrix.start_, a_matrix.index_ = mat.indptr, mat.indices
+    a_matrix.value_ = mat.data
+    solver = highs._Highs()
+    for option, value in lpcore.HIGHS_OPTIONS + extra:
+        assert solver.setOptionValue(option, value) == highs.HighsStatus.kOk
+    solver.passModel(lp)
+    solver.run()
+    assert solver.getModelStatus() == highs.HighsModelStatus.kOptimal
+    return solver, column
 
 
 def gst_case(seed):
@@ -95,30 +105,91 @@ def dst_case(corpus, seed):
     return build_dst_lp(build_super_tree(norm, h))
 
 
-# (label, model maker, whether linprog on the full model gives that x too)
 SOLVE_CASES = (
-    [("eq+ub", lambda: tiny_model(True, True), True),
-     ("eq", lambda: tiny_model(True, False), True),
-     ("ub", lambda: tiny_model(False, True), True)]
-    + [(f"small_dst-{s}", lambda s=s: dst_case("small_dst", s), False)
+    [("eq+ub", lambda: tiny_model(True, True)),
+     ("eq", lambda: tiny_model(True, False)),
+     ("ub", lambda: tiny_model(False, True))]
+    + [(f"small_dst-{s}", lambda s=s: dst_case("small_dst", s))
        for s in range(5)]
-    + [(f"d_max=1-{s}", lambda s=s: dst_case("d_max=1", s), False)
+    + [(f"d_max=1-{s}", lambda s=s: dst_case("d_max=1", s))
        for s in FRACTIONAL_SEEDS]
-    + [(f"gst-{s}", lambda s=s: gst_case(s), True) for s in range(6)])
+    + [(f"gst-{s}", lambda s=s: gst_case(s)) for s in range(6)])
 
 
-@pytest.mark.parametrize("make,full_too", [case[1:] for case in SOLVE_CASES],
+@pytest.mark.parametrize("make", [case[1] for case in SOLVE_CASES],
                          ids=[case[0] for case in SOLVE_CASES])
-def test_solve_matches_linprog_bitwise(make, full_too):
-    # the direct HiGHS call gives the vertex that scipy.optimize.linprog
-    # gives on the LP it solves; a DST LP has other optimal vertices, so
-    # its reference is linprog on the reduced LP
+def test_solve_matches_linprog_bitwise(make):
+    # solve_lp's x is bitwise the x of the HiGHS binding that linprog
+    # drives, run here with dbnet's options on the same reduced LP, so a
+    # scipy upgrade that changes the binding fails here; its cost is
+    # linprog's optimum on the full model
     model = make()
     sol = solve_lp(model)
     assert sol.status == OPTIMAL
-    assert sol.x.tobytes() == reduced_linprog_x(model).tobytes()
-    if full_too:
-        assert sol.x.tobytes() == full_linprog_x(model).tobytes()
+    solver, column = highs_solver(model)
+    x = np.clip(np.array(solver.getSolution().col_value)[column], model.lo,
+                model.hi)
+    assert sol.x.tobytes() == x.tobytes()
+    assert sol.objective == pytest.approx(model.obj @ full_linprog_x(model),
+                                          rel=0, abs=1e-9)
+
+
+def test_parallel_rule_is_the_rule_switched_off(tmp_path):
+    # HiGHS's own log names the presolve rule of the bit dbnet switches off
+    log = tmp_path / "highs.log"
+    highs_solver(dst_case("small_dst", 0), ("output_flag", True),
+                 ("log_file", str(log)), ("log_dev_level", 1))
+    lines = log.read_text().splitlines()
+    at = lines.index("Presolve rules not allowed:")
+    assert [ln.strip() for ln in lines[at + 1:at + 3]] == [
+        "Rule 13 (bit 8192): Parallel rows and columns", "Presolving model"]
+
+
+def test_solution_counts_simplex_iterations():
+    sol = solve_lp(dst_case("small_dst", 0))
+    assert sol.status == OPTIMAL and sol.iterations > 0
+    assert solve_lp(LPModel(1, np.array([0.0]), ub_block=Block.from_rows(
+        [([0], [-1.0], -2.0)]))).iterations == 0
+
+
+def rows_of(mat, lower, upper) -> list[tuple]:
+    """The rows of a scipy CSR matrix as (bounds, columns, values) tuples."""
+    return [(lo, hi, tuple(mat.indices[a:b].tolist()),
+             tuple(mat.data[a:b].tolist()))
+            for lo, hi, a, b in zip(lower.tolist(), upper.tolist(),
+                                    mat.indptr[:-1], mat.indptr[1:])]
+
+
+def rhs_twins():
+    """Three <= rows over the same entries: the first and the last are
+    equal, the middle one differs only in its rhs."""
+    return LPModel(2, np.array([-1.0, -2.0]), ub_block=Block.from_rows(
+        [([0, 1], [1.0, 1.0], 1.0), ([1, 0], [1.0, 1.0], 0.5),
+         ([0, 1], [1.0, 1.0], 1.0)]))
+
+
+@pytest.mark.parametrize("make", [case[1] for case in SOLVE_CASES]
+                         + [rhs_twins],
+                         ids=[case[0] for case in SOLVE_CASES] + ["rhs"])
+def test_highs_gets_each_row_once(monkeypatch, make):
+    # the rows HiGHS gets are pairwise distinct, and every row left out
+    # equals one of them
+    model = make()
+    sent = []
+    run_highs = lpcore._run_highs
+
+    def spy(solver, *lp):
+        sent.append(lp)
+        return run_highs(solver, *lp)
+
+    monkeypatch.setattr(lpcore, "_run_highs", spy)
+    assert solve_lp(model).status == OPTIMAL
+    _, a, row_lo, row_hi, _, _ = sent[0]
+    rows = rows_of(scipy_matrix(a).tocsr(), row_lo, row_hi)
+    assert len(set(rows)) == len(rows)
+    assert set(rows) == set(system_rows(model))
+    if make is rhs_twins:
+        assert len(rows) == 2
 
 
 @pytest.mark.parametrize("make", [lambda: tiny_model(True, True),
@@ -546,7 +617,8 @@ def test_reduced_gst_lp_is_exact(n, k, depth, d_max, seed):
 def reference_reduce(model):
     """``_reduce`` with its columns found from the rows, as first written:
     the two variables of each row ``x_a - x_b = 0`` share one column, and
-    the columns are scipy's connected components of those rows."""
+    the columns are scipy's connected components of those rows.  Of the
+    rows equal after that, a dict over scipy's rows keeps the first."""
     eq = model.eq_block
     count = np.bincount(eq.row, minlength=len(eq))
     two = np.flatnonzero(count == 2)
@@ -560,6 +632,28 @@ def reference_reduce(model):
     column = scipy.sparse.csgraph.connected_components(graph,
                                                        directed=False)[1]
     ncol = int(column.max()) + 1 if model.nvar else 0
+    mat, lower, rhs, full, empty = reference_rows(model, column, ncol)
+    if not ((lower[empty] <= 0) & (rhs[empty] >= 0)).all():
+        return None
+    # the first of each set of equal rows
+    first = {}
+    for i, row in zip(np.flatnonzero(full).tolist(),
+                      rows_of(mat[full], lower[full], rhs[full])):
+        first.setdefault(row, i)
+    kept = np.zeros(len(full), dtype=bool)
+    kept[list(first.values())] = True
+    lo = np.full(ncol, -np.inf)
+    hi = np.full(ncol, np.inf)
+    np.maximum.at(lo, column, model.lo)
+    np.minimum.at(hi, column, model.hi)
+    return (column, np.bincount(column, weights=model.obj, minlength=ncol),
+            mat[kept].tocsc(), lower[kept], rhs[kept], lo, hi)
+
+
+def reference_rows(model, column, ncol):
+    """scipy's CSR matrix of the ``system`` rows over the columns, its
+    duplicates summed and zeros dropped; the row bounds; and the masks of
+    the rows not implied that keep an entry and of those left empty."""
     blk, lower = model.system
     mat = scipy.sparse.csr_matrix((blk.val, (blk.row, column[blk.col])),
                                   shape=(len(blk), ncol))
@@ -567,15 +661,15 @@ def reference_reduce(model):
     keep = np.ones(len(blk), dtype=bool)
     keep[:len(model.implied)] = ~model.implied
     full = keep & (np.diff(mat.indptr) > 0)
-    empty = keep & ~full
-    if not ((lower[empty] <= 0) & (blk.rhs[empty] >= 0)).all():
-        return None
-    lo = np.full(ncol, -np.inf)
-    hi = np.full(ncol, np.inf)
-    np.maximum.at(lo, column, model.lo)
-    np.minimum.at(hi, column, model.hi)
-    return (column, np.bincount(column, weights=model.obj, minlength=ncol),
-            mat[full].tocsc(), lower[full], blk.rhs[full], lo, hi)
+    return mat, lower, blk.rhs, full, keep & ~full
+
+
+def system_rows(model) -> list[tuple]:
+    """Every row ``_reduce`` may pass on: the rows not implied that keep an
+    entry, over its columns."""
+    column, obj = _reduce(model)[:2]
+    mat, lower, rhs, full, _ = reference_rows(model, column, len(obj))
+    return rows_of(mat[full], lower[full], rhs[full])
 
 
 def same_reduction(model) -> bool:
@@ -635,3 +729,14 @@ def test_a_wrong_tie_fails_the_reference(change):
     else:
         model.tie[np.flatnonzero(model.tie >= 0)[0]] = -1
     assert not same_reduction(model)
+
+
+@pytest.mark.parametrize("make", [lambda: dst_case("small_dst", 0),
+                                  lambda: gst_case(0), rhs_twins],
+                         ids=["dst", "gst", "rhs"])
+def test_repeats_are_exact_when_every_fingerprint_meets(monkeypatch, make):
+    # with every weight 0 all rows share one fingerprint, and only the
+    # exact comparison tells them apart
+    model = make()
+    monkeypatch.setattr(lpcore, "_weights", np.zeros)
+    assert same_reduction(model)
