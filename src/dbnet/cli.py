@@ -27,7 +27,7 @@ from .instances import (DirectedInstance, GroupTreeInstance, normalize,
 from .lpcore import build_dst_lp, build_gst_lp, dump_lp
 from .dst_round import run_dst
 from .oracle import exact_dst, exact_gst
-from .rounding import blocks, csr, membership, pair_counts
+from .rounding import blocks, csr, pair_counts
 from .states import NODE_CAP, build_super_tree, oracle_height
 from .treekit import height_budget
 
@@ -215,8 +215,7 @@ def _gst_trial_stats(report, trials: int) -> dict:
     table = report.rounder.table
     inst = report.rounder.inst
     k = len(inst.groups)
-    groups_of = table.head_rows(*membership(
-        inst.n, [(o, g) for g, grp in enumerate(inst.groups) for o in grp]))
+    groups_of = table.head_rows(*csr(inst.n, inst.member, inst.group))
     hits = np.zeros(k, dtype=np.int64)
     for start, stop in blocks(trials):
         rep, head = table.heads((report.seed, TRIAL_STREAM), start, stop)

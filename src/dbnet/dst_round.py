@@ -63,11 +63,6 @@ class Sampler:
         # children of one parent share its slot, so exactly one is kept
         self.table = ChildTable(len(st), st.root, parent, child, parent,
                                 lo, hi)
-        # base node that can be selected -> the normalized vertices it involves
-        node, vert = st.involved
-        kept = np.zeros(len(st), dtype=bool)
-        kept[child] = True
-        self.involved = csr(len(st), node[kept[node]], vert[kept[node]])
 
     def sample(self, key: tuple[int, ...], start: int,
                stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -91,7 +86,9 @@ def round_super_tree(st: SuperTree, selected) -> RoundingOutcome:
     cost = int(st.cost[selected].sum())
     selected = set(selected.tolist())
     tree = selection_to_state_tree(st, selected)
-    multi = stitch_multi_tree(st.norm, tree)
+    # the super-tree's own height bounds the depth, which may exceed the
+    # height budget when the caller asks for more
+    multi = stitch_multi_tree(st.norm, tree, st.h)
     _check_good_multi_tree(st.norm, multi)
     if multi.cost(st.norm) != cost:
         raise InvariantError("stitched cost differs from base-node cost")
@@ -130,8 +127,9 @@ def concentration_stats(sampler: Sampler, rep: np.ndarray, node: np.ndarray,
     sampled (repetition, node) pairs of repetitions 0..trials-1."""
     if trials < 1:
         raise InvariantError("need at least one rounding outcome")
-    n = sampler.st.norm.inst.n
-    copies = pair_counts(*sampler.involved, n, rep, node, trials)
+    st = sampler.st
+    n = st.norm.inst.n
+    copies = pair_counts(*csr(len(st), *st.involved), n, rep, node, trials)
     mgf = 1.0 + np.expm1(s * copies).sum(axis=0) / trials
     top = copies.max(axis=0)
     return {v: {"mgf": float(mgf[v]), "max_copies": int(top[v])}

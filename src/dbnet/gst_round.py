@@ -153,7 +153,8 @@ def default_m(alpha0: float, k: int) -> int:
 
 def group_mass(inst: GroupTreeInstance, x: np.ndarray) -> list[float]:
     """z_r per group: total solution mass on the group's members."""
-    return [float(sum(x[o] for o in sorted(g))) for g in inst.groups]
+    return np.bincount(inst.group, weights=x[inst.member],
+                       minlength=len(inst.groups)).tolist()
 
 
 @dataclass

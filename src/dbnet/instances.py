@@ -385,9 +385,11 @@ class GroupTreeInstance:
     here: the children of u are ``child[child_ptr[u]:child_ptr[u + 1]]`` in
     increasing id order and ``children[u]`` lists them, and ``levels`` holds
     the vertices level by level from the root, each level in increasing id
-    order.  A group may hold internal vertices and share members with
-    another; after ``preprocess_gst`` the groups are disjoint sets of
-    leaves."""
+    order.  ``member`` and ``group`` list every (member, group) pair, by
+    group and then ascending member: the one membership table that the LP
+    rows, the P3/P4 checks, the group masses and the trial hit counts read.
+    A group may hold internal vertices and share members with another;
+    after ``preprocess_gst`` the groups are disjoint sets of leaves."""
 
     n: int
     parent: np.ndarray
@@ -400,6 +402,10 @@ class GroupTreeInstance:
         if self.synthetic_leaf is None:
             self.synthetic_leaf = [False] * self.n
         self.groups = [frozenset(g) for g in self.groups]
+        self.member = np.array([o for g in self.groups for o in sorted(g)],
+                               dtype=np.int64)
+        self.group = np.repeat(np.arange(len(self.groups)),
+                               [len(g) for g in self.groups])
         self.parent = parent = np.array(self.parent, dtype=np.int64)
         out = np.flatnonzero((parent < -1) | (parent >= self.n))
         if len(out):

@@ -481,11 +481,7 @@ def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
     for t, g in enumerate(inst.groups):
         if not g:
             raise InfeasibleError(f"group {t} is empty")
-    member = np.array([o for g in inst.groups for o in sorted(g)],
-                      dtype=np.int64)
-    group = np.repeat(np.arange(len(inst.groups)),
-                      [len(g) for g in inst.groups])
-    cover = _cover_rows(member, group, len(inst.groups))
+    cover = _cover_rows(inst.member, inst.group, len(inst.groups))
     inner = np.diff(inst.child_ptr) > 0
     # a bound above n binds nothing, and HiGHS rejects a coefficient near
     # 2^63, so the degree row reads at most n
@@ -499,7 +495,7 @@ def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
                    eq_block=cover,
                    ub_block=Block.stack(
                        degree_rows,
-                       _capacity_rows(inst.parent, member, group,
+                       _capacity_rows(inst.parent, inst.member, inst.group,
                                       descending=False)[0]))
 
 
@@ -544,17 +540,15 @@ def check_modified_solution(inst: GroupTreeInstance, x: np.ndarray,
         bad.append(f"P1: x~[{u}]={xt[u]} not a power of 2 in [1/(2n), 1]")
     for u, v in inst.rises(xt, tol):
         bad.append(f"P2: x~ increases on edge ({u}, {v})")
-    for t, g in enumerate(inst.groups):
-        s = sum(xt[o] for o in g)
-        if not (0.5 - tol <= s <= 2 + tol):
-            bad.append(f"P3: group {t} mass {s} outside [1/2, 2]")
+    k = len(inst.groups)
+    mass = np.bincount(inst.group, weights=xt[inst.member], minlength=k)
+    ok = (0.5 - tol <= mass) & (mass <= 2 + tol)
+    for t in np.flatnonzero(~ok).tolist():
+        bad.append(f"P3: group {t} mass {mass[t]} outside [1/2, 2]")
     # below[u, t]: the mass of group t in the subtree of u, summed level by
     # level from the deepest, a node's children in increasing order
-    k = len(inst.groups)
     below = np.zeros((n, k))
-    for t, g in enumerate(inst.groups):
-        members = np.fromiter(g, dtype=np.int64, count=len(g))
-        below[members, t] = xt[members]
+    below[inst.member, inst.group] = xt[inst.member]
     for level in reversed(inst.levels[1:]):
         np.add.at(below, inst.parent[level], below[level])
     worst = np.argmax(below - 2 * xt[:, None], axis=0)

@@ -39,8 +39,7 @@ class ExactResult:
                 "vertices": sorted(self.vertices)}
 
 
-def exact_dst(inst: DirectedInstance, max_n: int = DST_MAX_N,
-              max_m: int = DST_MAX_M) -> ExactResult:
+def exact_dst(inst: DirectedInstance) -> ExactResult:
     """Minimum-cost degree-bounded out-arborescence covering the terminals.
 
     Depth-first include/exclude over the edge list with branch-and-bound:
@@ -49,10 +48,10 @@ def exact_dst(inst: DirectedInstance, max_n: int = DST_MAX_N,
     lower bound (cheapest remaining in-edge per uncovered terminal) cannot
     beat the incumbent.
     """
-    if inst.n > max_n or len(inst.edges) > max_m:
+    if inst.n > DST_MAX_N or len(inst.edges) > DST_MAX_M:
         raise CapExceededError(
-            f"exact_dst limits exceeded: n={inst.n} (max {max_n}), "
-            f"m={len(inst.edges)} (max {max_m})")
+            f"exact_dst limits exceeded: n={inst.n} (max {DST_MAX_N}), "
+            f"m={len(inst.edges)} (max {DST_MAX_M})")
     cost = inst.cost
     edges = sorted(cost)
     m = len(edges)
@@ -127,8 +126,7 @@ def exact_dst(inst: DirectedInstance, max_n: int = DST_MAX_N,
     return ExactResult(OPTIMAL, int(best[0]), sorted(best[1]), sorted(verts))
 
 
-def exact_gst(inst: GroupTreeInstance, max_k: int = GST_MAX_K,
-              max_n: int = GST_MAX_N) -> ExactResult:
+def exact_gst(inst: GroupTreeInstance) -> ExactResult:
     """Minimum-cost degree-bounded rooted subtree hitting every group.
 
     Dynamic program over (vertex, group subset): best[u][mask] is the least
@@ -137,9 +135,10 @@ def exact_gst(inst: GroupTreeInstance, max_k: int = GST_MAX_K,
     with a submask merge.
     """
     k = len(inst.groups)
-    if k > max_k:
-        raise CapExceededError(f"exact_gst limit exceeded: k={k} (max {max_k})")
-    if inst.n > max_n:
+    if k > GST_MAX_K:
+        raise CapExceededError(
+            f"exact_gst limit exceeded: k={k} (max {GST_MAX_K})")
+    if inst.n > GST_MAX_N:
         raise CapExceededError(f"exact_gst limit exceeded: n={inst.n}")
     if any(not g for g in inst.groups):
         return ExactResult(INFEASIBLE)

@@ -96,13 +96,6 @@ class Rows:
         return self.col[self.ptr[i]:self.ptr[i + 1]].tolist()
 
 
-def membership(n: int, pairs: list[tuple[int, int]]) -> tuple[np.ndarray, ...]:
-    """``(ptr, col)``: the integer columns each node 0..n-1 counts towards,
-    from (node, column) pairs."""
-    return csr(n, [o for o, _ in pairs],
-               np.asarray([c for _, c in pairs], dtype=np.int64))
-
-
 def expand(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(position in ``rows``, entry index) of every CSR entry of every row."""
     first = ptr[rows]

@@ -72,6 +72,20 @@ def _contrib(norm: NormalizedInstance, v: int, rho: dict) -> int:
     return norm.phi(v, rho[v])
 
 
+def _agreeing(norm: NormalizedInstance, tails, guess: dict,
+              bound: int) -> int:
+    """How many degree vectors an edge or triple with these tails agrees
+    with: the degree guesses of its non-terminal tails whose contributions
+    to the degree of its root sum to at most ``bound``."""
+    # ways[x]: the guesses of the tails so far that contribute x in all
+    ways = np.ones(1, dtype=np.int64)
+    for v in tails:
+        xs = [1] if v in norm.inst.terminals else range(1, guess[v] + 1)
+        ways = np.convolve(ways, np.bincount(
+            [_contrib(norm, v, {v: x}) for x in xs], minlength=1))
+    return int(ways[:bound + 1].sum())
+
+
 def edge_agrees(norm: NormalizedInstance, edge: tuple[int, int], S,
                 rho: dict) -> bool:
     r1, v = edge
@@ -125,18 +139,17 @@ class StateTreeNode:
         return sum(o.leaf_cost(cost) for o in self.nodes() if o.is_leaf)
 
 
-def gen_state_tree(norm: NormalizedInstance, tree: MultiTree,
-                   h: int | None = None) -> StateTreeNode:
+def gen_state_tree(norm: NormalizedInstance,
+                   tree: MultiTree) -> StateTreeNode:
     """Decompose a valid binary tree into its good state tree (analysis side).
 
     The input tree must have distinct vertex labels, terminal leaves and
-    in-range original degrees; the output passes validate_state_tree and has
-    the same cost.
+    in-range original degrees; the output passes validate_state_tree at the
+    height budget and has the same cost.
     """
     if len(set(tree.label)) != len(tree.label):
         raise InvariantError("gen_state_tree needs distinct vertex labels")
-    if h is None:
-        h = height_budget(norm.inst.n)
+    h = height_budget(norm.inst.n)
     K = norm.inst.terminals
     rho_all = original_degree(norm, tree)
     rt = RootedTree({a: tree.parent[a] for a in range(len(tree))})
@@ -187,10 +200,9 @@ def oracle_height(norm: NormalizedInstance, edges) -> int:
 
 
 def validate_state_tree(norm: NormalizedInstance, root: StateTreeNode,
-                        h: int | None = None) -> list[str]:
-    """Check the good-state-tree conditions; returns a list of violations."""
-    if h is None:
-        h = height_budget(norm.inst.n)
+                        h: int) -> list[str]:
+    """Check the good-state-tree conditions with depth at most h; returns a
+    list of violations."""
     inst = norm.inst
     K = inst.terminals
     bad = []
@@ -258,15 +270,16 @@ class _Frag:
         self.children = []
 
 
-def stitch_multi_tree(norm: NormalizedInstance,
-                      root: StateTreeNode) -> MultiTree:
-    """Join the leaf edges/triples of a good state tree into a multi-tree.
+def stitch_multi_tree(norm: NormalizedInstance, root: StateTreeNode,
+                      h: int) -> MultiTree:
+    """Join the leaf edges/triples of a good state tree of depth at most h
+    into a multi-tree.
 
     Bottom-up: each subtree yields a multi-tree plus a map from portals to
     their copies; the right child's root copy is identified with the left
     child's copy of the same portal.
     """
-    bad = validate_state_tree(norm, root)
+    bad = validate_state_tree(norm, root, h)
     if bad:
         raise InvariantError("stitch on invalid state tree: " + "; ".join(bad))
     K = norm.inst.terminals
@@ -568,10 +581,12 @@ def live_states(norm: NormalizedInstance, h: int,
     against (state, root, its degree), and interns their parents by a
     packed integer code of the root and the portal slots: parents not seen
     before get min depth d + 1 and join in later rounds.  The join is
-    filtered ``JOIN_BLOCK`` candidates at a time.  A round that joins more
-    than ``PAIR_CAP`` pairs raises CapExceededError before they are
-    interned, and after the last round of each height t so does a
-    super-tree of height t over ``node_cap`` nodes.
+    filtered ``JOIN_BLOCK`` candidates at a time.  CapExceededError is
+    raised before any base state is made when one vertex's edges and
+    triples would start more than ``PAIR_CAP`` of them, by a round that
+    joins more than ``PAIR_CAP`` pairs before they are interned, and after
+    the last round of each height t by a super-tree of height t over
+    ``node_cap`` nodes.
     """
     inst = norm.inst
     K = inst.terminals
@@ -581,29 +596,43 @@ def live_states(norm: NormalizedInstance, h: int,
     # guess never meets a state rooted at v
     most = Counter(u for path in norm.edge_path.values() for u, _ in path)
     guess = {v: min(inst.degree_bound[v], most[v]) for v in range(n)}
+    # every edge and triple out of a non-terminal with its non-terminal
+    # tails; a state with |S| portals sits at level >= |S| - 1
+    leaves = []
+    for r1 in sorted(set(range(n)) - K):
+        edges = sorted(inst.out_edges(r1))
+        for tails, payload, cost in (
+                [((v,), ("e", (r1, v)), c) for v, c in edges]
+                + [((v, v2), ("xi", (r1, v, v2)), c + c2)
+                   for (v, c), (v2, c2) in itertools.combinations(edges, 2)]):
+            free = [v for v in tails if v not in K]
+            if len(free) <= h:
+                leaves.append((r1, tails, free, payload, cost))
+    # the base states of each root vertex, counted before any is made
+    count = Counter()
+    for r1, tails, _, _, _ in leaves:
+        count[r1] += _agreeing(norm, tails, guess, inst.degree_bound[r1])
+    r1, most_states = max(count.items(), key=lambda c: c[1], default=(0, 0))
+    if most_states > PAIR_CAP:
+        o = norm.origin[r1]
+        where = f"vertex {o}" if o == r1 else f"the gadget of vertex {o}"
+        raise CapExceededError(
+            f"the edges and triples out of {where} start {most_states} base "
+            f"states, over the pair cap {PAIR_CAP}; lower the degree bounds")
     # base states in the order they are first met, and each payload's state
     index: dict[StateKey, int] = {}
     pay_state, payloads, pay_cost = [], [], []
-    for r1 in sorted(set(range(n)) - K):
-        edges = sorted(inst.out_edges(r1))
-        leaves = [((v,), ("e", (r1, v)), c) for v, c in edges]
-        leaves += [((v, v2), ("xi", (r1, v, v2)), c + c2)
-                   for (v, c), (v2, c2) in itertools.combinations(edges, 2)]
-        for tails, payload, cost in leaves:
-            free = [v for v in tails if v not in K]
-            # a state with |S| portals sits at level >= |S| - 1
-            if len(free) > h:
-                continue
-            # every degree vector the edge/triple agrees with
-            for combo in itertools.product(
-                    *(range(1, guess[v] + 1) for v in free)):
-                rho = dict(zip(free, combo))
-                rho[r1] = sum(_contrib(norm, v, rho) for v in tails)
-                if rho[r1] <= inst.degree_bound[r1]:
-                    key = make_key(r1, {r1, *free}, rho)
-                    pay_state.append(index.setdefault(key, len(index)))
-                    payloads.append(payload)
-                    pay_cost.append(cost)
+    for r1, tails, free, payload, cost in leaves:
+        # every degree vector the edge/triple agrees with
+        for combo in itertools.product(
+                *(range(1, guess[v] + 1) for v in free)):
+            rho = dict(zip(free, combo))
+            rho[r1] = sum(_contrib(norm, v, rho) for v in tails)
+            if rho[r1] <= inst.degree_bound[r1]:
+                key = make_key(r1, {r1, *free}, rho)
+                pay_state.append(index.setdefault(key, len(index)))
+                payloads.append(payload)
+                pay_cost.append(cost)
 
     # a joined state copies its degrees from its children, so no degree
     # exceeds the base states' largest; a portal u of degree x is the slot

@@ -24,7 +24,7 @@ from dbnet.lpcore import (build_dst_lp, build_gst_lp, check_modified_solution,
 from dbnet.oracle import OPTIMAL, exact_gst
 from dbnet.states import (BASE, build_super_tree, gen_state_tree,
                           stitch_multi_tree, validate_state_tree)
-from dbnet.treekit import RootedTree, find_balanced_separator
+from dbnet.treekit import RootedTree, find_balanced_separator, height_budget
 
 TRIALS = 10_000
 
@@ -58,9 +58,10 @@ def test_criterion_02_reduction_round_trip():
         inst, norm, res, h = small_dst(seed)
         mt = lift_tree(norm, set(map(tuple, res.edges)))
         stt = gen_state_tree(norm, mt)
-        assert validate_state_tree(norm, stt) == []
+        budget = height_budget(norm.inst.n)
+        assert validate_state_tree(norm, stt, budget) == []
         assert stt.cost(norm) == res.cost
-        stitched = stitch_multi_tree(norm, stt)
+        stitched = stitch_multi_tree(norm, stt, budget)
         assert sorted(stitched.label) == sorted(mt.label)
         assert stt.depth() == h
     _ok(2, "100 oracle trees decompose, validate and stitch back exactly")

@@ -370,6 +370,62 @@ def test_exit_codes(tmp_path):
                  "--node-cap", "2000"]) == 3
 
 
+PATH3 = ("DBDST 1\n3 {m} {k}\nroot 0\nvertex 0 2\nvertex 1 1\nvertex 2 0\n"
+         "edge 0 1 1\n{edges}{terminals}")
+TREE3 = ("DBGST 1\n3 1\nroot {root}\nvertex 0 -1 0 2\nvertex 1 0 1 1\n"
+         "vertex 2 1 1 1\n{group}\n")
+RUN = ["run", "--problem"]
+
+
+@pytest.mark.parametrize("name,text,argv,code,says", [
+    ("loop.dst", PATH3.format(m=2, k=1, edges="edge 1 1 1\n",
+                              terminals="terminal 2\n"),
+     RUN + ["dst"], 5, "self-loop at 1"),
+    ("neg.dst", PATH3.format(m=2, k=1, edges="edge 1 2 -1\n",
+                             terminals="terminal 2\n"),
+     RUN + ["dst"], 5, "negative cost on edge (1, 2)"),
+    ("twice.dst", PATH3.format(m=2, k=2, edges="edge 1 2 1\n",
+                               terminals="terminal 2\nterminal 2\n"),
+     RUN + ["dst"], 5, "duplicate terminal ids"),
+    ("root.gst", TREE3.format(root=1, group="group 0 1 2"),
+     RUN + ["gst"], 5, "declared root has a parent"),
+    ("empty.gst", TREE3.format(root=0, group="group 0 0"),
+     RUN + ["gst"], 2, "group 0 is empty"),
+    (None, None, RUN + ["dst"], 5, "run needs --instance or --gen"),
+    (None, None, RUN + ["dst", "--gen", "n"], 5,
+     "bad generator spec item: 'n'"),
+    (None, None, RUN + ["gst", "--gen", "n=x"], 5,
+     "bad generator value: 'n=x'"),
+    (None, None, RUN + ["dst", "--gen", "n=5,z=1"], 5,
+     "unknown generator keys: ['z']"),
+    (".", None, ["gen-dst", "--n", "3", "--m", "2", "--k", "1"], 5,
+     "cannot write ."),
+    ("two.dst", PATH3.format(m=3, k=1, edges="edge 0 2 1\nedge 1 2 1\n",
+                             terminals="terminal 2\n"),
+     ["verify", "--tree", "two.json"], 4, "vertex 2 has two parents"),
+    ("orphan.gst", TREE3.format(root=0, group="group 0 1 2"),
+     ["verify", "--tree", "orphan.json"], 4,
+     "vertex 2 in union without its parent"),
+])
+def test_error_path_exit_code_and_message(tmp_path, monkeypatch, capsys, name,
+                                          text, argv, code, says):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two.json").write_text(json.dumps(
+        {"problem": "dst", "tree_edges": [[0, 1], [0, 2], [1, 2]],
+         "covered": [2], "tree_cost": 3, "degree_violations": {}}))
+    (tmp_path / "orphan.json").write_text(json.dumps(
+        {"problem": "gst", "union_vertices": [0, 2], "coverage": [True],
+         "union_cost": 1, "degree_violations": {}}))
+    if text is not None:
+        (tmp_path / name).write_text(text)
+    # a named case reads that instance file, or without text writes to it
+    if name is not None:
+        argv = argv + (["--out", name] if text is None
+                       else ["--instance", name])
+    assert main(argv) == code
+    assert says in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["solve-gst", "--seed", "-1"], "--seed"),
     (["solve-dst", "--q", "-2"], "--q"),
@@ -427,6 +483,21 @@ def test_height_below_budget_is_a_cap_error(tmp_path, capsys, height, cause):
     err = capsys.readouterr().err
     assert f"height {height} is below the height budget 8" in err
     assert cause in err
+
+
+def test_height_above_budget_checks_the_stitch_at_that_height(tmp_path):
+    # a 14-vertex unit path with every bound 1: its height budget is 9, and
+    # at --height 12 the rounded state tree is 10 deep
+    path = tmp_path / "path.dst"
+    path.write_text("\n".join(
+        ["DBDST 1", "14 13 1", "root 0"]
+        + [f"vertex {v} 1" for v in range(14)]
+        + [f"edge {v} {v + 1} 1" for v in range(13)]
+        + ["terminal 13"]) + "\n")
+    out = tmp_path / "path.json"
+    assert main(["run", "--problem", "dst", "--instance", str(path),
+                 "--height", "12", "--out", str(out)]) == 0
+    assert main(["verify", "--tree", str(out), "--instance", str(path)]) == 0
 
 
 def test_infeasible_at_budget_names_original_terminal(tmp_path, capsys):

@@ -11,7 +11,7 @@ from dbnet.generators import gen_gst
 from dbnet.gst_round import (Rounder, alpha_sequence, build_scaled,
                              check_branching_mass, check_nonincreasing,
                              compute_hop_levels, default_m, global_params,
-                             run_gst, scale_solution)
+                             group_mass, run_gst, scale_solution)
 from dbnet.instances import GroupTreeInstance, preprocess_gst
 from dbnet.rounding import per_rep
 
@@ -262,6 +262,21 @@ def test_run_gst_forced_path():
     assert all(rep.coverage)
     assert rep.union_cost == 7
     assert all(c == 7 for c in rep.repetition_costs)
+
+
+def test_group_mass_sums_each_group_in_member_order(gst_suite):
+    # the membership table's sums equal, bit for bit, Python's sum over each
+    # group's members in increasing order, also for a group that overlaps
+    # others and holds the root, as before preprocessing
+    rng = np.random.default_rng(5)
+    raw = gen_gst(30, 4, seed=2)
+    raw = GroupTreeInstance(raw.n, raw.parent, raw.cost,
+                            raw.groups + [raw.groups[0] | raw.groups[1] | {0}],
+                            raw.degree_bound)
+    for inst in gst_suite + [raw]:
+        x = rng.random(inst.n)
+        assert group_mass(inst, x) == [float(sum(x[o] for o in sorted(g)))
+                                       for g in inst.groups]
 
 
 def test_run_gst_disjoint_star(gst_suite):

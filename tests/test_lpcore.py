@@ -280,6 +280,15 @@ def test_empty_polytope():
     assert solve_lp(m).status == INFEASIBLE
 
 
+def test_equality_row_that_cancels_to_empty_is_infeasible():
+    # x - x = 1: the row keeps no entry and its bounds cannot hold, so
+    # _reduce refuses it before HiGHS runs
+    m = LPModel(1, np.array([0.0]),
+                eq_block=Block.from_rows([([0, 0], [1.0, -1.0], 1.0)]))
+    assert _reduce(m) is None
+    assert solve_lp(m).status == INFEASIBLE
+
+
 def test_dst_lp_single_edge():
     inst = DirectedInstance(2, [(0, 1, 7)], 0, {1}, {0: 1, 1: 0})
     st = build_super_tree(normalize(inst), 3, 10_000)

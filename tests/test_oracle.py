@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from conftest import set_cover_triangle
+from dbnet import oracle
 from dbnet.errors import CapExceededError, FormatError
 from dbnet.generators import gen_dst, gen_gst
 from dbnet.instances import (DirectedInstance, GroupTreeInstance, normalize,
@@ -34,10 +35,11 @@ def test_dst_degree_bound_infeasible():
     assert exact_dst(inst).status == INFEASIBLE
 
 
-def test_dst_limits_refused():
+def test_dst_limits_refused(monkeypatch):
     inst = DirectedInstance(2, [(0, 1, 1)], 0, {1}, {0: 1, 1: 0})
+    monkeypatch.setattr(oracle, "DST_MAX_N", 1)
     with pytest.raises(CapExceededError):
-        exact_dst(inst, max_n=1)
+        exact_dst(inst)
 
 
 def test_dst_degree_bound_forces_costlier_tree():
@@ -74,11 +76,12 @@ def test_gst_empty_group_infeasible():
     assert exact_gst(inst).status == INFEASIBLE
 
 
-def test_gst_k_limit_refused():
+def test_gst_k_limit_refused(monkeypatch):
     inst = GroupTreeInstance(2, [-1, 0], [0, 1], [frozenset({1})] * 2,
                              [2, 1])
+    monkeypatch.setattr(oracle, "GST_MAX_K", 1)
     with pytest.raises(CapExceededError):
-        exact_gst(inst, max_k=1)
+        exact_gst(inst)
 
 
 def _exhaustive_gst(inst):

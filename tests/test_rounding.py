@@ -258,8 +258,9 @@ def test_heads_expand_to_sample_and_count_alike(table, data):
     ncol = 4
     cols = data.draw(hs.lists(hs.lists(hs.integers(0, ncol - 1), max_size=3),
                               min_size=n, max_size=n))
-    ptr, col = rounding.membership(n, [(v, c) for v in range(n)
-                                       for c in cols[v]])
+    pairs = np.array([(v, c) for v in range(n) for c in cols[v]],
+                     dtype=np.int64).reshape(-1, 2)
+    ptr, col = rounding.csr(n, pairs[:, 0], pairs[:, 1])
     weight = np.array(data.draw(hs.lists(hs.integers(0, 20), min_size=n,
                                          max_size=n)), dtype=float)
     head_ptr, head_col = engine.head_rows(ptr, col)

@@ -6,7 +6,7 @@ import resource
 import subprocess
 import sys
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from heapq import heappop, heappush
 from pathlib import Path
 
@@ -115,12 +115,13 @@ def test_validator_detects_faults():
     _, norm, res, _ = small_dst(2)
     mt = lift_tree(norm, set(map(tuple, res.edges)))
     tau = gen_state_tree(norm, mt)
-    assert validate_state_tree(norm, tau) == []
+    budget = height_budget(norm.inst.n)
+    assert validate_state_tree(norm, tau, budget) == []
 
     broken = copy.deepcopy(tau)
     node = next(o for o in broken.nodes())
     node.rho = {v: r + 1 for v, r in node.rho.items()}
-    assert validate_state_tree(norm, broken)
+    assert validate_state_tree(norm, broken, budget)
 
     internal = next((o for o in tau.nodes() if not o.is_leaf), None)
     if internal is not None:
@@ -128,7 +129,7 @@ def test_validator_detects_faults():
         s_int = next(o for o in swapped.nodes() if not o.is_leaf)
         s_int.left, s_int.right = s_int.right, s_int.left
         assert any("allowable" in msg
-                   for msg in validate_state_tree(norm, swapped))
+                   for msg in validate_state_tree(norm, swapped, budget))
 
 
 def test_stitch_round_trip():
@@ -136,7 +137,7 @@ def test_stitch_round_trip():
         _, norm, res, _ = small_dst(seed)
         mt = lift_tree(norm, set(map(tuple, res.edges)))
         tau = gen_state_tree(norm, mt)
-        mt2 = stitch_multi_tree(norm, tau)
+        mt2 = stitch_multi_tree(norm, tau, height_budget(norm.inst.n))
         assert mt2.cost(norm) == res.cost
         assert sorted(mt2.label) == sorted(mt.label)
         assert sorted(mt2.edge_labels()) == sorted(mt.edge_labels())
@@ -154,7 +155,8 @@ def test_lift_decompose_stitch_round_trip(n, extra, k, d_max, seed):
     assert res.status == "OPTIMAL"
     norm = normalize(inst)
     mt = lift_tree(norm, set(map(tuple, res.edges)))
-    back = stitch_multi_tree(norm, gen_state_tree(norm, mt))
+    back = stitch_multi_tree(norm, gen_state_tree(norm, mt),
+                             height_budget(norm.inst.n))
     origin = [norm.edge_origin[e] for e in back.edge_labels()]
     assert sorted(e for e in origin if e is not None) == sorted(
         map(tuple, res.edges))
@@ -640,6 +642,28 @@ def test_pair_cap_checked_before_interning(monkeypatch):
                        r"depth pass 0 at height 4, over the pair cap 10"):
         states.live_states(norm, 4)
     assert interned == []
+
+
+def test_base_states_counted_before_any_is_made(monkeypatch):
+    # a star of 40 unit edges to terminals from a root of bound 40: its
+    # gadget splits them 20/20, so the root's triple alone agrees with
+    # 20 * 20 degree pairs, more than any gadget vertex starts
+    norm = normalize(DirectedInstance(
+        41, [(0, v, 1) for v in range(1, 41)], 0, set(range(1, 41)),
+        {v: 40 if v == 0 else 0 for v in range(41)}))
+    per_root = Counter(data[0] for _, data in
+                       states.live_states(norm, 3).payloads)
+    top = per_root[0]
+    assert top == 440 and top == max(per_root.values())
+    made = []
+    key = states.make_key
+    monkeypatch.setattr(states, "make_key",
+                        lambda *a: made.append(a) or key(*a))
+    monkeypatch.setattr(states, "PAIR_CAP", top - 1)
+    with pytest.raises(CapExceededError, match=f"out of vertex 0 start "
+                       f"{top} base states, over the pair cap {top - 1}"):
+        states.live_states(norm, 3)
+    assert made == []
 
 
 def test_large_table_fails_fast_under_a_memory_limit(tmp_path):

@@ -17,7 +17,7 @@ from dbnet.dst_round import run_dst
 from dbnet.generators import gen_dst, gen_gst
 from dbnet.gst_round import run_gst
 from dbnet.instances import normalize, preprocess_gst
-from dbnet.rounding import blocks, csr, membership, pair_counts
+from dbnet.rounding import blocks, csr, pair_counts
 
 TRIALS = 2500       # two full engine blocks and a partial one
 
@@ -54,8 +54,9 @@ def reference_gst_trial_stats(report, trials: int) -> dict:
     rounder = report.rounder
     inst = rounder.inst
     k = len(inst.groups)
-    groups_of = membership(inst.n, [(o, g) for g, grp in enumerate(inst.groups)
-                                     for o in grp])
+    pairs = np.array([(o, g) for g, grp in enumerate(inst.groups)
+                      for o in grp], dtype=np.int64).reshape(-1, 2)
+    groups_of = csr(inst.n, pairs[:, 0], pairs[:, 1])
     hits = np.zeros(k, dtype=np.int64)
     for start, stop in blocks(trials):
         rep, node = rounder.sample((report.seed, TRIAL_STREAM), start, stop)
