@@ -336,7 +336,9 @@ def verify_gst_report(inst: GroupTreeInstance, doc: dict) -> list[str]:
     union = {v for v in union if 0 <= v < inst.n}
     if inst.root not in union:
         bad.append("root missing from the union")
-    coverage = [any(o in union for o in g) for g in inst.groups]
+    hit = np.isin(inst.member, list(union))
+    coverage = (np.bincount(inst.group[hit], minlength=len(inst.groups))
+                > 0).tolist()
     if coverage != doc.get("coverage"):
         bad.append("coverage flags mismatch")
     total = sum(inst.cost[v] for v in union)

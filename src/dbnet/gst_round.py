@@ -229,7 +229,8 @@ def run_gst(inst: GroupTreeInstance, M: int | None = None, seed: int = 0,
         in_union[node] = True
 
     union = set(np.flatnonzero(in_union).tolist())
-    coverage = [any(o in union for o in g) for g in inst.groups]
+    coverage = (np.bincount(inst.group[in_union[inst.member]],
+                            minlength=len(inst.groups)) > 0).tolist()
     union_cost = sum(inst.cost[v] for v in union)
     return GstRunReport(
         instance=label, seed=seed, L=scaled.L, gamma=scaled.gamma,

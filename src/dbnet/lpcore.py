@@ -478,9 +478,10 @@ def build_dst_lp(st: SuperTree) -> LPModel:
 
 
 def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
-    for t, g in enumerate(inst.groups):
-        if not g:
-            raise InfeasibleError(f"group {t} is empty")
+    empty = np.flatnonzero(np.bincount(inst.group,
+                                       minlength=len(inst.groups)) == 0)
+    if len(empty):
+        raise InfeasibleError(f"group {empty[0]} is empty")
     cover = _cover_rows(inst.member, inst.group, len(inst.groups))
     inner = np.diff(inst.child_ptr) > 0
     # a bound above n binds nothing, and HiGHS rejects a coefficient near

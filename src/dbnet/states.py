@@ -582,8 +582,8 @@ def live_states(norm: NormalizedInstance, h: int,
     packed integer code of the root and the portal slots: parents not seen
     before get min depth d + 1 and join in later rounds.  The join is
     filtered ``JOIN_BLOCK`` candidates at a time.  CapExceededError is
-    raised before any base state is made when one vertex's edges and
-    triples would start more than ``PAIR_CAP`` of them, by a round that
+    raised before any base state is made when the edges and triples would
+    start more than ``PAIR_CAP`` of them in all, by a round that
     joins more than ``PAIR_CAP`` pairs before they are interned, and after
     the last round of each height t by a super-tree of height t over
     ``node_cap`` nodes.
@@ -612,13 +612,14 @@ def live_states(norm: NormalizedInstance, h: int,
     count = Counter()
     for r1, tails, _, _, _ in leaves:
         count[r1] += _agreeing(norm, tails, guess, inst.degree_bound[r1])
-    r1, most_states = max(count.items(), key=lambda c: c[1], default=(0, 0))
-    if most_states > PAIR_CAP:
+    if count.total() > PAIR_CAP:
+        r1, most = count.most_common(1)[0]
         o = norm.origin[r1]
         where = f"vertex {o}" if o == r1 else f"the gadget of vertex {o}"
         raise CapExceededError(
-            f"the edges and triples out of {where} start {most_states} base "
-            f"states, over the pair cap {PAIR_CAP}; lower the degree bounds")
+            f"the edges and triples start {count.total()} base states, over "
+            f"the pair cap {PAIR_CAP}, {most} of them out of {where}; lower "
+            f"the degree bounds")
     # base states in the order they are first met, and each payload's state
     index: dict[StateKey, int] = {}
     pay_state, payloads, pay_cost = [], [], []

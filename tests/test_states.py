@@ -636,32 +636,38 @@ def test_pair_cap_checked_before_interning(monkeypatch):
     intern = states._intern
     monkeypatch.setattr(states, "_intern",
                         lambda *a: interned.append(a) or intern(*a))
-    monkeypatch.setattr(states, "PAIR_CAP", 10)
+    # the instance starts 53 base states, so a cap of 53 passes them and
+    # stops the first round that joins more pairs: the rounds before it
+    # were interned, that one was not
+    monkeypatch.setattr(states, "PAIR_CAP", 53)
     norm = normalize(gen_dst(8, 14, 4, d_max=3, seed=0))
     with pytest.raises(CapExceededError, match=r"at least \d+ child pairs in "
-                       r"depth pass 0 at height 4, over the pair cap 10"):
+                       r"depth pass 0 at height 4, over the pair cap 53"):
         states.live_states(norm, 4)
-    assert interned == []
+    assert interned and all(len(new) <= 53 for _, new in interned)
 
 
 def test_base_states_counted_before_any_is_made(monkeypatch):
     # a star of 40 unit edges to terminals from a root of bound 40: its
     # gadget splits them 20/20, so the root's triple alone agrees with
-    # 20 * 20 degree pairs, more than any gadget vertex starts
+    # 20 * 20 degree pairs, more than any gadget vertex starts.  The cap
+    # is on the sum over all vertices, which no one vertex reaches
     norm = normalize(DirectedInstance(
         41, [(0, v, 1) for v in range(1, 41)], 0, set(range(1, 41)),
         {v: 40 if v == 0 else 0 for v in range(41)}))
     per_root = Counter(data[0] for _, data in
                        states.live_states(norm, 3).payloads)
-    top = per_root[0]
+    top, total = per_root[0], per_root.total()
     assert top == 440 and top == max(per_root.values())
+    assert total - 1 > top
     made = []
     key = states.make_key
     monkeypatch.setattr(states, "make_key",
                         lambda *a: made.append(a) or key(*a))
-    monkeypatch.setattr(states, "PAIR_CAP", top - 1)
-    with pytest.raises(CapExceededError, match=f"out of vertex 0 start "
-                       f"{top} base states, over the pair cap {top - 1}"):
+    monkeypatch.setattr(states, "PAIR_CAP", total - 1)
+    with pytest.raises(CapExceededError, match=f"start {total} base states, "
+                       f"over the pair cap {total - 1}, {top} of them out "
+                       f"of vertex 0"):
         states.live_states(norm, 3)
     assert made == []
 
