@@ -305,6 +305,12 @@ def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
     covered = sorted(set(inst.terminals) & reach)
     if covered != doc.get("covered"):
         bad.append(f"covered set mismatch: {covered} vs {doc.get('covered')}")
+    k = len(inst.terminals)
+    coverage = len(covered) / k if k else 1.0
+    claimed = doc.get("coverage")
+    # JSON true equals 1.0 in Python
+    if isinstance(claimed, bool) or claimed != coverage:
+        bad.append(f"coverage mismatch: {coverage} vs {claimed}")
     total = sum(cost.get(e, 0) for e in edges)
     if total != doc.get("tree_cost"):
         bad.append(f"tree cost mismatch: {total} vs {doc.get('tree_cost')}")

@@ -185,14 +185,16 @@ def union_degree_ratios(inst: GroupTreeInstance,
     """Distinct real (non-synthetic) children in the union per vertex,
     relative to the degree bound of the input, which is the bound less
     one per synthetic child."""
-    out = {}
-    for u in sorted(union):
-        kids = inst.children[u]
-        synthetic = sum(inst.synthetic_leaf[v] for v in kids)
-        real = [v for v in kids if v in union and not inst.synthetic_leaf[v]]
-        if real:
-            out[u] = len(real) / max(inst.degree_bound[u] - synthetic, 1)
-    return out
+    in_union = np.zeros(inst.n, dtype=bool)
+    in_union[list(union)] = True
+    fake = np.asarray(inst.synthetic_leaf, dtype=bool)[inst.child]
+    up = inst.parent[inst.child]
+    synthetic = np.bincount(up[fake], minlength=inst.n)
+    real = np.bincount(up[in_union[inst.child] & ~fake], minlength=inst.n)
+    us = np.flatnonzero(in_union & (real > 0)).tolist()
+    # in Python ints: the bound may lie near 2^63
+    return {u: r / max(inst.degree_bound[u] - s, 1) for u, r, s
+            in zip(us, real[us].tolist(), synthetic[us].tolist())}
 
 
 def run_gst(inst: GroupTreeInstance, M: int | None = None, seed: int = 0,

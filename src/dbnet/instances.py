@@ -387,7 +387,8 @@ class GroupTreeInstance:
     the vertices level by level from the root, each level in increasing id
     order.  ``member`` and ``group`` list every (member, group) pair, by
     group and then ascending member: the one membership table that the LP
-    rows, the P3/P4 checks, the group masses and the trial hit counts read.
+    rows, the P3/P4 checks, the group masses and the trial hit counts read;
+    a member that is no vertex id is rejected here.
     A group may hold internal vertices and share members with another;
     after ``preprocess_gst`` the groups are disjoint sets of leaves."""
 
@@ -406,6 +407,9 @@ class GroupTreeInstance:
                                dtype=np.int64)
         self.group = np.repeat(np.arange(len(self.groups)),
                                [len(g) for g in self.groups])
+        out = self.member[(self.member < 0) | (self.member >= self.n)]
+        if len(out):
+            raise FormatError(f"group member id out of range: {out[0]}")
         self.parent = parent = np.array(self.parent, dtype=np.int64)
         out = np.flatnonzero((parent < -1) | (parent >= self.n))
         if len(out):
@@ -440,17 +444,17 @@ class GroupTreeInstance:
                            minlength=self.n)
 
     def validate_groups(self):
-        leaf = (np.diff(self.child_ptr) == 0).tolist()
-        used = set()
-        for t, g in enumerate(self.groups):
-            for o in g:
-                if not (0 <= o < self.n):
-                    raise FormatError(f"group member id out of range: {o}")
-                if not leaf[o]:
-                    raise FormatError(f"group {t} member {o} is not a leaf")
-                if o in used:
-                    raise FormatError(f"groups overlap at {o}")
-                used.add(o)
+        """Every member is a leaf, by group and then member, and in one
+        group only."""
+        inner = np.flatnonzero(np.diff(self.child_ptr)[self.member] > 0)
+        if len(inner):
+            i = inner[0]
+            raise FormatError(f"group {self.group[i]} member "
+                              f"{self.member[i]} is not a leaf")
+        shared = np.flatnonzero(np.bincount(self.member, minlength=self.n)
+                                > 1)
+        if len(shared):
+            raise FormatError(f"groups overlap at {shared[0]}")
 
 
 def parse_gst(text: str) -> GroupTreeInstance:
@@ -486,9 +490,6 @@ def parse_gst(text: str) -> GroupTreeInstance:
         t, size, *ids = _fields(ln, "group", max(len(ln) - 1, 2))
         if len(ids) != size or not (0 <= t < k) or groups[t] is not None:
             raise FormatError(f"malformed group line: {' '.join(ln)}")
-        for o in ids:
-            if not (0 <= o < n):
-                raise FormatError(f"group member id out of range: {o}")
         if len(set(ids)) != size:
             raise FormatError(f"repeated group member: {' '.join(ln)}")
         groups[t] = frozenset(ids)
@@ -515,38 +516,26 @@ def preprocess_gst(inst: GroupTreeInstance) -> GroupTreeInstance:
     A group membership of an internal vertex v, or of a leaf shared between
     groups, is replaced by a fresh zero-cost synthetic leaf child of v; d_v is
     incremented per synthetic leaf so the budget for real children stays
-    unchanged.
+    unchanged.  The synthetic leaves are numbered from n by member, then by
+    group.
     """
-    n = inst.n
-    parent = inst.parent.tolist()
-    cost = list(inst.cost)
-    degree = list(inst.degree_bound)
-    synthetic = list(inst.synthetic_leaf)
-    groups = [set(g) for g in inst.groups]
-
-    membership = {}
-    for t, g in enumerate(groups):
-        for o in g:
-            membership.setdefault(o, []).append(t)
-    has_children = set(p for p in parent if p != -1)
-
-    for v in sorted(membership):
-        ts = sorted(membership[v])
-        if v not in has_children and len(ts) == 1:
-            continue
-        for t in ts:
-            w = n
-            n += 1
-            parent.append(v)
-            cost.append(0)
-            degree.append(1)
-            synthetic.append(True)
-            groups[t].discard(v)
-            groups[t].add(w)
-            degree[v] += 1
-        has_children.add(v)
-
-    out = GroupTreeInstance(n, parent, cost,
-                            [frozenset(g) for g in groups], degree, synthetic)
+    member, group = inst.member, inst.group
+    moved = ((np.diff(inst.child_ptr)[member] > 0)
+             | (np.bincount(member, minlength=inst.n)[member] > 1))
+    order = np.lexsort((group[moved], member[moved]))
+    v = member[moved][order]
+    leaf = inst.n + np.arange(len(v))
+    ptr, ids = csr(len(inst.groups),
+                   np.concatenate([group[~moved], group[moved][order]]),
+                   np.concatenate([member[~moved], leaf]))
+    ids, ptr = ids.tolist(), ptr.tolist()
+    # in Python ints: int64 wraps on a bound near 2^63 plus its new leaves
+    degree = (np.array(inst.degree_bound, dtype=object)
+              + np.bincount(v, minlength=inst.n)).tolist()
+    out = GroupTreeInstance(
+        inst.n + len(v), np.concatenate([inst.parent, v]),
+        list(inst.cost) + [0] * len(v),
+        [frozenset(ids[a:b]) for a, b in zip(ptr, ptr[1:])],
+        degree + [1] * len(v), list(inst.synthetic_leaf) + [True] * len(v))
     out.validate_groups()
     return out

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -500,29 +499,18 @@ def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
                                       descending=False)[0]))
 
 
-def round_up_pow2(v: float) -> float:
-    """Smallest non-positive integer power of 2 that is >= v (tolerant of
-    solver noise just above an exact power)."""
-    if v <= 0:
-        raise ValueError("need a positive value")
-    e = math.ceil(math.log2(v) - 1e-12)
-    return 2.0 ** min(e, 0)
-
-
 def modify_gst_solution(x: np.ndarray, n: int) -> np.ndarray:
-    """Zero out values below 1/(2n), then round the rest up to powers of 2.
+    """Zero out values below 1/(2n), then round the rest up to powers of 2,
+    at most 1 (tolerant of solver noise just above an exact power).
 
     The output satisfies properties P1-P6 (power-of-two values in
     [1/(2n), 1], path monotonicity, group mass in [1/2, 2], doubled capacity
     and degree slack, at most doubled cost); check_modified_solution verifies
     them mechanically.
     """
-    thresh = 1.0 / (2 * n)
-    out = np.zeros_like(x, dtype=float)
-    for i, v in enumerate(x):
-        if v >= thresh:
-            out[i] = round_up_pow2(v)
-    return out
+    keep = x >= 1.0 / (2 * n)
+    e = np.ceil(np.log2(x, out=np.zeros(len(x)), where=keep) - 1e-12)
+    return np.where(keep, np.ldexp(1.0, np.minimum(e, 0).astype(int)), 0.0)
 
 
 def check_modified_solution(inst: GroupTreeInstance, x: np.ndarray,

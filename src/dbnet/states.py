@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -124,9 +123,10 @@ class StateTreeNode:
             yield from self.right.nodes()
 
     def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
+        # a node with one child is no good state tree, yet has a depth, so
+        # that validate_state_tree reaches its report
+        kids = [o for o in (self.left, self.right) if o is not None]
+        return 1 + max(o.depth() for o in kids) if kids else 0
 
     def leaf_cost(self, cost: dict) -> int:
         if self.edge is not None:
@@ -528,7 +528,7 @@ class _Table:
     state node of s spans with b = 0..h levels to go: itself, its base
     nodes, and per pair of depth below b a virtual node and both child
     subtrees.  ``roots`` are the states (root, {root}, rho), by rho, and
-    ``keys[s]`` is the key of s."""
+    ``keys(ids)`` renders the keys of the states ``ids``."""
 
     root: np.ndarray
     port: np.ndarray
@@ -547,14 +547,15 @@ class _Table:
     def __len__(self):
         return len(self.md)
 
-    @cached_property
-    def keys(self) -> list[StateKey]:
-        s, slot = np.nonzero(self.deg)
-        ptr = _offsets(np.bincount(s, minlength=len(self))).tolist()
-        verts = self.port[s, slot].tolist()
-        items = list(zip(verts, self.deg[s, slot].tolist()))
+    def keys(self, ids: np.ndarray) -> list[StateKey]:
+        """The keys of the states ``ids``, in that order."""
+        deg = self.deg[ids]
+        s, slot = np.nonzero(deg)
+        ptr = _offsets(np.bincount(s, minlength=len(ids))).tolist()
+        verts = self.port[ids][s, slot].tolist()
+        items = list(zip(verts, deg[s, slot].tolist()))
         return [(r, frozenset(verts[a:b]), tuple(items[a:b]))
-                for r, a, b in zip(self.root.tolist(), ptr, ptr[1:])]
+                for r, a, b in zip(self.root[ids].tolist(), ptr, ptr[1:])]
 
 
 def live_states(norm: NormalizedInstance, h: int,
@@ -800,8 +801,11 @@ def build_super_tree(norm: NormalizedInstance, h: int | None = None,
         s = np.concatenate([left, right])
         at = np.concatenate([virtual + 1, virtual + 1 + below[left]])
         up = np.concatenate([virtual, virtual])
-    return SuperTree(norm, h, kind, parent, level, cost, state_id, tab.keys,
-                     payload_id, tab.payloads)
+    # only the arena's own states get a key
+    on = state_id >= 0
+    used, state_id[on] = np.unique(state_id[on], return_inverse=True)
+    return SuperTree(norm, h, kind, parent, level, cost, state_id,
+                     tab.keys(used), payload_id, tab.payloads)
 
 
 def selection_to_state_tree(st: SuperTree, selected: set[int]) -> StateTreeNode:

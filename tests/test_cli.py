@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import small_dst
+from test_golden import OVERLAP_GST
 from dbnet import cli, states
 from dbnet.cli import build_parser, main
 from dbnet.generators import gen_dst, gen_gst
-from dbnet.instances import normalize, parse_dst, serialize_dst, serialize_gst
+from dbnet.instances import (normalize, parse_dst, parse_gst, preprocess_gst,
+                             serialize_dst, serialize_gst)
 from dbnet.lpcore import solve_lp
 from dbnet.states import build_super_tree, oracle_height
 from dbnet.treekit import height_budget
@@ -39,6 +41,30 @@ def test_gen_commands_deterministic(tmp_path):
         assert main(["gen-dst", "--n", "7", "--m", "10", "--k", "2",
                      "--seed", "5", "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_gst_writes_the_generated_instance(tmp_path):
+    out = tmp_path / "g.gst"
+    assert main(["gen-gst", "--n", "15", "--k", "2", "--depth", "3",
+                 "--d-max", "2", "--cost-range", "2:9", "--seed", "4",
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == serialize_gst(gen_gst(15, 2, 3, 2, (2, 9), seed=4))
+    assert serialize_gst(parse_gst(text)) == text
+
+
+def test_dump_supertree_defaults_to_the_height_budget(tmp_path):
+    inst = gen_dst(4, 4, 1, seed=0)
+    path = tmp_path / "t.dst"
+    path.write_text(serialize_dst(inst))
+    h = height_budget(normalize(inst).inst.n)
+    dumps = []
+    for extra in ([], ["--height", str(h)]):
+        out = tmp_path / f"st{len(dumps)}.txt"
+        assert main(["dump-supertree", "--instance", str(path),
+                     "--out", str(out)] + extra) == 0
+        dumps.append(out.read_text())
+    assert dumps[0] == dumps[1]
 
 
 def test_solve_and_verify_dst(tmp_path, dst_file):
@@ -177,17 +203,21 @@ FUZZ_TOKENS = [str(2 ** 62), str(2 ** 63 - 1), str(10 ** 25), "-1", "1.5",
                "edge", "terminal", "group"]
 FUZZ_TEXTS = {"dst": [serialize_dst(gen_dst(5, 7, 2, seed=s))
                       for s in range(4)],
+              # generated groups are disjoint leaves; OVERLAP_GST has shared
+              # and internal members, which preprocessing moves to leaves
               "gst": [serialize_gst(gen_gst(12, 2, depth=3, seed=s))
-                      for s in range(4)]}
+                      for s in range(4)] + [OVERLAP_GST]}
 
 
 @settings(derandomize=True, deadline=None, max_examples=MUTANTS)
-@given(hs.sampled_from(sorted(FUZZ_TEXTS)), hs.integers(0, 3), hs.data())
+@given(hs.sampled_from(sorted(FUZZ_TEXTS)), hs.data())
 def test_run_on_a_mutated_instance_exits_with_a_documented_code(
-        tmp_path_factory, problem, which, data):
+        tmp_path_factory, problem, data):
     # tokens replaced by huge, negative, float, small and keyword tokens;
     # lines inserted, deleted and duplicated
-    lines = [ln.split() for ln in FUZZ_TEXTS[problem][which].splitlines()]
+    texts = FUZZ_TEXTS[problem]
+    which = data.draw(hs.integers(0, len(texts) - 1))
+    lines = [ln.split() for ln in texts[which].splitlines()]
     for _ in range(data.draw(hs.integers(1, 3))):
         i = data.draw(hs.integers(0, len(lines) - 1))
         # a line op changes the line count, which parsing rejects at once,
@@ -406,6 +436,9 @@ RUN = ["run", "--problem"]
     ("orphan.gst", TREE3.format(root=0, group="group 0 1 2"),
      ["verify", "--tree", "orphan.json"], 4,
      "vertex 2 in union without its parent"),
+    # the instance file itself is no JSON report
+    ("plain.gst", TREE3.format(root=0, group="group 0 1 2"),
+     ["verify", "--tree", "plain.gst"], 5, "bad report JSON"),
 ])
 def test_error_path_exit_code_and_message(tmp_path, monkeypatch, capsys, name,
                                           text, argv, code, says):
@@ -424,6 +457,49 @@ def test_error_path_exit_code_and_message(tmp_path, monkeypatch, capsys, name,
                        else ["--instance", name])
     assert main(argv) == code
     assert says in capsys.readouterr().err
+
+
+def test_verify_checks_dst_coverage(tmp_path, capsys):
+    path = tmp_path / "c.dst"
+    out = tmp_path / "rep.json"
+    assert main(["gen-dst", "--n", "6", "--m", "8", "--k", "3", "--seed", "1",
+                 "--out", str(path)]) == 0
+    assert main(["run", "--problem", "dst", "--instance", str(path),
+                 "--height", "3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    want = doc["coverage"]
+    assert want == 1.0
+    for wrong in (0.123, True):
+        doc["coverage"] = wrong
+        out.write_text(json.dumps(doc))
+        assert main(["verify", "--tree", str(out),
+                     "--instance", str(path)]) == 4
+        assert (f"coverage mismatch: {want} vs {wrong}"
+                in capsys.readouterr().err)
+    # without terminals the coverage is 1.0
+    path.write_text("DBDST 1\n2 1 0\nroot 0\nvertex 0 1\nvertex 1 0\n"
+                    "edge 0 1 5\n")
+    assert main(["run", "--problem", "dst", "--instance", str(path),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["coverage"] == 1.0
+    assert main(["verify", "--tree", str(out), "--instance", str(path)]) == 0
+
+
+# a synthetic leaf below vertex 0 lifts its bound to 2^63, beyond int64
+WRAP_GST = ("DBGST 1\n3 1\nroot 0\nvertex 0 -1 0 9223372036854775807\n"
+            "vertex 1 0 1 1\nvertex 2 0 1 1\ngroup 0 2 0 1\n")
+
+
+def test_degree_bound_beyond_int64_after_preprocessing(tmp_path):
+    assert preprocess_gst(parse_gst(WRAP_GST)).degree_bound[0] == 2 ** 63
+    path = tmp_path / "wrap.gst"
+    path.write_text(WRAP_GST)
+    out = tmp_path / "rep.json"
+    assert main(["run", "--problem", "gst", "--instance", str(path),
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["union_vertices"], doc["coverage"]) == ([0, 3], [True])
+    assert main(["verify", "--tree", str(out), "--instance", str(path)]) == 0
 
 
 @pytest.mark.parametrize("argv,flag", [

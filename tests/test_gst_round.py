@@ -11,8 +11,10 @@ from dbnet.generators import gen_gst
 from dbnet.gst_round import (Rounder, alpha_sequence, build_scaled,
                              check_branching_mass, check_nonincreasing,
                              compute_hop_levels, default_m, global_params,
-                             group_mass, run_gst, scale_solution)
+                             group_mass, run_gst, scale_solution,
+                             union_degree_ratios)
 from dbnet.instances import GroupTreeInstance, preprocess_gst
+from dbnet.lpcore import modify_gst_solution
 from dbnet.rounding import per_rep
 
 
@@ -309,3 +311,102 @@ def test_branching_mass_scan(gst_suite):
         xt = modify_gst_solution(sol.x, inst.n)
         scaled = build_scaled(inst, xt)
         assert check_branching_mass(inst, scaled.xp) == []
+
+
+def reference_preprocess_gst(inst):
+    """``preprocess_gst`` as first written, one membership at a time:
+    (parent, cost, degree bounds, synthetic flags, groups)."""
+    n = inst.n
+    parent = inst.parent.tolist()
+    cost = list(inst.cost)
+    degree = list(inst.degree_bound)
+    synthetic = list(inst.synthetic_leaf)
+    groups = [set(g) for g in inst.groups]
+    membership = {}
+    for t, g in enumerate(groups):
+        for o in g:
+            membership.setdefault(o, []).append(t)
+    has_children = set(p for p in parent if p != -1)
+    for v in sorted(membership):
+        ts = sorted(membership[v])
+        if v not in has_children and len(ts) == 1:
+            continue
+        for t in ts:
+            w = n
+            n += 1
+            parent.append(v)
+            cost.append(0)
+            degree.append(1)
+            synthetic.append(True)
+            groups[t].discard(v)
+            groups[t].add(w)
+            degree[v] += 1
+        has_children.add(v)
+    return parent, cost, degree, synthetic, [frozenset(g) for g in groups]
+
+
+def reference_modify_gst_solution(x, n):
+    """``modify_gst_solution`` as first written, one value at a time."""
+    out = np.zeros_like(x, dtype=float)
+    for i, v in enumerate(x):
+        if v >= 1.0 / (2 * n):
+            out[i] = 2.0 ** min(math.ceil(math.log2(v) - 1e-12), 0)
+    return out
+
+
+def reference_union_degree_ratios(inst, union):
+    """``union_degree_ratios`` as first written, one vertex at a time."""
+    out = {}
+    for u in sorted(union):
+        kids = inst.children[u]
+        synthetic = sum(inst.synthetic_leaf[v] for v in kids)
+        real = [v for v in kids if v in union and not inst.synthetic_leaf[v]]
+        if real:
+            out[u] = len(real) / max(inst.degree_bound[u] - synthetic, 1)
+    return out
+
+
+@hs.composite
+def group_trees(draw):
+    """A random tree with shuffled ids, internal and shared group members,
+    empty groups or none, and degree bounds up to 2^63 - 1."""
+    n = draw(hs.integers(1, 12))
+    new = draw(hs.permutations(range(n)))
+    parent = [0] * n
+    for v in range(n):
+        parent[new[v]] = (-1 if v == 0
+                          else new[draw(hs.integers(0, v - 1))])
+    bound = (hs.sampled_from([0, 1, 2, 2 ** 63 - 1])
+             | hs.integers(0, 2 ** 63 - 1))
+    groups = draw(hs.lists(hs.frozensets(hs.integers(0, n - 1)), max_size=4))
+    return GroupTreeInstance(n, parent,
+                             draw(hs.lists(hs.integers(0, 9), min_size=n,
+                                           max_size=n)),
+                             groups,
+                             draw(hs.lists(bound, min_size=n, max_size=n)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(group_trees(), hs.data())
+def test_preprocess_and_degree_ratios_match_the_loops(inst, data):
+    pre = preprocess_gst(inst)
+    assert (pre.parent.tolist(), pre.cost, pre.degree_bound,
+            pre.synthetic_leaf, pre.groups) == reference_preprocess_gst(inst)
+    union = data.draw(hs.frozensets(hs.integers(0, pre.n - 1)))
+    assert (union_degree_ratios(pre, union)
+            == reference_union_degree_ratios(pre, union))
+
+
+# powers of two off by solver noise, the round-up's hard cases
+NOISY_POWERS = hs.builds(lambda e, d: 2.0 ** e * (1 + d), hs.integers(-8, 1),
+                         hs.sampled_from([0, 1e-14, -1e-14, 1e-11, -1e-11]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(hs.integers(1, 50),
+       hs.lists(NOISY_POWERS | hs.floats(0, 1.5), max_size=20))
+def test_modify_gst_solution_matches_the_loop(n, values):
+    x = np.array(values + [0.3, 0.5, 1.0, 0.26, 0.5 + 1e-14, 0.0])
+    out = modify_gst_solution(x, n)
+    assert out.tolist() == reference_modify_gst_solution(x, n).tolist()
+    assert out[-2] == 0.5

@@ -23,7 +23,7 @@ from dbnet.instances import (DirectedInstance, GroupTreeInstance, normalize,
 from dbnet.lpcore import (EPS_CHECK, EPS_FEAS, INFEASIBLE, OPTIMAL, Block, LPModel,
                           _capacity_rows, _reduce, build_dst_lp, build_gst_lp,
                           check_modified_solution, dump_lp,
-                          modify_gst_solution, round_up_pow2, solve_lp)
+                          modify_gst_solution, solve_lp)
 from dbnet.states import BASE, STATE, SUPER, VIRTUAL, build_super_tree
 
 
@@ -347,12 +347,10 @@ def test_gst_root_forced_to_one():
 
 
 def test_round_up_pow2():
-    assert round_up_pow2(0.3) == 0.5
-    assert round_up_pow2(0.5) == 0.5
-    assert round_up_pow2(1.0) == 1.0
-    assert round_up_pow2(0.26) == 0.5
-    with pytest.raises(ValueError):
-        round_up_pow2(0.0)
+    # above the threshold 1/(2n) = 1/4, values round up to a power of 2;
+    # zero is below it
+    x = np.array([0.3, 0.5, 1.0, 0.26, 0.0])
+    assert modify_gst_solution(x, 2).tolist() == [0.5, 0.5, 1.0, 0.5, 0.0]
 
 
 def test_modify_threshold_and_properties():

@@ -10,6 +10,7 @@ from collections import Counter, defaultdict
 from heapq import heappop, heappush
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -130,6 +131,59 @@ def test_validator_detects_faults():
         s_int.left, s_int.right = s_int.right, s_int.left
         assert any("allowable" in msg
                    for msg in validate_state_tree(norm, swapped, budget))
+
+
+# each case breaks one good-state-tree condition in a copy of the valid
+# state tree of small_dst(2), given its nodes in preorder, and may return a
+# lower height budget
+BROKEN_STATE_TREES = {
+    "root-state": (lambda o: setattr(o[0], "r", 9),
+                   "root state is (9, {0}), expected (0, {0})"),
+    "depth": (lambda o: 2, "depth 3 exceeds budget 2"),
+    "root-not-portal": (lambda o: setattr(o[3], "S", frozenset({4})),
+                        "node (3, [4]): root not in portals"),
+    "terminal-portal": (lambda o: setattr(o[3], "S", frozenset({3, 8})),
+                        "node (3, [3, 8]): portals contain terminals"),
+    "single-child": (lambda o: setattr(o[4], "right", None),
+                     "node (9, [9]): not a full binary tree"),
+    "both-payloads": (lambda o: setattr(o[3], "triple", (3, 8, 11)),
+                      "node (3, [3]): leaf needs exactly one of edge/triple"),
+    "no-payload": (lambda o: setattr(o[3], "edge", None),
+                   "node (3, [3]): leaf needs exactly one of edge/triple"),
+    "non-graph-edge": (lambda o: setattr(o[3], "edge", (3, 7)),
+                       "node (3, [3]): (3, 7) is not a graph edge"),
+    "edge-disagrees": (lambda o: o[3].rho.update({3: 2}),
+                       "node (3, [3]): edge (3, 8) disagrees with rho"),
+    "triple-disagrees": (
+        lambda o: o[2].rho.update({0: 2}),
+        "node (0, [0, 3, 9]): triple (0, 3, 9) disagrees with rho"),
+    "triple-not-graph": (lambda o: setattr(o[2], "triple", (0, 3, 2)),
+                         "node (0, [0, 3, 9]): triple edges not in graph"),
+    "edge-portals": (lambda o: setattr(o[8], "edge", (1, 10)),
+                     "node (1, [1]): edge (1, 10) portals do not match"),
+    "internal-payload": (lambda o: setattr(o[0], "edge", (0, 3)),
+                         "node (0, [0]): internal node carries a leaf "
+                         "payload"),
+    "not-root-portals": (lambda o: setattr(o[4], "S", frozenset({1})),
+                         "node (0, [0]): (9, {1}) is not a "
+                         "root-portals-pair"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_STATE_TREES))
+def test_validator_reports_each_broken_condition(case):
+    _, norm, res, _ = small_dst(2)
+    tau = gen_state_tree(norm, lift_tree(norm, set(map(tuple, res.edges))))
+    assert [(o.r, sorted(o.S)) for o in tau.nodes()] == [
+        (0, [0]), (0, [0, 9]), (0, [0, 3, 9]), (3, [3]), (9, [9]),
+        (9, [1, 9]), (9, [1, 2, 9]), (2, [2]), (1, [1])]
+    broken = copy.deepcopy(tau)
+    breaks, says = BROKEN_STATE_TREES[case]
+    h = breaks(list(broken.nodes())) or height_budget(norm.inst.n)
+    bad = validate_state_tree(norm, broken, h)
+    assert any(msg.startswith(says) for msg in bad), bad
+    with pytest.raises(InvariantError, match="stitch on invalid state tree"):
+        stitch_multi_tree(norm, broken, h)
 
 
 def test_stitch_round_trip():
@@ -521,7 +575,7 @@ def reference_live_states(norm, h):
 def table_dict(tab):
     """A ``live_states`` table in the reference's form: state key ->
     (min depth, [(payload, cost)], [(left key, right key)])."""
-    keys = tab.keys
+    keys = tab.keys(np.arange(len(tab)))
     out = {}
     for s, key in enumerate(keys):
         a, b = tab.pay_ptr[s], tab.pay_ptr[s + 1]
