@@ -20,13 +20,15 @@ import numpy as np
 from .errors import (CapExceededError, DbnetError, FormatError,
                      InvariantError)
 from .generators import gen_dst, gen_gst
-from .gst_round import run_gst, union_degree_ratios
+from .gst_round import (alpha_sequence, global_params, run_gst,
+                        union_degree_ratios)
 from .instances import (DirectedInstance, GroupTreeInstance, normalize,
                         parse_dst, parse_gst, preprocess_gst, serialize_dst,
                         serialize_gst)
 from .lpcore import build_dst_lp, build_gst_lp, dump_lp
 from .dst_round import run_dst
 from .oracle import exact_dst, exact_gst
+from .report import SCHEMA_VERSION
 from .rounding import blocks, csr, pair_counts
 from .states import NODE_CAP, build_super_tree, oracle_height
 from .treekit import height_budget
@@ -249,6 +251,10 @@ def _is_id(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _report_field(doc: dict, name: str, default, valid: Callable,
                   what: str):
     """``doc[name]`` (``default`` when absent), or a FormatError naming the
@@ -262,10 +268,36 @@ def _report_field(doc: dict, name: str, default, valid: Callable,
 def _ratios(doc: dict) -> dict:
     return _report_field(
         doc, "degree_violations", {},
-        lambda d: isinstance(d, dict) and all(
-            isinstance(r, (int, float)) and not isinstance(r, bool)
-            for r in d.values()),
+        lambda d: isinstance(d, dict) and all(map(_is_number, d.values())),
         "an object of numbers")
+
+
+def _number(doc: dict, name: str, integer: bool = False):
+    """``doc[name]``, an integer if ``integer`` and else a number, or None
+    when it is absent or null."""
+    valid = _is_id if integer else _is_number
+    return _report_field(doc, name, None, lambda v: v is None or valid(v),
+                         "an integer" if integer else "a number")
+
+
+def _mismatch(name: str, want, got) -> list[str]:
+    return [] if got == want else [f"{name} mismatch: {want} vs {got}"]
+
+
+def _run_fields(doc: dict, count: str) -> list[str]:
+    """Mismatches of the schema version, and of the number of repetition
+    costs against the repetition count ``doc[count]``."""
+    bad = _mismatch("schema_version", SCHEMA_VERSION,
+                    _number(doc, "schema_version", integer=True))
+    reps = _number(doc, count, integer=True)
+    costs = _report_field(doc, "repetition_costs", None,
+                          lambda v: v is None or isinstance(v, list),
+                          "a list")
+    got = None if costs is None else len(costs)
+    if reps is None or got != reps:
+        bad.append(f"repetition count mismatch: {count} {reps} vs {got} "
+                   f"repetition costs")
+    return bad
 
 
 def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
@@ -314,6 +346,18 @@ def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
     total = sum(cost.get(e, 0) for e in edges)
     if total != doc.get("tree_cost"):
         bad.append(f"tree cost mismatch: {total} vs {doc.get('tree_cost')}")
+    union_cost = _number(doc, "union_cost")
+    if union_cost is None or union_cost < total:
+        bad.append(f"union cost {union_cost} below tree cost {total}")
+    bad += _run_fields(doc, "Q")
+    # the super-tree height h' and s as run_dst computes them
+    h, h_prime = (_number(doc, name, integer=True)
+                  for name in ("h", "h_prime"))
+    if h is None or h_prime is None or h_prime > 2 * h + 2:
+        bad.append(f"h_prime {h_prime} exceeds 2h + 2 for h {h}")
+    if h_prime is not None:
+        s = math.log(1 + 1 / (2 * h_prime)) if h_prime > 0 else math.log(2)
+        bad += _mismatch("s", s, _number(doc, "s"))
     outdeg = Counter(u for u, _ in edges)
     # a tail that is no vertex is already reported as an edge not in the
     # instance
@@ -345,8 +389,10 @@ def verify_gst_report(inst: GroupTreeInstance, doc: dict) -> list[str]:
     hit = np.isin(inst.member, list(union))
     coverage = (np.bincount(inst.group[hit], minlength=len(inst.groups))
                 > 0).tolist()
-    if coverage != doc.get("coverage"):
-        bad.append("coverage flags mismatch")
+    claimed = doc.get("coverage")
+    # JSON 1 equals true in Python
+    if claimed != coverage or not all(isinstance(f, bool) for f in claimed):
+        bad.append(f"coverage flags mismatch: {coverage} vs {claimed}")
     total = sum(inst.cost[v] for v in union)
     if total != doc.get("union_cost"):
         bad.append(f"union cost mismatch: {total} vs {doc.get('union_cost')}")
@@ -354,6 +400,17 @@ def verify_gst_report(inst: GroupTreeInstance, doc: dict) -> list[str]:
     if {k: round(v, 9) for k, v in want.items()} != \
             {k: round(v, 9) for k, v in got.items()}:
         bad.append("degree violation ratios mismatch")
+    bad += _run_fields(doc, "M")
+    # the parameters run_gst derives from the instance
+    L, gamma = global_params(inst.n)
+    alpha = alpha_sequence(L, gamma)
+    for name, want in (("L", L), ("gamma", gamma), ("alpha0", alpha[0])):
+        bad += _mismatch(name, want,
+                         _number(doc, name, integer=isinstance(want, int)))
+    bad += _mismatch("alpha", alpha, _report_field(
+        doc, "alpha", None,
+        lambda v: v is None or isinstance(v, list) and all(map(_is_number, v)),
+        "a list of numbers"))
     return bad
 
 

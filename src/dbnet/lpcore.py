@@ -73,15 +73,6 @@ class Block:
                    np.asarray(rhs, dtype=float))
 
     @classmethod
-    def from_rows(cls, rows) -> "Block":
-        """From ``(column indices, coefficients, rhs)`` rows."""
-        return cls.of(np.repeat(np.arange(len(rows)),
-                                [len(cols) for cols, _, _ in rows]),
-                      [j for cols, _, _ in rows for j in cols],
-                      [v for _, vals, _ in rows for v in vals],
-                      [b for _, _, b in rows])
-
-    @classmethod
     def stack(cls, *blocks: "Block") -> "Block":
         offsets = np.cumsum([0] + [len(b) for b in blocks[:-1]])
         return cls(np.concatenate([b.row + off
@@ -111,8 +102,8 @@ class LPModel:
 
     nvar: int
     obj: np.ndarray
-    eq_block: Block = field(default_factory=lambda: Block.from_rows([]))
-    ub_block: Block = field(default_factory=lambda: Block.from_rows([]))
+    eq_block: Block = field(default_factory=lambda: Block.of([], [], [], []))
+    ub_block: Block = field(default_factory=lambda: Block.of([], [], [], []))
     lo: np.ndarray = None
     hi: np.ndarray = None
     implied: np.ndarray = None
@@ -128,6 +119,7 @@ class LPModel:
         if self.tie is None:
             self.tie = np.full(self.nvar, -1)
 
+    # the per-row views below are read only by perfbench/spans.py
     @property
     def eq(self) -> tuple:
         """Equality rows as ``(column indices, coefficients, rhs)``."""
@@ -558,26 +550,32 @@ def check_modified_solution(inst: GroupTreeInstance, x: np.ndarray,
 
 def dump_lp(model: LPModel) -> str:
     """Fixed-layout MPS-like text dump for cross-checking with external
-    solvers."""
-    rows = ([("E", f"EQ{i:06d}", row) for i, row in enumerate(model.eq)]
-            + [("L", f"UB{i:06d}", row) for i, row in enumerate(model.ub)])
+    solvers: the ``=`` rows, then the ``<=`` rows, and under each column
+    its cost, then its entries in row order."""
+    neq = len(model.eq_block)
+    blk = Block.stack(model.eq_block, model.ub_block)
+    names = ([f"EQ{i:06d}" for i in range(neq)]
+             + [f"UB{i:06d}" for i in range(len(blk) - neq)])
     lines = ["NAME          DBNET", "ROWS", " N  COST"]
-    lines += [f" {sense}  {name}" for sense, name, _ in rows]
-    cols = {j: [("COST", model.obj[j])] for j in range(model.nvar)
-            if model.obj[j]}
-    for _, name, (cc, vv, _) in rows:
-        for j, v in zip(cc, vv):
-            cols.setdefault(j, []).append((name, v))
+    lines += [f" {'L' if i >= neq else 'E'}  {name}"
+              for i, name in enumerate(names)]
+    # the cost entries, in row len(blk), go first
+    costly = np.flatnonzero(model.obj)
+    col = np.concatenate([costly, blk.col])
+    order = np.argsort(col, kind="stable")
+    row = np.concatenate([np.full(len(costly), len(blk)), blk.row])[order]
+    val = np.concatenate([model.obj[costly], blk.val])[order]
+    names.append("COST")
     lines.append("COLUMNS")
-    for j in sorted(cols):
-        lines += [f"    X{j:06d}    {row}    {v:.12g}" for row, v in cols[j]]
+    lines += [f"    X{j:06d}    {names[i]}    {v:.12g}" for j, i, v
+              in zip(col[order].tolist(), row.tolist(), val.tolist())]
     lines.append("RHS")
-    lines += [f"    RHS    {name}    {b:.12g}" for _, name, (_, _, b) in rows
-              if b]
+    lines += [f"    RHS    {name}    {b:.12g}"
+              for name, b in zip(names, blk.rhs.tolist()) if b]
     lines.append("BOUNDS")
-    for j in range(model.nvar):
-        lines.append(f" UP BND    X{j:06d}    {model.hi[j]:.12g}")
-        if model.lo[j]:
-            lines.append(f" LO BND    X{j:06d}    {model.lo[j]:.12g}")
+    for j, (hi, lo) in enumerate(zip(model.hi.tolist(), model.lo.tolist())):
+        lines.append(f" UP BND    X{j:06d}    {hi:.12g}")
+        if lo:
+            lines.append(f" LO BND    X{j:06d}    {lo:.12g}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"

@@ -410,12 +410,6 @@ class SuperTree:
     def root(self) -> int:
         return 0
 
-    def base_nodes(self) -> list[int]:
-        return np.flatnonzero(self.kind == BASE).tolist()
-
-    def involved_vertices(self, o: int) -> tuple[int, ...]:
-        return self.payload[o][1][1:]
-
     def terminal_members(self) -> tuple[np.ndarray, np.ndarray]:
         """(base node, terminal rank) for each base node and terminal it
         involves, by node; the rank orders the normalized terminals."""
@@ -423,14 +417,6 @@ class SuperTree:
         node, vert = self.involved
         hit = np.isin(vert, terms)
         return node[hit], np.searchsorted(terms, vert[hit])
-
-    def terminal_index(self) -> dict[int, list[int]]:
-        terms = sorted(self.norm.inst.terminals)
-        node, rank = self.terminal_members()
-        order = np.argsort(rank, kind="stable")
-        cuts = np.searchsorted(rank[order], np.arange(1, len(terms)))
-        return {t: nodes.tolist() for t, nodes
-                in zip(terms, np.split(node[order], cuts))}
 
     def height(self) -> int:
         """Longest downward path in edges, counting all node kinds.

@@ -116,7 +116,7 @@ def dst_corpus():
 def test_criterion_04_marginals(dst_corpus):
     for st, sol, h, sampler, rep, node in dst_corpus:
         counts = np.bincount(node, minlength=len(st))
-        for o in st.base_nodes():
+        for o in np.flatnonzero(st.kind == BASE).tolist():
             c = int(counts[o])
             p = float(sol.x[o])
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / TRIALS)
@@ -126,8 +126,9 @@ def test_criterion_04_marginals(dst_corpus):
 
 def test_criterion_05_terminal_coverage(dst_corpus):
     for st, sol, h, sampler, rep, node in dst_corpus:
-        for t, nodes in st.terminal_index().items():
-            rate = _hits(rep, node, nodes) / TRIALS
+        member, group = st.terminal_members()
+        for t in range(len(st.norm.inst.terminals)):
+            rate = _hits(rep, node, member[group == t]) / TRIALS
             sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / TRIALS)
             assert rate >= 1 / (h + 1) - 3 * sigma
     _ok(5, "per-terminal hit rate at least 1/(h+1) minus 3 sigma")
@@ -150,8 +151,8 @@ def test_criterion_07_concentration(dst_corpus):
         copies = np.zeros((TRIALS, st.norm.inst.n))
         for pos in (0, 1):
             vert = np.full(len(st), -1)
-            for o in st.base_nodes():
-                vs = st.involved_vertices(o)
+            for o in np.flatnonzero(st.kind == BASE).tolist():
+                vs = st.payload[o][1][1:]
                 if pos < len(vs):
                     vert[o] = vs[pos]
             on = vert[node] >= 0

@@ -246,6 +246,38 @@ def test_run_on_a_mutated_instance_exits_with_a_documented_code(
     assert code in (0, 2, 3, 4, 5)
 
 
+# integers in and out of range, and the limits of int64 and of float64
+# integers
+FUZZ_VALUES = (hs.integers(-2, 13)
+               | hs.sampled_from([2 ** 53, 2 ** 62, 2 ** 63 - 1, 2 ** 63]))
+# most value mutants reach the solvers; 300 of them take about 5 s
+VALUE_MUTANTS = 300
+
+
+@settings(derandomize=True, deadline=None, max_examples=VALUE_MUTANTS)
+@given(hs.sampled_from(sorted(FUZZ_TEXTS)), hs.data())
+def test_run_on_a_value_mutant_gives_a_report_that_verifies(
+        tmp_path_factory, problem, data):
+    # one integer of a well-formed line replaced, so that the mutant parses
+    # far more often than a token or line mutant
+    text = data.draw(hs.sampled_from(FUZZ_TEXTS[problem]))
+    lines = [ln.split() for ln in text.splitlines()]
+    i, j = data.draw(hs.sampled_from(
+        [(i, j) for i, ln in enumerate(lines) for j, tok in enumerate(ln)
+         if tok.lstrip("-").isdigit()]))
+    lines[i][j] = str(data.draw(FUZZ_VALUES))
+    where = tmp_path_factory.getbasetemp()
+    path = where / f"value-mutant.{problem}"
+    path.write_text("\n".join(" ".join(ln) for ln in lines) + "\n")
+    out = where / "value-mutant.json"
+    code = main(["run", "--problem", problem, "--instance", str(path),
+                 "--out", str(out)] + ["--height", "3"] * (problem == "dst"))
+    assert code in (0, 2, 3, 4, 5)
+    if code == 0:
+        assert main(["verify", "--tree", str(out),
+                     "--instance", str(path)]) == 0
+
+
 def test_oracle_commands(tmp_path, dst_file, gst_file):
     path, _ = dst_file
     out = tmp_path / "o.json"
@@ -483,6 +515,98 @@ def test_verify_checks_dst_coverage(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["coverage"] == 1.0
     assert main(["verify", "--tree", str(out), "--instance", str(path)]) == 0
+
+
+def test_verify_wants_boolean_gst_coverage(tmp_path, capsys):
+    path = tmp_path / "g.gst"
+    out = tmp_path / "rep.json"
+    verify = ["verify", "--tree", str(out), "--instance", str(path)]
+    assert main(["gen-gst", "--n", "20", "--k", "2", "--seed", "1",
+                 "--out", str(path)]) == 0
+    assert main(["run", "--problem", "gst", "--instance", str(path),
+                 "--out", str(out)]) == 0
+    assert main(verify) == 0
+    doc = json.loads(out.read_text())
+    assert doc["coverage"] == [True, True]
+    # JSON 1 equals true in Python
+    doc["coverage"] = [1, 1]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(verify) == 4
+    assert ("coverage flags mismatch: [True, True] vs [1, 1]"
+            in capsys.readouterr().err)
+
+
+# one derived field of a solved report changed: (field, value, message)
+TAMPERS = {
+    "dst-schema_version": lambda d: (
+        "schema_version", 7, "schema_version mismatch: 2 vs 7"),
+    "dst-repetition_costs": lambda d: (
+        "repetition_costs", d["repetition_costs"][1:],
+        f"repetition count mismatch: Q {d['Q']} vs {d['Q'] - 1} "
+        f"repetition costs"),
+    "dst-Q": lambda d: (
+        "Q", d["Q"] + 1, f"repetition count mismatch: Q {d['Q'] + 1} vs "
+        f"{d['Q']} repetition costs"),
+    "dst-s": lambda d: ("s", 0.5, f"s mismatch: {d['s']} vs 0.5"),
+    "dst-h_prime": lambda d: (
+        "h_prime", 2 * d["h"] + 3,
+        f"h_prime {2 * d['h'] + 3} exceeds 2h + 2 for h {d['h']}"),
+    "dst-union_cost": lambda d: (
+        "union_cost", d["tree_cost"] - 1,
+        f"union cost {d['tree_cost'] - 1} below tree cost {d['tree_cost']}"),
+    "gst-schema_version": lambda d: (
+        "schema_version", 7, "schema_version mismatch: 2 vs 7"),
+    "gst-repetition_costs": lambda d: (
+        "repetition_costs", d["repetition_costs"][1:],
+        f"repetition count mismatch: M {d['M']} vs {d['M'] - 1} "
+        f"repetition costs"),
+    "gst-M": lambda d: (
+        "M", d["M"] + 1, f"repetition count mismatch: M {d['M'] + 1} vs "
+        f"{d['M']} repetition costs"),
+    "gst-L": lambda d: ("L", d["L"] + 1,
+                        f"L mismatch: {d['L']} vs {d['L'] + 1}"),
+    "gst-gamma": lambda d: (
+        "gamma", d["gamma"] + 1,
+        f"gamma mismatch: {d['gamma']} vs {d['gamma'] + 1}"),
+    "gst-alpha": lambda d: (
+        "alpha", d["alpha"][:-1] + [0.5],
+        f"alpha mismatch: {d['alpha']} vs {d['alpha'][:-1] + [0.5]}"),
+    "gst-alpha0": lambda d: (
+        "alpha0", 0.5, f"alpha0 mismatch: {d['alpha0']} vs 0.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERS))
+def test_verify_checks_derived_fields(real_reports, capsys, case):
+    where, reports = real_reports
+    instance, doc = reports[case.startswith("gst")]
+    out = where / "tampered.json"
+    verify = ["verify", "--tree", str(out), "--instance", instance]
+    out.write_text(json.dumps(doc))
+    assert main(verify) == 0
+    name, value, says = TAMPERS[case](doc)
+    out.write_text(json.dumps({**doc, name: value}))
+    capsys.readouterr()
+    assert main(verify) == 4
+    assert f"verify: {says}" in capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("problem,name,value,what", [
+    ("dst", "h_prime", "3", "an integer"),
+    ("dst", "s", True, "a number"),
+    ("dst", "repetition_costs", {}, "a list"),
+    ("gst", "gamma", True, "an integer"),
+    ("gst", "alpha", [0.5, "x"], "a list of numbers"),
+    ("gst", "schema_version", 2.0, "an integer")])
+def test_verify_derived_field_of_the_wrong_type(real_reports, capsys,
+                                                problem, name, value, what):
+    where, reports = real_reports
+    instance, doc = reports[problem == "gst"]
+    out = where / "wrong-type.json"
+    out.write_text(json.dumps({**doc, name: value}))
+    assert main(["verify", "--tree", str(out), "--instance", instance]) == 5
+    assert f"report field {name!r} must be {what}" in capsys.readouterr().err
 
 
 # a synthetic leaf below vertex 0 lifts its bound to 2^63, beyond int64

@@ -11,7 +11,7 @@ from dbnet.errors import InvariantError
 from dbnet.instances import DirectedInstance, MultiTree, normalize
 from dbnet.lpcore import build_dst_lp, solve_lp
 from dbnet.rounding import per_rep
-from dbnet.states import build_super_tree
+from dbnet.states import BASE, build_super_tree
 
 
 def single_edge_setup():
@@ -35,7 +35,7 @@ def test_single_edge_deterministic():
 def test_sampler_rejects_bad_mass():
     _, _, st, sol = single_edge_setup()
     x = sol.x.copy()
-    x[st.base_nodes()[0]] = 0.5
+    x[np.flatnonzero(st.kind == BASE)[0]] = 0.5
     with pytest.raises(InvariantError):
         Sampler(st, x)
 
@@ -79,7 +79,8 @@ def test_half_probability_child():
     model = build_dst_lp(st)
     # perturb the cost of one route to get its two optimal vertices, then
     # average them into a fractional point where each route has mass 1/2
-    route_a = [o for o in st.base_nodes() if st.payload[o][1][:2] == (0, 1)]
+    route_a = [o for o in np.flatnonzero(st.kind == BASE).tolist()
+               if st.payload[o][1][:2] == (0, 1)]
     lo = model.obj.copy()
     lo[route_a] += 1e-6
     hi = model.obj.copy()
@@ -107,7 +108,7 @@ def test_base_marginals_match_lp():
     trials = 10_000
     _, node = sampler.sample((2,), 0, trials)
     counts = np.bincount(node, minlength=len(st))
-    for o in st.base_nodes():
+    for o in np.flatnonzero(st.kind == BASE).tolist():
         p = float(sol.x[o])
         sigma = math.sqrt(max(p * (1 - p), 1e-12) / trials)
         assert abs(counts[o] / trials - p) <= 3 * sigma + 1e-9

@@ -27,9 +27,18 @@ from dbnet.lpcore import (EPS_CHECK, EPS_FEAS, INFEASIBLE, OPTIMAL, Block, LPMod
 from dbnet.states import BASE, STATE, SUPER, VIRTUAL, build_super_tree
 
 
+def from_rows(rows) -> Block:
+    """The block of ``(column indices, coefficients, rhs)`` rows."""
+    return Block.of(np.repeat(np.arange(len(rows)),
+                              [len(cols) for cols, _, _ in rows]),
+                    [j for cols, _, _ in rows for j in cols],
+                    [v for _, vals, _ in rows for v in vals],
+                    [b for _, _, b in rows])
+
+
 def test_forced_variable():
     m = LPModel(1, np.array([1.0]),
-                ub_block=Block.from_rows([([0], [-1.0], -1.0)]))  # x >= 1
+                ub_block=from_rows([([0], [-1.0], -1.0)]))  # x >= 1
     sol = solve_lp(m)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1.0)
@@ -37,8 +46,8 @@ def test_forced_variable():
 
 def tiny_model(eq, ub):
     return LPModel(2, np.array([1.0, 2.0]),
-                   eq_block=Block.from_rows([([0, 1], [1.0, 1.0], 1.0)] * eq),
-                   ub_block=Block.from_rows([([0], [1.0], 0.25)] * ub))
+                   eq_block=from_rows([([0, 1], [1.0, 1.0], 1.0)] * eq),
+                   ub_block=from_rows([([0], [1.0], 0.25)] * ub))
 
 
 def csr(blk, nvar):
@@ -148,7 +157,7 @@ def test_parallel_rule_is_the_rule_switched_off(tmp_path):
 def test_solution_counts_simplex_iterations():
     sol = solve_lp(dst_case("small_dst", 0))
     assert sol.status == OPTIMAL and sol.iterations > 0
-    assert solve_lp(LPModel(1, np.array([0.0]), ub_block=Block.from_rows(
+    assert solve_lp(LPModel(1, np.array([0.0]), ub_block=from_rows(
         [([0], [-1.0], -2.0)]))).iterations == 0
 
 
@@ -163,7 +172,7 @@ def rows_of(mat, lower, upper) -> list[tuple]:
 def rhs_twins():
     """Three <= rows over the same entries: the first and the last are
     equal, the middle one differs only in its rhs."""
-    return LPModel(2, np.array([-1.0, -2.0]), ub_block=Block.from_rows(
+    return LPModel(2, np.array([-1.0, -2.0]), ub_block=from_rows(
         [([0, 1], [1.0, 1.0], 1.0), ([1, 0], [1.0, 1.0], 0.5),
          ([0, 1], [1.0, 1.0], 1.0)]))
 
@@ -258,7 +267,7 @@ def test_scipy_optimize_reuses_the_loaded_binding():
         "res = scipy.optimize.linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1],\n"
         "                             method='highs')\n"
         "m = lpcore.LPModel(1, np.array([1.0]), ub_block=lpcore.Block.\n"
-        "                   from_rows([([0], [-1.0], -1.0)]))\n"
+        "                   of([0], [0], [-1.0], [-1.0]))\n"
         "print(_core is lpcore.highs and core is lpcore.highs,\n"
         "      res.status, res.x.tolist(), lpcore.solve_lp(m).objective)")
     assert out.split() == ["True", "0", "[1.0,", "0.0]", "1.0"]
@@ -276,7 +285,7 @@ def test_missing_binding_names_its_directory(monkeypatch):
 
 def test_empty_polytope():
     m = LPModel(1, np.array([0.0]),  # x >= 2 with x <= 1
-                ub_block=Block.from_rows([([0], [-1.0], -2.0)]))
+                ub_block=from_rows([([0], [-1.0], -2.0)]))
     assert solve_lp(m).status == INFEASIBLE
 
 
@@ -284,7 +293,7 @@ def test_equality_row_that_cancels_to_empty_is_infeasible():
     # x - x = 1: the row keeps no entry and its bounds cannot hold, so
     # _reduce refuses it before HiGHS runs
     m = LPModel(1, np.array([0.0]),
-                eq_block=Block.from_rows([([0, 0], [1.0, -1.0], 1.0)]))
+                eq_block=from_rows([([0, 0], [1.0, -1.0], 1.0)]))
     assert _reduce(m) is None
     assert solve_lp(m).status == INFEASIBLE
 
@@ -455,20 +464,85 @@ def test_check_modified_flags_each_property(prop):
 
 def test_dump_lp_layout():
     m = LPModel(2, np.array([1.0, 2.0]),
-                eq_block=Block.from_rows([([0, 1], [1.0, 1.0], 1.0)]))
+                eq_block=from_rows([([0, 1], [1.0, 1.0], 1.0)]))
     text = dump_lp(m)
     for section in ("NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
         assert section in text
+
+
+def reference_dump_lp(model):
+    """``dump_lp`` as first written, row by row over ``model.eq`` and
+    ``model.ub``."""
+    rows = ([("E", f"EQ{i:06d}", row) for i, row in enumerate(model.eq)]
+            + [("L", f"UB{i:06d}", row) for i, row in enumerate(model.ub)])
+    lines = ["NAME          DBNET", "ROWS", " N  COST"]
+    lines += [f" {sense}  {name}" for sense, name, _ in rows]
+    cols = {j: [("COST", model.obj[j])] for j in range(model.nvar)
+            if model.obj[j]}
+    for _, name, (cc, vv, _) in rows:
+        for j, v in zip(cc, vv):
+            cols.setdefault(j, []).append((name, v))
+    lines.append("COLUMNS")
+    for j in sorted(cols):
+        lines += [f"    X{j:06d}    {row}    {v:.12g}" for row, v in cols[j]]
+    lines.append("RHS")
+    lines += [f"    RHS    {name}    {b:.12g}" for _, name, (_, _, b) in rows
+              if b]
+    lines.append("BOUNDS")
+    for j in range(model.nvar):
+        lines.append(f" UP BND    X{j:06d}    {model.hi[j]:.12g}")
+        if model.lo[j]:
+            lines.append(f" LO BND    X{j:06d}    {model.lo[j]:.12g}")
+    lines.append("ENDATA")
+    return "\n".join(lines) + "\n"
+
+
+# zeros of both signs, and values that print with all 12 digits
+DUMP_VALUES = (hs.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1 / 3, 2.0 ** -40])
+               | hs.floats(-1e6, 1e6))
+
+
+@hs.composite
+def lp_models(draw):
+    """Small LPs whose rows may repeat a column, hold zero coefficients or
+    no entry at all, and leave columns out; either block may be empty."""
+    nvar = draw(hs.integers(1, 7))
+
+    def block():
+        rows = []
+        for _ in range(draw(hs.integers(0, 4))):
+            cols = draw(hs.lists(hs.integers(0, nvar - 1), max_size=5))
+            vals = draw(hs.lists(DUMP_VALUES, min_size=len(cols),
+                                 max_size=len(cols)))
+            rows.append((cols, vals, draw(DUMP_VALUES)))
+        return from_rows(rows)
+
+    vector = hs.lists(DUMP_VALUES, min_size=nvar, max_size=nvar).map(np.array)
+    return LPModel(nvar, draw(vector), eq_block=block(), ub_block=block(),
+                   lo=draw(vector), hi=draw(vector))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(lp_models())
+def test_dump_lp_matches_the_per_row_dump(model):
+    assert dump_lp(model) == reference_dump_lp(model)
 
 
 def reference_dst_rows(st):
     """The row-list DST LP as first written: (obj, eq rows, ub rows)."""
     n = len(st)
     obj = np.zeros(n)
-    for o in st.base_nodes():
+    bases = np.flatnonzero(st.kind == BASE).tolist()
+    for o in bases:
         obj[o] = st.cost[o]
     eq, ub = [], []
-    O_t = st.terminal_index()
+    # the base nodes of each terminal: ("e", (r', v)) involves v and
+    # ("xi", (r', v, v')) involves v and v'
+    O_t = {t: [] for t in sorted(st.norm.inst.terminals)}
+    for o in bases:
+        for v in st.payload[o][1][1:]:
+            if v in O_t:
+                O_t[v].append(o)
     for t, nodes in sorted(O_t.items()):
         eq.append((list(nodes), [1.0] * len(nodes), 1.0))
     for p in range(n):
@@ -482,7 +556,7 @@ def reference_dst_rows(st):
     for p in range(n - 1, -1, -1):
         mine = {}
         if st.kind[p] == BASE:
-            for v in st.involved_vertices(p):
+            for v in st.payload[p][1][1:]:
                 if v in O_t:
                     mine.setdefault(v, []).append(p)
         for q in st.children[p]:
@@ -535,8 +609,8 @@ def assert_same_lp(model, obj, eq, ub, lo=None):
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)
-    ref = LPModel(model.nvar, obj, eq_block=Block.from_rows(eq),
-                  ub_block=Block.from_rows(ub), lo=lo)
+    ref = LPModel(model.nvar, obj, eq_block=from_rows(eq),
+                  ub_block=from_rows(ub), lo=lo)
     assert dump_lp(model) == dump_lp(ref)
 
 

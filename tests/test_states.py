@@ -222,7 +222,7 @@ def test_super_tree_single_edge():
     st = build_super_tree(norm, 3, 10_000)
     assert len(st) == 3
     assert st.kind[0] == SUPER and STATE in st.kind and BASE in st.kind
-    o = st.base_nodes()[0]
+    o = int(np.flatnonzero(st.kind == BASE)[0])
     assert st.payload[o] == ("e", (0, 1)) and st.cost[o] == 7
 
 
@@ -257,7 +257,7 @@ def test_degree_guesses_stop_at_what_a_tree_can_use(bound):
 def test_super_tree_triple_node():
     norm = star_two_terminals()
     st = build_super_tree(norm, 3, 10_000)
-    bases = st.base_nodes()
+    bases = np.flatnonzero(st.kind == BASE).tolist()
     triples = [o for o in bases if st.payload[o][0] == "xi"]
     assert any(st.payload[o] == ("xi", (0, 1, 2)) and st.cost[o] == 5
                for o in triples)
