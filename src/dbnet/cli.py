@@ -66,10 +66,6 @@ def _emit_json(doc: dict, out: str | None):
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
 
 
-def _load_dst(path: str) -> DirectedInstance:
-    return parse_dst(_read(path))
-
-
 def _parse_gen_spec(spec: str) -> dict[str, int]:
     out = {}
     for part in spec.split(","):
@@ -115,7 +111,7 @@ def cmd_gen_gst(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    problem = PROBLEMS[args.problem]
+    problem = _problem(args)
     report = problem.solve(problem.prepare(problem.load(args.instance)),
                            args, args.instance)
     _emit_json(report.to_dict(), args.out)
@@ -123,20 +119,21 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    problem = PROBLEMS[args.problem]
+    problem = _problem(args)
     res = problem.oracle(problem.load(args.instance))
     _emit_json(res.to_dict(), args.out)
     return 0 if res.status == "OPTIMAL" else 2
 
 
 def cmd_dump_supertree(args) -> int:
-    norm = normalize(_load_dst(args.instance))
-    _emit(build_super_tree(norm, args.height, args.node_cap).dump(), args.out)
+    norm = normalize(PROBLEMS["dst"].load(args.instance))
+    _emit(build_super_tree(norm, args.height, _node_cap(args)).dump(),
+          args.out)
     return 0
 
 
 def cmd_dump_lp(args) -> int:
-    problem = PROBLEMS[args.problem]
+    problem = _problem(args)
     model = problem.lp(problem.prepare(problem.load(args.instance)), args)
     _emit(dump_lp(model), args.out)
     return 0
@@ -150,7 +147,7 @@ def _stat(hits: int, trials: int) -> dict:
 
 
 def cmd_run(args) -> int:
-    problem = PROBLEMS[args.problem]
+    problem = _problem(args)
     if args.gen:
         spec = _parse_gen_spec(args.gen)
         inst = problem.gen(spec, spec.pop("seed", args.seed))
@@ -418,10 +415,11 @@ def verify_gst_report(inst: GroupTreeInstance, doc: dict) -> list[str]:
 class Problem:
     """What the shared subcommand bodies do for one problem kind.
 
-    Every entry is a lambda, so the functions it calls are looked up on this
-    module at call time and a replacement installed there (a test double, a
-    timing wrapper) is the one that runs.
+    Every callable entry is a lambda, so the functions it calls are looked
+    up on this module at call time and a replacement installed there (a test
+    double, a timing wrapper) is the one that runs.
     """
+    options: tuple      # the solver options that lp and solve read
     load: Callable      # path -> instance that the oracle and verify read
     gen: Callable       # (spec, seed) -> instance; pops the keys it knows
     prepare: Callable   # instance -> solver input
@@ -433,18 +431,28 @@ class Problem:
     verify: Callable    # (instance, report doc) -> failure messages
 
 
+# the options that size the DB-DST super-tree
+SUPER_TREE = ("--height", "--node-cap")
+
+
+def _node_cap(args) -> int:
+    # the default cap when --node-cap is not given
+    return NODE_CAP if args.node_cap is None else args.node_cap
+
+
 PROBLEMS = {
     "dst": Problem(
-        load=lambda path: _load_dst(path),
+        options=("--q",) + SUPER_TREE,
+        load=lambda path: parse_dst(_read(path)),
         gen=lambda spec, seed: gen_dst(spec.pop("n", 8), spec.pop("m", 12),
                                        spec.pop("k", 3), spec.pop("d", 3),
                                        seed=seed),
         prepare=lambda inst: normalize(inst),
         lp=lambda norm, args: build_dst_lp(
-            build_super_tree(norm, args.height, args.node_cap)),
+            build_super_tree(norm, args.height, _node_cap(args))),
         solve=lambda norm, args, label: run_dst(
             norm, h=args.height, Q=args.q, seed=args.seed,
-            node_cap=args.node_cap, label=label),
+            node_cap=_node_cap(args), label=label),
         # the super-tree holds every tree whose decomposition fits in h: the
         # height budget bounds that depth for every tree, oracle_height for
         # the oracle's
@@ -455,6 +463,7 @@ PROBLEMS = {
         trial_stats=lambda report, trials: _dst_trial_stats(report, trials),
         verify=lambda inst, doc: verify_dst_report(inst, doc)),
     "gst": Problem(
+        options=("--m",),
         load=lambda path: preprocess_gst(parse_gst(_read(path))),
         gen=lambda spec, seed: preprocess_gst(
             gen_gst(spec.pop("n", 20), spec.pop("k", 3),
@@ -468,6 +477,22 @@ PROBLEMS = {
         trial_stats=lambda report, trials: _gst_trial_stats(report, trials),
         verify=lambda pre, doc: verify_gst_report(pre, doc)),
 }
+# every solver option: each problem's own, then the super-tree options
+OPTIONS = (*(flag for problem in PROBLEMS.values()
+             for flag in problem.options if flag not in SUPER_TREE),
+           *SUPER_TREE)
+
+
+def _problem(args) -> Problem:
+    """The chosen problem, or a FormatError naming the first solver option
+    of ``OPTIONS`` that was given and that the problem does not read."""
+    problem = PROBLEMS[args.problem]
+    for flag in OPTIONS:
+        if (flag not in problem.options and getattr(
+                args, flag[2:].replace("-", "_"), None) is not None):
+            raise FormatError(f"--problem {args.problem} does not read "
+                              f"{flag}")
+    return problem
 
 
 @functools.cache
@@ -477,78 +502,39 @@ def build_parser() -> argparse.ArgumentParser:
                                             "experiment driver")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, seed=False, instance=True):
-        if instance:
-            sp.add_argument("--instance", required=True)
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out")
+    def add(name, flags, **defaults):
+        # a flag is (option, argparse keywords), or a solver option: an
+        # integer without a default, so that a given one shows
+        sp = sub.add_parser(name)
+        for flag in flags:
+            option, kw = (flag if isinstance(flag, tuple)
+                          else (flag, {"type": int}))
+            sp.add_argument(option, **kw)
+        sp.set_defaults(**defaults)
 
-    sp = sub.add_parser("gen-dst")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--d-max", type=int, default=3)
-    sp.add_argument("--cost-range", default="1:20")
-    common(sp, seed=True, instance=False)
-    sp.set_defaults(func=cmd_gen_dst)
-
-    sp = sub.add_parser("gen-gst")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--depth", type=int, default=4)
-    sp.add_argument("--d-max", type=int, default=3)
-    sp.add_argument("--cost-range", default="1:20")
-    common(sp, seed=True, instance=False)
-    sp.set_defaults(func=cmd_gen_gst)
-
-    sp = sub.add_parser("solve-dst")
-    common(sp, seed=True)
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--height", type=int)
-    sp.add_argument("--node-cap", type=int, default=NODE_CAP)
-    sp.set_defaults(func=cmd_solve, problem="dst")
-
-    sp = sub.add_parser("solve-gst")
-    common(sp, seed=True)
-    sp.add_argument("--m", type=int)
-    sp.set_defaults(func=cmd_solve, problem="gst")
-
+    instance, out = ("--instance", {"required": True}), ("--out", {})
+    seed = ("--seed", {"type": int, "default": 0})
+    problem = ("--problem", {"choices": list(PROBLEMS), "required": True})
+    size = {"type": int, "required": True}
+    gen_tail = [("--d-max", {"type": int, "default": 3}),
+                ("--cost-range", {"default": "1:20"}), seed, out]
+    add("gen-dst", [("--n", size), ("--m", size), ("--k", size), *gen_tail],
+        func=cmd_gen_dst)
+    add("gen-gst", [("--n", size), ("--k", size),
+                    ("--depth", {"type": int, "default": 4}), *gen_tail],
+        func=cmd_gen_gst)
+    for kind, entry in PROBLEMS.items():
+        add(f"solve-{kind}", [instance, seed, out, *entry.options],
+            func=cmd_solve, problem=kind)
     for kind in PROBLEMS:
-        sp = sub.add_parser(f"oracle-{kind}")
-        common(sp)
-        sp.set_defaults(func=cmd_oracle, problem=kind)
-
-    sp = sub.add_parser("run")
-    sp.add_argument("--problem", choices=["dst", "gst"], required=True)
-    sp.add_argument("--instance")
-    sp.add_argument("--gen")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=0)
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--height", type=int)
-    sp.add_argument("--node-cap", type=int, default=NODE_CAP)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_run)
-
-    sp = sub.add_parser("verify")
-    sp.add_argument("--tree", required=True)
-    sp.add_argument("--instance", required=True)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("dump-supertree")
-    common(sp)
-    sp.add_argument("--height", type=int)
-    sp.add_argument("--node-cap", type=int, default=NODE_CAP)
-    sp.set_defaults(func=cmd_dump_supertree)
-
-    sp = sub.add_parser("dump-lp")
-    sp.add_argument("--problem", choices=["dst", "gst"], required=True)
-    common(sp)
-    sp.add_argument("--height", type=int)
-    sp.add_argument("--node-cap", type=int, default=NODE_CAP)
-    sp.set_defaults(func=cmd_dump_lp)
+        add(f"oracle-{kind}", [instance, out], func=cmd_oracle, problem=kind)
+    add("run", [problem, ("--instance", {}), ("--gen", {}), seed,
+                ("--trials", {"type": int, "default": 0}), *OPTIONS, out],
+        func=cmd_run)
+    add("verify", [("--tree", {"required": True}), instance], func=cmd_verify)
+    add("dump-supertree", [instance, out, *SUPER_TREE],
+        func=cmd_dump_supertree)
+    add("dump-lp", [problem, instance, out, *SUPER_TREE], func=cmd_dump_lp)
     return p
 
 

@@ -128,16 +128,6 @@ class StateTreeNode:
         kids = [o for o in (self.left, self.right) if o is not None]
         return 1 + max(o.depth() for o in kids) if kids else 0
 
-    def leaf_cost(self, cost: dict) -> int:
-        if self.edge is not None:
-            return cost[self.edge]
-        r1, v, v2 = self.triple
-        return cost[(r1, v)] + cost[(r1, v2)]
-
-    def cost(self, norm: NormalizedInstance) -> int:
-        cost = norm.cost
-        return sum(o.leaf_cost(cost) for o in self.nodes() if o.is_leaf)
-
 
 def gen_state_tree(norm: NormalizedInstance,
                    tree: MultiTree) -> StateTreeNode:
@@ -262,57 +252,36 @@ def validate_state_tree(norm: NormalizedInstance, root: StateTreeNode,
     return bad
 
 
-class _Frag:
-    __slots__ = ("label", "children")
-
-    def __init__(self, label):
-        self.label = label
-        self.children = []
-
-
 def stitch_multi_tree(norm: NormalizedInstance, root: StateTreeNode,
                       h: int) -> MultiTree:
     """Join the leaf edges/triples of a good state tree of depth at most h
     into a multi-tree.
 
-    Bottom-up: each subtree yields a multi-tree plus a map from portals to
-    their copies; the right child's root copy is identified with the left
-    child's copy of the same portal.
+    Top-down from a copy of the root state's vertex: a leaf hangs its tails
+    below its root's copy, and an internal node builds its left child, then
+    its right child below the left child's copy of r''.  Each call returns
+    its map from portals to their copies.
     """
     bad = validate_state_tree(norm, root, h)
     if bad:
         raise InvariantError("stitch on invalid state tree: " + "; ".join(bad))
     K = norm.inst.terminals
-
-    def build(node: StateTreeNode):
-        if node.is_leaf:
-            top = _Frag(node.r)
-            pi = {node.r: top}
-            tails = ([node.edge[1]] if node.edge is not None
-                     else [node.triple[1], node.triple[2]])
-            for v in tails:
-                f = _Frag(v)
-                top.children.append(f)
-                if v not in K:
-                    pi[v] = f
-            return top, pi
-        top, pi_q = build(node.left)
-        sub, pi_o = build(node.right)
-        join = pi_q[node.right.r]
-        join.children.extend(sub.children)
-        pi = dict(pi_q)
-        for v, f in pi_o.items():
-            pi[v] = join if f is sub else f
-        return top, pi
-
-    top, _ = build(root)
     mt = MultiTree()
-    stack = [(top, None)]
-    while stack:
-        frag, parent = stack.pop()
-        a = mt.add_node(frag.label, parent)
-        for ch in reversed(frag.children):
-            stack.append((ch, a))
+
+    def build(node: StateTreeNode, top: int) -> dict:
+        # top is the copy of node.r
+        if not node.is_leaf:
+            pi = build(node.left, top)
+            pi.update(build(node.right, pi[node.right.r]))
+            return pi
+        pi = {node.r: top}
+        for v in (node.edge or node.triple)[1:]:
+            a = mt.add_node(v, top)
+            if v not in K:
+                pi[v] = a
+        return pi
+
+    build(root, mt.add_node(root.r))
     mt.check_edges(norm)
     return mt
 

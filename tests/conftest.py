@@ -17,6 +17,16 @@ def small_dst(seed, n=6, m=8, k=3, d_max=3):
     return inst, norm, res, oracle_height(norm, res.edges)
 
 
+def state_tree_cost(norm, tau) -> int:
+    """Cost of the leaf edges and triples of a state tree."""
+    total = 0
+    for o in tau.nodes():
+        if o.is_leaf:
+            r1, *tails = o.edge or o.triple
+            total += sum(norm.cost[(r1, v)] for v in tails)
+    return total
+
+
 def random_binary_tree(rng, n):
     """Random rooted tree with at most two children per node, as a parent
     map over ids 0..n-1 with root 0."""

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (FRACTIONAL_SEEDS, broom, random_binary_tree,
-                      set_cover_triangle, small_dst)
+                      set_cover_triangle, small_dst, state_tree_cost)
 from dbnet.cli import verify_dst_report
 from dbnet.dst_round import (Sampler, concentration_stats,
                              run_dst)
@@ -60,7 +60,7 @@ def test_criterion_02_reduction_round_trip():
         stt = gen_state_tree(norm, mt)
         budget = height_budget(norm.inst.n)
         assert validate_state_tree(norm, stt, budget) == []
-        assert stt.cost(norm) == res.cost
+        assert state_tree_cost(norm, stt) == res.cost
         stitched = stitch_multi_tree(norm, stt, budget)
         assert sorted(stitched.label) == sorted(mt.label)
         assert stt.depth() == h

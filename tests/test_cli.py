@@ -649,6 +649,37 @@ def test_negative_option_is_format_error(tmp_path, capsys, argv, flag):
     assert f"{flag} must not be negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["run", "--problem", "gst", "--q", "7"], "--q"),
+    (["run", "--problem", "gst", "--height", "3"], "--height"),
+    (["run", "--problem", "gst", "--node-cap", "1"], "--node-cap"),
+    (["run", "--problem", "dst", "--m", "5"], "--m"),
+    (["dump-lp", "--problem", "gst", "--height", "1"], "--height"),
+    (["dump-lp", "--problem", "gst", "--node-cap", "1"], "--node-cap")])
+def test_option_the_problem_does_not_read_is_format_error(
+        tmp_path, capsys, dst_file, gst_file, argv, flag):
+    path = gst_file if argv[2] == "gst" else dst_file[0]
+    out = tmp_path / "out"
+    assert main(argv + ["--instance", path, "--out", str(out)]) == 5
+    assert f"--problem {argv[2]} does not read {flag}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(cli.PROBLEMS))
+def test_solve_takes_exactly_the_options_its_problem_reads(capsys, kind):
+    parse = build_parser().parse_args
+    taken = []
+    for flag in cli.OPTIONS:
+        try:
+            args = parse([f"solve-{kind}", "--instance", "x", flag, "1"])
+        except SystemExit:
+            continue
+        assert getattr(args, flag[2:].replace("-", "_")) == 1
+        taken.append(flag)
+    assert taken == list(cli.PROBLEMS[kind].options)
+
+
 @pytest.mark.parametrize("cmd", [["gen-dst", "--n", "6", "--m", "8", "--k", "2"],
                                  ["gen-gst", "--n", "20", "--k", "2"]])
 @pytest.mark.parametrize("cost_range", ["5:1", "-3:2", "1-4"])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from conftest import small_dst
+from conftest import small_dst, state_tree_cost
 from dbnet import states
 from dbnet.errors import CapExceededError, InvariantError
 from dbnet.generators import gen_dst
@@ -80,7 +80,7 @@ def test_gen_single_edge():
     tau = gen_state_tree(norm, mt)
     assert tau.is_leaf and tau.edge == (0, 1)
     assert (tau.r, tau.S, tau.rho) == (0, frozenset({0}), {0: 1})
-    assert tau.cost(norm) == 7
+    assert state_tree_cost(norm, tau) == 7
 
 
 def test_gen_triple_case():
@@ -89,7 +89,7 @@ def test_gen_triple_case():
     tau = gen_state_tree(norm, mt)
     assert tau.is_leaf and tau.triple == (0, 1, 2)
     assert tau.rho == {0: 2}
-    assert tau.cost(norm) == 5
+    assert state_tree_cost(norm, tau) == 5
 
 
 def test_lift_tree_raises_on_what_is_not_a_tree():
