@@ -25,9 +25,9 @@ from .gst_round import (alpha_sequence, global_params, run_gst,
 from .instances import (DirectedInstance, GroupTreeInstance, normalize,
                         parse_dst, parse_gst, preprocess_gst, serialize_dst,
                         serialize_gst)
-from .lpcore import build_dst_lp, build_gst_lp, dump_lp
+from .lpcore import EPS_CHECK, build_dst_lp, build_gst_lp, dump_lp
 from .dst_round import run_dst
-from .oracle import exact_dst, exact_gst
+from .oracle import INFEASIBLE, OPTIMAL, exact_dst, exact_gst
 from .report import SCHEMA_VERSION
 from .rounding import blocks, csr, pair_counts
 from .states import NODE_CAP, build_super_tree, oracle_height
@@ -169,7 +169,7 @@ def cmd_run(args) -> int:
         res = None
     if res is not None:
         doc["oracle"] = res.to_dict()
-        if (res.status == "OPTIMAL"
+        if (res.status == OPTIMAL
                 and report.lp_cost > res.cost + EPS_OBJ * (1 + res.cost)
                 and problem.relaxes(prep, report, res)):
             raise InvariantError(
@@ -252,6 +252,16 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_ids(vs) -> bool:
+    return isinstance(vs, list) and all(map(_is_id, vs))
+
+
+def _is_pairs(es) -> bool:
+    return isinstance(es, list) and all(
+        isinstance(e, list) and len(e) == 2 and all(map(_is_id, e))
+        for e in es)
+
+
 def _report_field(doc: dict, name: str, default, valid: Callable,
                   what: str):
     """``doc[name]`` (``default`` when absent), or a FormatError naming the
@@ -281,6 +291,23 @@ def _mismatch(name: str, want, got) -> list[str]:
     return [] if got == want else [f"{name} mismatch: {want} vs {got}"]
 
 
+def _oracle(doc: dict, items: str, valid: Callable, what: str):
+    """(cost, ``items``) of the report's ``oracle`` block when the oracle
+    found an optimum, else (None, None); a malformed block raises
+    FormatError naming the field."""
+    oracle = _report_field(doc, "oracle", None,
+                           lambda o: o is None or isinstance(o, dict),
+                           "an object")
+    if oracle is None or oracle.get("status") == INFEASIBLE:
+        return None, None
+    for name, valid_field, want in (
+            ("status", lambda s: s == OPTIMAL, f"{OPTIMAL} or {INFEASIBLE}"),
+            ("cost", _is_id, "an integer"), (items, valid, what)):
+        if not valid_field(oracle.get(name)):
+            raise FormatError(f"report field 'oracle.{name}' must be {want}")
+    return oracle["cost"], oracle[items]
+
+
 def _run_fields(doc: dict, count: str) -> list[str]:
     """Mismatches of the schema version, and of the number of repetition
     costs against the repetition count ``doc[count]``."""
@@ -301,12 +328,9 @@ def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
     """Failure messages of a DB-DST report against its instance; a
     malformed report raises FormatError."""
     bad = []
-    edges = [tuple(e) for e in _report_field(
-        doc, "tree_edges", [],
-        lambda es: isinstance(es, list) and all(
-            isinstance(e, list) and len(e) == 2 and all(map(_is_id, e))
-            for e in es),
-        "a list of [u, v] vertex pairs")]
+    pairs = "a list of [u, v] vertex pairs"
+    edges = [tuple(e) for e in _report_field(doc, "tree_edges", [],
+                                             _is_pairs, pairs)]
     got = _ratios(doc)
     cost = inst.cost
     parent = {}
@@ -363,6 +387,14 @@ def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
     if {k: round(v, 9) for k, v in want.items()} != \
             {k: round(v, 9) for k, v in got.items()}:
         bad.append("degree violation ratios mismatch")
+    oracle_cost, oracle_edges = _oracle(doc, "edges", _is_pairs, pairs)
+    if oracle_cost is not None:
+        oracle_edges = [tuple(e) for e in oracle_edges]
+        bad += [f"oracle edge {e} not in the instance"
+                for e in oracle_edges if e not in cost]
+        bad += _mismatch("oracle cost",
+                         sum(cost.get(e, 0) for e in oracle_edges),
+                         oracle_cost)
     return bad
 
 
@@ -370,10 +402,8 @@ def verify_gst_report(inst: GroupTreeInstance, doc: dict) -> list[str]:
     """Failure messages of a DB-GST-T report against its instance; a
     malformed report raises FormatError."""
     bad = []
-    union = set(_report_field(
-        doc, "union_vertices", [],
-        lambda vs: isinstance(vs, list) and all(map(_is_id, vs)),
-        "a list of vertex ids"))
+    ids = "a list of vertex ids"
+    union = set(_report_field(doc, "union_vertices", [], _is_ids, ids))
     got = _ratios(doc)
     for v in sorted(union):
         if not (0 <= v < inst.n):
@@ -408,6 +438,22 @@ def verify_gst_report(inst: GroupTreeInstance, doc: dict) -> list[str]:
         doc, "alpha", None,
         lambda v: v is None or isinstance(v, list) and all(map(_is_number, v)),
         "a list of numbers"))
+    # P6 with the slack of check_modified_solution
+    lp_cost, modified = _number(doc, "lp_cost"), _number(doc, "modified_cost")
+    if (lp_cost is None or modified is None
+            or modified > 2 * lp_cost + EPS_CHECK * max(1, lp_cost)):
+        bad.append(f"modified cost {modified} exceeds 2 * LP cost {lp_cost}")
+    oracle_cost, oracle_vertices = _oracle(doc, "vertices", _is_ids, ids)
+    if oracle_cost is not None:
+        bad += [f"oracle vertex {v} out of range"
+                for v in oracle_vertices if not 0 <= v < inst.n]
+        bad += _mismatch("oracle cost", sum(
+            inst.cost[v] for v in oracle_vertices if 0 <= v < inst.n),
+            oracle_cost)
+        # the LP <= optimum check of run
+        if lp_cost is None or lp_cost > oracle_cost + EPS_OBJ * (
+                1 + oracle_cost):
+            bad.append(f"LP cost {lp_cost} exceeds oracle {oracle_cost}")
     return bad
 
 

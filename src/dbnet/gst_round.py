@@ -67,16 +67,9 @@ def scale_solution(xt: np.ndarray, ell: np.ndarray, gamma: int) -> np.ndarray:
     return xp
 
 
-@dataclass
-class ScaledSolution:
-    xt: np.ndarray
-    ell: np.ndarray
-    L: int
-    gamma: int
-    xp: np.ndarray
-
-
-def build_scaled(inst: GroupTreeInstance, xt: np.ndarray) -> ScaledSolution:
+def build_scaled(inst: GroupTreeInstance, xt: np.ndarray) -> np.ndarray:
+    """The scaled solution x' of a modified solution x~, checked to stay
+    non-increasing along every edge of its support."""
     L, gamma = global_params(inst.n)
     ell = compute_hop_levels(inst, xt)
     if np.any(ell > L):
@@ -85,7 +78,7 @@ def build_scaled(inst: GroupTreeInstance, xt: np.ndarray) -> ScaledSolution:
     bad = check_nonincreasing(inst, xp)
     if bad:
         raise InvariantError("; ".join(bad))
-    return ScaledSolution(xt, ell, L, gamma, xp)
+    return xp
 
 
 def check_nonincreasing(inst: GroupTreeInstance, xp: np.ndarray) -> list[str]:
@@ -210,16 +203,17 @@ def run_gst(inst: GroupTreeInstance, M: int | None = None, seed: int = 0,
     if bad:
         raise InvariantError("modified solution invalid: " + "; ".join(bad))
 
-    scaled = build_scaled(inst, xt)
-    bad = check_branching_mass(inst, scaled.xp)
+    xp = build_scaled(inst, xt)
+    bad = check_branching_mass(inst, xp)
     if bad:
         raise InvariantError("; ".join(bad))
 
-    alpha = alpha_sequence(scaled.L, scaled.gamma)
+    L, gamma = global_params(inst.n)
+    alpha = alpha_sequence(L, gamma)
     k = len(inst.groups)
     M = M if M is not None else default_m(alpha[0], k)
 
-    rounder = Rounder(inst, scaled.xp)
+    rounder = Rounder(inst, xp)
     costs = np.array(inst.cost)
     in_union = np.zeros(inst.n, dtype=bool)
     in_union[inst.root] = True
@@ -235,7 +229,7 @@ def run_gst(inst: GroupTreeInstance, M: int | None = None, seed: int = 0,
                             minlength=len(inst.groups)) > 0).tolist()
     union_cost = sum(inst.cost[v] for v in union)
     return GstRunReport(
-        instance=label, seed=seed, L=scaled.L, gamma=scaled.gamma,
+        instance=label, seed=seed, L=L, gamma=gamma,
         alpha=alpha, alpha0=alpha[0], M=M, lp_cost=sol.objective,
         modified_cost=float(costs @ xt), repetition_costs=rep_costs,
         union_cost=union_cost, union_vertices=sorted(union),

@@ -28,7 +28,7 @@ from .errors import CapExceededError, InvariantError
 from .instances import (MultiTree, NormalizedInstance, lift_tree,
                         original_degree)
 from .rounding import Rows, csr, expand
-from .treekit import RootedTree, find_balanced_separator, height_budget, split_at
+from .treekit import find_balanced_separator, height_budget, part_nodes
 
 # a state key is (root, frozenset(portals), tuple(sorted(rho.items())))
 StateKey = tuple
@@ -135,49 +135,41 @@ def gen_state_tree(norm: NormalizedInstance,
 
     The input tree must have distinct vertex labels, terminal leaves and
     in-range original degrees; the output passes validate_state_tree at the
-    height budget and has the same cost.
+    height budget and has the same cost.  Each state is a part ``(root,
+    cut)`` of ``tree`` (see ``treekit``): its portals are the root and the
+    part's non-terminal leaves.
     """
     if len(set(tree.label)) != len(tree.label):
         raise InvariantError("gen_state_tree needs distinct vertex labels")
     h = height_budget(norm.inst.n)
     K = norm.inst.terminals
     rho_all = original_degree(norm, tree)
-    rt = RootedTree({a: tree.parent[a] for a in range(len(tree))})
+    label, children = tree.label, tree.children
 
-    def state_of(sub: RootedTree):
-        portals = [sub.root]
-        portals += [a for a in sub.parent
-                    if a != sub.root and not sub.children[a]
-                    and tree.label[a] not in K]
-        S = frozenset(tree.label[a] for a in portals)
-        if len(S) != len(portals):
-            raise InvariantError("portal labels are not distinct")
-        rho = {tree.label[a]: rho_all[a] for a in portals}
-        return tree.label[sub.root], S, rho
-
-    def gen(sub: RootedTree, depth: int) -> StateTreeNode:
+    def gen(root: int, cut: frozenset, depth: int) -> StateTreeNode:
         if depth > h:
             raise CapExceededError(f"decomposition exceeds depth budget {h}")
-        r1, S, rho = state_of(sub)
-        kids = sub.children[sub.root]
-        if all(not sub.children[a] for a in kids):
-            node = StateTreeNode(r1, S, rho)
-            labels = sorted(tree.label[a] for a in kids)
+        portals = [root] + [a for a in part_nodes(tree, root, cut)[1:]
+                            if (a in cut or not children[a])
+                            and label[a] not in K]
+        node = StateTreeNode(label[root], frozenset(label[a] for a in portals),
+                             {label[a]: rho_all[a] for a in portals})
+        kids = children[root]
+        if all(a in cut or not children[a] for a in kids):
+            tails = sorted(label[a] for a in kids)
             if len(kids) == 1:
-                node.edge = (r1, labels[0])
+                node.edge = (label[root], tails[0])
             elif len(kids) == 2:
-                node.triple = (r1, labels[0], labels[1])
+                node.triple = (label[root], tails[0], tails[1])
             else:
                 raise InvariantError("tree is not binary")
             return node
-        v = find_balanced_separator(sub)
-        t1, t2 = split_at(sub, v)
-        node = StateTreeNode(r1, S, rho)
-        node.left = gen(t1, depth + 1)
-        node.right = gen(t2, depth + 1)
+        v = find_balanced_separator(tree, root, cut)
+        node.left = gen(root, cut | {v}, depth + 1)
+        node.right = gen(v, cut, depth + 1)
         return node
 
-    return gen(rt, 0)
+    return gen(tree.root, frozenset(), 0)
 
 
 def oracle_height(norm: NormalizedInstance, edges) -> int:

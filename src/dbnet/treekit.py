@@ -1,4 +1,11 @@
-"""Rooted-tree utilities and the balanced tree partitioning primitive."""
+"""The balanced tree partitioning primitive, on parts of a multi-tree.
+
+A part of a tree is given by its root and the set ``cut`` of nodes that are
+leaves in it: it holds every node below the root that lies below no node of
+``cut``.  Splitting the part ``(root, cut)`` at v gives the parts
+``(root, cut | {v})`` and ``(v, cut)``, which share only v and partition the
+part's edges.
+"""
 
 from __future__ import annotations
 
@@ -7,51 +14,15 @@ import math
 from .errors import InvariantError
 
 
-class RootedTree:
-    """Rooted tree over arbitrary hashable node ids, given as a parent map."""
-
-    def __init__(self, parent: dict):
-        self.parent = dict(parent)
-        self.children = {u: [] for u in self.parent}
-        roots = []
-        for u, p in self.parent.items():
-            if p is None:
-                roots.append(u)
-            else:
-                self.children[p].append(u)
-        if len(roots) != 1:
-            raise InvariantError(f"tree must have exactly one root, got {roots}")
-        self.root = roots[0]
-        for u in self.children:
-            self.children[u].sort()
-
-    def __len__(self):
-        return len(self.parent)
-
-    def subtree_sizes(self) -> dict:
-        size = {u: 1 for u in self.parent}
-        for u in self._postorder():
-            for v in self.children[u]:
-                size[u] += size[v]
-        if size[self.root] != len(self.parent):
-            raise InvariantError("tree is not connected")
-        return size
-
-    def subtree_nodes(self, v) -> list:
-        out, stack = [], [v]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(self.children[u])
-        return out
-
-    def _postorder(self):
-        order, stack = [], [self.root]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            stack.extend(self.children[u])
-        return reversed(order)
+def part_nodes(tree, root, cut) -> list:
+    """The nodes of the part ``(root, cut)`` of ``tree``, in preorder."""
+    out, stack = [], [root]
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        if u not in cut:
+            stack.extend(reversed(tree.children[u]))
+    return out
 
 
 def height_budget(n: int) -> int:
@@ -61,36 +32,27 @@ def height_budget(n: int) -> int:
     return math.ceil(math.log(n) / math.log(1.5)) + 2
 
 
-def find_balanced_separator(tree: RootedTree):
-    """Vertex v with n/3 < |subtree(v)| <= 2n/3 + 1 on a binary tree, n >= 3.
+def find_balanced_separator(tree, root, cut=frozenset()):
+    """Node v of the part ``(root, cut)`` of a binary tree, n >= 3 nodes,
+    whose subtree in the part has n/3 < size <= 2n/3 + 1 nodes.
 
-    Constructive descent from the root: while the current vertex is too
-    heavy, move to the child with the largest subtree (smaller id on ties).
-    For the 3-node path the middle vertex is returned so that splitting at
-    it partitions the tree into two edges.
+    Constructive descent from the root: while the current node is too
+    heavy, move to the child with the largest subtree (smaller id on ties,
+    since ``tree.children`` lists ascend).  For the 3-node path the middle
+    node is returned so that splitting at it partitions the part into two
+    edges.
     """
-    n = len(tree)
+    nodes = part_nodes(tree, root, cut)
+    n = len(nodes)
     if n < 3:
         raise InvariantError(f"separator needs n >= 3, got {n}")
-    size = tree.subtree_sizes()
-    if n == 3 and len(tree.children[tree.root]) == 1:
-        return tree.children[tree.root][0]
-    u = tree.root
+    kids = tree.children[root]
+    if n == 3 and len(kids) == 1:
+        return kids[0]
+    size = dict.fromkeys(nodes, 1)
+    for u in reversed(nodes[1:]):
+        size[tree.parent[u]] += size[u]
+    u = root
     while size[u] > 2 * n / 3 + 1:
-        best = None
-        for v in tree.children[u]:  # sorted, so ties pick the smaller id
-            if best is None or size[v] > size[best]:
-                best = v
-        u = best
+        u = max(tree.children[u], key=size.__getitem__)  # first on ties
     return u
-
-
-def split_at(tree: RootedTree, v) -> tuple[RootedTree, RootedTree]:
-    """Partition edges at v: T2 = subtree of v, T1 = rest with v kept as leaf."""
-    if v == tree.root:
-        raise InvariantError("cannot split at the root")
-    sub = set(tree.subtree_nodes(v))
-    t2 = RootedTree({u: (None if u == v else tree.parent[u]) for u in sub})
-    t1 = RootedTree({u: tree.parent[u] for u in tree.parent
-                     if u not in sub or u == v})
-    return t1, t2

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dbnet.generators import gen_dst, gen_gst
-from dbnet.instances import GroupTreeInstance, normalize, preprocess_gst
+from dbnet.instances import (GroupTreeInstance, MultiTree, normalize,
+                             preprocess_gst)
 from dbnet.oracle import exact_dst
 from dbnet.states import oracle_height
 
@@ -39,6 +40,15 @@ def random_binary_tree(rng, n):
         nkids[u] += 1
         nkids[v] = 0
     return parent
+
+
+def multi_tree(parent: dict) -> MultiTree:
+    """The MultiTree of a parent map over ids 0..n-1 whose parents precede
+    their children, labelled by id: add_node in id order keeps the ids."""
+    tree = MultiTree()
+    for v in range(len(parent)):
+        tree.add_node(v, parent[v])
+    return tree
 
 
 def broom(depth):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (FRACTIONAL_SEEDS, broom, random_binary_tree,
+from conftest import (FRACTIONAL_SEEDS, broom, multi_tree, random_binary_tree,
                       set_cover_triangle, small_dst, state_tree_cost)
 from dbnet.cli import verify_dst_report
 from dbnet.dst_round import (Sampler, concentration_stats,
@@ -24,7 +24,7 @@ from dbnet.lpcore import (build_dst_lp, build_gst_lp, check_modified_solution,
 from dbnet.oracle import OPTIMAL, exact_gst
 from dbnet.states import (BASE, build_super_tree, gen_state_tree,
                           stitch_multi_tree, validate_state_tree)
-from dbnet.treekit import RootedTree, find_balanced_separator, height_budget
+from dbnet.treekit import find_balanced_separator, height_budget, part_nodes
 
 TRIALS = 10_000
 
@@ -44,9 +44,9 @@ def test_criterion_01_balanced_separator():
     rng = np.random.default_rng(101)
     for _ in range(1000):
         n = int(rng.integers(3, 257))
-        tree = RootedTree(random_binary_tree(rng, n))
-        v = find_balanced_separator(tree)
-        size = tree.subtree_sizes()[v]
+        tree = multi_tree(random_binary_tree(rng, n))
+        v = find_balanced_separator(tree, 0)
+        size = len(part_nodes(tree, v, frozenset()))
         assert n / 3 < size <= 2 * n / 3 + 1
     _ok(1, "balanced separator bound on 1000 random binary trees")
 
@@ -190,9 +190,9 @@ def test_criterion_09_gst_scaling_invariants(gst_suite):
         sol = solve_lp(build_gst_lp(inst))
         xt = modify_gst_solution(sol.x, inst.n)
         assert check_modified_solution(inst, sol.x, xt) == []
-        scaled = build_scaled(inst, xt)
-        assert check_nonincreasing(inst, scaled.xp) == []
-        assert check_branching_mass(inst, scaled.xp) == []
+        xp = build_scaled(inst, xt)
+        assert check_nonincreasing(inst, xp) == []
+        assert check_branching_mass(inst, xp) == []
     _ok(9, "modification, monotonicity and branching-mass checks all pass")
 
 
@@ -203,10 +203,10 @@ def test_criterion_10_gst_coverage():
     inst, xt = broom(15)
     L, gamma = global_params(inst.n)
     assert gamma >= 1
-    scaled = build_scaled(inst, xt)
+    xp = build_scaled(inst, xt)
     alpha0 = alpha_sequence(L, gamma)[0]
     z = group_mass(inst, xt)[0]
-    rep, node = Rounder(inst, scaled.xp).sample((10,), 0, TRIALS)
+    rep, node = Rounder(inst, xp).sample((10,), 0, TRIALS)
     rate = _hits(rep, node, inst.groups[0]) / TRIALS
     sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / TRIALS)
     assert rate >= alpha0 * z / 2 - 3 * sigma
@@ -222,7 +222,7 @@ def test_criterion_10_gst_coverage():
         assert gamma == 0
         sol = solve_lp(build_gst_lp(inst))
         xt2 = modify_gst_solution(sol.x, inst.n)
-        xp = build_scaled(inst, xt2).xp
+        xp = build_scaled(inst, xt2)
         rep, node = Rounder(inst, xp).sample((11 + i,), 0, TRIALS)
         freq = np.bincount(node, minlength=inst.n) / TRIALS
         sigma = np.sqrt(np.maximum(xp * (1 - xp), 1e-12) / TRIALS)

@@ -439,6 +439,13 @@ def test_exit_codes(tmp_path):
         "DBDST 1\n3 2 2\nroot 0\nvertex 0 1\nvertex 1 0\nvertex 2 0\n"
         "edge 0 1 1\nedge 0 2 1\nterminal 1\nterminal 2\n")
     assert main(["oracle-dst", "--instance", str(infeasible)]) == 2
+    # a root of degree bound 0 above the group
+    bound0 = tmp_path / "bound0.gst"
+    bound0.write_text(TREE3.format(root=0, bound=0, group="group 0 1 2"))
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-gst", "--instance", str(bound0),
+                 "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["status"] == "INFEASIBLE"
     # node cap exceeded
     big = tmp_path / "big.dst"
     big.write_text(serialize_dst(gen_dst(8, 14, 4, d_max=3, seed=0)))
@@ -448,8 +455,8 @@ def test_exit_codes(tmp_path):
 
 PATH3 = ("DBDST 1\n3 {m} {k}\nroot 0\nvertex 0 2\nvertex 1 1\nvertex 2 0\n"
          "edge 0 1 1\n{edges}{terminals}")
-TREE3 = ("DBGST 1\n3 1\nroot {root}\nvertex 0 -1 0 2\nvertex 1 0 1 1\n"
-         "vertex 2 1 1 1\n{group}\n")
+TREE3 = ("DBGST 1\n3 1\nroot {root}\nvertex 0 -1 0 {bound}\n"
+         "vertex 1 0 1 1\nvertex 2 1 1 1\n{group}\n")
 RUN = ["run", "--problem"]
 
 
@@ -463,9 +470,9 @@ RUN = ["run", "--problem"]
     ("twice.dst", PATH3.format(m=2, k=2, edges="edge 1 2 1\n",
                                terminals="terminal 2\nterminal 2\n"),
      RUN + ["dst"], 5, "duplicate terminal ids"),
-    ("root.gst", TREE3.format(root=1, group="group 0 1 2"),
+    ("root.gst", TREE3.format(root=1, bound=2, group="group 0 1 2"),
      RUN + ["gst"], 5, "declared root has a parent"),
-    ("empty.gst", TREE3.format(root=0, group="group 0 0"),
+    ("empty.gst", TREE3.format(root=0, bound=2, group="group 0 0"),
      RUN + ["gst"], 2, "group 0 is empty"),
     (None, None, RUN + ["dst"], 5, "run needs --instance or --gen"),
     (None, None, RUN + ["dst", "--gen", "n"], 5,
@@ -479,12 +486,19 @@ RUN = ["run", "--problem"]
     ("two.dst", PATH3.format(m=3, k=1, edges="edge 0 2 1\nedge 1 2 1\n",
                              terminals="terminal 2\n"),
      ["verify", "--tree", "two.json"], 4, "vertex 2 has two parents"),
-    ("orphan.gst", TREE3.format(root=0, group="group 0 1 2"),
+    ("orphan.gst", TREE3.format(root=0, bound=2, group="group 0 1 2"),
      ["verify", "--tree", "orphan.json"], 4,
      "vertex 2 in union without its parent"),
     # the instance file itself is no JSON report
-    ("plain.gst", TREE3.format(root=0, group="group 0 1 2"),
+    ("plain.gst", TREE3.format(root=0, bound=2, group="group 0 1 2"),
      ["verify", "--tree", "plain.gst"], 5, "bad report JSON"),
+    ("root.dst", PATH3.format(m=1, k=1, edges="", terminals="terminal 0\n"),
+     RUN + ["dst"], 5, "root must not be a terminal"),
+    # the root may have no child, yet the group lies below it
+    ("bound0.gst", TREE3.format(root=0, bound=0, group="group 0 1 2"),
+     RUN + ["gst"], 2, "GST LP is infeasible"),
+    ("bound0.gst", TREE3.format(root=0, bound=0, group="group 0 1 2"),
+     ["solve-gst"], 2, "GST LP is infeasible"),
 ])
 def test_error_path_exit_code_and_message(tmp_path, monkeypatch, capsys, name,
                                           text, argv, code, says):
@@ -621,6 +635,85 @@ def test_verify_derived_field_of_the_wrong_type(real_reports, capsys,
     out.write_text(json.dumps({**doc, name: value}))
     assert main(["verify", "--tree", str(out), "--instance", instance]) == 5
     assert f"report field {name!r} must be {what}" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def run_reports(tmp_path_factory):
+    """A ``run`` report, with its oracle block, of each problem and its
+    instance file."""
+    where = tmp_path_factory.mktemp("run-reports")
+    out = {}
+    for problem, text, argv in (
+            ("dst", serialize_dst(gen_dst(6, 8, 3, seed=1)), ["--height", "3"]),
+            ("gst", serialize_gst(gen_gst(20, 2, seed=1)), [])):
+        path = where / f"a.{problem}"
+        path.write_text(text)
+        rep = where / f"{problem}.json"
+        assert main(RUN + [problem, "--instance", str(path), "--out", str(rep)]
+                    + argv) == 0
+        out[problem] = (str(path), json.loads(rep.read_text()))
+    return where, out
+
+
+# one field of a run report changed, from the report and its instance:
+# (field, value, exit code, message)
+ORACLE_TAMPERS = {
+    "gst-modified_cost": lambda d, inst: (
+        "modified_cost", 10 * d["lp_cost"] + 5, 4,
+        f"modified cost {10 * d['lp_cost'] + 5} exceeds 2 * LP cost "
+        f"{d['lp_cost']}"),
+    "gst-lp_cost": lambda d, inst: (
+        "lp_cost", d["oracle"]["cost"] + 1, 4,
+        f"LP cost {d['oracle']['cost'] + 1} exceeds oracle "
+        f"{d['oracle']['cost']}"),
+    "gst-oracle.cost": lambda d, inst: (
+        "oracle", {**d["oracle"], "cost": 1}, 4,
+        f"oracle cost mismatch: {d['oracle']['cost']} vs 1"),
+    "gst-oracle.vertices": lambda d, inst: (
+        "oracle", {**d["oracle"], "vertices": [0]}, 4,
+        f"oracle cost mismatch: {inst.cost[0]} vs {d['oracle']['cost']}"),
+    "gst-oracle.vertices-range": lambda d, inst: (
+        "oracle", {**d["oracle"], "vertices": [99]}, 4,
+        "oracle vertex 99 out of range"),
+    "dst-oracle.cost": lambda d, inst: (
+        "oracle", {**d["oracle"], "cost": d["oracle"]["cost"] + 1}, 4,
+        f"oracle cost mismatch: {d['oracle']['cost']} vs "
+        f"{d['oracle']['cost'] + 1}"),
+    "dst-oracle.edges": lambda d, inst: (
+        "oracle", {**d["oracle"], "edges": [[5, 0]]}, 4,
+        "oracle edge (5, 0) not in the instance"),
+    "gst-oracle": lambda d, inst: (
+        "oracle", [], 5, "report field 'oracle' must be an object"),
+    "gst-oracle.status": lambda d, inst: (
+        "oracle", {**d["oracle"], "status": "DONE"}, 5,
+        "report field 'oracle.status' must be OPTIMAL or INFEASIBLE"),
+    "gst-oracle.cost-type": lambda d, inst: (
+        "oracle", {**d["oracle"], "cost": "9"}, 5,
+        "report field 'oracle.cost' must be an integer"),
+    "gst-oracle.vertices-type": lambda d, inst: (
+        "oracle", {**d["oracle"], "vertices": [True]}, 5,
+        "report field 'oracle.vertices' must be a list of vertex ids"),
+    "dst-oracle.edges-type": lambda d, inst: (
+        "oracle", {**d["oracle"], "edges": [[0]]}, 5,
+        "report field 'oracle.edges' must be a list of [u, v] vertex pairs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_TAMPERS))
+def test_verify_checks_p6_and_the_oracle(run_reports, capsys, case):
+    where, reports = run_reports
+    problem = case.split("-")[0]
+    instance, doc = reports[problem]
+    out = where / "tampered.json"
+    verify = ["verify", "--tree", str(out), "--instance", instance]
+    out.write_text(json.dumps(doc))
+    assert doc["oracle"]["status"] == "OPTIMAL" and main(verify) == 0
+    name, value, code, says = ORACLE_TAMPERS[case](
+        doc, cli.PROBLEMS[problem].load(instance))
+    out.write_text(json.dumps({**doc, name: value}))
+    capsys.readouterr()
+    assert main(verify) == code
+    assert says in capsys.readouterr().err
 
 
 # a synthetic leaf below vertex 0 lifts its bound to 2^63, beyond int64

@@ -309,8 +309,8 @@ def test_branching_mass_scan(gst_suite):
     for inst in gst_suite[:6]:
         sol = solve_lp(build_gst_lp(inst))
         xt = modify_gst_solution(sol.x, inst.n)
-        scaled = build_scaled(inst, xt)
-        assert check_branching_mass(inst, scaled.xp) == []
+        xp = build_scaled(inst, xt)
+        assert check_branching_mass(inst, xp) == []
 
 
 def reference_preprocess_gst(inst):

@@ -90,7 +90,7 @@ def _dst_case(seed, h):
 def _gst_case():
     inst = preprocess_gst(gen_gst(60, 4, depth=5, d_max=3, seed=3))
     sol = solve_lp(build_gst_lp(inst))
-    return inst, build_scaled(inst, modify_gst_solution(sol.x, inst.n)).xp
+    return inst, build_scaled(inst, modify_gst_solution(sol.x, inst.n))
 
 
 @pytest.mark.parametrize("seed,h", [(0, 3), (1, 3), (4, 4), (6, 4)])
@@ -124,7 +124,7 @@ def test_gst_engine_matches_reference():
 
 def test_broom_engine_matches_reference():
     inst, xt = broom(10)
-    xp = build_scaled(inst, xt).xp
+    xp = build_scaled(inst, xt)
     key = (10, 1 << 32)
     got = engine_sets(Rounder(inst, xp), key, REPS)
     assert got == [gst_reference(inst, xp, key, i) for i in range(REPS)]
@@ -320,7 +320,7 @@ def test_integral_lp_samplers_make_no_draws(monkeypatch):
     inst = preprocess_gst(gen_gst(40, 3, depth=4, d_max=3, seed=0))
     sol = solve_lp(build_gst_lp(inst))
     rounder = Rounder(inst, build_scaled(
-        inst, modify_gst_solution(sol.x, inst.n)).xp)
+        inst, modify_gst_solution(sol.x, inst.n)))
     count = _count_draws(monkeypatch)
     for start, stop in rounding.blocks(3000):
         sampler.sample((1,), start, stop)

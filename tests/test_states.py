@@ -55,6 +55,9 @@ def test_degree_vector_examples():
     assert degree_vectors_consistent({0: 2}, {0: 2, 5: 1}, {5: 1}, 5)
     assert not degree_vectors_consistent({0: 2}, {0: 2, 5: 1}, {5: 2}, 5)
     assert not degree_vectors_consistent({0: 2}, {0: 1, 5: 1}, {5: 1}, 5)
+    # the right child's portal 7 disagrees with the parent
+    assert not degree_vectors_consistent({0: 2, 7: 1}, {0: 2, 5: 1},
+                                         {5: 1, 7: 2}, 5)
 
 
 def test_edge_triple_agreement():
@@ -63,6 +66,9 @@ def test_edge_triple_agreement():
     assert not edge_agrees(norm, (0, 1), {0}, {0: 2})
     assert triple_agrees(norm, (0, 1, 2), {0}, {0: 2})
     assert not triple_agrees(norm, (0, 1, 2), {0}, {0: 1})
+    # the terminals 1 and 2 are no portals
+    with pytest.raises(InvariantError, match="portals do not match"):
+        triple_agrees(norm, (0, 1, 2), {0, 1}, {0: 2, 1: 1})
 
 
 def test_edge_agreement_gadget_identity():

@@ -1,87 +1,85 @@
 import numpy as np
 import pytest
 
-from conftest import random_binary_tree
+from conftest import multi_tree, random_binary_tree
 from dbnet.errors import InvariantError
-from dbnet.treekit import (RootedTree, find_balanced_separator, height_budget,
-                           split_at)
+from dbnet.treekit import find_balanced_separator, height_budget, part_nodes
+
+
+def _edges(tree, root, cut):
+    return {(tree.parent[u], u) for u in part_nodes(tree, root, cut)[1:]}
 
 
 def test_path_of_three():
-    t = RootedTree({"a": None, "b": "a", "c": "b"})
-    assert find_balanced_separator(t) == "b"
+    t = multi_tree({0: None, 1: 0, 2: 1})
+    assert find_balanced_separator(t, 0) == 1
 
 
 def test_complete_binary_seven():
-    parent = {0: None, 1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 2}
-    v = find_balanced_separator(RootedTree(parent))
-    assert v in (1, 2)
+    t = multi_tree({0: None, 1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 2})
+    assert find_balanced_separator(t, 0) in (1, 2)
 
 
 def test_too_small_rejected():
     with pytest.raises(InvariantError):
-        find_balanced_separator(RootedTree({0: None, 1: 0}))
+        find_balanced_separator(multi_tree({0: None, 1: 0}), 0)
 
 
 def test_separator_bound_random():
     rng = np.random.default_rng(5)
     for _ in range(200):
         n = int(rng.integers(4, 65))
-        t = RootedTree(random_binary_tree(rng, n))
-        v = find_balanced_separator(t)
-        size = len(t.subtree_nodes(v))
+        t = multi_tree(random_binary_tree(rng, n))
+        v = find_balanced_separator(t, 0)
+        size = len(part_nodes(t, v, frozenset()))
         assert n / 3 < size <= 2 * n / 3 + 1
         # exhaustive scan: some vertex satisfies the bound, and ours does
-        assert any(n / 3 < len(t.subtree_nodes(u)) <= 2 * n / 3 + 1
-                   for u in t.parent)
+        assert any(n / 3 < len(part_nodes(t, u, frozenset())) <= 2 * n / 3 + 1
+                   for u in range(n))
 
 
 def test_split_path():
-    t = RootedTree({"a": None, "b": "a", "c": "b"})
-    t1, t2 = split_at(t, "b")
-    assert set(t1.parent) == {"a", "b"} and set(t2.parent) == {"b", "c"}
+    t = multi_tree({0: None, 1: 0, 2: 1})
+    assert part_nodes(t, 0, {1}) == [0, 1]
+    assert part_nodes(t, 1, frozenset()) == [1, 2]
 
 
 def test_split_partitions_edges():
     rng = np.random.default_rng(11)
     for _ in range(100):
         n = int(rng.integers(4, 40))
-        t = RootedTree(random_binary_tree(rng, n))
-        v = find_balanced_separator(t)
-        t1, t2 = split_at(t, v)
-        e1 = {(t1.parent[u], u) for u in t1.parent if t1.parent[u] is not None}
-        e2 = {(t2.parent[u], u) for u in t2.parent if t2.parent[u] is not None}
-        e = {(t.parent[u], u) for u in t.parent if t.parent[u] is not None}
-        assert e1 | e2 == e and not (e1 & e2)
-        assert set(t1.parent) & set(t2.parent) == {v}
-        assert len(t1.parent) <= 2 * n / 3 + 1
-        assert len(t2.parent) <= 2 * n / 3 + 1
-
-
-def test_split_at_root_rejected():
-    t = RootedTree({0: None, 1: 0, 2: 1})
-    with pytest.raises(InvariantError):
-        split_at(t, 0)
+        t = multi_tree(random_binary_tree(rng, n))
+        # split the whole tree, then its upper part once more
+        for root, cut in ((0, frozenset()),
+                          (0, frozenset({find_balanced_separator(t, 0)}))):
+            m = len(part_nodes(t, root, cut))
+            if m < 3:
+                continue
+            v = find_balanced_separator(t, root, cut)
+            p1, p2 = (root, cut | {v}), (v, cut)
+            e1, e2 = _edges(t, *p1), _edges(t, *p2)
+            assert e1 | e2 == _edges(t, root, cut) and not (e1 & e2)
+            assert set(part_nodes(t, *p1)) & set(part_nodes(t, *p2)) == {v}
+            assert len(part_nodes(t, *p1)) <= 2 * m / 3 + 1
+            assert len(part_nodes(t, *p2)) <= 2 * m / 3 + 1
 
 
 def test_recursion_depth_budget():
     rng = np.random.default_rng(3)
 
-    def depth(t):
-        n = len(t)
+    def depth(t, root, cut):
+        n = len(part_nodes(t, root, cut))
         if n <= 2:
             return 0
-        root_kids = t.children[t.root]
-        if n == 3 and len(root_kids) == 2:
+        if n == 3 and len(t.children[root]) == 2:
             return 0
-        v = find_balanced_separator(t)
-        t1, t2 = split_at(t, v)
-        return 1 + max(depth(t1), depth(t2))
+        v = find_balanced_separator(t, root, cut)
+        return 1 + max(depth(t, root, cut | {v}), depth(t, v, cut))
 
     for _ in range(100):
         n = int(rng.integers(3, 120))
-        t = RootedTree(random_binary_tree(rng, n))
-        assert depth(t) <= height_budget(n)
+        t = multi_tree(random_binary_tree(rng, n))
+        assert depth(t, 0, frozenset()) <= height_budget(n)
 
 
 def test_height_budget_values():
