@@ -324,23 +324,21 @@ def _run_fields(doc: dict, count: str) -> list[str]:
     return bad
 
 
-def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
-    """Failure messages of a DB-DST report against its instance; a
-    malformed report raises FormatError."""
+def _arborescence(inst: DirectedInstance, edges: list[tuple],
+                  prefix: str) -> tuple[list[str], set[int]]:
+    """Failure messages, each starting with ``prefix``, of ``edges`` as an
+    out-arborescence of ``inst`` from its root: an edge not in the instance
+    or entering the root, a vertex with two parents, an edge unreachable
+    from the root; and the vertices reached from the root."""
     bad = []
-    pairs = "a list of [u, v] vertex pairs"
-    edges = [tuple(e) for e in _report_field(doc, "tree_edges", [],
-                                             _is_pairs, pairs)]
-    got = _ratios(doc)
-    cost = inst.cost
     parent = {}
     for (u, v) in edges:
-        if (u, v) not in cost:
-            bad.append(f"edge ({u}, {v}) not in the instance")
+        if (u, v) not in inst.cost:
+            bad.append(f"{prefix}edge ({u}, {v}) not in the instance")
         if v == inst.root:
-            bad.append(f"edge ({u}, {v}) enters the root")
+            bad.append(f"{prefix}edge ({u}, {v}) enters the root")
         if v in parent:
-            bad.append(f"vertex {v} has two parents")
+            bad.append(f"{prefix}vertex {v} has two parents")
         parent[v] = u
     reach = {inst.root}
     frontier = [inst.root]
@@ -354,7 +352,19 @@ def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
                 reach.add(v)
                 frontier.append(v)
     if any(v not in reach for (_, v) in edges):
-        bad.append("tree has edges unreachable from the root")
+        bad.append(f"{prefix}tree has edges unreachable from the root")
+    return bad, reach
+
+
+def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
+    """Failure messages of a DB-DST report against its instance; a
+    malformed report raises FormatError."""
+    pairs = "a list of [u, v] vertex pairs"
+    edges = [tuple(e) for e in _report_field(doc, "tree_edges", [],
+                                             _is_pairs, pairs)]
+    got = _ratios(doc)
+    cost = inst.cost
+    bad, reach = _arborescence(inst, edges, "")
     covered = sorted(set(inst.terminals) & reach)
     if covered != doc.get("covered"):
         bad.append(f"covered set mismatch: {covered} vs {doc.get('covered')}")
@@ -389,33 +399,53 @@ def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
         bad.append("degree violation ratios mismatch")
     oracle_cost, oracle_edges = _oracle(doc, "edges", _is_pairs, pairs)
     if oracle_cost is not None:
+        # a feasible tree: an arborescence that reaches every terminal
+        # within the out-degree bounds that exact_dst keeps
         oracle_edges = [tuple(e) for e in oracle_edges]
-        bad += [f"oracle edge {e} not in the instance"
-                for e in oracle_edges if e not in cost]
+        faults, reach = _arborescence(inst, oracle_edges, "oracle ")
+        bad += faults
+        bad += [f"oracle tree misses terminal {t}"
+                for t in sorted(inst.terminals) if t not in reach]
+        outdeg = Counter(u for u, _ in oracle_edges)
+        bad += [f"oracle vertex {u} has out-degree {d} above its bound "
+                f"{inst.degree_bound[u]}" for u, d in sorted(outdeg.items())
+                if d > inst.degree_bound.get(u, d)]
         bad += _mismatch("oracle cost",
                          sum(cost.get(e, 0) for e in oracle_edges),
                          oracle_cost)
     return bad
 
 
+def _subtree(inst: GroupTreeInstance, vertices: list[int], prefix: str,
+             name: str) -> tuple[list[str], set[int], list[bool]]:
+    """Failure messages of ``vertices``, named ``prefix + name``, as a
+    subtree of ``inst`` that holds its root: a vertex out of range or
+    without its parent, the root missing; the vertices in range; and
+    whether they hit each group."""
+    bad = []
+    vertices = set(vertices)
+    for v in sorted(vertices):
+        if not (0 <= v < inst.n):
+            bad.append(f"{prefix}vertex {v} out of range")
+        elif inst.parent[v] != -1 and inst.parent[v] not in vertices:
+            bad.append(f"{prefix}vertex {v} in {name} without its parent")
+    vertices = {v for v in vertices if 0 <= v < inst.n}
+    if inst.root not in vertices:
+        bad.append(f"root missing from the {prefix}{name}")
+    hit = np.isin(inst.member, list(vertices))
+    return bad, vertices, (np.bincount(inst.group[hit],
+                                       minlength=len(inst.groups))
+                           > 0).tolist()
+
+
 def verify_gst_report(inst: GroupTreeInstance, doc: dict) -> list[str]:
     """Failure messages of a DB-GST-T report against its instance; a
     malformed report raises FormatError."""
-    bad = []
     ids = "a list of vertex ids"
-    union = set(_report_field(doc, "union_vertices", [], _is_ids, ids))
     got = _ratios(doc)
-    for v in sorted(union):
-        if not (0 <= v < inst.n):
-            bad.append(f"vertex {v} out of range")
-        elif inst.parent[v] != -1 and inst.parent[v] not in union:
-            bad.append(f"vertex {v} in union without its parent")
-    union = {v for v in union if 0 <= v < inst.n}
-    if inst.root not in union:
-        bad.append("root missing from the union")
-    hit = np.isin(inst.member, list(union))
-    coverage = (np.bincount(inst.group[hit], minlength=len(inst.groups))
-                > 0).tolist()
+    bad, union, coverage = _subtree(
+        inst, _report_field(doc, "union_vertices", [], _is_ids, ids), "",
+        "union")
     claimed = doc.get("coverage")
     # JSON 1 equals true in Python
     if claimed != coverage or not all(isinstance(f, bool) for f in claimed):
@@ -445,8 +475,18 @@ def verify_gst_report(inst: GroupTreeInstance, doc: dict) -> list[str]:
         bad.append(f"modified cost {modified} exceeds 2 * LP cost {lp_cost}")
     oracle_cost, oracle_vertices = _oracle(doc, "vertices", _is_ids, ids)
     if oracle_cost is not None:
-        bad += [f"oracle vertex {v} out of range"
-                for v in oracle_vertices if not 0 <= v < inst.n]
+        # a feasible tree: a subtree that hits every group with at most as
+        # many children per vertex as exact_gst lets it choose
+        faults, tree, hits = _subtree(inst, oracle_vertices, "oracle ",
+                                      "tree")
+        bad += faults
+        bad += [f"oracle tree misses group {t}"
+                for t, hit in enumerate(hits) if not hit]
+        kids = Counter(inst.parent[v].item() for v in tree if v != inst.root)
+        bad += [f"oracle vertex {u} has {c} children above its bound "
+                f"{inst.degree_bound[u]}"
+                for u, c in sorted(kids.items())
+                if c > inst.degree_bound[u]]
         bad += _mismatch("oracle cost", sum(
             inst.cost[v] for v in oracle_vertices if 0 <= v < inst.n),
             oracle_cost)

@@ -96,9 +96,11 @@ class Block:
 class LPModel:
     """The full LP.  ``implied`` masks the ``<=`` rows that the other rows
     and the bounds imply; ``solve_lp`` leaves them out of the solve and
-    checks them afterwards.  ``tie[c] = p`` declares that the rows force
-    ``x_c = x_p``, -1 where they force nothing; the ties form a forest,
-    and ``solve_lp`` gives each of its trees one column."""
+    checks them afterwards.  ``tie[c] = p`` declares ``x_c = x_p``, -1
+    where nothing is declared: either the rows force it (DST) or it holds
+    in some optimum, so that restricting the LP to it keeps its value
+    (GST).  The ties form a forest, and ``solve_lp`` gives each of its
+    trees one column."""
 
     nvar: int
     obj: np.ndarray
@@ -483,12 +485,22 @@ def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
     # every tree holds the root; only with a group do the rows force it
     lo = np.zeros(inst.n)
     lo[inst.root] = 1
+    # a p with one child c and no group can be lowered to x_c in any
+    # optimum: its cost is >= 0, its rows still hold and a lower x_p only
+    # loosens its parent's rows; not the root, whose lower bound is 1
+    par = inst.parent[inst.child]
+    tied = ((np.diff(inst.child_ptr)[par] == 1) & (par != inst.root)
+            & (np.bincount(inst.member, minlength=inst.n)[par] == 0))
+    tie = np.full(inst.n, -1)
+    tie[inst.child[tied]] = par[tied]
+    capacity, implied = _capacity_rows(inst.parent, inst.member, inst.group,
+                                       descending=False)
     return LPModel(inst.n, np.array(inst.cost, dtype=float), lo=lo,
                    eq_block=cover,
-                   ub_block=Block.stack(
-                       degree_rows,
-                       _capacity_rows(inst.parent, inst.member, inst.group,
-                                      descending=False)[0]))
+                   ub_block=Block.stack(degree_rows, capacity),
+                   implied=np.concatenate([np.zeros(len(degree_rows),
+                                                    dtype=bool), implied]),
+                   tie=tie)
 
 
 def modify_gst_solution(x: np.ndarray, n: int) -> np.ndarray:

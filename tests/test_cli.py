@@ -699,6 +699,46 @@ ORACLE_TAMPERS = {
 }
 
 
+def oracle_tree(d, inst, items, change):
+    """The report's oracle block with its edges or vertices ``items``
+    changed by ``change`` and its cost made theirs, so that only the tree
+    rule can fail."""
+    got = change(d["oracle"][items])
+    cost = (sum(inst.cost.get(tuple(e), 0) for e in got) if items == "edges"
+            else sum(inst.cost[v] for v in got if 0 <= v < inst.n))
+    return "oracle", {**d["oracle"], items: got, "cost": cost}
+
+
+# the oracle's own tree made infeasible, one rule at a time, on the trees
+# of the run_reports instances: DB-DST edges (0, 1), (0, 4), (1, 3), (4, 5)
+# with terminals 3, 4, 5 and vertex 1's bound 2; DB-GST-T vertices 0, 2, 10,
+# 12, 18, where 12 alone hits group 1 and 10's bound is 2
+ORACLE_TREE_TAMPERS = {
+    "dst-enters-root": ("edges", lambda es: es + [[1, 0]],
+                        "oracle edge (1, 0) enters the root"),
+    "dst-two-parents": ("edges", lambda es: es + [[1, 2], [2, 3]],
+                        "oracle vertex 3 has two parents"),
+    "dst-unreachable": ("edges", lambda es: [[3, 1]] + es[1:],
+                        "oracle tree has edges unreachable from the root"),
+    "dst-terminal": ("edges", lambda es: es[:-1],
+                     "oracle tree misses terminal 5"),
+    "dst-out-degree": ("edges", lambda es: es[:-1] + [[1, 2], [1, 5]],
+                       "oracle vertex 1 has out-degree 3 above its bound 2"),
+    "gst-parent": ("vertices", lambda vs: [0, 2, 12, 18],
+                   "oracle vertex 12 in tree without its parent"),
+    "gst-root": ("vertices", lambda vs: vs[1:],
+                 "root missing from the oracle tree"),
+    "gst-group": ("vertices", lambda vs: [0, 2, 10, 18],
+                  "oracle tree misses group 1"),
+    "gst-children": ("vertices", lambda vs: vs + [19],
+                     "oracle vertex 10 has 3 children above its bound 2"),
+}
+ORACLE_TAMPERS.update({
+    f"{case}-tree": lambda d, inst, items=items, change=change, says=says: (
+        *oracle_tree(d, inst, items, change), 4, says)
+    for case, (items, change, says) in ORACLE_TREE_TAMPERS.items()})
+
+
 @pytest.mark.parametrize("case", sorted(ORACLE_TAMPERS))
 def test_verify_checks_p6_and_the_oracle(run_reports, capsys, case):
     where, reports = run_reports

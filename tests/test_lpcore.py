@@ -698,8 +698,10 @@ def test_reduced_gst_lp_is_exact(n, k, depth, d_max, seed):
 def reference_reduce(model):
     """``_reduce`` with its columns found from the rows, as first written:
     the two variables of each row ``x_a - x_b = 0`` share one column, and
-    the columns are scipy's connected components of those rows.  Of the
-    rows equal after that, a dict over scipy's rows keeps the first."""
+    the columns are scipy's connected components of those rows.  A model
+    with no such row takes the ties it declares instead: the GST ties hold
+    in some optimum, not by a row.  Of the rows equal after that, a dict
+    over scipy's rows keeps the first."""
     eq = model.eq_block
     count = np.bincount(eq.row, minlength=len(eq))
     two = np.flatnonzero(count == 2)
@@ -707,8 +709,11 @@ def reference_reduce(model):
     a, b = eq.col[at], eq.col[at + 1]
     va, vb = eq.val[at], eq.val[at + 1]
     tie = (a != b) & (va != 0) & (va == -vb) & (eq.rhs[two] == 0)
-    graph = scipy.sparse.coo_matrix((np.ones(int(tie.sum())),
-                                     (a[tie], b[tie])),
+    a, b = a[tie], b[tie]
+    if not len(a):
+        a = np.flatnonzero(model.tie >= 0)
+        b = model.tie[a]
+    graph = scipy.sparse.coo_matrix((np.ones(len(a)), (a, b)),
                                     shape=(model.nvar, model.nvar))
     column = scipy.sparse.csgraph.connected_components(graph,
                                                        directed=False)[1]
@@ -790,11 +795,65 @@ def test_declared_ties_are_the_tie_rows(shape, d_max, h, seed):
     assert same_reduction(model)
 
 
-def test_gst_models_declare_no_tie(gst_suite):
+def test_gst_ties_are_the_unary_vertices(gst_suite):
+    # tie[c] = p exactly where p is a non-root vertex whose only child is c
     for inst in gst_suite:
         model = build_gst_lp(inst)
-        assert (model.tie == -1).all()
+        want = np.full(inst.n, -1)
+        for p in range(inst.n):
+            if p != inst.root and len(inst.children[p]) == 1:
+                want[inst.children[p][0]] = p
+        assert np.array_equal(model.tie, want)
+        assert (model.tie >= 0).any()
         assert same_reduction(model)
+
+
+def test_gst_member_with_one_child_is_not_tied():
+    # before preprocess_gst a member may be internal: lowering it to its
+    # child would empty its group, so 1 keeps its own column
+    inst = GroupTreeInstance(3, [-1, 0, 1], [0, 1, 5], [frozenset({1})],
+                             [1, 1, 1])
+    model = build_gst_lp(inst)
+    assert model.tie.tolist() == [-1, -1, -1]
+    assert solve_lp(model).objective == pytest.approx(1.0)
+
+
+@hs.composite
+def unary_gst(draw):
+    """Small preprocessed group trees with unary chains and often a unary
+    root, costs that are often 0, degree bounds 0-3 and 0-3 groups of any
+    vertices."""
+    n = draw(hs.integers(2, 12))
+    parent = [-1, 0]
+    for v in range(2, n):
+        # v extends the chain of v - 1, or hangs below an earlier vertex;
+        # a true draw keeps it off the root, so the root is often unary
+        low = 1 if draw(hs.booleans()) else 0
+        parent.append(draw(hs.one_of(hs.just(v - 1),
+                                     hs.integers(low, v - 1))))
+    vertex = hs.integers(0, n - 1)
+    groups = draw(hs.lists(hs.frozensets(vertex, min_size=1, max_size=3),
+                           max_size=3))
+    return preprocess_gst(GroupTreeInstance(
+        n, parent, draw(hs.lists(hs.sampled_from([0, 0, 1, 2, 5]),
+                                 min_size=n, max_size=n)),
+        groups, draw(hs.lists(hs.integers(0, 3), min_size=n, max_size=n))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(unary_gst())
+def test_gst_ties_and_implied_rows_keep_the_lp(inst):
+    # the model HiGHS sees with the ties and without the implied rows has
+    # the status and value of the full model
+    model = build_gst_lp(inst)
+    got = solve_lp(model)
+    model.tie[:] = -1
+    model.implied[:] = False
+    want = solve_lp(model)
+    assert got.status == want.status
+    if want.status == OPTIMAL:
+        assert got.objective == pytest.approx(want.objective, rel=1e-9,
+                                              abs=1e-12)
 
 
 @pytest.mark.parametrize("change", ["extra", "missing"])
