@@ -323,17 +323,15 @@ def _run_highs(solver, obj, a, row_lo, row_hi, lo, hi):
     column-wise matrix.  Returns the model status and x (None unless
     optimal)."""
     start, index, value, (nrow, ncol) = a
-    lp = highs.HighsLp()
-    lp.num_col_, lp.num_row_ = ncol, nrow
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = obj, lo, hi
-    lp.row_lower_, lp.row_upper_ = row_lo, row_hi
-    m = lp.a_matrix_
-    m.format_ = highs.MatrixFormat.kColwise
-    m.num_col_, m.num_row_ = ncol, nrow
-    m.start_, m.index_, m.value_ = start, index, value
-    for option, value in HIGHS_OPTIONS:
-        solver.setOptionValue(option, value)
-    if solver.passModel(lp) == highs.HighsStatus.kError:
+    for option, setting in HIGHS_OPTIONS:
+        solver.setOptionValue(option, setting)
+    # the array overload takes a tenth of the time of filling a HighsLp
+    # field by field; its integrality needs one entry per column, since an
+    # empty array is an error
+    if solver.passModel(ncol, nrow, len(value), highs.MatrixFormat.kColwise,
+                        highs.ObjSense.kMinimize, 0.0, obj, lo, hi, row_lo,
+                        row_hi, start, index, value,
+                        np.zeros(ncol, np.int32)) == highs.HighsStatus.kError:
         return highs.HighsModelStatus.kModelError, None
     solver.run()
     status = solver.getModelStatus()
@@ -361,7 +359,8 @@ def solve_lp(model: LPModel) -> LPSolution:
         return LPSolution(INFEASIBLE, None, None)
     if x is None:
         raise SolverError(f"LP solver failed: HiGHS status {status.name}")
-    x = np.clip(x[column], model.lo, model.hi)
+    # np.clip may keep a -0.0 that HiGHS returns; + 0.0 makes it 0.0
+    x = np.clip(x[column], model.lo, model.hi) + 0.0
     worst = model.max_violation(x)
     if not worst <= EPS_FEAS:
         raise SolverError(f"solution violates constraints by {worst:.3e}")
@@ -471,17 +470,22 @@ def build_dst_lp(st: SuperTree) -> LPModel:
 
 
 def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
+    """LP over the tree's vertices: per-child and child-sum degree rows,
+    per-group capacity and cover rows.  Four families of ``<=`` rows are
+    flagged as implied by other rows that stay and ``x >= 0``; the chains of
+    implications below end at rows that stay, so all of them can go at
+    once."""
     empty = np.flatnonzero(np.bincount(inst.group,
                                        minlength=len(inst.groups)) == 0)
     if len(empty):
         raise InfeasibleError(f"group {empty[0]} is empty")
     cover = _cover_rows(inst.member, inst.group, len(inst.groups))
-    inner = np.diff(inst.child_ptr) > 0
+    nk = np.diff(inst.child_ptr)
+    inner = nk > 0
     # a bound above n binds nothing, and HiGHS rejects a coefficient near
     # 2^63, so the degree row reads at most n
-    degree_rows = _tree_rows(inst.child_ptr, inst.child, inner, inner,
-                             np.minimum(np.array(inst.degree_bound,
-                                                 dtype=float), inst.n))
+    coef = np.minimum(np.array(inst.degree_bound, dtype=float), inst.n)
+    degree_rows = _tree_rows(inst.child_ptr, inst.child, inner, inner, coef)
     # every tree holds the root; only with a group do the rows force it
     lo = np.zeros(inst.n)
     lo[inst.root] = 1
@@ -489,17 +493,44 @@ def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
     # optimum: its cost is >= 0, its rows still hold and a lower x_p only
     # loosens its parent's rows; not the root, whose lower bound is 1
     par = inst.parent[inst.child]
-    tied = ((np.diff(inst.child_ptr)[par] == 1) & (par != inst.root)
+    tied = ((nk[par] == 1) & (par != inst.root)
             & (np.bincount(inst.member, minlength=inst.n)[par] == 0))
     tie = np.full(inst.n, -1)
     tie[inst.child[tied]] = par[tied]
-    capacity, implied = _capacity_rows(inst.parent, inst.member, inst.group,
-                                       descending=False)
+    # the single-child rule: row (p, t) when its members all come through
+    # one child c of p, implied by row (c, t) and x_c <= x_p
+    capacity, single = _capacity_rows(inst.parent, inst.member, inst.group,
+                                      descending=False)
+    # each inner p has its rows x_c - x_p, child by child, then its
+    # child-sum row
+    shift = np.cumsum(inner) - inner
+    degree_implied = np.zeros(len(degree_rows), dtype=bool)
+    # A: the child-sum row of p when coef(p) >= nk(p), since the per-child
+    # rows give sum_c x_c <= nk(p) x_p <= coef(p) x_p
+    at = np.flatnonzero(inner & (coef >= nk))
+    degree_implied[inst.child_ptr[at + 1] + shift[at]] = True
+    head = capacity.col[capacity.val < 0]
+    entry = capacity.val > 0
+    row, o = capacity.row[entry], capacity.col[entry]
+    # B: x_c <= x_p for a leaf c of group t when the single-child rule
+    # leaves row (p, t) of its parent p, since x_c <= S(p, t) <= x_p, S(p, t)
+    # the sum of x_o over the members o of t below p
+    c = o[(inst.parent[o] == head[row]) & ~inner[o] & ~single[row]]
+    position = np.empty(inst.n, dtype=np.int64)
+    position[inst.child] = np.arange(len(inst.child))
+    degree_implied[position[c] + shift[inst.parent[c]]] = True
+    # C: row (p, t) when coef(p) <= 1, nk(p) >= 2 and p is not in t, since
+    # S(p, t) = sum_c S(c, t) <= sum_c x_c <= coef(p) x_p <= x_p by the rows
+    # (c, t) of its children and its child-sum row, which A leaves (coef(p)
+    # < nk(p)).  Not for the DST LP: there this is the sum rule, which
+    # changes the vertex HiGHS returns
+    own = np.zeros(len(capacity), dtype=bool)
+    own[row[o == head[row]]] = True
+    implied = single | ((coef[head] <= 1) & (nk[head] >= 2) & ~own)
     return LPModel(inst.n, np.array(inst.cost, dtype=float), lo=lo,
                    eq_block=cover,
                    ub_block=Block.stack(degree_rows, capacity),
-                   implied=np.concatenate([np.zeros(len(degree_rows),
-                                                    dtype=bool), implied]),
+                   implied=np.concatenate([degree_implied, implied]),
                    tie=tie)
 
 

@@ -226,6 +226,31 @@ def test_solve_rejects_a_perturbed_answer(monkeypatch, make):
         solve_lp(model)
 
 
+def below_zero():
+    """min x_0 + x_1 over x_0 >= 0, x_1 >= 1/2 and -1 <= x <= 1."""
+    return LPModel(2, np.array([1.0, 1.0]),
+                   ub_block=from_rows([([0], [-1.0], 0.0),
+                                       ([1], [-1.0], -0.5)]),
+                   lo=np.full(2, -1.0))
+
+
+@pytest.mark.parametrize("make", [lambda: gst_case(0), below_zero],
+                         ids=["gst", "below-zero"])
+def test_solution_holds_no_negative_zero(monkeypatch, make):
+    # HiGHS may return -0.0, and np.clip keeps it inside bounds below 0; a
+    # byte comparison of two solutions must not see a sign no value has
+    run_highs = lpcore._run_highs
+
+    def signed(*lp):
+        status, x = run_highs(*lp)
+        return status, np.where(x == 0, -0.0, x)
+
+    monkeypatch.setattr(lpcore, "_run_highs", signed)
+    x = solve_lp(make()).x
+    assert (x == 0).any()
+    assert not np.signbit(x).any()
+
+
 def test_failed_highs_status_is_a_solver_error(monkeypatch, tmp_path):
     monkeypatch.setattr(lpcore, "_run_highs", lambda *lp: (
         highs.HighsModelStatus.kIterationLimit, None))
@@ -818,11 +843,64 @@ def test_gst_member_with_one_child_is_not_tied():
     assert solve_lp(model).objective == pytest.approx(1.0)
 
 
+def test_gst_rules_flag_exactly_their_rows():
+    # root 0 has children 1, 2, 3; 1 has the leaves 4, 5 and 2 the leaves
+    # 6, 7, 8; groups t0 = {4, 5}, t1 = {5, 6}, t2 = {3}, t3 = {7, 8}
+    inst = GroupTreeInstance(9, [-1, 0, 0, 0, 1, 1, 2, 2, 2],
+                             [1, 3, 2, 1, 4, 1, 2, 9, 1],
+                             [frozenset({4, 5}), frozenset({5, 6}),
+                              frozenset({3}), frozenset({7, 8})],
+                             [3, 1, 2, 0, 0, 0, 0, 0, 0])
+    model = build_gst_lp(inst)
+    # the degree rows, vertex by vertex: x_c - x_p per child, then the sum
+    assert model.ub[:4] == (([1, 0], [1.0, -1.0], 0.0),
+                            ([2, 0], [1.0, -1.0], 0.0),
+                            ([3, 0], [1.0, -1.0], 0.0),
+                            ([1, 2, 3, 0], [1.0, 1.0, 1.0, -3.0], 0.0))
+    assert model.implied[:11].tolist() == [
+        False, False, False,
+        True,           # A: coef(0) = 3 >= its 3 children
+        True, True,     # B: x_4, x_5 <= x_1 through row (1, t0)
+        False,          # not A: coef(1) = 1 < 2 children
+        False,          # not B: row (2, t1) has 6 alone, single-child
+        True, True,     # B: x_7, x_8 <= x_2 through row (2, t3)
+        False]          # not A: coef(2) = 2 < 3 children
+    # the capacity rows by vertex, then group
+    heads = [(cols[-1], sorted(cols[:-1])) for cols, _, _ in model.ub[11:]]
+    assert heads == [(0, [4, 5]), (0, [5, 6]), (0, [3]), (0, [7, 8]),
+                     (1, [4, 5]), (1, [5]), (2, [6]), (2, [7, 8]), (3, [3]),
+                     (4, [4]), (5, [5]), (5, [5]), (6, [6]), (7, [7]),
+                     (8, [8])]
+    assert model.implied[11:].tolist() == [
+        True,           # single-child: t0 comes through 1 alone
+        False,          # t1 comes through 1 and 2, and coef(0) = 3 > 1
+        True, True,     # single-child
+        True,           # C: coef(1) = 1, 2 children, 1 is not in t0
+        True, True,     # single-child
+        False,          # not C: coef(2) = 2 > 1
+        True, True, True, True, True, True, True]   # single-child
+    assert_reduced_lp_is_exact(model)
+
+
+def test_gst_capacity_row_of_a_member_is_kept():
+    # before preprocess_gst a member may be internal: with 1 in t, row
+    # (1, t) reads x_2 + x_3 <= 0, which the sum row of 1 does not imply
+    inst = GroupTreeInstance(4, [-1, 0, 1, 1], [0, 5, 1, 1],
+                             [frozenset({1, 2, 3})], [1, 1, 0, 0])
+    model = build_gst_lp(inst)
+    # the capacity rows follow the 2 + 3 degree rows of 0 and 1
+    heads = [cols[-1] for cols, _, _ in model.ub]
+    row = 5 + heads[5:].index(1)
+    assert model.ub[row] == ([1, 2, 3, 1], [1.0, 1.0, 1.0, -1.0], 0.0)
+    assert not model.implied[row]
+    assert solve_lp(model).objective == pytest.approx(5.0)
+
+
 @hs.composite
 def unary_gst(draw):
     """Small preprocessed group trees with unary chains and often a unary
-    root, costs that are often 0, degree bounds 0-3 and 0-3 groups of any
-    vertices."""
+    root, costs that are often 0, degree bounds 0-3 (often 0-1) or at
+    least the child count, and 0-3 groups of any vertices."""
     n = draw(hs.integers(2, 12))
     parent = [-1, 0]
     for v in range(2, n):
@@ -834,10 +912,16 @@ def unary_gst(draw):
     vertex = hs.integers(0, n - 1)
     groups = draw(hs.lists(hs.frozensets(vertex, min_size=1, max_size=3),
                            max_size=3))
+    # a bound of at least the child count lets rule A of build_gst_lp drop
+    # the sum row, and one of 0-1 at two or more children lets rule C drop
+    # capacity rows, so 0-1 is drawn more often
+    nk = np.bincount(parent[1:], minlength=n).tolist()
+    bound = [draw(hs.one_of(hs.integers(0, 3), hs.integers(0, 1),
+                            hs.integers(c, c + 1))) for c in nk]
     return preprocess_gst(GroupTreeInstance(
         n, parent, draw(hs.lists(hs.sampled_from([0, 0, 1, 2, 5]),
                                  min_size=n, max_size=n)),
-        groups, draw(hs.lists(hs.integers(0, 3), min_size=n, max_size=n))))
+        groups, bound))
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
