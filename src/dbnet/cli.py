@@ -403,17 +403,36 @@ def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
         # within the out-degree bounds that exact_dst keeps
         oracle_edges = [tuple(e) for e in oracle_edges]
         faults, reach = _arborescence(inst, oracle_edges, "oracle ")
-        bad += faults
-        bad += [f"oracle tree misses terminal {t}"
-                for t in sorted(inst.terminals) if t not in reach]
+        faults += [f"oracle tree misses terminal {t}"
+                   for t in sorted(inst.terminals) if t not in reach]
         outdeg = Counter(u for u, _ in oracle_edges)
-        bad += [f"oracle vertex {u} has out-degree {d} above its bound "
-                f"{inst.degree_bound[u]}" for u, d in sorted(outdeg.items())
-                if d > inst.degree_bound.get(u, d)]
-        bad += _mismatch("oracle cost",
-                         sum(cost.get(e, 0) for e in oracle_edges),
-                         oracle_cost)
+        faults += [f"oracle vertex {u} has out-degree {d} above its bound "
+                   f"{inst.degree_bound[u]}"
+                   for u, d in sorted(outdeg.items())
+                   if d > inst.degree_bound.get(u, d)]
+        faults += _mismatch("oracle cost",
+                            sum(cost.get(e, 0) for e in oracle_edges),
+                            oracle_cost)
+        bad += faults
+        # the LP <= optimum check of run, where its height rule holds for
+        # the oracle's tree
+        lp_cost = _number(doc, "lp_cost")
+        if (not faults and h is not None
+                and (lp_cost is None
+                     or lp_cost > oracle_cost + EPS_OBJ * (1 + oracle_cost))
+                and _relaxes_dst(normalize(inst), h, oracle_edges)):
+            bad.append(f"LP cost {lp_cost} exceeds oracle {oracle_cost}")
     return bad
+
+
+def _relaxes_dst(norm, h: int, edges) -> bool:
+    """Whether the DB-DST LP at height h costs at most the tree of
+    ``edges``: the super-tree holds every tree whose decomposition fits in
+    h, and the height budget bounds that depth for every tree,
+    ``oracle_height`` for this one.  Without terminals the tree is empty
+    and the LP is 0."""
+    return (not edges or h >= height_budget(norm.inst.n)
+            or h >= oracle_height(norm, edges))
 
 
 def _subtree(inst: GroupTreeInstance, vertices: list[int], prefix: str,
@@ -539,12 +558,8 @@ PROBLEMS = {
         solve=lambda norm, args, label: run_dst(
             norm, h=args.height, Q=args.q, seed=args.seed,
             node_cap=_node_cap(args), label=label),
-        # the super-tree holds every tree whose decomposition fits in h: the
-        # height budget bounds that depth for every tree, oracle_height for
-        # the oracle's
-        relaxes=lambda norm, report, res: (
-            report.h >= height_budget(norm.inst.n)
-            or report.h >= oracle_height(norm, res.edges)),
+        relaxes=lambda norm, report, res: _relaxes_dst(norm, report.h,
+                                                      res.edges),
         oracle=lambda inst: exact_dst(inst),
         trial_stats=lambda report, trials: _dst_trial_stats(report, trials),
         verify=lambda inst, doc: verify_dst_report(inst, doc)),

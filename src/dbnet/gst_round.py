@@ -193,8 +193,7 @@ def union_degree_ratios(inst: GroupTreeInstance,
 def run_gst(inst: GroupTreeInstance, M: int | None = None, seed: int = 0,
             label: str = "") -> GstRunReport:
     """Full DB-GST-T pipeline on a preprocessed instance."""
-    model = build_gst_lp(inst)
-    sol = solve_lp(model)
+    sol = solve_lp(build_gst_lp(inst))
     if sol.status == INFEASIBLE:
         raise InfeasibleError("GST LP is infeasible")
 

@@ -8,14 +8,13 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleError, SolverError
 from .instances import GroupTreeInstance
-from .rounding import tops
+from .rounding import expand, tops
 from .states import BASE, STATE, SUPER, VIRTUAL, SuperTree
 
 
@@ -74,6 +73,7 @@ class Block:
 
     @classmethod
     def stack(cls, *blocks: "Block") -> "Block":
+        blocks = (cls.of([], [], [], []), *blocks)
         offsets = np.cumsum([0] + [len(b) for b in blocks[:-1]])
         return cls(np.concatenate([b.row + off
                                    for b, off in zip(blocks, offsets)]),
@@ -94,21 +94,28 @@ class Block:
 
 @dataclass
 class LPModel:
-    """The full LP.  ``implied`` masks the ``<=`` rows that the other rows
-    and the bounds imply; ``solve_lp`` leaves them out of the solve and
-    checks them afterwards.  ``tie[c] = p`` declares ``x_c = x_p``, -1
-    where nothing is declared: either the rows force it (DST) or it holds
-    in some optimum, so that restricting the LP to it keeps its value
-    (GST).  The ties form a forest, and ``solve_lp`` gives each of its
-    trees one column."""
+    """``min obj x`` over ``lo <= x <= hi`` and the ``=`` rows of
+    ``eq_parts`` and the ``<=`` rows of ``ub_parts``, part after part.
+
+    A part writes its rows as a ``Block`` on demand: every row of the full
+    model, or only the rows HiGHS gets (``write``).  It also evaluates
+    ``A x - rhs`` over every row of the full model (``excess``), which
+    ``max_violation`` reads after each solve.  The parts of the tree LPs
+    hold the tree and masks, not rows: HiGHS gets the rows that are
+    neither implied by the other rows and the bounds nor emptied by a tie,
+    and only those are ever written on the solve path.
+
+    ``tie[c] = p`` declares ``x_c = x_p``, -1 where nothing is declared:
+    either the rows force it (DST) or it holds in some optimum, so that
+    restricting the LP to it keeps its value (GST).  The ties form a
+    forest, and ``solve_lp`` gives each of its trees one column."""
 
     nvar: int
     obj: np.ndarray
-    eq_block: Block = field(default_factory=lambda: Block.of([], [], [], []))
-    ub_block: Block = field(default_factory=lambda: Block.of([], [], [], []))
+    eq_parts: tuple = ()
+    ub_parts: tuple = ()
     lo: np.ndarray = None
     hi: np.ndarray = None
-    implied: np.ndarray = None
     tie: np.ndarray = None
 
     def __post_init__(self):
@@ -116,12 +123,24 @@ class LPModel:
             self.lo = np.zeros(self.nvar)
         if self.hi is None:
             self.hi = np.ones(self.nvar)
-        if self.implied is None:
-            self.implied = np.zeros(len(self.ub_block), dtype=bool)
         if self.tie is None:
             self.tie = np.full(self.nvar, -1)
 
-    # the per-row views below are read only by perfbench/spans.py
+    def blocks(self) -> tuple[Block, Block]:
+        """The ``=`` and the ``<=`` rows of the full model, written anew on
+        each call."""
+        return tuple(Block.stack(*(part.write(True) for part in parts))
+                     for parts in (self.eq_parts, self.ub_parts))
+
+    # the per-row views are read only by perfbench/spans.py
+    @property
+    def eq_block(self) -> Block:
+        return self.blocks()[0]
+
+    @property
+    def ub_block(self) -> Block:
+        return self.blocks()[1]
+
     @property
     def eq(self) -> tuple:
         """Equality rows as ``(column indices, coefficients, rhs)``."""
@@ -132,21 +151,12 @@ class LPModel:
         """``<=`` rows as ``(column indices, coefficients, rhs)``."""
         return self.ub_block.rows()
 
-    @cached_property
-    def system(self) -> tuple[Block, np.ndarray]:
-        """Every row, the ``<=`` rows first, as ``lower <= A x <= rhs``:
-        the stacked block and ``lower`` (-inf, or the rhs of an ``=`` row)."""
-        return (Block.stack(self.ub_block, self.eq_block),
-                np.concatenate([np.full(len(self.ub_block), -np.inf),
-                                self.eq_block.rhs]))
-
     def max_violation(self, x: np.ndarray) -> float:
         """Largest violation by ``x`` of the rows and the bounds."""
-        blk, lower = self.system
-        ax = np.bincount(blk.row, blk.val * x[blk.col], minlength=len(blk))
         return float(np.max(np.concatenate(
-            [ax - blk.rhs, lower - ax, self.lo - x, x - self.hi]),
-            initial=0.0))
+            [np.abs(part.excess(x)) for part in self.eq_parts]
+            + [part.excess(x) for part in self.ub_parts]
+            + [self.lo - x, x - self.hi]), initial=0.0))
 
 
 @dataclass
@@ -214,26 +224,20 @@ def _repeats(row, col, val, count, lower, rhs, ncol):
     return repeat
 
 
-def _csc(blk: Block, lower: np.ndarray, keep: np.ndarray, column: np.ndarray,
-         ncol: int):
-    """The column-wise matrix of the rows ``keep`` of ``blk``, with the
-    variable ``j`` in column ``column[j]`` (an integer array that holds
-    ``ncol``): the duplicate entries summed and the zeros dropped, as
-    scipy's ``csr_matrix``, ``eliminate_zeros`` and ``tocsc`` give it, and
-    every row that repeats an earlier one (``_repeats``, with the row
-    bounds ``lower`` and ``blk.rhs``) left out.  Returns ``(start, index,
-    value, shape)`` over the rows that keep an entry and repeat no row, the
-    mask of the rows that keep an entry, and the mask of the rows kept."""
+def _csc(blk: Block, lower: np.ndarray, column: np.ndarray, ncol: int):
+    """The column-wise matrix of the rows of ``blk``, with the variable
+    ``j`` in column ``column[j]`` (an integer array that holds ``ncol``):
+    the duplicate entries summed and the zeros dropped, as scipy's
+    ``csr_matrix``, ``eliminate_zeros`` and ``tocsc`` give it, and every
+    row that repeats an earlier one (``_repeats``, with the row bounds
+    ``lower`` and ``blk.rhs``) left out.  Returns ``(start, index, value,
+    shape)`` over the rows that keep an entry and repeat no row, the mask
+    of the rows that keep an entry, and the mask of the rows kept."""
     col = column[blk.col]
-    # the entries of the rows left out go to column ncol, cut off below
-    if not keep.all():
-        col[~keep[blk.row]] = ncol
     # a stable sort keeps each column's entries in row order, so the
     # entries of one row and column are neighbours
     order = np.argsort(col, kind="stable")
     col = col[order]
-    end = np.searchsorted(col, ncol)
-    order, col = order[:end], col[:end]
     row, val = blk.row[order], blk.val[order]
     # each full-size temporary freed early is memory the next one reuses
     del order
@@ -270,27 +274,30 @@ def _csc(blk: Block, lower: np.ndarray, keep: np.ndarray, column: np.ndarray,
 
 
 def _reduce(model: LPModel):
-    """The LP that HiGHS solves: each tree of ties is one column, the
-    implied ``<=`` rows are left out, rows left empty are dropped and so is
-    every row that repeats an earlier one.
+    """The LP that HiGHS solves: each tree of ties is one column, the rows
+    the parts keep for HiGHS are written, rows left empty are dropped and
+    so is every row that repeats an earlier one.
 
     Returns the column of every variable, the objective, the matrix of
-    ``_csc`` and the row bounds of the ``system`` rows kept, and the column
-    bounds; or None when an empty row cannot hold."""
+    ``_csc`` and the row bounds of the rows kept, the ``<=`` rows first,
+    and the column bounds; or None when an empty row cannot hold."""
     # columns in the order of the trees' tops
     linked = np.flatnonzero(model.tie >= 0)
     top = tops(model.nvar, linked, model.tie[linked])
     column = (np.cumsum(top == np.arange(model.nvar)) - 1)[top]
     ncol = model.nvar - len(linked)
-    blk, lower = model.system
-    keep = np.ones(len(blk), dtype=bool)
-    keep[:len(model.implied)] = ~model.implied
+    # the rows as lower <= A x <= rhs, lower -inf or the rhs of an = row
+    ub = [part.write(False) for part in model.ub_parts]
+    eq = [part.write(False) for part in model.eq_parts]
+    blk = Block.stack(*ub, *eq)
+    lower = np.concatenate([np.full(sum(map(len, ub)), -np.inf),
+                            *(b.rhs for b in eq)])
+    del ub, eq
     # numpy sorts 16-bit keys by radix; _csc needs room for column ncol
     narrow = column.astype(np.uint16 if ncol < 1 << 16 else np.int64)
-    a, full, kept = _csc(blk, lower, keep, narrow, ncol)
-    empty = keep & ~full
+    a, full, kept = _csc(blk, lower, narrow, ncol)
     # an empty row reads lower <= 0 <= rhs
-    if not ((lower[empty] <= 0) & (blk.rhs[empty] >= 0)).all():
+    if not ((lower[~full] <= 0) & (blk.rhs[~full] >= 0)).all():
         return None
     # the variables of each column, which holds at least one
     order = np.argsort(narrow, kind="stable")
@@ -316,23 +323,26 @@ HIGHS_OPTIONS = (("output_flag", False), ("log_to_console", False),
                  ("dual_feasibility_tolerance", 1e-10))
 
 
-def _run_highs(solver, obj, a, row_lo, row_hi, lo, hi):
-    """Runs ``solver``, a new ``_Highs``, with ``HIGHS_OPTIONS``: the dual
-    simplex with presolve on ``min obj x`` over ``row_lo <= a x <= row_hi``
-    and ``lo <= x <= hi``, ``a`` the ``(start, index, value, shape)`` of a
-    column-wise matrix.  Returns the model status and x (None unless
-    optimal)."""
+def _pass_model(solver, obj, a, row_lo, row_hi, lo, hi) -> bool:
+    """Sets ``HIGHS_OPTIONS`` on ``solver``, a new ``_Highs``, and hands it
+    ``min obj x`` over ``row_lo <= a x <= row_hi`` and ``lo <= x <= hi``,
+    ``a`` the ``(start, index, value, shape)`` of a column-wise matrix.
+    HiGHS copies the arrays.  False when it rejects the model."""
     start, index, value, (nrow, ncol) = a
     for option, setting in HIGHS_OPTIONS:
         solver.setOptionValue(option, setting)
     # the array overload takes a tenth of the time of filling a HighsLp
     # field by field; its integrality needs one entry per column, since an
     # empty array is an error
-    if solver.passModel(ncol, nrow, len(value), highs.MatrixFormat.kColwise,
-                        highs.ObjSense.kMinimize, 0.0, obj, lo, hi, row_lo,
-                        row_hi, start, index, value,
-                        np.zeros(ncol, np.int32)) == highs.HighsStatus.kError:
-        return highs.HighsModelStatus.kModelError, None
+    return solver.passModel(
+        ncol, nrow, len(value), highs.MatrixFormat.kColwise,
+        highs.ObjSense.kMinimize, 0.0, obj, lo, hi, row_lo, row_hi, start,
+        index, value, np.zeros(ncol, np.int32)) != highs.HighsStatus.kError
+
+
+def _run_highs(solver):
+    """Runs the dual simplex with presolve on the LP passed to ``solver``.
+    Returns the model status and x (None unless optimal)."""
     solver.run()
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
@@ -348,9 +358,15 @@ def solve_lp(model: LPModel) -> LPSolution:
     reduced = _reduce(model)
     if reduced is None:
         return LPSolution(INFEASIBLE, None, None)
-    column, *lp = reduced
     solver = highs._Highs()
-    status, x = _run_highs(solver, *lp)
+    passed = _pass_model(solver, *reduced[1:])
+    column = reduced[0]
+    # HiGHS holds its own copy: no row or array of the LP stays on this side
+    # while it solves
+    del reduced
+    if not passed:
+        return LPSolution(INFEASIBLE, None, None)
+    status, x = _run_highs(solver)
     iterations = solver.getInfo().simplex_iteration_count
     # HiGHS frees its copy of the LP before the check allocates
     del solver
@@ -367,83 +383,186 @@ def solve_lp(model: LPModel) -> LPSolution:
     return LPSolution(OPTIMAL, x, float(model.obj @ x), iterations)
 
 
-def _cover_rows(member: np.ndarray, group: np.ndarray, k: int) -> Block:
+@dataclass
+class _Cover:
     """``sum of x_o over the members o of group t = 1`` for each group t
     in 0..k-1, from the (member, group) pairs; a row keeps the order its
-    members are given in."""
-    return Block.of(group, member, np.ones(len(member)), np.ones(k))
+    members are given in.  HiGHS gets every row."""
+
+    member: np.ndarray
+    group: np.ndarray
+    k: int
+
+    def write(self, full: bool) -> Block:
+        return Block.of(self.group, self.member, np.ones(len(self.member)),
+                        np.ones(self.k))
+
+    def excess(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.group, x[self.member], minlength=self.k) - 1
 
 
-def _tree_rows(child_ptr: np.ndarray, child: np.ndarray, each: np.ndarray,
-               total: np.ndarray, coef: np.ndarray) -> Block:
+@dataclass
+class _TreeRows:
     """Rows with rhs 0 over a rooted tree whose children are CSR (the
     children of p are ``child[child_ptr[p]:child_ptr[p + 1]]``), node by
-    node: for a node p, one row ``x_c - x_p`` per child c if ``each[p]``,
-    then ``sum_c x_c - coef[p] x_p`` if ``total[p]``."""
-    nkids = np.diff(child_ptr)
-    par = np.repeat(np.arange(len(nkids)), nkids)
-    each, total = each.astype(np.int64), total.astype(np.int64)
-    nrows = each * nkids + total
-    start = np.cumsum(nrows) - nrows
-    own = each[par] == 1
-    summed = total[par] == 1
-    rank = np.arange(len(child)) - child_ptr[par]
-    sum_row = start + each * nkids
-    tot = np.flatnonzero(total)
-    own_row = start[par[own]] + rank[own]
-    return Block.of(
-        np.concatenate([own_row, sum_row[par[summed]], own_row, sum_row[tot]]),
-        np.concatenate([child[own], child[summed], par[own], tot]),
-        np.concatenate([np.ones(own.sum() + summed.sum()),
-                        -np.ones(own.sum()), -coef[tot]]),
-        np.zeros(int(nrows.sum())))
+    node: for a node p, one row ``x_c - x_p`` for each child c that
+    ``each`` (a mask over ``child``) holds, then ``sum_c x_c - coef[p]
+    x_p`` if ``total[p]``.  HiGHS gets the rows of the masks ``send_each``
+    and ``send_total``."""
+
+    child_ptr: np.ndarray
+    child: np.ndarray
+    coef: np.ndarray
+    each: np.ndarray
+    total: np.ndarray
+    send_each: np.ndarray
+    send_total: np.ndarray
+
+    def write(self, full: bool) -> Block:
+        each, total = ((self.each, self.total) if full
+                       else (self.send_each, self.send_total))
+        ptr = self.child_ptr
+        par = np.repeat(np.arange(len(total)), np.diff(ptr))
+        # before[i]: the per-child rows of the entries before entry i
+        before = np.concatenate([[0], np.cumsum(each)])
+        nrows = before[ptr[1:]] - before[ptr[:-1]] + total
+        start = np.cumsum(nrows) - nrows
+        own = np.flatnonzero(each)
+        own_row = start[par[own]] + before[own] - before[ptr[par[own]]]
+        # the sum row of p is its last
+        sum_row = start + nrows - 1
+        summed = np.flatnonzero(total[par])
+        tot = np.flatnonzero(total)
+        return Block.of(
+            np.concatenate([own_row, sum_row[par[summed]], own_row,
+                            sum_row[tot]]),
+            np.concatenate([self.child[own], self.child[summed], par[own],
+                            tot]),
+            np.concatenate([np.ones(len(own) + len(summed)),
+                            -np.ones(len(own)), -self.coef[tot]]),
+            np.zeros(int(nrows.sum())))
+
+    def excess(self, x: np.ndarray) -> np.ndarray:
+        par = np.repeat(np.arange(len(self.total)), np.diff(self.child_ptr))
+        below = x[self.child]
+        return np.concatenate([
+            (below - x[par])[self.each],
+            (np.bincount(par, below, minlength=len(self.total))
+             - self.coef * x)[self.total]])
 
 
-def _capacity_rows(parent: np.ndarray, member: np.ndarray, group: np.ndarray,
-                   descending: bool) -> tuple[Block, np.ndarray]:
+@dataclass
+class _CapacityRows:
     """``sum of x_o over the members o of t below p (p included) <= x_p``
     for every ancestor p of a member of group t, ordered by p (descending
     or ascending), then t; the members of a row ascend.
 
-    Also flags the rows whose members all come through one child c of p:
-    row (c, t) and ``x_c <= x_p`` imply them.  So do the rows whose only
-    member is p itself (``x_p - x_p <= 0``).  The flagged rows imply each
-    other down to a kept or an empty row, so all of them can go at once."""
-    ps, ts, os, vs = [], [], [], []
-    # via: the child of p that o came through, -1 where o is p
-    p, t, o, via = member, group, member, np.full(len(member), -1)
-    while len(p):
-        ps.append(p)
-        ts.append(t)
-        os.append(o)
-        vs.append(via)
-        up = parent[p]
-        keep = up >= 0
-        p, t, o, via = up[keep], t[keep], o[keep], p[keep]
-    p, t, o, via = (np.concatenate(a) if a else np.zeros(0, dtype=np.int64)
-                    for a in (ps, ts, os, vs))
-    order = np.lexsort((o, t, -p if descending else p))
-    p, t, o, via = p[order], t[order], o[order], via[order]
-    new = np.ones(len(p), dtype=bool)
-    new[1:] = (p[1:] != p[:-1]) | (t[1:] != t[:-1])
-    row = np.cumsum(new) - 1
-    heads = p[new]
-    starts = np.flatnonzero(new)
-    implied = (np.minimum.reduceat(via, starts)
-               == np.maximum.reduceat(via, starts))
-    return (Block.of(np.concatenate([row, np.arange(len(heads))]),
-                     np.concatenate([o, heads]),
-                     np.concatenate([np.ones(len(o)), -np.ones(len(heads))]),
-                     np.zeros(len(heads))),
-            implied)
+    Held as the pairs (p, t) of the rows, level by level from the deepest:
+    pair i is ``key[i] = p k + t`` and ``up[i]`` is the pair (parent of p,
+    t), -1 at the root; level j holds the pairs ``bounds[j]`` to
+    ``bounds[j + 1]``.  ``at`` is the pair (o, t) of each ``(member[i],
+    t)`` pair.  HiGHS gets the rows of the mask ``send``."""
+
+    key: np.ndarray
+    up: np.ndarray
+    bounds: list
+    member: np.ndarray
+    at: np.ndarray
+    k: int
+    descending: bool
+    send: np.ndarray = None
+
+    def write(self, full: bool) -> Block:
+        p, t = np.divmod(self.key, self.k)
+        order = np.lexsort((t, -p if self.descending else p))
+        if not full:
+            order = order[self.send[order]]
+        nrow = len(order)
+        row = np.full(len(p), -1)
+        row[order] = np.arange(nrow)
+        # the heads, then each member at its own pair and every pair above
+        rows, cols = [row[order]], [p[order]]
+        at, o = self.at, self.member
+        while len(at):
+            written = row[at] >= 0
+            rows.append(row[at[written]])
+            cols.append(o[written])
+            at = self.up[at]
+            o, at = o[at >= 0], at[at >= 0]
+        row, col = np.concatenate(rows), np.concatenate(cols)
+        head = np.arange(len(row)) < nrow
+        # by row, the members ascending, then the head
+        order = np.lexsort((col, head, row))
+        return Block(row[order], col[order], np.where(head, -1.0, 1.0)[order],
+                     np.zeros(nrow))
+
+    def excess(self, x: np.ndarray) -> np.ndarray:
+        # the sums of the members below, level by level from the deepest
+        below = np.bincount(self.at, x[self.member], minlength=len(self.key))
+        for a, b, c in zip(self.bounds, self.bounds[1:], self.bounds[2:]):
+            below[b:c] += np.bincount(self.up[a:b] - b, below[a:b],
+                                      minlength=c - b)
+        return below - x[self.key // self.k]
+
+
+def _capacity_rows(levels: list, parent: np.ndarray, member: np.ndarray,
+                   group: np.ndarray, k: int, descending: bool):
+    """The capacity rows of groups 0..k-1, given by the (member, group)
+    pairs, over the tree of ``parent`` whose nodes are ``levels`` level by
+    level from the root.  Also returns, for each pair (p, t), its routes:
+    the children of p through which members of t come, plus one if p is in
+    t; and whether p is in t."""
+    depth = np.empty(len(parent), dtype=np.int64)
+    for d, level in enumerate(levels):
+        depth[level] = d
+    # the (member, group) pairs, deepest first
+    order = np.argsort(-depth[member], kind="stable")
+    member, own = member[order], member[order] * k + group[order]
+    deepest = int(depth[member].max(initial=-1))
+    cut = np.searchsorted(-depth[member], np.arange(-deepest, 2))
+    keys, ups = [], []
+    at = np.empty(len(member), dtype=np.int64)
+    lifted = np.zeros(0, dtype=np.int64)
+    size = 0
+    for a, b in zip(cut, cut[1:]):
+        # the pairs of a level: those its members are in, and those the
+        # pairs one level down lift to
+        key, inverse = np.unique(np.concatenate([lifted, own[a:b]]),
+                                 return_inverse=True)
+        ups.append(size + inverse[:len(lifted)])
+        at[a:b] = size + inverse[len(lifted):]
+        keys.append(key)
+        size += len(key)
+        lifted = parent[key // k] * k + key % k
+    ups.append(np.full(len(lifted), -1))
+    up = np.concatenate(ups)
+    mine = np.zeros(size, dtype=bool)
+    mine[at] = True
+    return (_CapacityRows(np.concatenate([np.zeros(0, np.int64), *keys]), up,
+                          np.cumsum([0] + [len(key) for key in keys]).tolist(),
+                          member, at, k, descending),
+            mine + np.bincount(up[up >= 0], minlength=size), mine)
+
+
+def _levels(child_ptr: np.ndarray, child: np.ndarray) -> list:
+    """The nodes of a tree with root 0, level by level from the root."""
+    levels = [np.zeros(1, dtype=np.int64)]
+    while len(level := child[expand(child_ptr, levels[-1])[1]]):
+        levels.append(level)
+    return levels
 
 
 def build_dst_lp(st: SuperTree) -> LPModel:
     """LP over super-tree nodes: child sums at state/super nodes, equality
-    through virtual nodes, per-terminal capacity and coverage rows.  A
-    capacity row is flagged as implied by the rule of ``_capacity_rows``:
-    ``x_c <= x_p`` follows from the child-sum or virtual row of p and
-    ``x >= 0``."""
+    through virtual nodes, per-terminal capacity and coverage rows.
+
+    HiGHS gets the cover rows, the child-sum rows of nodes with two or
+    more children and the capacity rows of two or more routes.  The rows
+    ``x_c - x_p = 0`` are ties.  A capacity row of one route is implied:
+    through a child c by row (c, t) and ``x_c <= x_p``, which the child-sum
+    or virtual row of p and ``x >= 0`` give; through p itself it reads
+    ``x_p - x_p <= 0``.  The implied rows imply each other down to a kept
+    or an empty row, so all of them can go at once."""
     n = len(st)
     kind = st.kind
     obj = np.where(kind == BASE, st.cost, 0).astype(float)
@@ -454,38 +573,42 @@ def build_dst_lp(st: SuperTree) -> LPModel:
         t = terms[int(np.argmin(hit))]
         raise InfeasibleError(f"terminal {st.norm.terminal_origin[t]} "
                               f"appears in no base node")
-    cover = _cover_rows(member, group, len(terms))
-    child_rows = _tree_rows(st.child_ptr, st.child, kind == VIRTUAL,
-                            (kind == STATE) | (kind == SUPER), np.ones(n))
+    nk = np.diff(st.child_ptr)
+    par = st.parent[st.child]
+    virtual = kind[par] == VIRTUAL
+    summed = (kind == STATE) | (kind == SUPER)
     # x_c - x_p = 0 rows: per child of a virtual p, or the child-sum row of
     # a p with one child c (base nodes have none)
-    par = st.parent[st.child]
-    tied = (kind[par] == VIRTUAL) | (np.diff(st.child_ptr)[par] == 1)
+    tied = virtual | (nk[par] == 1)
     tie = np.full(n, -1)
     tie[st.child[tied]] = par[tied]
-    capacity, implied = _capacity_rows(st.parent, member, group,
-                                       descending=True)
-    return LPModel(n, obj, eq_block=Block.stack(cover, child_rows),
-                   ub_block=capacity, implied=implied, tie=tie)
+    tree = _TreeRows(st.child_ptr, st.child, np.ones(n), virtual, summed,
+                     np.zeros(len(st.child), dtype=bool), summed & (nk != 1))
+    capacity, routes, _ = _capacity_rows(_levels(st.child_ptr, st.child),
+                                         st.parent, member, group,
+                                         len(terms), descending=True)
+    capacity.send = routes > 1
+    return LPModel(n, obj, eq_parts=(_Cover(member, group, len(terms)), tree),
+                   ub_parts=(capacity,), tie=tie)
 
 
 def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
     """LP over the tree's vertices: per-child and child-sum degree rows,
-    per-group capacity and cover rows.  Four families of ``<=`` rows are
-    flagged as implied by other rows that stay and ``x >= 0``; the chains of
-    implications below end at rows that stay, so all of them can go at
-    once."""
-    empty = np.flatnonzero(np.bincount(inst.group,
-                                       minlength=len(inst.groups)) == 0)
+    per-group capacity and cover rows.
+
+    HiGHS gets every row but the per-child rows of the ties and four
+    families of ``<=`` rows implied by other rows that stay and ``x >= 0``;
+    the chains of implications below end at rows that stay, so all of them
+    can go at once."""
+    k = len(inst.groups)
+    empty = np.flatnonzero(np.bincount(inst.group, minlength=k) == 0)
     if len(empty):
         raise InfeasibleError(f"group {empty[0]} is empty")
-    cover = _cover_rows(inst.member, inst.group, len(inst.groups))
     nk = np.diff(inst.child_ptr)
     inner = nk > 0
     # a bound above n binds nothing, and HiGHS rejects a coefficient near
     # 2^63, so the degree row reads at most n
     coef = np.minimum(np.array(inst.degree_bound, dtype=float), inst.n)
-    degree_rows = _tree_rows(inst.child_ptr, inst.child, inner, inner, coef)
     # every tree holds the root; only with a group do the rows force it
     lo = np.zeros(inst.n)
     lo[inst.root] = 1
@@ -497,41 +620,38 @@ def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
             & (np.bincount(inst.member, minlength=inst.n)[par] == 0))
     tie = np.full(inst.n, -1)
     tie[inst.child[tied]] = par[tied]
+    capacity, routes, mine = _capacity_rows(
+        inst.levels, inst.parent, inst.member, inst.group, k,
+        descending=False)
     # the single-child rule: row (p, t) when its members all come through
-    # one child c of p, implied by row (c, t) and x_c <= x_p
-    capacity, single = _capacity_rows(inst.parent, inst.member, inst.group,
-                                      descending=False)
-    # each inner p has its rows x_c - x_p, child by child, then its
-    # child-sum row
-    shift = np.cumsum(inner) - inner
-    degree_implied = np.zeros(len(degree_rows), dtype=bool)
-    # A: the child-sum row of p when coef(p) >= nk(p), since the per-child
-    # rows give sum_c x_c <= nk(p) x_p <= coef(p) x_p
-    at = np.flatnonzero(inner & (coef >= nk))
-    degree_implied[inst.child_ptr[at + 1] + shift[at]] = True
-    head = capacity.col[capacity.val < 0]
-    entry = capacity.val > 0
-    row, o = capacity.row[entry], capacity.col[entry]
-    # B: x_c <= x_p for a leaf c of group t when the single-child rule
-    # leaves row (p, t) of its parent p, since x_c <= S(p, t) <= x_p, S(p, t)
-    # the sum of x_o over the members o of t below p
-    c = o[(inst.parent[o] == head[row]) & ~inner[o] & ~single[row]]
-    position = np.empty(inst.n, dtype=np.int64)
-    position[inst.child] = np.arange(len(inst.child))
-    degree_implied[position[c] + shift[inst.parent[c]]] = True
+    # one child c of p, implied by row (c, t) and x_c <= x_p; or when its
+    # only member is p itself (x_p - x_p <= 0)
+    single = routes == 1
     # C: row (p, t) when coef(p) <= 1, nk(p) >= 2 and p is not in t, since
     # S(p, t) = sum_c S(c, t) <= sum_c x_c <= coef(p) x_p <= x_p by the rows
     # (c, t) of its children and its child-sum row, which A leaves (coef(p)
-    # < nk(p)).  Not for the DST LP: there this is the sum rule, which
-    # changes the vertex HiGHS returns
-    own = np.zeros(len(capacity), dtype=bool)
-    own[row[o == head[row]]] = True
-    implied = single | ((coef[head] <= 1) & (nk[head] >= 2) & ~own)
+    # < nk(p)); S(p, t) is the sum of x_o over the members o of t below p.
+    # Not for the DST LP: there this is the sum rule, which changes the
+    # vertex HiGHS returns
+    head = capacity.key // k
+    capacity.send = ~single & ~((coef[head] <= 1) & (nk[head] >= 2) & ~mine)
+    # B: x_c <= x_p for a leaf c of group t when the single-child rule
+    # leaves row (p, t) of its parent p, since x_c <= S(p, t) <= x_p
+    up = capacity.up[capacity.at]
+    c = capacity.member[up >= 0]
+    c = c[~inner[c] & ~single[up[up >= 0]]]
+    position = np.empty(inst.n, dtype=np.int64)
+    position[inst.child] = np.arange(len(inst.child))
+    send_each = ~tied
+    send_each[position[c]] = False
+    # A: the child-sum row of p when coef(p) >= nk(p), since the per-child
+    # rows give sum_c x_c <= nk(p) x_p <= coef(p) x_p
+    degree = _TreeRows(inst.child_ptr, inst.child, coef,
+                       np.ones(len(inst.child), dtype=bool), inner,
+                       send_each, inner & (coef < nk))
     return LPModel(inst.n, np.array(inst.cost, dtype=float), lo=lo,
-                   eq_block=cover,
-                   ub_block=Block.stack(degree_rows, capacity),
-                   implied=np.concatenate([degree_implied, implied]),
-                   tie=tie)
+                   eq_parts=(_Cover(inst.member, inst.group, k),),
+                   ub_parts=(degree, capacity), tie=tie)
 
 
 def modify_gst_solution(x: np.ndarray, n: int) -> np.ndarray:
@@ -595,8 +715,9 @@ def dump_lp(model: LPModel) -> str:
     """Fixed-layout MPS-like text dump for cross-checking with external
     solvers: the ``=`` rows, then the ``<=`` rows, and under each column
     its cost, then its entries in row order."""
-    neq = len(model.eq_block)
-    blk = Block.stack(model.eq_block, model.ub_block)
+    eq, ub = model.blocks()
+    neq = len(eq)
+    blk = Block.stack(eq, ub)
     names = ([f"EQ{i:06d}" for i in range(neq)]
              + [f"UB{i:06d}" for i in range(len(blk) - neq)])
     lines = ["NAME          DBNET", "ROWS", " N  COST"]

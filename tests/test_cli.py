@@ -343,6 +343,8 @@ def test_run_below_height_budget_keeps_oracle(tmp_path):
     # nor does the oracle tree fit: its decomposition needs more than h=3
     norm = normalize(gen_dst(6, 8, 3, seed=4))
     assert oracle_height(norm, doc["oracle"]["edges"]) > 3
+    # so verify accepts the report
+    assert main(["verify", "--tree", str(out), "--instance", str(path)]) == 0
 
 
 def test_lp_above_oracle_under_its_certificate_exits_4(tmp_path, dst_file,
@@ -675,6 +677,10 @@ ORACLE_TAMPERS = {
     "gst-oracle.vertices-range": lambda d, inst: (
         "oracle", {**d["oracle"], "vertices": [99]}, 4,
         "oracle vertex 99 out of range"),
+    # h = 3 reaches the oracle tree's decomposition height, where LP = OPT
+    "dst-lp_cost": lambda d, inst: (
+        "lp_cost", d["lp_cost"] + 1, 4,
+        f"LP cost {d['lp_cost'] + 1} exceeds oracle {d['oracle']['cost']}"),
     "dst-oracle.cost": lambda d, inst: (
         "oracle", {**d["oracle"], "cost": d["oracle"]["cost"] + 1}, 4,
         f"oracle cost mismatch: {d['oracle']['cost']} vs "

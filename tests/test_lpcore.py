@@ -14,12 +14,14 @@ from hypothesis import strategies as hs
 from scipy.optimize._highspy import _core as highs
 
 from conftest import FRACTIONAL_SEEDS, small_dst
+from test_golden import OVERLAP_GST
 from dbnet import lpcore
 from dbnet.cli import main
-from dbnet.errors import CapExceededError, InfeasibleError, SolverError
+from dbnet.errors import (CapExceededError, FormatError, InfeasibleError,
+                          SolverError)
 from dbnet.generators import gen_dst, gen_gst
 from dbnet.instances import (DirectedInstance, GroupTreeInstance, normalize,
-                             preprocess_gst, serialize_gst)
+                             parse_gst, preprocess_gst, serialize_gst)
 from dbnet.lpcore import (EPS_CHECK, EPS_FEAS, INFEASIBLE, OPTIMAL, Block, LPModel,
                           _capacity_rows, _reduce, build_dst_lp, build_gst_lp,
                           check_modified_solution, dump_lp,
@@ -27,18 +29,30 @@ from dbnet.lpcore import (EPS_CHECK, EPS_FEAS, INFEASIBLE, OPTIMAL, Block, LPMod
 from dbnet.states import BASE, STATE, SUPER, VIRTUAL, build_super_tree
 
 
-def from_rows(rows) -> Block:
-    """The block of ``(column indices, coefficients, rhs)`` rows."""
-    return Block.of(np.repeat(np.arange(len(rows)),
-                              [len(cols) for cols, _, _ in rows]),
-                    [j for cols, _, _ in rows for j in cols],
-                    [v for _, vals, _ in rows for v in vals],
-                    [b for _, _, b in rows])
+class Rows(Block):
+    """A part of an ``LPModel`` given as its rows, all of which go to
+    HiGHS."""
+
+    def write(self, full):
+        return self
+
+    def excess(self, x):
+        return np.bincount(self.row, self.val * x[self.col],
+                           minlength=len(self)) - self.rhs
+
+
+def from_rows(rows) -> Rows:
+    """The part of ``(column indices, coefficients, rhs)`` rows."""
+    return Rows.of(np.repeat(np.arange(len(rows)),
+                             [len(cols) for cols, _, _ in rows]),
+                   [j for cols, _, _ in rows for j in cols],
+                   [v for _, vals, _ in rows for v in vals],
+                   [b for _, _, b in rows])
 
 
 def test_forced_variable():
     m = LPModel(1, np.array([1.0]),
-                ub_block=from_rows([([0], [-1.0], -1.0)]))  # x >= 1
+                ub_parts=(from_rows([([0], [-1.0], -1.0)]),))  # x >= 1
     sol = solve_lp(m)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1.0)
@@ -46,8 +60,8 @@ def test_forced_variable():
 
 def tiny_model(eq, ub):
     return LPModel(2, np.array([1.0, 2.0]),
-                   eq_block=from_rows([([0, 1], [1.0, 1.0], 1.0)] * eq),
-                   ub_block=from_rows([([0], [1.0], 0.25)] * ub))
+                   eq_parts=(from_rows([([0, 1], [1.0, 1.0], 1.0)] * eq),),
+                   ub_parts=(from_rows([([0], [1.0], 0.25)] * ub),))
 
 
 def csr(blk, nvar):
@@ -157,8 +171,8 @@ def test_parallel_rule_is_the_rule_switched_off(tmp_path):
 def test_solution_counts_simplex_iterations():
     sol = solve_lp(dst_case("small_dst", 0))
     assert sol.status == OPTIMAL and sol.iterations > 0
-    assert solve_lp(LPModel(1, np.array([0.0]), ub_block=from_rows(
-        [([0], [-1.0], -2.0)]))).iterations == 0
+    assert solve_lp(LPModel(1, np.array([0.0]), ub_parts=(from_rows(
+        [([0], [-1.0], -2.0)]),))).iterations == 0
 
 
 def rows_of(mat, lower, upper) -> list[tuple]:
@@ -172,9 +186,9 @@ def rows_of(mat, lower, upper) -> list[tuple]:
 def rhs_twins():
     """Three <= rows over the same entries: the first and the last are
     equal, the middle one differs only in its rhs."""
-    return LPModel(2, np.array([-1.0, -2.0]), ub_block=from_rows(
+    return LPModel(2, np.array([-1.0, -2.0]), ub_parts=(from_rows(
         [([0, 1], [1.0, 1.0], 1.0), ([1, 0], [1.0, 1.0], 0.5),
-         ([0, 1], [1.0, 1.0], 1.0)]))
+         ([0, 1], [1.0, 1.0], 1.0)]),))
 
 
 @pytest.mark.parametrize("make", [case[1] for case in SOLVE_CASES]
@@ -185,13 +199,13 @@ def test_highs_gets_each_row_once(monkeypatch, make):
     # equals one of them
     model = make()
     sent = []
-    run_highs = lpcore._run_highs
+    pass_model = lpcore._pass_model
 
     def spy(solver, *lp):
         sent.append(lp)
-        return run_highs(solver, *lp)
+        return pass_model(solver, *lp)
 
-    monkeypatch.setattr(lpcore, "_run_highs", spy)
+    monkeypatch.setattr(lpcore, "_pass_model", spy)
     assert solve_lp(model).status == OPTIMAL
     _, a, row_lo, row_hi, _, _ = sent[0]
     rows = rows_of(scipy_matrix(a).tocsr(), row_lo, row_hi)
@@ -229,8 +243,8 @@ def test_solve_rejects_a_perturbed_answer(monkeypatch, make):
 def below_zero():
     """min x_0 + x_1 over x_0 >= 0, x_1 >= 1/2 and -1 <= x <= 1."""
     return LPModel(2, np.array([1.0, 1.0]),
-                   ub_block=from_rows([([0], [-1.0], 0.0),
-                                       ([1], [-1.0], -0.5)]),
+                   ub_parts=(from_rows([([0], [-1.0], 0.0),
+                                        ([1], [-1.0], -0.5)]),),
                    lo=np.full(2, -1.0))
 
 
@@ -291,8 +305,9 @@ def test_scipy_optimize_reuses_the_loaded_binding():
         "import scipy.optimize._highspy._core as core\n"
         "res = scipy.optimize.linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1],\n"
         "                             method='highs')\n"
-        "m = lpcore.LPModel(1, np.array([1.0]), ub_block=lpcore.Block.\n"
-        "                   of([0], [0], [-1.0], [-1.0]))\n"
+        "from dbnet.instances import GroupTreeInstance\n"
+        "m = lpcore.build_gst_lp(GroupTreeInstance(\n"
+        "    2, [-1, 0], [0, 1], [frozenset({1})], [1, 1]))\n"
         "print(_core is lpcore.highs and core is lpcore.highs,\n"
         "      res.status, res.x.tolist(), lpcore.solve_lp(m).objective)")
     assert out.split() == ["True", "0", "[1.0,", "0.0]", "1.0"]
@@ -310,7 +325,7 @@ def test_missing_binding_names_its_directory(monkeypatch):
 
 def test_empty_polytope():
     m = LPModel(1, np.array([0.0]),  # x >= 2 with x <= 1
-                ub_block=from_rows([([0], [-1.0], -2.0)]))
+                ub_parts=(from_rows([([0], [-1.0], -2.0)]),))
     assert solve_lp(m).status == INFEASIBLE
 
 
@@ -318,7 +333,7 @@ def test_equality_row_that_cancels_to_empty_is_infeasible():
     # x - x = 1: the row keeps no entry and its bounds cannot hold, so
     # _reduce refuses it before HiGHS runs
     m = LPModel(1, np.array([0.0]),
-                eq_block=from_rows([([0, 0], [1.0, -1.0], 1.0)]))
+                eq_parts=(from_rows([([0, 0], [1.0, -1.0], 1.0)]),))
     assert _reduce(m) is None
     assert solve_lp(m).status == INFEASIBLE
 
@@ -489,7 +504,7 @@ def test_check_modified_flags_each_property(prop):
 
 def test_dump_lp_layout():
     m = LPModel(2, np.array([1.0, 2.0]),
-                eq_block=from_rows([([0, 1], [1.0, 1.0], 1.0)]))
+                eq_parts=(from_rows([([0, 1], [1.0, 1.0], 1.0)]),))
     text = dump_lp(m)
     for section in ("NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
         assert section in text
@@ -543,7 +558,8 @@ def lp_models(draw):
         return from_rows(rows)
 
     vector = hs.lists(DUMP_VALUES, min_size=nvar, max_size=nvar).map(np.array)
-    return LPModel(nvar, draw(vector), eq_block=block(), ub_block=block(),
+    return LPModel(nvar, draw(vector), eq_parts=(block(),),
+                   ub_parts=(block(),),
                    lo=draw(vector), hi=draw(vector))
 
 
@@ -634,8 +650,8 @@ def assert_same_lp(model, obj, eq, ub, lo=None):
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)
-    ref = LPModel(model.nvar, obj, eq_block=from_rows(eq),
-                  ub_block=from_rows(ub), lo=lo)
+    ref = LPModel(model.nvar, obj, eq_parts=(from_rows(eq),),
+                  ub_parts=(from_rows(ub),), lo=lo)
     assert dump_lp(model) == dump_lp(ref)
 
 
@@ -662,16 +678,21 @@ def test_capacity_row_of_a_base_node_lists_it_twice():
     assert csr(model.ub_block, model.nvar)[0, 2] == 0.0
     # vacuous, so solve_lp leaves it out; so are the rows of its ancestors,
     # which it reaches through one child each
-    assert model.implied.tolist() == [True, True, True]
+    assert left_out(model).tolist() == [True, True, True]
 
 
 def test_capacity_rows_flag_one_child_and_own_rows():
     # root 0 with children 1 and 2; node 3 below 1; group {2, 3}
     parent = np.array([-1, 0, 0, 1])
-    blk, implied = _capacity_rows(parent, np.array([2, 3]), np.array([0, 0]),
-                                  descending=False)
-    heads = [cols[-1] for cols, _, _ in blk.rows()]
-    assert dict(zip(heads, implied.tolist())) == {
+    rows, routes, mine = _capacity_rows(
+        [np.array([0]), np.array([1, 2]), np.array([3])], parent,
+        np.array([2, 3]), np.array([0, 0]), 1, descending=False)
+    assert [cols[-1] for cols, _, _ in rows.write(True).rows()] == [
+        0, 1, 2, 3]
+    # one group: a pair's key is its node
+    assert dict(zip(rows.key.tolist(), mine.tolist())) == {
+        0: False, 1: False, 2: True, 3: True}
+    assert dict(zip(rows.key.tolist(), (routes == 1).tolist())) == {
         0: False,   # 2 and 3 come through two children of 0
         1: True,    # 3 alone, through child 3: implied by row (3, t)
         2: True,    # x_2 - x_2 <= 0
@@ -702,7 +723,7 @@ def test_reduced_dst_lp_is_exact(case):
     # forced-equal variables share a column; implied rows are left out
     _, _, a, row_lo, *_ = _reduce(model)
     assert a[3][1] < model.nvar
-    assert np.sum(np.isneginf(row_lo)) <= np.sum(~model.implied)
+    assert np.sum(np.isneginf(row_lo)) <= np.sum(~left_out(model))
     best = assert_reduced_lp_is_exact(model)
     if case == ("d_max=1", 3):
         assert best == pytest.approx(32.67, abs=0.01)
@@ -720,8 +741,35 @@ def test_reduced_gst_lp_is_exact(n, k, depth, d_max, seed):
     assert_reduced_lp_is_exact(model)
 
 
-def reference_reduce(model):
-    """``_reduce`` with its columns found from the rows, as first written:
+def explicit(model) -> LPModel:
+    """The full model of ``model`` as blocks, with no tie: HiGHS gets every
+    row of it."""
+    eq, ub = model.blocks()
+    return LPModel(model.nvar, model.obj,
+                   eq_parts=(Rows(eq.row, eq.col, eq.val, eq.rhs),),
+                   ub_parts=(Rows(ub.row, ub.col, ub.val, ub.rhs),),
+                   lo=model.lo, hi=model.hi)
+
+
+def left_out(model) -> np.ndarray:
+    """The mask of the ``<=`` rows of the full model that ``solve_lp`` does
+    not write for HiGHS.  It writes the others in the same order, so a
+    greedy match of its rows against the full ones finds them."""
+    sent = iter(Block.stack(*(part.write(False)
+                              for part in model.ub_parts)).rows())
+    want = next(sent, None)
+    out = []
+    for row in model.ub:
+        out.append(row != want)
+        if row == want:
+            want = next(sent, None)
+    assert want is None
+    return np.array(out, dtype=bool)
+
+
+def reference_reduce(model, implied):
+    """``_reduce`` with its columns found from the rows, as first written,
+    on the full model of ``model`` without the ``<=`` rows ``implied``:
     the two variables of each row ``x_a - x_b = 0`` share one column, and
     the columns are scipy's connected components of those rows.  A model
     with no such row takes the ties it declares instead: the GST ties hold
@@ -743,7 +791,8 @@ def reference_reduce(model):
     column = scipy.sparse.csgraph.connected_components(graph,
                                                        directed=False)[1]
     ncol = int(column.max()) + 1 if model.nvar else 0
-    mat, lower, rhs, full, empty = reference_rows(model, column, ncol)
+    mat, lower, rhs, full, empty = reference_rows(model, implied, column,
+                                                  ncol)
     if not ((lower[empty] <= 0) & (rhs[empty] >= 0)).all():
         return None
     # the first of each set of equal rows
@@ -761,32 +810,35 @@ def reference_reduce(model):
             mat[kept].tocsc(), lower[kept], rhs[kept], lo, hi)
 
 
-def reference_rows(model, column, ncol):
-    """scipy's CSR matrix of the ``system`` rows over the columns, its
-    duplicates summed and zeros dropped; the row bounds; and the masks of
-    the rows not implied that keep an entry and of those left empty."""
-    blk, lower = model.system
+def reference_rows(model, implied, column, ncol):
+    """scipy's CSR matrix of the full model's rows, the ``<=`` rows first,
+    over the columns, its duplicates summed and zeros dropped; the row
+    bounds; and the masks of the rows not ``implied`` that keep an entry
+    and of those left empty."""
+    eq, ub = model.blocks()
+    blk = Block.stack(ub, eq)
+    lower = np.concatenate([np.full(len(ub), -np.inf), eq.rhs])
     mat = scipy.sparse.csr_matrix((blk.val, (blk.row, column[blk.col])),
                                   shape=(len(blk), ncol))
     mat.eliminate_zeros()
     keep = np.ones(len(blk), dtype=bool)
-    keep[:len(model.implied)] = ~model.implied
+    keep[:len(ub)] = ~implied
     full = keep & (np.diff(mat.indptr) > 0)
     return mat, lower, blk.rhs, full, keep & ~full
 
 
 def system_rows(model) -> list[tuple]:
-    """Every row ``_reduce`` may pass on: the rows not implied that keep an
-    entry, over its columns."""
+    """Every row ``_reduce`` may pass on: the rows written for HiGHS that
+    keep an entry, over its columns."""
     column, obj = _reduce(model)[:2]
-    mat, lower, rhs, full, _ = reference_rows(model, column, len(obj))
+    mat, lower, rhs, full, _ = reference_rows(model, left_out(model), column,
+                                              len(obj))
     return rows_of(mat[full], lower[full], rhs[full])
 
 
-def same_reduction(model) -> bool:
-    """Whether ``_reduce`` and ``reference_reduce`` agree array for array,
-    the index arrays in scipy's dtype too."""
-    got, want = _reduce(model), reference_reduce(model)
+def same_arrays(got, want) -> bool:
+    """Whether a ``_reduce`` and a ``reference_reduce`` agree array for
+    array, the index arrays in scipy's dtype too."""
     if got is None or want is None:
         return got is want
     column, obj, a, *rest = want
@@ -795,6 +847,13 @@ def same_reduction(model) -> bool:
     got = [column, obj, *a, *rest]
     return (a[0].dtype == want[2].dtype and a[1].dtype == want[3].dtype
             and all(np.array_equal(g, w) for g, w in zip(got, want)))
+
+
+def same_reduction(model) -> bool:
+    """Whether ``_reduce`` and ``reference_reduce`` agree on ``model``,
+    without the rows it leaves out."""
+    return same_arrays(_reduce(model), reference_reduce(model,
+                                                        left_out(model)))
 
 
 @hs.composite
@@ -843,21 +902,25 @@ def test_gst_member_with_one_child_is_not_tied():
     assert solve_lp(model).objective == pytest.approx(1.0)
 
 
-def test_gst_rules_flag_exactly_their_rows():
-    # root 0 has children 1, 2, 3; 1 has the leaves 4, 5 and 2 the leaves
-    # 6, 7, 8; groups t0 = {4, 5}, t1 = {5, 6}, t2 = {3}, t3 = {7, 8}
-    inst = GroupTreeInstance(9, [-1, 0, 0, 0, 1, 1, 2, 2, 2],
+def rules_gst() -> GroupTreeInstance:
+    """Root 0 has children 1, 2, 3; 1 has the leaves 4, 5 and 2 the leaves
+    6, 7, 8; groups t0 = {4, 5}, t1 = {5, 6}, t2 = {3}, t3 = {7, 8}; each
+    rule of build_gst_lp leaves out some row."""
+    return GroupTreeInstance(9, [-1, 0, 0, 0, 1, 1, 2, 2, 2],
                              [1, 3, 2, 1, 4, 1, 2, 9, 1],
                              [frozenset({4, 5}), frozenset({5, 6}),
                               frozenset({3}), frozenset({7, 8})],
                              [3, 1, 2, 0, 0, 0, 0, 0, 0])
-    model = build_gst_lp(inst)
+
+
+def test_gst_rules_flag_exactly_their_rows():
+    model = build_gst_lp(rules_gst())
     # the degree rows, vertex by vertex: x_c - x_p per child, then the sum
     assert model.ub[:4] == (([1, 0], [1.0, -1.0], 0.0),
                             ([2, 0], [1.0, -1.0], 0.0),
                             ([3, 0], [1.0, -1.0], 0.0),
                             ([1, 2, 3, 0], [1.0, 1.0, 1.0, -3.0], 0.0))
-    assert model.implied[:11].tolist() == [
+    assert left_out(model)[:11].tolist() == [
         False, False, False,
         True,           # A: coef(0) = 3 >= its 3 children
         True, True,     # B: x_4, x_5 <= x_1 through row (1, t0)
@@ -871,7 +934,7 @@ def test_gst_rules_flag_exactly_their_rows():
                      (1, [4, 5]), (1, [5]), (2, [6]), (2, [7, 8]), (3, [3]),
                      (4, [4]), (5, [5]), (5, [5]), (6, [6]), (7, [7]),
                      (8, [8])]
-    assert model.implied[11:].tolist() == [
+    assert left_out(model)[11:].tolist() == [
         True,           # single-child: t0 comes through 1 alone
         False,          # t1 comes through 1 and 2, and coef(0) = 3 > 1
         True, True,     # single-child
@@ -892,7 +955,7 @@ def test_gst_capacity_row_of_a_member_is_kept():
     heads = [cols[-1] for cols, _, _ in model.ub]
     row = 5 + heads[5:].index(1)
     assert model.ub[row] == ([1, 2, 3, 1], [1.0, 1.0, 1.0, -1.0], 0.0)
-    assert not model.implied[row]
+    assert not left_out(model)[row]
     assert solve_lp(model).objective == pytest.approx(5.0)
 
 
@@ -931,9 +994,7 @@ def test_gst_ties_and_implied_rows_keep_the_lp(inst):
     # the status and value of the full model
     model = build_gst_lp(inst)
     got = solve_lp(model)
-    model.tie[:] = -1
-    model.implied[:] = False
-    want = solve_lp(model)
+    want = solve_lp(explicit(model))
     assert got.status == want.status
     if want.status == OPTIMAL:
         assert got.objective == pytest.approx(want.objective, rel=1e-9,
@@ -964,3 +1025,274 @@ def test_repeats_are_exact_when_every_fingerprint_meets(monkeypatch, make):
     model = make()
     monkeypatch.setattr(lpcore, "_weights", np.zeros)
     assert same_reduction(model)
+
+
+def reference_route(parent, o, p):
+    """The child of p on the path up from o, or p itself when o is p."""
+    while o != p and parent[o] != p:
+        o = parent[o]
+    return o
+
+
+def reference_dst_implied(st, ub) -> np.ndarray:
+    """Which capacity rows of ``reference_dst_rows`` have one route: their
+    members all come through one child of p, or p alone is in them."""
+    return np.array([len({reference_route(st.parent, o, cols[-1])
+                          for o in cols[:-1]}) == 1 for cols, _, _ in ub])
+
+
+def reference_gst_kinds(inst) -> dict:
+    """For each rule of ``build_gst_lp``, the mask of the ``<=`` rows of
+    ``reference_gst_rows`` that it leaves out, found row by row: the
+    single-child rule and C on capacity rows (C where the first does not
+    hold), A on child-sum rows and B on per-child rows."""
+    coef = [min(float(d), inst.n) for d in inst.degree_bound]
+    per_ut = {}
+    for t, g in enumerate(inst.groups):
+        for o in sorted(g):
+            u = o
+            while u != -1:
+                per_ut.setdefault((int(u), t), []).append(o)
+                u = inst.parent[u]
+    single = {(u, t): len({reference_route(inst.parent, o, u)
+                           for o in members}) == 1
+              for (u, t), members in per_ut.items()}
+    kinds = {"single": [], "A": [], "B": [], "C": []}
+
+    def add(**flags):
+        for kind, mask in kinds.items():
+            mask.append(flags.get(kind, False))
+
+    for u in range(inst.n):
+        kids = inst.children[u]
+        for v in kids:
+            add(B=not inst.children[v] and any(
+                v in g and not single[(u, t)]
+                for t, g in enumerate(inst.groups)))
+        if kids:
+            add(A=coef[u] >= len(kids))
+    for u, t in sorted(per_ut):
+        add(single=single[(u, t)],
+            C=(not single[(u, t)] and coef[u] <= 1
+               and len(inst.children[u]) >= 2 and u not in inst.groups[t]))
+    return {kind: np.array(mask, dtype=bool) for kind, mask in kinds.items()}
+
+
+def reference_gst_tie(inst) -> np.ndarray:
+    """tie[c] = p where p is a vertex in no group, not the root, whose only
+    child is c."""
+    members = set().union(*inst.groups)
+    tie = np.full(inst.n, -1)
+    for p in range(inst.n):
+        if (p != inst.root and len(inst.children[p]) == 1
+                and p not in members):
+            tie[inst.children[p][0]] = p
+    return tie
+
+
+def reference_dst_lp(st):
+    """The full DST LP of ``reference_dst_rows`` as blocks, and the mask of
+    its ``<=`` rows that HiGHS does not need."""
+    obj, eq, ub = reference_dst_rows(st)
+    return (LPModel(len(st), obj, eq_parts=(from_rows(eq),),
+                    ub_parts=(from_rows(ub),)),
+            reference_dst_implied(st, ub))
+
+
+def reference_gst_lp(inst):
+    """The full GST LP of ``reference_gst_rows`` as blocks with the ties of
+    ``reference_gst_tie``, and the mask of its ``<=`` rows that HiGHS does
+    not need."""
+    obj, eq, ub = reference_gst_rows(inst)
+    lo = np.zeros(inst.n)
+    lo[inst.root] = 1
+    return (LPModel(inst.n, obj, eq_parts=(from_rows(eq),),
+                    ub_parts=(from_rows(ub),), lo=lo,
+                    tie=reference_gst_tie(inst)),
+            np.logical_or.reduce(list(reference_gst_kinds(inst).values())))
+
+
+def assert_highs_gets_the_reference_dst_lp(st):
+    assert same_arrays(_reduce(build_dst_lp(st)),
+                       reference_reduce(*reference_dst_lp(st)))
+
+
+def assert_highs_gets_the_reference_gst_lp(inst):
+    assert same_arrays(_reduce(build_gst_lp(inst)),
+                       reference_reduce(*reference_gst_lp(inst)))
+
+
+def test_highs_gets_the_reduced_lp(monkeypatch):
+    # solve_lp hands HiGHS the LP of _reduce, array for array
+    model = gst_case(0)
+    sent = []
+    monkeypatch.setattr(lpcore, "_pass_model",
+                        lambda solver, *lp: sent.append(lp))
+    assert solve_lp(model).status == INFEASIBLE
+    (obj, a, *bounds), (want_obj, want_a, *want) = sent[0], _reduce(model)[1:]
+    assert a[3] == want_a[3]
+    assert all(np.array_equal(got, w) for got, w in zip(
+        [obj, *a[:3], *bounds], [want_obj, *want_a[:3], *want]))
+
+
+# the instances of tests/test_golden.py
+GOLDEN_DST = {"small.dst": (lambda: gen_dst(6, 8, 3, seed=0), 3),
+              "frac.dst": (lambda: gen_dst(7, 14, 4, d_max=1, seed=3), 4)}
+GOLDEN_GST = {"mid.gst": lambda: gen_gst(40, 3, 4, 3, seed=7),
+              "overlap.gst": lambda: parse_gst(OVERLAP_GST)}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DST))
+def test_highs_gets_the_reference_golden_dst_lp(name):
+    make, h = GOLDEN_DST[name]
+    assert_highs_gets_the_reference_dst_lp(build_super_tree(normalize(make()),
+                                                            h))
+
+
+@pytest.mark.parametrize("make", [*GOLDEN_GST.values(),
+                                  *(lambda s=s: gen_gst(2000, 8, 8, 4, seed=s)
+                                    for s in range(3))],
+                         ids=[*GOLDEN_GST, *(f"2000-8-8-4-s{s}"
+                                             for s in range(3))])
+def test_highs_gets_the_reference_gst_lp(make):
+    assert_highs_gets_the_reference_gst_lp(preprocess_gst(make()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(dst_shapes(), hs.integers(1, 3), hs.integers(1, 4),
+       hs.integers(0, 10 ** 6))
+def test_highs_gets_the_reference_dst_lp_on_random_shapes(shape, d_max, h,
+                                                          seed):
+    try:
+        st = build_super_tree(normalize(gen_dst(*shape, d_max, seed=seed)),
+                              h, node_cap=20_000)
+        build_dst_lp(st)
+    except (CapExceededError, InfeasibleError):
+        assume(False)
+    assert_highs_gets_the_reference_dst_lp(st)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(hs.integers(2, 60), hs.integers(1, 4), hs.integers(1, 5),
+       hs.integers(1, 4), hs.integers(0, 10 ** 6))
+def test_highs_gets_the_reference_gst_lp_on_random_shapes(n, k, depth, d_max,
+                                                          seed):
+    try:
+        inst = preprocess_gst(gen_gst(n, k, depth, d_max, seed=seed))
+    except FormatError:
+        assume(False)
+    assert_highs_gets_the_reference_gst_lp(inst)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(unary_gst())
+def test_highs_gets_the_reference_gst_lp_on_unary_trees(inst):
+    assert_highs_gets_the_reference_gst_lp(inst)
+
+
+def rowwise_excess(blk, x) -> np.ndarray:
+    """``A x - rhs`` of each row of ``blk``, summed in Python."""
+    return np.array([sum(v * x[j] for j, v in zip(cols, vals)) - rhs
+                     for cols, vals, rhs in blk.rows()])
+
+
+def rowwise_violation(model, x) -> float:
+    """``max_violation`` as a row-by-row evaluation of the full model."""
+    eq, ub = model.blocks()
+    return float(np.max(np.concatenate(
+        [np.abs(rowwise_excess(eq, x)), rowwise_excess(ub, x),
+         model.lo - x, x - model.hi]), initial=0.0))
+
+
+CHECK_CASES = ([(f"dst-{s}", lambda s=s: dst_case("small_dst", s))
+                for s in range(3)]
+               + [(f"gst-{s}", lambda s=s: gst_case(s)) for s in range(3)]
+               + [("rules", lambda: build_gst_lp(rules_gst())),
+                  ("overlap", lambda: build_gst_lp(
+                      preprocess_gst(parse_gst(OVERLAP_GST))))])
+
+
+@pytest.mark.parametrize("make", [case[1] for case in CHECK_CASES],
+                         ids=[case[0] for case in CHECK_CASES])
+def test_check_is_a_rowwise_evaluation(make):
+    # every row of the full model, part by part, in the bounds and out
+    model = make()
+    rng = np.random.default_rng(7)
+    for x in (rng.random(model.nvar), rng.uniform(-0.5, 1.5, model.nvar),
+              solve_lp(model).x):
+        assert model.max_violation(x) == pytest.approx(
+            rowwise_violation(model, x), rel=0, abs=1e-12)
+        for part in model.eq_parts + model.ub_parts:
+            assert np.allclose(np.sort(part.excess(x)),
+                               np.sort(rowwise_excess(part.write(True), x)),
+                               rtol=0, atol=1e-12)
+
+
+def break_one(model, x, eq_kind, ub_kind):
+    """``x`` changed at one variable, inside its bounds, so that exactly
+    one row of a kind breaks, the kind a mask over the ``=`` and one over
+    the ``<=`` rows of the full model; returns it and that row, counted
+    over the ``=`` rows, then the ``<=`` rows."""
+    eq, ub = model.blocks()
+    a = scipy.sparse.vstack([csr(eq, model.nvar), csr(ub, model.nvar)])
+    kind = np.concatenate([eq_kind, ub_kind])
+    blk = Block.stack(eq, ub)
+    for r in np.flatnonzero(kind).tolist():
+        for j in blk.col[blk.row == r].tolist():
+            for value in (0.0, 1.0, 0.5):
+                if not model.lo[j] <= value <= model.hi[j]:
+                    continue
+                y = x.copy()
+                y[j] = value
+                excess = a @ y - blk.rhs
+                excess[:len(eq)] = np.abs(excess[:len(eq)])
+                bad = excess > EPS_FEAS
+                if bad[r] and np.count_nonzero(bad & kind) == 1:
+                    return y, r
+    raise AssertionError("no change of one variable breaks one row alone")
+
+
+def tie_rows(model) -> np.ndarray:
+    """The mask of the ``=`` rows ``x_c - x_p = 0`` with ``tie[c] = p``."""
+    return np.array([len(cols) == 2 and vals == [1.0, -1.0] and rhs == 0
+                     and model.tie[cols[0]] == cols[1]
+                     for cols, vals, rhs in model.eq], dtype=bool)
+
+
+def left_out_kind(problem, kind):
+    """The model, and the masks of the ``=`` and ``<=`` rows of ``kind``
+    that HiGHS does not get."""
+    if problem == "dst":
+        _, norm, _, h = small_dst(0)
+        st = build_super_tree(norm, h)
+        model = build_dst_lp(st)
+        if kind == "tie":
+            return model, tie_rows(model), np.zeros(len(model.ub), bool)
+        implied = reference_dst_implied(st, model.ub)
+        return model, np.zeros(len(model.eq), bool), implied
+    inst = rules_gst() if kind == "C" else preprocess_gst(
+        gen_gst(40, 3, 4, 3, seed=0))
+    model = build_gst_lp(inst)
+    return (model, np.zeros(len(model.eq), bool),
+            reference_gst_kinds(inst)[kind])
+
+
+@pytest.mark.parametrize("problem,kind", [
+    ("dst", "tie"), ("dst", "capacity"), ("gst", "single"), ("gst", "A"),
+    ("gst", "B"), ("gst", "C")])
+def test_check_catches_each_left_out_row(monkeypatch, problem, kind):
+    # an x that breaks one row HiGHS never gets, and no other of its kind,
+    # fails the check after the solve
+    model, eq_kind, ub_kind = left_out_kind(problem, kind)
+    assert left_out(model)[ub_kind].all()
+    y, r = break_one(model, solve_lp(model).x, eq_kind, ub_kind)
+    worst = model.max_violation(y)
+    assert worst > EPS_FEAS
+    assert worst == pytest.approx(rowwise_violation(model, y), rel=0,
+                                  abs=1e-12)
+    # HiGHS solves without ties and returns y
+    model.tie[:] = -1
+    monkeypatch.setattr(lpcore, "_run_highs", lambda solver: (
+        highs.HighsModelStatus.kOptimal, y))
+    with pytest.raises(SolverError, match="solution violates constraints"):
+        solve_lp(model)
