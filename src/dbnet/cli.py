@@ -429,10 +429,8 @@ def _relaxes_dst(norm, h: int, edges) -> bool:
     """Whether the DB-DST LP at height h costs at most the tree of
     ``edges``: the super-tree holds every tree whose decomposition fits in
     h, and the height budget bounds that depth for every tree,
-    ``oracle_height`` for this one.  Without terminals the tree is empty
-    and the LP is 0."""
-    return (not edges or h >= height_budget(norm.inst.n)
-            or h >= oracle_height(norm, edges))
+    ``oracle_height`` for this one."""
+    return h >= height_budget(norm.inst.n) or h >= oracle_height(norm, edges)
 
 
 def _subtree(inst: GroupTreeInstance, vertices: list[int], prefix: str,

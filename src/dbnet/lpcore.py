@@ -224,21 +224,16 @@ def _repeats(row, col, val, count, lower, rhs, ncol):
     return repeat
 
 
-def _csc(blk: Block, lower: np.ndarray, column: np.ndarray, ncol: int):
-    """The column-wise matrix of the rows of ``blk``, with the variable
-    ``j`` in column ``column[j]`` (an integer array that holds ``ncol``):
-    the duplicate entries summed and the zeros dropped, as scipy's
-    ``csr_matrix``, ``eliminate_zeros`` and ``tocsc`` give it, and every
-    row that repeats an earlier one (``_repeats``, with the row bounds
-    ``lower`` and ``blk.rhs``) left out.  Returns ``(start, index, value,
-    shape)`` over the rows that keep an entry and repeat no row, the mask
-    of the rows that keep an entry, and the mask of the rows kept."""
-    col = column[blk.col]
+def _summed(row, col, val):
+    """The entries ``(row, col, val)`` in column order, those of one row
+    and column summed and the zeros dropped, as scipy's ``csr_matrix``,
+    ``eliminate_zeros`` and ``tocsc`` give them.  ``col`` is an integer
+    array, and the entries come in row order."""
     # a stable sort keeps each column's entries in row order, so the
     # entries of one row and column are neighbours
     order = np.argsort(col, kind="stable")
     col = col[order]
-    row, val = blk.row[order], blk.val[order]
+    row, val = row[order], val[order]
     # each full-size temporary freed early is memory the next one reuses
     del order
     new = np.ones(len(row), dtype=bool)
@@ -251,15 +246,98 @@ def _csc(blk: Block, lower: np.ndarray, column: np.ndarray, ncol: int):
     first = first[nonzero]
     val = val[nonzero]
     del nonzero
-    row = row[first]
-    col = col[first]
-    del first
-    count = np.bincount(row, minlength=len(blk))
+    return row[first], col[first], val
+
+
+def _definitions(row, col, val, nrow, ncol):
+    """The definitions ``x_j = sum of x_i`` that ``_substitute`` uses, from
+    the entries of ``_summed`` of some ``=`` rows with rhs 0, out of
+    ``nrow`` rows over ``ncol`` columns.  Such a row defines j when it has
+    -1 on j and +1 on every other column, of which it has one at least.
+    The first row that defines j is used when none of its + columns has a
+    definition itself, so that no definition feeds into another.  Returns
+    the column each row defines, -1 where it is not used, and the entries
+    of the + columns of the rows used."""
+    minus = val == -1
+    count = np.bincount(row, minlength=nrow)
+    rows = np.flatnonzero((count > 1)
+                          & (np.bincount(row[minus], minlength=nrow) == 1)
+                          & (np.bincount(row, val == 1, minlength=nrow)
+                             == count - 1))
+    defines = np.full(nrow, -1)
+    defines[row[minus]] = col[minus]
+    defined = np.zeros(ncol, dtype=bool)
+    defined[defines[rows]] = True
+    # the first row that defines each column
+    rows = rows[np.unique(defines[rows], return_index=True)[1]]
+    used = np.zeros(nrow, dtype=bool)
+    used[rows] = True
+    at = np.flatnonzero(used[row] & ~minus)
+    used[row[at[defined[col[at]]]]] = False
+    defines[~used] = -1
+    return defines, at[used[row[at]]]
+
+
+def _substitute(row, col, val, lower, rhs, obj, lo, hi):
+    """The LP after each definition ``x_j = sum of x_i`` of
+    ``_definitions`` is substituted: every other entry on j goes to j's +
+    columns with its coefficient, and so does c_j; j's own row keeps its +
+    entries and reads ``lo[j] <= sum <= hi[j]``.  HiGHS solves for the
+    columns that have no definition, renumbered in order.
+
+    The LP is given as its entries in row order, ``col`` any integer
+    array, the row bounds, and the cost and bounds of every column.
+    Returns the entries and the row bounds after the substitution, the
+    cost and bounds of HiGHS's columns, and the lift ``(start, index)``:
+    column c is the sum of HiGHS's columns ``index[start[c]:start[c +
+    1]]``, its + columns if it has a definition and itself if not."""
+    ncol = len(obj)
+    # the definitions are read from the = rows with rhs 0 alone
+    mine = np.flatnonzero(((lower == 0) & (rhs == 0))[row])
+    sums = _summed(row[mine], col[mine], val[mine])
+    del mine
+    defines, plus = _definitions(*sums, len(rhs), ncol)
+    taken = np.flatnonzero(defines >= 0)
+    left = np.ones(ncol, dtype=bool)
+    left[defines[taken]] = False
+    renumber = np.cumsum(left) - 1
+    # the lift, column by column: c itself, or j's + columns in order
+    head = np.concatenate([np.flatnonzero(left), defines[sums[0][plus]]])
+    start = np.zeros(ncol + 1, dtype=np.int64)
+    np.cumsum(np.bincount(head, minlength=ncol), out=start[1:])
+    index = np.concatenate([renumber[left], renumber[sums[1][plus]]])[
+        np.argsort(head, kind="stable")]
+    obj = np.bincount(index, np.repeat(obj, np.diff(start)),
+                      minlength=ncol - len(taken))
+    if len(taken):
+        lower, rhs = lower.copy(), rhs.copy()
+        lower[taken] = lo[defines[taken]]
+        rhs[taken] = hi[defines[taken]]
+        # each entry moves, in place, to the columns of its lift, but the
+        # -1 on j in j's own row, which is dropped
+        n = np.diff(start)[col]
+        n[defines[row] == col] = 0
+        end = np.cumsum(n)
+        at = np.repeat(start[col] - end + n, n) + np.arange(end[-1])
+        row, col, val = (np.repeat(row, n), index[at].astype(col.dtype),
+                         np.repeat(val, n))
+    return ((row, col, val), lower, rhs, obj, lo[left], hi[left],
+            (start, index))
+
+
+def _csc(row, col, val, lower, rhs, ncol):
+    """The column-wise matrix of the rows ``lower <= A x <= rhs``, given
+    as their summed entries in column order, with every row that repeats
+    an earlier one (``_repeats``) left out.  Returns ``(start, index,
+    value, shape)`` over the rows that keep an entry and repeat no row,
+    the mask of the rows that keep an entry, and the mask of the rows
+    kept.  ``col`` is an integer array that holds ``ncol``."""
+    count = np.bincount(row, minlength=len(rhs))
     full = count > 0
     # number the rows that keep an entry, then the rows that repeat none
     row = (np.cumsum(full) - 1)[row]
     at = np.flatnonzero(full)
-    repeat = _repeats(row, col, val, count[at], lower[at], blk.rhs[at], ncol)
+    repeat = _repeats(row, col, val, count[at], lower[at], rhs[at], ncol)
     kept = full.copy()
     kept[at[repeat]] = False
     mine = ~repeat[row] if repeat.any() else slice(None)
@@ -275,12 +353,15 @@ def _csc(blk: Block, lower: np.ndarray, column: np.ndarray, ncol: int):
 
 def _reduce(model: LPModel):
     """The LP that HiGHS solves: each tree of ties is one column, the rows
-    the parts keep for HiGHS are written, rows left empty are dropped and
-    so is every row that repeats an earlier one.
+    the parts keep for HiGHS are written, the definitions of
+    ``_definitions`` are substituted (``_substitute``), rows left empty
+    are dropped and so is every row that repeats an earlier one.
 
-    Returns the column of every variable, the objective, the matrix of
-    ``_csc`` and the row bounds of the rows kept, the ``<=`` rows first,
-    and the column bounds; or None when an empty row cannot hold."""
+    Returns the lift ``(column, start, index)``, the objective, the matrix
+    of ``_csc`` and the row bounds of the rows kept, the ``<=`` rows
+    first, and the column bounds; or None when an empty row cannot hold.
+    HiGHS's x lifts to the columns by ``_substitute``'s ``(start,
+    index)``, and variable v reads column ``column[v]``."""
     # columns in the order of the trees' tops
     linked = np.flatnonzero(model.tie >= 0)
     top = tops(model.nvar, linked, model.tie[linked])
@@ -295,17 +376,22 @@ def _reduce(model: LPModel):
     del ub, eq
     # numpy sorts 16-bit keys by radix; _csc needs room for column ncol
     narrow = column.astype(np.uint16 if ncol < 1 << 16 else np.int64)
-    a, full, kept = _csc(blk, lower, narrow, ncol)
-    # an empty row reads lower <= 0 <= rhs
-    if not ((lower[~full] <= 0) & (blk.rhs[~full] >= 0)).all():
-        return None
     # the variables of each column, which holds at least one
     order = np.argsort(narrow, kind="stable")
     first = np.searchsorted(narrow[order], np.arange(ncol))
-    return (column, np.bincount(column, weights=model.obj, minlength=ncol),
-            a, lower[kept], blk.rhs[kept],
-            np.maximum.reduceat(model.lo[order], first),
-            np.minimum.reduceat(model.hi[order], first))
+    lo = np.maximum.reduceat(model.lo[order], first)
+    hi = np.minimum.reduceat(model.hi[order], first)
+    del order, first
+    entries, lower, rhs, obj, lo, hi, lift = _substitute(
+        blk.row, narrow[blk.col], blk.val, lower, blk.rhs,
+        np.bincount(column, weights=model.obj, minlength=ncol), lo, hi)
+    del blk
+    entries = _summed(*entries)
+    a, full, kept = _csc(*entries, lower, rhs, len(obj))
+    # an empty row reads lower <= 0 <= rhs
+    if not ((lower[~full] <= 0) & (rhs[~full] >= 0)).all():
+        return None
+    return (column, *lift), obj, a, lower[kept], rhs[kept], lo, hi
 
 
 # HiGHS 1.12's bit of kPresolveRuleParallelRowsAndCols in presolve_rule_off.
@@ -360,7 +446,7 @@ def solve_lp(model: LPModel) -> LPSolution:
         return LPSolution(INFEASIBLE, None, None)
     solver = highs._Highs()
     passed = _pass_model(solver, *reduced[1:])
-    column = reduced[0]
+    column, start, index = reduced[0]
     # HiGHS holds its own copy: no row or array of the LP stays on this side
     # while it solves
     del reduced
@@ -375,8 +461,10 @@ def solve_lp(model: LPModel) -> LPSolution:
         return LPSolution(INFEASIBLE, None, None)
     if x is None:
         raise SolverError(f"LP solver failed: HiGHS status {status.name}")
-    # np.clip may keep a -0.0 that HiGHS returns; + 0.0 makes it 0.0
-    x = np.clip(x[column], model.lo, model.hi) + 0.0
+    # each column is the sum of the HiGHS columns it lifts from; np.clip
+    # may keep a -0.0 that HiGHS returns, and + 0.0 makes it 0.0
+    x = np.clip(np.add.reduceat(x[index], start[:-1])[column], model.lo,
+                model.hi) + 0.0
     worst = model.max_violation(x)
     if not worst <= EPS_FEAS:
         raise SolverError(f"solution violates constraints by {worst:.3e}")

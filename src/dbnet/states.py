@@ -176,9 +176,12 @@ def oracle_height(norm: NormalizedInstance, edges) -> int:
     """Depth of the balanced decomposition of a tree of original edges,
     such as an oracle optimum: the smallest height at which that tree
     certainly embeds into the super-tree, so that the super-tree LP costs
-    at most what the tree costs."""
-    return gen_state_tree(norm, lift_tree(norm, set(map(tuple, edges)))
-                          ).depth()
+    at most what the tree costs.  The empty tree, the optimum without
+    terminals, has height 0: the LP at any height costs 0 then."""
+    edges = set(map(tuple, edges))
+    if not edges:
+        return 0
+    return gen_state_tree(norm, lift_tree(norm, edges)).depth()
 
 
 def validate_state_tree(norm: NormalizedInstance, root: StateTreeNode,

@@ -547,6 +547,20 @@ def test_verify_checks_dst_coverage(tmp_path, capsys):
     assert main(["verify", "--tree", str(out), "--instance", str(path)]) == 0
 
 
+def test_run_without_terminals_verifies(tmp_path):
+    # the oracle tree is empty, and its height 0 lets the LP bound apply
+    # at h=2
+    path = tmp_path / "none.dst"
+    out = tmp_path / "rep.json"
+    path.write_text(PATH3.format(m=2, k=0, edges="edge 1 2 1\n",
+                                 terminals=""))
+    assert main(["run", "--problem", "dst", "--instance", str(path),
+                 "--height", "2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["lp_cost"] == 0 and doc["oracle"]["edges"] == []
+    assert main(["verify", "--tree", str(out), "--instance", str(path)]) == 0
+
+
 def test_verify_wants_boolean_gst_coverage(tmp_path, capsys):
     path = tmp_path / "g.gst"
     out = tmp_path / "rep.json"

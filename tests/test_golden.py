@@ -66,7 +66,7 @@ GOLDEN = {
     "frac-lp":
         "461f3357e2633ac3c7baa86aed900faa1a8c1125b7f49a792c3282bef9f71a2b",
     "frac-run":
-        "48a5bb4b5eefd2d020d69ad09de9f873ebff9b8fc116f0e99d4fc3e6a251ef3b",
+        "c187e7f24b50e058facfcfc74cd84bb2ecd36346b13a2adc6b70d677e9dbe259",
     "frac-supertree":
         "55bcccaf50640806f3be6a8959000d1d4e4054197f03bfa4645062fc7e2638b6",
     "mid-lp":

@@ -9,7 +9,7 @@ import pytest
 import scipy.optimize
 import scipy.sparse
 import scipy.sparse.csgraph
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 from scipy.optimize._highspy import _core as highs
 
@@ -92,11 +92,19 @@ def scipy_matrix(a):
     return scipy.sparse.csc_matrix((value, index, start), shape=shape)
 
 
+def lifted(lift, x):
+    """HiGHS's ``x`` lifted to every variable by the lift ``(column, start,
+    index)`` of ``_reduce``: each column is the sum, in order, of the
+    HiGHS columns it lifts from."""
+    column, start, index = lift
+    return np.add.reduceat(x[index], start[:-1])[column]
+
+
 def highs_solver(model, *extra):
     """scipy's HiGHS binding, reached through ``scipy.optimize`` and run
     here with dbnet's options and then ``extra`` ones on the LP of
-    ``_reduce``; returns it and the column of every variable."""
-    column, obj, a, row_lo, row_hi, lo, hi = _reduce(model)
+    ``_reduce``; returns it and the lift of ``_reduce``."""
+    lift, obj, a, row_lo, row_hi, lo, hi = _reduce(model)
     mat = scipy_matrix(a)
     lp = highs.HighsLp()
     lp.num_row_, lp.num_col_ = mat.shape
@@ -113,7 +121,7 @@ def highs_solver(model, *extra):
     solver.passModel(lp)
     solver.run()
     assert solver.getModelStatus() == highs.HighsModelStatus.kOptimal
-    return solver, column
+    return solver, lift
 
 
 def gst_case(seed):
@@ -149,9 +157,9 @@ def test_solve_matches_linprog_bitwise(make):
     model = make()
     sol = solve_lp(model)
     assert sol.status == OPTIMAL
-    solver, column = highs_solver(model)
-    x = np.clip(np.array(solver.getSolution().col_value)[column], model.lo,
-                model.hi)
+    solver, lift = highs_solver(model)
+    x = np.clip(lifted(lift, np.array(solver.getSolution().col_value)),
+                model.lo, model.hi)
     assert sol.x.tobytes() == x.tobytes()
     assert sol.objective == pytest.approx(model.obj @ full_linprog_x(model),
                                           rel=0, abs=1e-9)
@@ -223,10 +231,11 @@ def test_highs_gets_each_row_once(monkeypatch, make):
                          ids=["eq+ub", "eq", "ub", "dst", "gst"])
 def test_solve_rejects_a_perturbed_answer(monkeypatch, make):
     model = make()
-    # the column of a member of the first cover row (of x_0 in x_0 <= 1/4
-    # without one), moved by 1/2 inside its bounds
+    # the first HiGHS column that a member of the first cover row (x_0 in
+    # x_0 <= 1/4 without one) lifts from, moved by 1/2 inside its bounds
     var = model.eq_block.col[0] if len(model.eq_block) else 0
-    j = _reduce(model)[0][var]
+    column, start, index = _reduce(model)[0]
+    j = index[start[column[var]]]
     run_highs = lpcore._run_highs
 
     def perturbed(*lp):
@@ -773,8 +782,9 @@ def reference_reduce(model, implied):
     the two variables of each row ``x_a - x_b = 0`` share one column, and
     the columns are scipy's connected components of those rows.  A model
     with no such row takes the ties it declares instead: the GST ties hold
-    in some optimum, not by a row.  Of the rows equal after that, a dict
-    over scipy's rows keeps the first."""
+    in some optimum, not by a row.  The definitions are substituted by
+    ``reference_substitute``.  Of the rows equal after that, a dict over
+    scipy's rows keeps the first."""
     eq = model.eq_block
     count = np.bincount(eq.row, minlength=len(eq))
     two = np.flatnonzero(count == 2)
@@ -790,9 +800,8 @@ def reference_reduce(model, implied):
                                     shape=(model.nvar, model.nvar))
     column = scipy.sparse.csgraph.connected_components(graph,
                                                        directed=False)[1]
-    ncol = int(column.max()) + 1 if model.nvar else 0
-    mat, lower, rhs, full, empty = reference_rows(model, implied, column,
-                                                  ncol)
+    mat, lower, rhs, full, empty, lift, left, lo, hi = reference_rows(
+        model, implied, column)
     if not ((lower[empty] <= 0) & (rhs[empty] >= 0)).all():
         return None
     # the first of each set of equal rows
@@ -802,19 +811,20 @@ def reference_reduce(model, implied):
         first.setdefault(row, i)
     kept = np.zeros(len(full), dtype=bool)
     kept[list(first.values())] = True
-    lo = np.full(ncol, -np.inf)
-    hi = np.full(ncol, np.inf)
-    np.maximum.at(lo, column, model.lo)
-    np.minimum.at(hi, column, model.hi)
-    return (column, np.bincount(column, weights=model.obj, minlength=ncol),
-            mat[kept].tocsc(), lower[kept], rhs[kept], lo, hi)
+    obj = lift.T @ np.bincount(column, weights=model.obj,
+                               minlength=lift.shape[0])
+    return ((column, lift), obj, mat[kept].tocsc(), lower[kept], rhs[kept],
+            lo[left], hi[left])
 
 
-def reference_rows(model, implied, column, ncol):
+def reference_rows(model, implied, column):
     """scipy's CSR matrix of the full model's rows, the ``<=`` rows first,
-    over the columns, its duplicates summed and zeros dropped; the row
-    bounds; and the masks of the rows not ``implied`` that keep an entry
-    and of those left empty."""
+    over the columns, its duplicates summed and zeros dropped and the
+    definitions substituted (``reference_substitute``); the row bounds;
+    the masks of the rows not ``implied`` that keep an entry and of those
+    left empty; the lift and the mask of the columns HiGHS solves for;
+    and the bounds of every column."""
+    ncol = int(column.max()) + 1 if len(column) else 0
     eq, ub = model.blocks()
     blk = Block.stack(ub, eq)
     lower = np.concatenate([np.full(len(ub), -np.inf), eq.rhs])
@@ -823,29 +833,74 @@ def reference_rows(model, implied, column, ncol):
     mat.eliminate_zeros()
     keep = np.ones(len(blk), dtype=bool)
     keep[:len(ub)] = ~implied
+    lo = np.full(ncol, -np.inf)
+    hi = np.full(ncol, np.inf)
+    np.maximum.at(lo, column, model.lo)
+    np.minimum.at(hi, column, model.hi)
+    mat, lower, rhs, lift, left = reference_substitute(mat, lower, blk.rhs,
+                                                       keep, lo, hi)
     full = keep & (np.diff(mat.indptr) > 0)
-    return mat, lower, blk.rhs, full, keep & ~full
+    return mat, lower, rhs, full, keep & ~full, lift, left, lo, hi
+
+
+def reference_substitute(mat, lower, rhs, keep, lo, hi):
+    """The definitions of ``_reduce`` substituted, row by row in Python.  A
+    row of ``keep`` with bounds 0 that holds -1 on one column j and +1 on
+    every other one, of which there is one at least, defines j.  The
+    first row that defines j is used unless one of its + columns has a
+    definition.  L, the lift, maps HiGHS's columns to the columns: j to
+    its + columns, and every other column to itself.  Returns ``(mat + P)
+    L``, where P cancels the -1 of each row used, so that the row keeps
+    its + entries; the row bounds, a row used reading ``lo[j] <= sum <=
+    hi[j]``; L; and the mask of the columns HiGHS solves for."""
+    defines = {}
+    for r in np.flatnonzero(keep & (lower == 0) & (rhs == 0)).tolist():
+        cols = mat.indices[mat.indptr[r]:mat.indptr[r + 1]].tolist()
+        vals = mat.data[mat.indptr[r]:mat.indptr[r + 1]].tolist()
+        if len(cols) > 1 and sorted(vals) == [-1.0] + [1.0] * (len(cols) - 1):
+            j = cols[vals.index(-1.0)]
+            defines.setdefault(j, (r, [c for c in cols if c != j]))
+    used = {j: (r, plus) for j, (r, plus) in defines.items()
+            if not any(c in defines for c in plus)}
+    ncol = mat.shape[1]
+    left = np.array([c not in used for c in range(ncol)], dtype=bool)
+    new = (np.cumsum(left) - 1).tolist()
+    pairs = [(c, new[i]) for c in range(ncol)
+             for i in (used[c][1] if c in used else [c])]
+    lift = scipy.sparse.csr_matrix(
+        (np.ones(len(pairs)), ([c for c, _ in pairs], [i for _, i in pairs])),
+        shape=(ncol, int(left.sum())))
+    cancel = scipy.sparse.csr_matrix(
+        (np.ones(len(used)), ([r for r, _ in used.values()], list(used))),
+        shape=mat.shape)
+    lower, rhs = lower.copy(), rhs.copy()
+    for j, (r, _) in used.items():
+        lower[r], rhs[r] = lo[j], hi[j]
+    mat = ((mat + cancel) @ lift).tocsr()
+    mat.eliminate_zeros()
+    mat.sort_indices()
+    return mat, lower, rhs, lift, left
 
 
 def system_rows(model) -> list[tuple]:
     """Every row ``_reduce`` may pass on: the rows written for HiGHS that
-    keep an entry, over its columns."""
-    column, obj = _reduce(model)[:2]
-    mat, lower, rhs, full, _ = reference_rows(model, left_out(model), column,
-                                              len(obj))
+    keep an entry, over its columns, the definitions substituted."""
+    mat, lower, rhs, full, *_ = reference_rows(model, left_out(model),
+                                               _reduce(model)[0][0])
     return rows_of(mat[full], lower[full], rhs[full])
 
 
 def same_arrays(got, want) -> bool:
     """Whether a ``_reduce`` and a ``reference_reduce`` agree array for
-    array, the index arrays in scipy's dtype too."""
+    array, the index arrays of the matrix in scipy's dtype too."""
     if got is None or want is None:
         return got is want
-    column, obj, a, *rest = want
-    want = [column, obj, a.indptr, a.indices, a.data, a.shape, *rest]
-    column, obj, a, *rest = got
-    got = [column, obj, *a, *rest]
-    return (a[0].dtype == want[2].dtype and a[1].dtype == want[3].dtype
+    (column, lift), obj, a, *rest = want
+    want = [column, lift.indptr, lift.indices, obj, a.indptr, a.indices,
+            a.data, a.shape, *rest]
+    lift, obj, a, *rest = got
+    got = [*lift, obj, *a, *rest]
+    return (a[0].dtype == want[4].dtype and a[1].dtype == want[5].dtype
             and all(np.array_equal(g, w) for g, w in zip(got, want)))
 
 
@@ -1277,6 +1332,11 @@ def left_out_kind(problem, kind):
             reference_gst_kinds(inst)[kind])
 
 
+def no_definitions(row, col, val, nrow, ncol):
+    """``_definitions`` that uses no row."""
+    return np.full(nrow, -1), np.zeros(0, dtype=np.int64)
+
+
 @pytest.mark.parametrize("problem,kind", [
     ("dst", "tie"), ("dst", "capacity"), ("gst", "single"), ("gst", "A"),
     ("gst", "B"), ("gst", "C")])
@@ -1290,9 +1350,84 @@ def test_check_catches_each_left_out_row(monkeypatch, problem, kind):
     assert worst > EPS_FEAS
     assert worst == pytest.approx(rowwise_violation(model, y), rel=0,
                                   abs=1e-12)
-    # HiGHS solves without ties and returns y
+    # HiGHS solves for every variable, without ties or definitions, and
+    # returns y
     model.tie[:] = -1
+    monkeypatch.setattr(lpcore, "_definitions", no_definitions)
     monkeypatch.setattr(lpcore, "_run_highs", lambda solver: (
         highs.HighsModelStatus.kOptimal, y))
     with pytest.raises(SolverError, match="solution violates constraints"):
         solve_lp(model)
+
+
+def test_check_catches_a_left_out_definition_row(monkeypatch):
+    # x_0 = x_1 + x_2 defines x_0, and HiGHS gets the row as 0 <= x_1 + x_2
+    # <= 1; left out, HiGHS sets x_1 = x_2 = 1 for the cost -2, x_0 lifts
+    # to 2 and is clipped to 1, and the full row is off by 1
+    model = LPModel(3, np.array([0.0, -1.0, -1.0]), eq_parts=(from_rows(
+        [([1, 2, 0], [1.0, 1.0, -1.0], 0.0)]),))
+    assert _reduce(model)[2][3] == (1, 2)
+    assert solve_lp(model).objective == -1.0
+    substitute = lpcore._substitute
+
+    def leave_out(row, col, val, lower, rhs, *rest):
+        entries, new_lower, new_rhs, *out = substitute(row, col, val, lower,
+                                                       rhs, *rest)
+        # the rows whose bounds the substitution set are those it keeps
+        kept = (new_lower != lower) | (new_rhs != rhs)
+        assert kept.tolist() == [True]
+        new_lower[kept], new_rhs[kept] = -np.inf, np.inf
+        return (entries, new_lower, new_rhs, *out)
+
+    monkeypatch.setattr(lpcore, "_substitute", leave_out)
+    with pytest.raises(SolverError, match="violates constraints by 1.000e"):
+        solve_lp(model)
+
+
+def full_linprog(model):
+    """``scipy.optimize.linprog`` on the full model, without ties."""
+    return scipy.optimize.linprog(
+        model.obj, A_ub=csr(model.ub_block, model.nvar),
+        b_ub=model.ub_block.rhs, A_eq=csr(model.eq_block, model.nvar),
+        b_eq=model.eq_block.rhs, bounds=np.column_stack([model.lo, model.hi]),
+        method="highs", options=TOLERANCES)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(dst_shapes(), hs.integers(1, 3), hs.integers(1, 4),
+       hs.integers(0, 10 ** 6))
+@example((7, 14, 4), 1, 4, 3)
+@example((7, 14, 4), 1, 4, 9)
+@example((3, 3, 2), 1, 1, 0)
+@example((3, 4, 2), 2, 1, 1)
+def test_substituted_dst_lp_is_exact(shape, d_max, h, seed):
+    # HiGHS solves with the definitions substituted: the optimum is
+    # linprog's on the full model, the lifted x holds every full row, and
+    # an infeasible LP stays infeasible; (7, 14, 4) at d_max=1 is
+    # fractional at seeds 3 and 9, and the LPs of (3, 3, 2) and (3, 4, 2)
+    # at h=1 are infeasible with one definition substituted
+    try:
+        st = build_super_tree(normalize(gen_dst(*shape, d_max, seed=seed)),
+                              h, node_cap=50_000)
+        model = build_dst_lp(st)
+    except (CapExceededError, InfeasibleError):
+        assume(False)
+    want = full_linprog(model)
+    sol = solve_lp(model)
+    if want.status == 2:
+        assert sol.status == INFEASIBLE
+        return
+    assert want.status == 0 and sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(want.fun, rel=0, abs=1e-9)
+    eq, ub = model.blocks()
+    assert np.all(np.abs(csr(eq, model.nvar) @ sol.x - eq.rhs) <= EPS_FEAS)
+    assert np.all(csr(ub, model.nvar) @ sol.x - ub.rhs <= EPS_FEAS)
+    assert np.all(model.lo <= sol.x) and np.all(sol.x <= model.hi)
+
+
+def test_highs_gets_fewer_columns_on_the_benchmark_lp():
+    # gen_dst(8, 14, 4, seed=0) at h=4 reached HiGHS as 3,027 x 4,316
+    # before the definitions were substituted
+    model = build_dst_lp(build_super_tree(normalize(gen_dst(8, 14, 4,
+                                                            seed=0)), 4))
+    assert _reduce(model)[2][3] == (2859, 3432)

@@ -215,6 +215,16 @@ def test_gst_optimum_equals_dst_of_its_reduction(n, k, depth, d_max, seed):
     assert lp <= opt.cost * (1 + 1e-9) + 1e-9
 
 
+def test_oracle_height_of_the_empty_tree_is_0():
+    # without terminals the optimum is the empty tree, whose LP costs 0 at
+    # every height
+    inst = DirectedInstance(3, [(0, 1, 1), (1, 2, 1)], 0, set(),
+                            {0: 2, 1: 1, 2: 0})
+    res = exact_dst(inst)
+    assert res.status == OPTIMAL and res.edges == []
+    assert oracle_height(normalize(inst), res.edges) == 0
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(hs.integers(4, 6), hs.integers(5, 8), hs.integers(1, 3),
        hs.integers(0, 1), hs.integers(0, 10 ** 6))
