@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceededError, InfeasibleError, InvariantError
-from .instances import (PHI_IDENTITY, MultiTree, NormalizedInstance,
-                        original_degree)
+from .instances import (PHI_IDENTITY, DirectedInstance, MultiTree,
+                        NormalizedInstance, original_degree)
 from .lpcore import INFEASIBLE, build_dst_lp, solve_lp
 from .rounding import ChildTable, blocks, csr, pair_counts, per_rep
 from .report import RunReport
@@ -121,19 +121,41 @@ def _check_good_multi_tree(norm: NormalizedInstance, tree: MultiTree):
                 f"exceeds bound {inst.degree_bound[v]}")
 
 
-def concentration_stats(sampler: Sampler, rep: np.ndarray, node: np.ndarray,
-                        trials: int, s: float) -> dict[int, dict[str, float]]:
-    """Per-vertex empirical MGF of the copy count and its maximum over the
-    sampled (repetition, node) pairs of repetitions 0..trials-1."""
+def concentration_stats(sampler: Sampler, samples, trials: int,
+                        s: float) -> dict[int, dict[str, float]]:
+    """Per-vertex empirical MGF of the copy count and its maximum over
+    repetitions 0..trials-1, whose sampled (repetition, node) pairs
+    ``samples`` gives block by block as ``(start, stop, rep, node)``."""
     if trials < 1:
         raise InvariantError("need at least one rounding outcome")
     st = sampler.st
     n = st.norm.inst.n
-    copies = pair_counts(*csr(len(st), *st.involved), n, rep, node, trials)
-    mgf = 1.0 + np.expm1(s * copies).sum(axis=0) / trials
-    top = copies.max(axis=0)
+    involved = csr(len(st), *st.involved)
+    total = np.zeros(n)
+    top = np.zeros(n, dtype=np.int64)
+    for start, stop, rep, node in samples:
+        copies = pair_counts(*involved, n, rep - start, node, stop - start)
+        # the running sum heads each block's rows, so that the sum adds the
+        # rows in the order one sum over every repetition does
+        total = np.vstack([total, np.expm1(s * copies)]).sum(axis=0)
+        np.maximum(top, copies.max(axis=0), out=top)
+    mgf = 1.0 + total / trials
     return {v: {"mgf": float(mgf[v]), "max_copies": int(top[v])}
             for v in range(n)}
+
+
+def mgf_s(h_prime: int) -> float:
+    """The MGF parameter s = ln(1 + 1/(2h')) of a super-tree of height h',
+    ln 2 at h' = 0."""
+    return math.log(1 + 1 / (2 * h_prime)) if h_prime > 0 else math.log(2)
+
+
+def tree_degree_ratios(inst: DirectedInstance, edges) -> dict[int, float]:
+    """Out-degree in ``edges`` of each of their tails that is a vertex of
+    ``inst``, relative to its degree bound (at least 1)."""
+    outdeg = Counter(u for u, _ in edges)
+    return {u: d / max(inst.degree_bound[u], 1) for u, d in outdeg.items()
+            if u in inst.degree_bound}
 
 
 @dataclass
@@ -192,45 +214,44 @@ def run_dst(norm: NormalizedInstance, h: int | None = None,
         raise
     sampler = Sampler(st, sol.x)
 
-    rep_costs, reps, nodes = [], [], []
+    rep_costs = []
     union_edges: set[tuple[int, int]] = set()
     # each distinct selection is stitched and checked once
     seen: dict[bytes, int] = {}
-    for start, stop in blocks(Q):
-        rep, node = sampler.sample((seed,), start, stop)
-        reps.append(rep)
-        nodes.append(node)
-        for selected in per_rep(rep, node, start, stop):
-            selected = np.unique(selected)
-            sig = selected.tobytes()
-            if sig not in seen:
-                out = round_super_tree(st, selected)
-                seen[sig] = out.cost
-                for e in out.multi_tree.edge_labels():
-                    oe = norm.edge_origin[e]
-                    if oe is not None:
-                        union_edges.add(oe)
-            rep_costs.append(seen[sig])
+
+    def stitched():
+        # each block of repetitions, once its selections are stitched
+        for start, stop in blocks(Q):
+            rep, node = sampler.sample((seed,), start, stop)
+            for selected in per_rep(rep, node, start, stop):
+                selected = np.unique(selected)
+                sig = selected.tobytes()
+                if sig not in seen:
+                    out = round_super_tree(st, selected)
+                    seen[sig] = out.cost
+                    for e in out.multi_tree.edge_labels():
+                        oe = norm.edge_origin[e]
+                        if oe is not None:
+                            union_edges.add(oe)
+                rep_costs.append(seen[sig])
+            yield start, stop, rep, node
+
+    h_prime = st.height()
+    s = mgf_s(h_prime)
+    mgf = concentration_stats(sampler, stitched(), Q, s) if Q else {}
 
     cost_of = orig.cost
     union_cost = sum(cost_of[e] for e in union_edges)
     tree_edges, covered = extract_tree(orig, union_edges)
     tree_cost = sum(cost_of[e] for e in tree_edges)
 
-    outdeg = Counter(u for u, _ in tree_edges)
-    ratios = {u: d / max(orig.degree_bound[u], 1) for u, d in outdeg.items()}
-
-    h_prime = st.height()
-    s = math.log(1 + 1 / (2 * h_prime)) if h_prime > 0 else math.log(2)
-    mgf = concentration_stats(sampler, np.concatenate(reps),
-                              np.concatenate(nodes), Q, s) if Q else {}
-
     return DstRunReport(
         instance=label, seed=seed, h=h, Q=Q, lp_cost=sol.objective,
         repetition_costs=rep_costs, union_cost=union_cost,
         tree_cost=tree_cost, tree_edges=sorted(tree_edges),
         covered=sorted(covered), coverage=len(covered) / k if k else 1.0,
-        degree_violations=ratios, mgf_stats=mgf, s=s, h_prime=h_prime,
+        degree_violations=tree_degree_ratios(orig, tree_edges),
+        mgf_stats=mgf, s=s, h_prime=h_prime,
         sampler=sampler)
 
 

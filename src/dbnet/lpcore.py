@@ -132,24 +132,16 @@ class LPModel:
         return tuple(Block.stack(*(part.write(True) for part in parts))
                      for parts in (self.eq_parts, self.ub_parts))
 
-    # the per-row views are read only by perfbench/spans.py
-    @property
-    def eq_block(self) -> Block:
-        return self.blocks()[0]
-
-    @property
-    def ub_block(self) -> Block:
-        return self.blocks()[1]
-
+    # the per-row views; the solve path reads neither
     @property
     def eq(self) -> tuple:
         """Equality rows as ``(column indices, coefficients, rhs)``."""
-        return self.eq_block.rows()
+        return self.blocks()[0].rows()
 
     @property
     def ub(self) -> tuple:
         """``<=`` rows as ``(column indices, coefficients, rhs)``."""
-        return self.ub_block.rows()
+        return self.blocks()[1].rows()
 
     def max_violation(self, x: np.ndarray) -> float:
         """Largest violation by ``x`` of the rows and the bounds."""
@@ -180,47 +172,33 @@ def _repeats(row, col, val, count, lower, rhs, ncol):
     the same bounds.  ``row``, ``col`` and ``val`` are the entries in column
     order, so each row's entries come in column order; ``count`` is each
     row's number of entries, none 0.  Rows are grouped by a fingerprint,
-    the sum of their values and rhs weighted by ``_weights``, and then
-    compared exactly with the earliest row of their group."""
+    the sum of their values and rhs weighted by ``_weights``, and the rows
+    whose fingerprint another row shares are then compared exactly, in row
+    order, with the rows before them."""
     weight = _weights(ncol + 1)
     key = weight[col]
     key *= val
     key = np.bincount(row, key, minlength=len(count)) + weight[ncol] * rhs
-    rows = np.argsort(key)
-    # the rows whose fingerprint another row shares
-    twin = np.zeros(len(rows) + 1, dtype=bool)
-    twin[1:-1] = key[rows[1:]] == key[rows[:-1]]
-    rows = rows[twin[1:] | twin[:-1]]
-    repeat = np.zeros(len(count), dtype=bool)
-    if not len(rows):
-        return repeat
+    order = np.argsort(key)
+    # the rows whose fingerprint another row shares, in row order
+    twin = np.zeros(len(order) + 1, dtype=bool)
+    twin[1:-1] = key[order[1:]] == key[order[:-1]]
+    shared = np.zeros(len(count), dtype=bool)
+    shared[order[twin[1:] | twin[:-1]]] = True
+    rows = np.flatnonzero(shared)
     # the entries of those rows, by row and by column within a row
-    mine = np.zeros(len(count), dtype=bool)
-    mine[rows] = True
-    at = np.flatnonzero(mine[row])
-    at = at[np.argsort(row[at] * (ncol + 1) + col[at])]
-    row, col, val = row[at], col[at], val[at]
-    # each round drops the rows equal to the earliest row of their group; a
-    # row that differs from it is in a group of its own next round
-    while len(rows):
-        new = np.ones(len(rows), dtype=bool)
-        new[1:] = key[rows[1:]] != key[rows[:-1]]
-        head = np.minimum.reduceat(rows, np.flatnonzero(new))[
-            np.cumsum(new) - 1]
-        same = ((count[rows] == count[head]) & (lower[rows] == lower[head])
-                & (rhs[rows] == rhs[head]) & (rows != head))
-        pair = np.flatnonzero(same)
-        if len(pair):
-            # entry i of a row and of its head, row after row
-            n = count[rows[pair]]
-            offset = np.cumsum(n) - n
-            step = np.arange(offset[-1] + n[-1])
-            a = np.repeat(np.searchsorted(row, rows[pair]) - offset, n) + step
-            b = np.repeat(np.searchsorted(row, head[pair]) - offset, n) + step
-            same[pair[np.logical_or.reduceat(
-                (col[a] != col[b]) | (val[a] != val[b]), offset)]] = False
-        repeat[rows[same]] = True
-        rows = rows[~same & (rows != head)]
+    at = np.flatnonzero(shared[row])
+    at = at[np.argsort(row[at], kind="stable")]
+    col, val = col[at], val[at]
+    end = np.cumsum(count[rows]).tolist()
+    repeat = np.zeros(len(count), dtype=bool)
+    seen = set()
+    for r, a, b, low, high in zip(rows.tolist(), [0] + end, end,
+                                  lower[rows].tolist(), rhs[rows].tolist()):
+        exact = (low, high, col[a:b].tobytes(), val[a:b].tobytes())
+        if exact in seen:
+            repeat[r] = True
+        seen.add(exact)
     return repeat
 
 
@@ -584,13 +562,17 @@ class _CapacityRows:
         return Block(row[order], col[order], np.where(head, -1.0, 1.0)[order],
                      np.zeros(nrow))
 
-    def excess(self, x: np.ndarray) -> np.ndarray:
-        # the sums of the members below, level by level from the deepest
+    def below(self, x: np.ndarray) -> np.ndarray:
+        """Each pair's sum of x over its members below p, p included,
+        summed level by level from the deepest."""
         below = np.bincount(self.at, x[self.member], minlength=len(self.key))
         for a, b, c in zip(self.bounds, self.bounds[1:], self.bounds[2:]):
             below[b:c] += np.bincount(self.up[a:b] - b, below[a:b],
                                       minlength=c - b)
-        return below - x[self.key // self.k]
+        return below
+
+    def excess(self, x: np.ndarray) -> np.ndarray:
+        return self.below(x) - x[self.key // self.k]
 
 
 def _capacity_rows(levels: list, parent: np.ndarray, member: np.ndarray,
@@ -777,17 +759,17 @@ def check_modified_solution(inst: GroupTreeInstance, x: np.ndarray,
     ok = (0.5 - tol <= mass) & (mass <= 2 + tol)
     for t in np.flatnonzero(~ok).tolist():
         bad.append(f"P3: group {t} mass {mass[t]} outside [1/2, 2]")
-    # below[u, t]: the mass of group t in the subtree of u, summed level by
-    # level from the deepest, a node's children in increasing order
-    below = np.zeros((n, k))
-    below[inst.member, inst.group] = xt[inst.member]
-    for level in reversed(inst.levels[1:]):
-        np.add.at(below, inst.parent[level], below[level])
-    worst = np.argmax(below - 2 * xt[:, None], axis=0)
-    for t, u in enumerate(worst.tolist()):
-        if below[u, t] > 2 * xt[u] + tol:
-            bad.append(f"P4: capacity at u={u}, group {t}: "
-                       f"{below[u, t]} > 2x~")
+    # the mass of group t below u for each capacity pair (u, t), and the
+    # worst pair of each group, the first u on a tie
+    pairs = _capacity_rows(inst.levels, inst.parent, inst.member,
+                           inst.group, k, descending=False)[0]
+    below = pairs.below(xt)
+    u, t = np.divmod(pairs.key, k)
+    order = np.lexsort((u, 2 * xt[u] - below, t))
+    worst = order[np.unique(t[order], return_index=True)[1]]
+    for i in worst[below[worst] > 2 * xt[u[worst]] + tol].tolist():
+        bad.append(f"P4: capacity at u={u[i]}, group {t[i]}: "
+                   f"{below[i]} > 2x~")
     mass = inst.child_mass(xt)
     # in floats: 2 d of a bound near 2^63 wraps in int64
     degree = np.asarray(inst.degree_bound, dtype=float)

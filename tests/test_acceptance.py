@@ -157,7 +157,8 @@ def test_criterion_07_concentration(dst_corpus):
                     vert[o] = vs[pos]
             on = vert[node] >= 0
             np.add.at(copies, (rep[on], vert[node][on]), 1)
-        stats = concentration_stats(sampler, rep, node, TRIALS, s)
+        stats = concentration_stats(sampler, [(0, TRIALS, rep, node)],
+                                    TRIALS, s)
         for v in range(st.norm.inst.n):
             arr = np.exp(s * copies[:, v])
             sigma = float(arr.std(ddof=1)) / math.sqrt(TRIALS)

@@ -368,6 +368,28 @@ def test_lp_above_oracle_under_its_certificate_exits_4(tmp_path, dst_file,
     assert "exceeds oracle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,message", [
+    ("s", "s mismatch"), ("union_cost", "below tree cost")])
+def test_run_checks_its_report_as_verify_does(dst_file, monkeypatch, capsys,
+                                              field, message):
+    # a run report that verify rejects ends run with exit 4
+    path, h = dst_file
+    real = cli.run_dst
+
+    def wrong(*args, **kwargs):
+        report = real(*args, **kwargs)
+        if field == "s":
+            report.s += 1
+        else:
+            report.union_cost = report.tree_cost - 1
+        return report
+
+    monkeypatch.setattr(cli, "run_dst", wrong)
+    assert main(["run", "--problem", "dst", "--instance", path,
+                 "--height", str(h)]) == 4
+    assert message in capsys.readouterr().err
+
+
 def test_run_dst_trials_reuse_the_solve(tmp_path, dst_file, monkeypatch):
     path, h = dst_file
     builds = _count_calls(monkeypatch, build_super_tree)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from dbnet.dst_round import (Sampler, _check_good_multi_tree,
 from dbnet.errors import InvariantError
 from dbnet.instances import DirectedInstance, MultiTree, normalize
 from dbnet.lpcore import build_dst_lp, solve_lp
-from dbnet.rounding import per_rep
+from dbnet.rounding import BLOCK, blocks, csr, pair_counts, per_rep
 from dbnet.states import BASE, build_super_tree
 
 
@@ -119,10 +120,37 @@ def test_concentration_trivial_cases():
     sampler = Sampler(st, sol.x)
     rep, node = sampler.sample((0,), 0, 50)
     s = math.log(1 + 1 / (2 * st.height()))
-    stats = concentration_stats(sampler, rep, node, 50, s)
+    stats = concentration_stats(sampler, [(0, 50, rep, node)], 50, s)
     # the terminal appears exactly once per sample
     assert stats[1]["mgf"] == pytest.approx(math.exp(s))
     assert stats[1]["max_copies"] == 1
+
+
+def test_mgf_stats_are_counted_block_by_block():
+    # Q spans 19 engine blocks; the statistics equal one sum over every
+    # repetition, bit for bit, without holding every repetition's samples
+    _, norm, _, h = small_dst(1)
+    Q = 19 * BLOCK - 300
+    tracemalloc.start()
+    try:
+        report = run_dst(norm, h=h, Q=Q, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sampler = report.sampler
+    st = sampler.st
+    n = norm.inst.n
+    rep, node = sampler.sample((3,), 0, Q)
+    copies = pair_counts(*csr(len(st), *st.involved), n, rep, node, Q)
+    mgf = 1.0 + np.expm1(report.s * copies).sum(axis=0) / Q
+    want = {v: {"mgf": float(mgf[v]), "max_copies": int(top)}
+            for v, top in enumerate(copies.max(axis=0).tolist())}
+    assert report.mgf_stats == want
+    assert concentration_stats(
+        sampler, ((start, stop, *sampler.sample((3,), start, stop))
+                  for start, stop in blocks(Q)), Q, report.s) == want
+    # the samples of all Q repetitions alone take more
+    assert peak < rep.nbytes + node.nbytes
 
 
 def test_default_q():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -76,10 +77,11 @@ TOLERANCES = {"primal_feasibility_tolerance": 1e-10,
 
 def full_linprog_x(model):
     """``scipy.optimize.linprog`` on the full model."""
+    eq, ub = model.blocks()
     res = scipy.optimize.linprog(
-        model.obj, A_ub=csr(model.ub_block, model.nvar),
-        b_ub=model.ub_block.rhs, A_eq=csr(model.eq_block, model.nvar),
-        b_eq=model.eq_block.rhs, bounds=np.column_stack([model.lo, model.hi]),
+        model.obj, A_ub=csr(ub, model.nvar), b_ub=ub.rhs,
+        A_eq=csr(eq, model.nvar), b_eq=eq.rhs,
+        bounds=np.column_stack([model.lo, model.hi]),
         method="highs", options=TOLERANCES)
     assert res.status == 0
     return np.clip(res.x, model.lo, model.hi)
@@ -233,7 +235,8 @@ def test_solve_rejects_a_perturbed_answer(monkeypatch, make):
     model = make()
     # the first HiGHS column that a member of the first cover row (x_0 in
     # x_0 <= 1/4 without one) lifts from, moved by 1/2 inside its bounds
-    var = model.eq_block.col[0] if len(model.eq_block) else 0
+    eq = model.blocks()[0]
+    var = eq.col[0] if len(eq) else 0
     column, start, index = _reduce(model)[0]
     j = index[start[column[var]]]
     run_highs = lpcore._run_highs
@@ -511,6 +514,26 @@ def test_check_modified_flags_each_property(prop):
     assert bad == reference_check_modified(inst, x, xt)
 
 
+def test_check_modified_sums_over_the_capacity_pairs():
+    # P4 reads the mass below each (vertex, group) capacity pair, so no
+    # (n, k) array is made: n = 2000 and k = 400 would take 6.4 MB
+    inst = preprocess_gst(gen_gst(2000, 400, depth=8, d_max=4))
+    x = np.full(inst.n, 0.5)
+    tracemalloc.start()
+    try:
+        bad = check_modified_solution(inst, x, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert len(bad) == 271
+    assert bad == reference_check_modified(inst, x, x)
+    inst, x, xt = corrupt("P4", inst, x, x)
+    bad = check_modified_solution(inst, x, xt)
+    assert any(msg.startswith("P4:") for msg in bad)
+    assert bad == reference_check_modified(inst, x, xt)
+
+
 def test_dump_lp_layout():
     m = LPModel(2, np.array([1.0, 2.0]),
                 eq_parts=(from_rows([([0, 1], [1.0, 1.0], 1.0)]),))
@@ -646,7 +669,7 @@ def reference_gst_rows(inst):
 
 def assert_same_lp(model, obj, eq, ub, lo=None):
     assert np.array_equal(model.obj, obj)
-    for blk, rows in ((model.eq_block, eq), (model.ub_block, ub)):
+    for blk, rows in zip(model.blocks(), (eq, ub)):
         assert [list(r) for r in blk.rows()] == [list(r) for r in rows]
         data = [v for _, vals, _ in rows for v in vals]
         ri = [i for i, (cols, _, _) in enumerate(rows) for _ in cols]
@@ -684,7 +707,7 @@ def test_capacity_row_of_a_base_node_lists_it_twice():
     model = build_dst_lp(build_super_tree(normalize(inst), 3, 10_000))
     # base node 2 carries terminal 1: x_2 - x_2 <= 0, both entries kept
     assert model.ub[0] == ([2, 2], [1.0, -1.0], 0.0)
-    assert csr(model.ub_block, model.nvar)[0, 2] == 0.0
+    assert csr(model.blocks()[1], model.nvar)[0, 2] == 0.0
     # vacuous, so solve_lp leaves it out; so are the rows of its ancestors,
     # which it reaches through one child each
     assert left_out(model).tolist() == [True, True, True]
@@ -716,10 +739,9 @@ def assert_reduced_lp_is_exact(model):
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(best, abs=1e-7)
     x = sol.x
-    a_eq, a_ub = (csr(blk, model.nvar)
-                  for blk in (model.eq_block, model.ub_block))
-    assert np.max(np.abs(a_eq @ x - model.eq_block.rhs)) <= EPS_FEAS
-    assert np.max(a_ub @ x - model.ub_block.rhs) <= EPS_FEAS
+    eq, ub = model.blocks()
+    assert np.max(np.abs(csr(eq, model.nvar) @ x - eq.rhs)) <= EPS_FEAS
+    assert np.max(csr(ub, model.nvar) @ x - ub.rhs) <= EPS_FEAS
     assert np.all(model.lo <= x) and np.all(x <= model.hi)
     return best
 
@@ -745,8 +767,7 @@ def test_reduced_gst_lp_is_exact(n, k, depth, d_max, seed):
     # the x_o - x_o <= 0 capacity rows of the members are left out
     model = build_gst_lp(preprocess_gst(gen_gst(n, k, depth, d_max,
                                                 seed=seed)))
-    assert _reduce(model)[2][3][0] < len(model.eq_block) + len(
-        model.ub_block)
+    assert _reduce(model)[2][3][0] < sum(map(len, model.blocks()))
     assert_reduced_lp_is_exact(model)
 
 
@@ -785,7 +806,7 @@ def reference_reduce(model, implied):
     in some optimum, not by a row.  The definitions are substituted by
     ``reference_substitute``.  Of the rows equal after that, a dict over
     scipy's rows keeps the first."""
-    eq = model.eq_block
+    eq = model.blocks()[0]
     count = np.bincount(eq.row, minlength=len(eq))
     two = np.flatnonzero(count == 2)
     at = (np.cumsum(count) - count)[two]
@@ -1386,10 +1407,11 @@ def test_check_catches_a_left_out_definition_row(monkeypatch):
 
 def full_linprog(model):
     """``scipy.optimize.linprog`` on the full model, without ties."""
+    eq, ub = model.blocks()
     return scipy.optimize.linprog(
-        model.obj, A_ub=csr(model.ub_block, model.nvar),
-        b_ub=model.ub_block.rhs, A_eq=csr(model.eq_block, model.nvar),
-        b_eq=model.eq_block.rhs, bounds=np.column_stack([model.lo, model.hi]),
+        model.obj, A_ub=csr(ub, model.nvar), b_ub=ub.rhs,
+        A_eq=csr(eq, model.nvar), b_eq=eq.rhs,
+        bounds=np.column_stack([model.lo, model.hi]),
         method="highs", options=TOLERANCES)
 
 

@@ -47,7 +47,7 @@ def test_lp_size_counts(problem):
             normalize(gen_dst(5, 6, 2, seed=0)), 3))
     else:
         model = build_gst_lp(preprocess_gst(gen_gst(12, 2, depth=3, seed=0)))
-    blocks = (model.eq_block, model.ub_block)
+    blocks = model.blocks()
     assert spans._lp_size(model) == {
         "lpcore.lp_rows": sum(len(b) for b in blocks),
         "lpcore.lp_cols": model.nvar,
