@@ -176,6 +176,22 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _trial_counts(table, seed: int, rows, k: int, trials: int, head_cost=None):
+    """Over ``trials`` fresh roundings of ``table``: per target 0..k-1 of
+    the head ``rows``, how many reach it, and each one's ``head_cost``."""
+    hits = np.zeros(k, dtype=np.int64)
+    costs = np.zeros(trials)
+    for start, stop in blocks(trials):
+        rep, head = table.heads((seed, TRIAL_STREAM), start, stop)
+        rep -= start
+        if head_cost is not None:
+            costs[start:stop] = np.bincount(rep, weights=head_cost[head],
+                                            minlength=stop - start)
+        copies = pair_counts(*rows, k, rep, head, stop - start)
+        hits += np.count_nonzero(copies, axis=0)
+    return hits, costs
+
+
 def _dst_trial_stats(report, trials: int) -> dict:
     """Hit rate per terminal and sample cost over fresh roundings of the
     report's own LP solution, summed per kept component rather than per
@@ -186,16 +202,8 @@ def _dst_trial_stats(report, trials: int) -> dict:
     terms = sorted(norm.inst.terminals)
     head_cost = table.head_sums(st.cost.astype(float))
     terminals_of = table.head_rows(*csr(len(st), *st.terminal_members()))
-    hits = np.zeros(len(terms), dtype=np.int64)
-    costs = np.zeros(trials)
-    for start, stop in blocks(trials):
-        rep, head = table.heads((report.seed, TRIAL_STREAM), start, stop)
-        rep -= start
-        costs[start:stop] = np.bincount(rep, weights=head_cost[head],
-                                        minlength=stop - start)
-        copies = pair_counts(*terminals_of, len(terms), rep, head,
-                             stop - start)
-        hits += np.count_nonzero(copies, axis=0)
+    hits, costs = _trial_counts(table, report.seed, terminals_of, len(terms),
+                                trials, head_cost)
     return {"per_terminal_hit": {str(norm.terminal_origin[t]):
                                  _stat(int(c), trials)
                                  for t, c in zip(terms, hits)},
@@ -211,11 +219,7 @@ def _gst_trial_stats(report, trials: int) -> dict:
     inst = report.rounder.inst
     k = len(inst.groups)
     groups_of = table.head_rows(*csr(inst.n, inst.member, inst.group))
-    hits = np.zeros(k, dtype=np.int64)
-    for start, stop in blocks(trials):
-        rep, head = table.heads((report.seed, TRIAL_STREAM), start, stop)
-        copies = pair_counts(*groups_of, k, rep - start, head, stop - start)
-        hits += np.count_nonzero(copies, axis=0)
+    hits, _ = _trial_counts(table, report.seed, groups_of, k, trials)
     return {"per_group_hit": {str(g): _stat(int(c), trials)
                               for g, c in enumerate(hits)}}
 
@@ -285,6 +289,21 @@ def _number(doc: dict, name: str, integer: bool = False):
 
 def _mismatch(name: str, want, got) -> list[str]:
     return [] if got == want else [f"{name} mismatch: {want} vs {got}"]
+
+
+def _ratios_mismatch(want: dict, got: dict) -> list[str]:
+    """The report's degree ratios ``got`` against ``want``, to 9 places."""
+    if {str(u): round(r, 9) for u, r in want.items()} == {
+            u: round(r, 9) for u, r in got.items()}:
+        return []
+    return ["degree violation ratios mismatch"]
+
+
+def _lp_over_oracle(lp_cost, oracle_cost: int) -> list[str]:
+    """The LP <= optimum check of run, with the slack ``EPS_OBJ``."""
+    if lp_cost is None or lp_cost > oracle_cost + EPS_OBJ * (1 + oracle_cost):
+        return [f"LP cost {lp_cost} exceeds oracle {oracle_cost}"]
+    return []
 
 
 def _oracle(doc: dict, items: str, valid: Callable, what: str):
@@ -386,10 +405,7 @@ def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
         bad += _mismatch("s", mgf_s(h_prime), _number(doc, "s"))
     # a tail that is no vertex is already reported as an edge not in the
     # instance
-    want = {str(u): r for u, r in tree_degree_ratios(inst, edges).items()}
-    if {k: round(v, 9) for k, v in want.items()} != \
-            {k: round(v, 9) for k, v in got.items()}:
-        bad.append("degree violation ratios mismatch")
+    bad += _ratios_mismatch(tree_degree_ratios(inst, edges), got)
     oracle_cost, oracle_edges = _oracle(doc, "edges", _is_pairs, pairs)
     if oracle_cost is not None:
         # a feasible tree: an arborescence that reaches every terminal
@@ -409,12 +425,10 @@ def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
         bad += faults
         # the LP <= optimum check of run, where its height rule holds for
         # the oracle's tree
-        lp_cost = _number(doc, "lp_cost")
-        if (not faults and h is not None
-                and (lp_cost is None
-                     or lp_cost > oracle_cost + EPS_OBJ * (1 + oracle_cost))
+        over = _lp_over_oracle(_number(doc, "lp_cost"), oracle_cost)
+        if (over and not faults and h is not None
                 and _relaxes_dst(normalize(inst), h, oracle_edges)):
-            bad.append(f"LP cost {lp_cost} exceeds oracle {oracle_cost}")
+            bad += over
     return bad
 
 
@@ -463,10 +477,7 @@ def verify_gst_report(inst: GroupTreeInstance, doc: dict) -> list[str]:
     total = sum(inst.cost[v] for v in union)
     if total != doc.get("union_cost"):
         bad.append(f"union cost mismatch: {total} vs {doc.get('union_cost')}")
-    want = {str(u): r for u, r in union_degree_ratios(inst, union).items()}
-    if {k: round(v, 9) for k, v in want.items()} != \
-            {k: round(v, 9) for k, v in got.items()}:
-        bad.append("degree violation ratios mismatch")
+    bad += _ratios_mismatch(union_degree_ratios(inst, union), got)
     bad += _run_fields(doc, "M")
     # the parameters run_gst derives from the instance
     L, gamma = global_params(inst.n)
@@ -501,9 +512,7 @@ def verify_gst_report(inst: GroupTreeInstance, doc: dict) -> list[str]:
             inst.cost[v] for v in oracle_vertices if 0 <= v < inst.n),
             oracle_cost)
         # the LP <= optimum check of run
-        if lp_cost is None or lp_cost > oracle_cost + EPS_OBJ * (
-                1 + oracle_cost):
-            bad.append(f"LP cost {lp_cost} exceeds oracle {oracle_cost}")
+        bad += _lp_over_oracle(lp_cost, oracle_cost)
     return bad
 
 

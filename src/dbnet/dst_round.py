@@ -187,6 +187,21 @@ def default_q(h: int, k: int) -> int:
     return math.ceil((h + 1) * math.log(10 * k)) if k else 0
 
 
+def _check_reachable(inst: DirectedInstance) -> None:
+    """InfeasibleError naming the least terminal that no path from the root
+    reaches over vertices of degree bound 1 or more: every vertex above a
+    terminal in a tree has a child, so no tree of any height spans it."""
+    reach, queue = {inst.root}, [inst.root]
+    for u in queue:
+        heads = {v for v, _ in inst.out_edges(u) if inst.degree_bound[u]}
+        queue += heads - reach
+        reach |= heads
+    missed = sorted(inst.terminals - reach)
+    if missed:
+        raise InfeasibleError(f"terminal {missed[0]} is unreachable from the "
+                              f"root over vertices of degree bound >= 1")
+
+
 def run_dst(norm: NormalizedInstance, h: int | None = None,
             Q: int | None = None, seed: int = 0, node_cap: int = NODE_CAP,
             label: str = "") -> DstRunReport:
@@ -200,6 +215,7 @@ def run_dst(norm: NormalizedInstance, h: int | None = None,
     # nothing is rounded whatever Q says
     Q = default_q(h, k) if Q is None or not k else Q
 
+    _check_reachable(orig)
     st = build_super_tree(norm, h, node_cap)
     try:
         sol = solve_lp(build_dst_lp(st))

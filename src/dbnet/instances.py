@@ -383,12 +383,13 @@ class GroupTreeInstance:
 
     ``parent`` is an int64 array, -1 at the root.  The tree is built once
     here: the children of u are ``child[child_ptr[u]:child_ptr[u + 1]]`` in
-    increasing id order and ``children[u]`` lists them, and ``levels`` holds
+    increasing id order and ``children[u]`` lists them, ``levels`` holds
     the vertices level by level from the root, each level in increasing id
-    order.  ``member`` and ``group`` list every (member, group) pair, by
-    group and then ascending member: the one membership table that the LP
-    rows, the P3/P4 checks, the group masses and the trial hit counts read;
-    a member that is no vertex id is rejected here.
+    order, and ``depth[u]`` is the level of u.  ``member`` and ``group``
+    list every (member, group) pair, by group and then ascending member:
+    the one membership table that the LP rows, the P3/P4 checks, the group
+    masses and the trial hit counts read; a member that is no vertex id is
+    rejected here.
     A group may hold internal vertices and share members with another;
     after ``preprocess_gst`` the groups are disjoint sets of leaves."""
 
@@ -430,6 +431,9 @@ class GroupTreeInstance:
             self.levels.append(np.sort(level))
         if sum(map(len, self.levels)) != self.n:
             raise FormatError("parent mapping does not form a rooted tree")
+        self.depth = np.empty(self.n, dtype=np.int64)
+        for d, level in enumerate(self.levels):
+            self.depth[level] = d
 
     def rises(self, x: np.ndarray, tol: float) -> list[tuple[int, int]]:
         """The edges (u, v), in increasing order, on which x of the child v

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InfeasibleError, SolverError
 from .instances import GroupTreeInstance
-from .rounding import expand, tops
+from .rounding import tops
 from .states import BASE, STATE, SUPER, VIRTUAL, SuperTree
 
 
@@ -575,16 +575,13 @@ class _CapacityRows:
         return self.below(x) - x[self.key // self.k]
 
 
-def _capacity_rows(levels: list, parent: np.ndarray, member: np.ndarray,
+def _capacity_rows(depth: np.ndarray, parent: np.ndarray, member: np.ndarray,
                    group: np.ndarray, k: int, descending: bool):
     """The capacity rows of groups 0..k-1, given by the (member, group)
-    pairs, over the tree of ``parent`` whose nodes are ``levels`` level by
-    level from the root.  Also returns, for each pair (p, t), its routes:
-    the children of p through which members of t come, plus one if p is in
-    t; and whether p is in t."""
-    depth = np.empty(len(parent), dtype=np.int64)
-    for d, level in enumerate(levels):
-        depth[level] = d
+    pairs, over the tree of ``parent`` whose nodes lie at ``depth`` from
+    the root.  Also returns, for each pair (p, t), its routes: the children
+    of p through which members of t come, plus one if p is in t; and
+    whether p is in t."""
     # the (member, group) pairs, deepest first
     order = np.argsort(-depth[member], kind="stable")
     member, own = member[order], member[order] * k + group[order]
@@ -612,14 +609,6 @@ def _capacity_rows(levels: list, parent: np.ndarray, member: np.ndarray,
                           np.cumsum([0] + [len(key) for key in keys]).tolist(),
                           member, at, k, descending),
             mine + np.bincount(up[up >= 0], minlength=size), mine)
-
-
-def _levels(child_ptr: np.ndarray, child: np.ndarray) -> list:
-    """The nodes of a tree with root 0, level by level from the root."""
-    levels = [np.zeros(1, dtype=np.int64)]
-    while len(level := child[expand(child_ptr, levels[-1])[1]]):
-        levels.append(level)
-    return levels
 
 
 def build_dst_lp(st: SuperTree) -> LPModel:
@@ -654,8 +643,7 @@ def build_dst_lp(st: SuperTree) -> LPModel:
     tie[st.child[tied]] = par[tied]
     tree = _TreeRows(st.child_ptr, st.child, np.ones(n), virtual, summed,
                      np.zeros(len(st.child), dtype=bool), summed & (nk != 1))
-    capacity, routes, _ = _capacity_rows(_levels(st.child_ptr, st.child),
-                                         st.parent, member, group,
+    capacity, routes, _ = _capacity_rows(st.depth, st.parent, member, group,
                                          len(terms), descending=True)
     capacity.send = routes > 1
     return LPModel(n, obj, eq_parts=(_Cover(member, group, len(terms)), tree),
@@ -691,7 +679,7 @@ def build_gst_lp(inst: GroupTreeInstance) -> LPModel:
     tie = np.full(inst.n, -1)
     tie[inst.child[tied]] = par[tied]
     capacity, routes, mine = _capacity_rows(
-        inst.levels, inst.parent, inst.member, inst.group, k,
+        inst.depth, inst.parent, inst.member, inst.group, k,
         descending=False)
     # the single-child rule: row (p, t) when its members all come through
     # one child c of p, implied by row (c, t) and x_c <= x_p; or when its
@@ -761,7 +749,7 @@ def check_modified_solution(inst: GroupTreeInstance, x: np.ndarray,
         bad.append(f"P3: group {t} mass {mass[t]} outside [1/2, 2]")
     # the mass of group t below u for each capacity pair (u, t), and the
     # worst pair of each group, the first u on a tie
-    pairs = _capacity_rows(inst.levels, inst.parent, inst.member,
+    pairs = _capacity_rows(inst.depth, inst.parent, inst.member,
                            inst.group, k, descending=False)[0]
     below = pairs.below(xt)
     u, t = np.divmod(pairs.key, k)

@@ -32,6 +32,8 @@ from .treekit import find_balanced_separator, height_budget, part_nodes
 
 # a state key is (root, frozenset(portals), tuple(sorted(rho.items())))
 StateKey = tuple
+# a leaf is the tuple (r', *tails): an edge (r', v) or a triple (r', v, v')
+LEAF_NAMES = {2: "edge", 3: "triple"}
 
 
 def make_key(r: int, S, rho: dict) -> StateKey:
@@ -85,20 +87,14 @@ def _agreeing(norm: NormalizedInstance, tails, guess: dict,
     return int(ways[:bound + 1].sum())
 
 
-def edge_agrees(norm: NormalizedInstance, edge: tuple[int, int], S,
-                rho: dict) -> bool:
-    r1, v = edge
-    if frozenset({r1, v} - norm.inst.terminals) != frozenset(S):
-        raise InvariantError(f"edge {edge} portals do not match S={set(S)}")
-    return rho[r1] == _contrib(norm, v, rho)
-
-
-def triple_agrees(norm: NormalizedInstance, triple: tuple[int, int, int], S,
-                  rho: dict) -> bool:
-    r1, v, v2 = triple
-    if frozenset({r1, v, v2} - norm.inst.terminals) != frozenset(S):
-        raise InvariantError(f"triple {triple} portals do not match S={set(S)}")
-    return rho[r1] == _contrib(norm, v, rho) + _contrib(norm, v2, rho)
+def leaf_agrees(norm: NormalizedInstance, leaf: tuple, S, rho: dict) -> bool:
+    """Whether the leaf ``(r', *tails)``, an edge or a triple, agrees with
+    the degree vector rho: its tails contribute rho[r'] to the degree of r'.
+    Its non-terminal vertices must be the portals S."""
+    if frozenset(set(leaf) - norm.inst.terminals) != frozenset(S):
+        raise InvariantError(f"{LEAF_NAMES[len(leaf)]} {leaf} portals do not "
+                             f"match S={set(S)}")
+    return rho[leaf[0]] == sum(_contrib(norm, v, rho) for v in leaf[1:])
 
 
 @dataclass
@@ -108,8 +104,7 @@ class StateTreeNode:
     rho: dict
     left: "StateTreeNode | None" = None
     right: "StateTreeNode | None" = None
-    edge: tuple[int, int] | None = None
-    triple: tuple[int, int, int] | None = None
+    leaf: tuple | None = None     # (r', *tails) at a leaf
 
     @property
     def is_leaf(self):
@@ -156,13 +151,9 @@ def gen_state_tree(norm: NormalizedInstance,
                              {label[a]: rho_all[a] for a in portals})
         kids = children[root]
         if all(a in cut or not children[a] for a in kids):
-            tails = sorted(label[a] for a in kids)
-            if len(kids) == 1:
-                node.edge = (label[root], tails[0])
-            elif len(kids) == 2:
-                node.triple = (label[root], tails[0], tails[1])
-            else:
+            if not 1 <= len(kids) <= 2:
                 raise InvariantError("tree is not binary")
+            node.leaf = (label[root], *sorted(label[a] for a in kids))
             return node
         v = find_balanced_separator(tree, root, cut)
         node.left = gen(root, cut | {v}, depth + 1)
@@ -210,28 +201,22 @@ def validate_state_tree(norm: NormalizedInstance, root: StateTreeNode,
         if (node.left is None) != (node.right is None):
             bad.append(f"{where}: not a full binary tree")
         elif node.is_leaf:
-            if (node.edge is None) == (node.triple is None):
+            leaf = node.leaf
+            if leaf is None or len(leaf) not in LEAF_NAMES:
                 bad.append(f"{where}: leaf needs exactly one of edge/triple")
                 continue
+            name = LEAF_NAMES[len(leaf)]
             try:
-                if node.edge is not None:
-                    if node.edge not in cost:
-                        bad.append(f"{where}: {node.edge} is not a graph edge")
-                    elif not edge_agrees(norm, node.edge, node.S, node.rho):
-                        bad.append(f"{where}: edge {node.edge} disagrees "
-                                   f"with rho")
-                else:
-                    r1, v, v2 = node.triple
-                    if (r1, v) not in cost or (r1, v2) not in cost:
-                        bad.append(f"{where}: triple edges not in graph")
-                    elif not triple_agrees(norm, node.triple, node.S,
-                                           node.rho):
-                        bad.append(f"{where}: triple {node.triple} disagrees "
-                                   f"with rho")
+                if any((leaf[0], v) not in cost for v in leaf[1:]):
+                    bad.append(f"{where}: {leaf} is not a graph edge"
+                               if name == "edge"
+                               else f"{where}: triple edges not in graph")
+                elif not leaf_agrees(norm, leaf, node.S, node.rho):
+                    bad.append(f"{where}: {name} {leaf} disagrees with rho")
             except InvariantError as e:
                 bad.append(f"{where}: {e}")
         else:
-            if node.edge is not None or node.triple is not None:
+            if node.leaf is not None:
                 bad.append(f"{where}: internal node carries a leaf payload")
             q, o = node.left, node.right
             try:
@@ -270,7 +255,7 @@ def stitch_multi_tree(norm: NormalizedInstance, root: StateTreeNode,
             pi.update(build(node.right, pi[node.right.r]))
             return pi
         pi = {node.r: top}
-        for v in (node.edge or node.triple)[1:]:
+        for v in node.leaf[1:]:
             a = mt.add_node(v, top)
             if v not in K:
                 pi[v] = a
@@ -329,15 +314,15 @@ class SuperTree:
     """Arena holding the pruned output of the super-tree construction as
     numpy columns, nodes in preorder from the super node 0.
 
-    Node i has ``kind[i]`` (a code above), ``parent[i]`` (-1 at the super
-    node), ``level[i]`` (-1 at the super node) and ``cost[i]`` (0 but at
-    base nodes).  A state node names its state by ``state_id[i]`` into
-    ``keys``, a base node its edge or triple by ``payload_id[i]`` into
-    ``payloads``; both ids are -1 elsewhere.  ``state[i]`` and
-    ``payload[i]`` read through them, ``children[i]`` lists the children of
-    i in index order from the CSR arrays ``child_ptr``/``child``, and
-    ``involved`` pairs each base node with every normalized vertex its edge
-    or triple enters, by node, then position."""
+    Node i has ``kind[i]`` (a code above), ``parent[i]`` and ``level[i]``
+    (both -1 at the super node), ``depth[i]`` (its distance from the super
+    node) and ``cost[i]`` (0 but at base nodes).  A state node names its
+    state by ``state_id[i]`` into ``keys``, a base node its leaf by
+    ``payload_id[i]`` into ``payloads``; both ids are -1 elsewhere.
+    ``state[i]`` and ``payload[i]`` read through them, ``children[i]``
+    lists the children of i in index order from the CSR arrays
+    ``child_ptr``/``child``, and ``involved`` pairs each base node with
+    every normalized vertex its leaf enters, by node, then position."""
 
     norm: NormalizedInstance
     h: int
@@ -351,16 +336,20 @@ class SuperTree:
     payloads: list
     child_ptr: np.ndarray = field(init=False, repr=False)
     child: np.ndarray = field(init=False, repr=False)
+    depth: np.ndarray = field(init=False, repr=False)
     involved: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.kind)
+        # 2l + 1 at a state node of level l, 2l + 2 at its base and virtual
+        # children, and so 0 at the super node of level -1
+        self.depth = 2 * self.level + np.where(self.kind == STATE, 1, 2)
         self.child_ptr, self.child = csr(n, self.parent[1:], np.arange(1, n))
         self.children = Rows(self.child_ptr, self.child)
         self.state = _Column(self.state_id, self.keys)
         self.payload = _Column(self.payload_id, self.payloads)
-        # ("e", (r', v)) enters v, ("xi", (r', v, v')) enters v and v'
-        heads = [data[1:] for _, data in self.payloads]
+        # a leaf (r', *tails) enters its tails
+        heads = [leaf[1:] for leaf in self.payloads]
         vert = np.array([v for d in heads for v in d], dtype=np.int64)
         base = np.flatnonzero(self.payload_id >= 0)
         pos, entry = expand(_offsets([len(d) for d in heads]),
@@ -383,32 +372,28 @@ class SuperTree:
         return node[hit], np.searchsorted(terms, vert[hit])
 
     def height(self) -> int:
-        """Longest downward path in edges, counting all node kinds.
-
-        The super node has depth 0, a state node at level l depth 2l + 1,
-        and its base and virtual children (level l too) depth 2l + 2."""
-        return int(np.max(2 * self.level + np.where(self.kind == STATE, 1, 2),
-                          where=self.kind != SUPER, initial=0))
+        """Longest downward path in edges, counting all node kinds."""
+        return int(self.depth.max())
 
     def dump(self) -> str:
-        # preorder is index order, and a node's depth follows from its kind
-        # and level as in ``height``
+        # preorder is index order
         state_desc = [f"state r'={r} S={sorted(S)} rho={dict(rho)}"
                       for r, S, rho in self.keys]
         lines = []
-        for k, lv, s, pay, c in zip(
-                self.kind.tolist(), self.level.tolist(),
+        for k, d, s, pay, c in zip(
+                self.kind.tolist(), self.depth.tolist(),
                 self.state_id.tolist(), self.payload_id.tolist(),
                 self.cost.tolist()):
             if k == SUPER:
-                lines.append("super")
+                desc = "super"
             elif k == STATE:
-                lines.append("  " * (2 * lv + 1) + state_desc[s])
+                desc = state_desc[s]
             elif k == VIRTUAL:
-                lines.append("  " * (2 * lv + 2) + "virtual")
+                desc = "virtual"
             else:
-                tag, data = self.payloads[pay]
-                lines.append("  " * (2 * lv + 2) + f"base {tag}={data} c={c}")
+                leaf = self.payloads[pay]
+                desc = f"base {'e' if len(leaf) == 2 else 'xi'}={leaf} c={c}"
+            lines.append("  " * d + desc)
         return "\n".join(lines) + "\n"
 
 
@@ -514,8 +499,8 @@ def live_states(norm: NormalizedInstance, h: int,
 
     A state is live when it admits a good sub-state-tree within h, and its
     min depth is the least depth of one.  Its base payloads are the
-    agreeing edges ``("e", (r', v))`` and triples ``("xi", (r', v, v'))``
-    with their costs, edges first; its child pairs are every (left, right)
+    agreeing leaves, edges ``(r', v)`` and triples ``(r', v, v')``, with
+    their costs, edges first; its child pairs are every (left, right)
     pair of live states it joins from, in arena order.  A base state's
     portal v takes no degree above the number of original edges a tree can
     hang below v: a larger one never meets a state rooted at v.
@@ -552,16 +537,15 @@ def live_states(norm: NormalizedInstance, h: int,
     leaves = []
     for r1 in sorted(set(range(n)) - K):
         edges = sorted(inst.out_edges(r1))
-        for tails, payload, cost in (
-                [((v,), ("e", (r1, v)), c) for v, c in edges]
-                + [((v, v2), ("xi", (r1, v, v2)), c + c2)
-                   for (v, c), (v2, c2) in itertools.combinations(edges, 2)]):
-            free = [v for v in tails if v not in K]
-            if len(free) <= h:
-                leaves.append((r1, tails, free, payload, cost))
+        for size in (1, 2):
+            for pick in itertools.combinations(edges, size):
+                leaf = (r1, *(v for v, _ in pick))
+                free = [v for v in leaf[1:] if v not in K]
+                if len(free) <= h:
+                    leaves.append((leaf, free, sum(c for _, c in pick)))
     # the base states of each root vertex, counted before any is made
     count = Counter()
-    for r1, tails, _, _, _ in leaves:
+    for (r1, *tails), _, _ in leaves:
         count[r1] += _agreeing(norm, tails, guess, inst.degree_bound[r1])
     if count.total() > PAIR_CAP:
         r1, most = count.most_common(1)[0]
@@ -571,19 +555,20 @@ def live_states(norm: NormalizedInstance, h: int,
             f"the edges and triples start {count.total()} base states, over "
             f"the pair cap {PAIR_CAP}, {most} of them out of {where}; lower "
             f"the degree bounds")
-    # base states in the order they are first met, and each payload's state
+    # base states in the order they are first met, and each leaf's state
     index: dict[StateKey, int] = {}
     pay_state, payloads, pay_cost = [], [], []
-    for r1, tails, free, payload, cost in leaves:
-        # every degree vector the edge/triple agrees with
+    for leaf, free, cost in leaves:
+        r1 = leaf[0]
+        # every degree vector the leaf agrees with
         for combo in itertools.product(
                 *(range(1, guess[v] + 1) for v in free)):
             rho = dict(zip(free, combo))
-            rho[r1] = sum(_contrib(norm, v, rho) for v in tails)
+            rho[r1] = sum(_contrib(norm, v, rho) for v in leaf[1:])
             if rho[r1] <= inst.degree_bound[r1]:
                 key = make_key(r1, {r1, *free}, rho)
                 pay_state.append(index.setdefault(key, len(index)))
-                payloads.append(payload)
+                payloads.append(leaf)
                 pay_cost.append(cost)
 
     # a joined state copies its degrees from its children, so no degree
@@ -775,11 +760,7 @@ def selection_to_state_tree(st: SuperTree, selected: set[int]) -> StateTreeNode:
         node = StateTreeNode(r1, S, dict(rhot))
         (c,) = pick_child(p)
         if st.kind[c] == BASE:
-            tag, data = st.payload[c]
-            if tag == "e":
-                node.edge = data
-            else:
-                node.triple = data
+            node.leaf = st.payload[c]
         elif st.kind[c] == VIRTUAL:
             left, right = pick_child(c, want=2)
             node.left = from_state(left)

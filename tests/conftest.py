@@ -23,7 +23,7 @@ def state_tree_cost(norm, tau) -> int:
     total = 0
     for o in tau.nodes():
         if o.is_leaf:
-            r1, *tails = o.edge or o.triple
+            r1, *tails = o.leaf
             total += sum(norm.cost[(r1, v)] for v in tails)
     return total
 

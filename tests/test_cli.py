@@ -13,8 +13,9 @@ from test_golden import OVERLAP_GST
 from dbnet import cli, states
 from dbnet.cli import build_parser, main
 from dbnet.generators import gen_dst, gen_gst
-from dbnet.instances import (normalize, parse_dst, parse_gst, preprocess_gst,
-                             serialize_dst, serialize_gst)
+from dbnet.instances import (DirectedInstance, normalize, parse_dst,
+                             parse_gst, preprocess_gst, serialize_dst,
+                             serialize_gst)
 from dbnet.lpcore import solve_lp
 from dbnet.states import build_super_tree, oracle_height
 from dbnet.treekit import height_budget
@@ -927,7 +928,25 @@ def test_infeasible_at_budget_names_original_terminal(tmp_path, capsys):
                     "vertex 2 1\nvertex 3 0\nedge 0 1 1\nedge 2 3 1\n"
                     "terminal 1\nterminal 2\n")
     assert main(["solve-dst", "--instance", str(path)]) == 2
-    assert "terminal 2 appears in no base node" in capsys.readouterr().err
+    assert ("terminal 2 is unreachable from the root"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("height", [["--height", "1"], ["--height", "8"], []])
+def test_unreachable_terminal_is_infeasible_at_every_height(
+        tmp_path, capsys, height):
+    # gen_dst(6, 8, 3) plus a terminal 6 that no edge enters: the height
+    # budget is 9, and below it the super-tree already misses a terminal
+    inst = gen_dst(6, 8, 3, seed=0)
+    path = tmp_path / "isolated.dst"
+    path.write_text(serialize_dst(DirectedInstance(
+        7, inst.edges, inst.root, inst.terminals | {6},
+        {**inst.degree_bound, 6: 0})))
+    assert height_budget(normalize(parse_dst(path.read_text())).inst.n) == 9
+    assert main(["run", "--problem", "dst", "--instance", str(path),
+                 *height]) == 2
+    assert ("terminal 6 is unreachable from the root"
+            in capsys.readouterr().err)
 
 
 def test_dump_commands(tmp_path, dst_file, gst_file):

@@ -84,6 +84,11 @@ def test_tree_arrays_and_hop_levels(depth, d_max, k, seed, rise, data):
     for u in range(n):
         assert inst.children[u] == [v for v in range(n) if parent[v] == u]
 
+    def walk(u):  # the depth of u, walking up parent
+        return 0 if parent[u] == -1 else 1 + walk(parent[u])
+
+    assert inst.depth.tolist() == [walk(u) for u in range(n)]
+
     # x~ halves or keeps its value below each vertex, and is 0 at random;
     # parents precede children in the ids of gen_gst
     drop = data.draw(hs.lists(hs.integers(0, 2), min_size=n, max_size=n))

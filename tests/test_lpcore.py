@@ -609,11 +609,11 @@ def reference_dst_rows(st):
     for o in bases:
         obj[o] = st.cost[o]
     eq, ub = [], []
-    # the base nodes of each terminal: ("e", (r', v)) involves v and
-    # ("xi", (r', v, v')) involves v and v'
+    # the base nodes of each terminal: a leaf (r', *tails) involves its
+    # tails
     O_t = {t: [] for t in sorted(st.norm.inst.terminals)}
     for o in bases:
-        for v in st.payload[o][1][1:]:
+        for v in st.payload[o][1:]:
             if v in O_t:
                 O_t[v].append(o)
     for t, nodes in sorted(O_t.items()):
@@ -629,7 +629,7 @@ def reference_dst_rows(st):
     for p in range(n - 1, -1, -1):
         mine = {}
         if st.kind[p] == BASE:
-            for v in st.payload[p][1][1:]:
+            for v in st.payload[p][1:]:
                 if v in O_t:
                     mine.setdefault(v, []).append(p)
         for q in st.children[p]:
@@ -717,8 +717,8 @@ def test_capacity_rows_flag_one_child_and_own_rows():
     # root 0 with children 1 and 2; node 3 below 1; group {2, 3}
     parent = np.array([-1, 0, 0, 1])
     rows, routes, mine = _capacity_rows(
-        [np.array([0]), np.array([1, 2]), np.array([3])], parent,
-        np.array([2, 3]), np.array([0, 0]), 1, descending=False)
+        np.array([0, 1, 1, 2]), parent, np.array([2, 3]), np.array([0, 0]),
+        1, descending=False)
     assert [cols[-1] for cols, _, _ in rows.write(True).rows()] == [
         0, 1, 2, 3]
     # one group: a pair's key is its node

@@ -26,8 +26,8 @@ from dbnet.oracle import exact_dst
 from dbnet.treekit import height_budget
 from dbnet.states import (BASE, STATE, SUPER, VIRTUAL, SuperTree,
                           build_super_tree, degree_vectors_consistent,
-                          edge_agrees, gen_state_tree, is_allowable_child_pair,
-                          make_key, stitch_multi_tree, triple_agrees,
+                          gen_state_tree, is_allowable_child_pair,
+                          leaf_agrees, make_key, stitch_multi_tree,
                           validate_state_tree)
 
 
@@ -62,13 +62,13 @@ def test_degree_vector_examples():
 
 def test_edge_triple_agreement():
     norm = star_two_terminals()
-    assert edge_agrees(norm, (0, 1), {0}, {0: 1})
-    assert not edge_agrees(norm, (0, 1), {0}, {0: 2})
-    assert triple_agrees(norm, (0, 1, 2), {0}, {0: 2})
-    assert not triple_agrees(norm, (0, 1, 2), {0}, {0: 1})
+    assert leaf_agrees(norm, (0, 1), {0}, {0: 1})
+    assert not leaf_agrees(norm, (0, 1), {0}, {0: 2})
+    assert leaf_agrees(norm, (0, 1, 2), {0}, {0: 2})
+    assert not leaf_agrees(norm, (0, 1, 2), {0}, {0: 1})
     # the terminals 1 and 2 are no portals
     with pytest.raises(InvariantError, match="portals do not match"):
-        triple_agrees(norm, (0, 1, 2), {0, 1}, {0: 2, 1: 1})
+        leaf_agrees(norm, (0, 1, 2), {0, 1}, {0: 2, 1: 1})
 
 
 def test_edge_agreement_gadget_identity():
@@ -76,15 +76,15 @@ def test_edge_agreement_gadget_identity():
                             {1, 2, 3}, {0: 3, 1: 0, 2: 0, 3: 0})
     norm = normalize(inst)
     g = 4
-    assert edge_agrees(norm, (0, g), {0, g}, {0: 2, g: 2})
-    assert not edge_agrees(norm, (0, g), {0, g}, {0: 1, g: 2})
+    assert leaf_agrees(norm, (0, g), {0, g}, {0: 2, g: 2})
+    assert not leaf_agrees(norm, (0, g), {0, g}, {0: 1, g: 2})
 
 
 def test_gen_single_edge():
     norm = single_edge()
     mt = lift_tree(norm, {(0, 1)})
     tau = gen_state_tree(norm, mt)
-    assert tau.is_leaf and tau.edge == (0, 1)
+    assert tau.is_leaf and tau.leaf == (0, 1)
     assert (tau.r, tau.S, tau.rho) == (0, frozenset({0}), {0: 1})
     assert state_tree_cost(norm, tau) == 7
 
@@ -93,7 +93,7 @@ def test_gen_triple_case():
     norm = star_two_terminals()
     mt = lift_tree(norm, {(0, 1), (0, 2)})
     tau = gen_state_tree(norm, mt)
-    assert tau.is_leaf and tau.triple == (0, 1, 2)
+    assert tau.is_leaf and tau.leaf == (0, 1, 2)
     assert tau.rho == {0: 2}
     assert state_tree_cost(norm, tau) == 5
 
@@ -152,22 +152,22 @@ BROKEN_STATE_TREES = {
                         "node (3, [3, 8]): portals contain terminals"),
     "single-child": (lambda o: setattr(o[4], "right", None),
                      "node (9, [9]): not a full binary tree"),
-    "both-payloads": (lambda o: setattr(o[3], "triple", (3, 8, 11)),
-                      "node (3, [3]): leaf needs exactly one of edge/triple"),
-    "no-payload": (lambda o: setattr(o[3], "edge", None),
+    "long-payload": (lambda o: setattr(o[3], "leaf", (3, 8, 11, 12)),
+                     "node (3, [3]): leaf needs exactly one of edge/triple"),
+    "no-payload": (lambda o: setattr(o[3], "leaf", None),
                    "node (3, [3]): leaf needs exactly one of edge/triple"),
-    "non-graph-edge": (lambda o: setattr(o[3], "edge", (3, 7)),
+    "non-graph-edge": (lambda o: setattr(o[3], "leaf", (3, 7)),
                        "node (3, [3]): (3, 7) is not a graph edge"),
     "edge-disagrees": (lambda o: o[3].rho.update({3: 2}),
                        "node (3, [3]): edge (3, 8) disagrees with rho"),
     "triple-disagrees": (
         lambda o: o[2].rho.update({0: 2}),
         "node (0, [0, 3, 9]): triple (0, 3, 9) disagrees with rho"),
-    "triple-not-graph": (lambda o: setattr(o[2], "triple", (0, 3, 2)),
+    "triple-not-graph": (lambda o: setattr(o[2], "leaf", (0, 3, 2)),
                          "node (0, [0, 3, 9]): triple edges not in graph"),
-    "edge-portals": (lambda o: setattr(o[8], "edge", (1, 10)),
+    "edge-portals": (lambda o: setattr(o[8], "leaf", (1, 10)),
                      "node (1, [1]): edge (1, 10) portals do not match"),
-    "internal-payload": (lambda o: setattr(o[0], "edge", (0, 3)),
+    "internal-payload": (lambda o: setattr(o[0], "leaf", (0, 3)),
                          "node (0, [0]): internal node carries a leaf "
                          "payload"),
     "not-root-portals": (lambda o: setattr(o[4], "S", frozenset({1})),
@@ -229,7 +229,7 @@ def test_super_tree_single_edge():
     assert len(st) == 3
     assert st.kind[0] == SUPER and STATE in st.kind and BASE in st.kind
     o = int(np.flatnonzero(st.kind == BASE)[0])
-    assert st.payload[o] == ("e", (0, 1)) and st.cost[o] == 7
+    assert st.payload[o] == (0, 1) and st.cost[o] == 7
 
 
 def test_super_tree_rho_pruning():
@@ -264,8 +264,8 @@ def test_super_tree_triple_node():
     norm = star_two_terminals()
     st = build_super_tree(norm, 3, 10_000)
     bases = np.flatnonzero(st.kind == BASE).tolist()
-    triples = [o for o in bases if st.payload[o][0] == "xi"]
-    assert any(st.payload[o] == ("xi", (0, 1, 2)) and st.cost[o] == 5
+    triples = [o for o in bases if len(st.payload[o]) == 3]
+    assert any(st.payload[o] == (0, 1, 2) and st.cost[o] == 5
                for o in triples)
 
 
@@ -302,9 +302,7 @@ def test_oracle_tree_embeds():
 
         def embed(node, i) -> bool:
             if node.is_leaf:
-                want = (("e", node.edge) if node.edge is not None
-                        else ("xi", node.triple))
-                return any(st.kind[q] == BASE and st.payload[q] == want
+                return any(st.kind[q] == BASE and st.payload[q] == node.leaf
                            for q in st.children[i])
             for q in st.children[i]:
                 if st.kind[q] != VIRTUAL:
@@ -356,13 +354,13 @@ def reference_super_tree(norm, h):
         r1, S, rhot = key
         rho = dict(rhot)
         edges = sorted(inst.out_edges(r1))
-        out = [(("e", (r1, v)), c) for v, c in edges
+        out = [((r1, v), c) for v, c in edges
                if frozenset({r1, v} - K) == S
-               and edge_agrees(norm, (r1, v), S, rho)]
-        out += [(("xi", (r1, v, v2)), c1 + c2)
+               and leaf_agrees(norm, (r1, v), S, rho)]
+        out += [((r1, v, v2), c1 + c2)
                 for (v, c1), (v2, c2) in itertools.combinations(edges, 2)
                 if frozenset({r1, v, v2} - K) == S
-                and triple_agrees(norm, (r1, v, v2), S, rho)]
+                and leaf_agrees(norm, (r1, v, v2), S, rho)]
         return out
 
     def candidates(key):
@@ -446,8 +444,9 @@ def render(ref):
         elif k == VIRTUAL:
             desc = "virtual"
         else:
-            tag, data = ref["payload"][i]
-            desc = f"base {tag}={data} c={ref['cost'][i]}"
+            leaf = ref["payload"][i]
+            tag = "e" if len(leaf) == 2 else "xi"
+            desc = f"base {tag}={leaf} c={ref['cost'][i]}"
         lines.append("  " * indent + desc)
         for ch in ref["children"][i]:
             rec(ch, indent + 1)
@@ -527,8 +526,8 @@ def reference_live_states(norm, h):
 
     for r1 in sorted(set(range(inst.n)) - K):
         edges = sorted(inst.out_edges(r1))
-        leaves = [((v,), ("e", (r1, v)), c) for v, c in edges]
-        leaves += [((v, v2), ("xi", (r1, v, v2)), c + c2)
+        leaves = [((v,), (r1, v), c) for v, c in edges]
+        leaves += [((v, v2), (r1, v, v2), c + c2)
                    for (v, c), (v2, c2) in itertools.combinations(edges, 2)]
         for tails, payload, cost in leaves:
             free = [v for v in tails if v not in K]
@@ -715,7 +714,7 @@ def test_base_states_counted_before_any_is_made(monkeypatch):
     norm = normalize(DirectedInstance(
         41, [(0, v, 1) for v in range(1, 41)], 0, set(range(1, 41)),
         {v: 40 if v == 0 else 0 for v in range(41)}))
-    per_root = Counter(data[0] for _, data in
+    per_root = Counter(leaf[0] for leaf in
                        states.live_states(norm, 3).payloads)
     top, total = per_root[0], per_root.total()
     assert top == 440 and top == max(per_root.values())
@@ -756,12 +755,12 @@ def test_large_table_fails_fast_under_a_memory_limit(tmp_path):
     assert time.perf_counter() - start < 60
 
 
-def height_by_walk(st):
-    """The longest downward path, walking every node's parent."""
+def depth_by_walk(st):
+    """Each node's distance from the super node, walking its parent."""
     depth = [0] * len(st)
     for i in range(1, len(st)):
         depth[i] = depth[st.parent[i]] + 1
-    return max(depth)
+    return depth
 
 
 @pytest.mark.parametrize("shape,seeds,heights", [
@@ -772,4 +771,6 @@ def test_height_from_levels_matches_walk(shape, seeds, heights):
         norm = normalize(gen_dst(*shape, seed=seed))
         for h in heights:
             st = build_super_tree(norm, h)
-            assert st.height() == height_by_walk(st), (seed, h)
+            depth = depth_by_walk(st)
+            assert st.depth.tolist() == depth, (seed, h)
+            assert st.height() == max(depth), (seed, h)
