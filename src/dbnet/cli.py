@@ -25,8 +25,8 @@ from .gst_round import (alpha_sequence, global_params, run_gst,
 from .instances import (DirectedInstance, GroupTreeInstance, normalize,
                         parse_dst, parse_gst, preprocess_gst, serialize_dst,
                         serialize_gst)
-from .lpcore import EPS_CHECK, build_dst_lp, build_gst_lp, dump_lp
-from .dst_round import mgf_s, run_dst, tree_degree_ratios
+from .lpcore import EPS_CHECK, build_gst_lp, dump_lp
+from .dst_round import dst_lp, mgf_s, run_dst, tree_degree_ratios
 from .oracle import INFEASIBLE, OPTIMAL, exact_dst, exact_gst
 from .report import SCHEMA_VERSION
 from .rounding import blocks, csr, pair_counts
@@ -204,7 +204,7 @@ def _dst_trial_stats(report, trials: int) -> dict:
     terminals_of = table.head_rows(*csr(len(st), *st.terminal_members()))
     hits, costs = _trial_counts(table, report.seed, terminals_of, len(terms),
                                 trials, head_cost)
-    return {"per_terminal_hit": {str(norm.terminal_origin[t]):
+    return {"per_terminal_hit": {str(norm.origin[t]):
                                  _stat(int(c), trials)
                                  for t, c in zip(terms, hits)},
             "cost": {"mean": float(np.mean(costs)),
@@ -552,8 +552,7 @@ PROBLEMS = {
                                        spec.pop("k", 3), spec.pop("d", 3),
                                        seed=seed),
         prepare=lambda inst: normalize(inst),
-        lp=lambda norm, args: build_dst_lp(
-            build_super_tree(norm, args.height, _node_cap(args))),
+        lp=lambda norm, args: dst_lp(norm, args.height, _node_cap(args))[1],
         solve=lambda norm, args, label: run_dst(
             norm, h=args.height, Q=args.q, seed=args.seed,
             node_cap=_node_cap(args), label=label),

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceededError, InfeasibleError, InvariantError
-from .instances import (PHI_IDENTITY, DirectedInstance, MultiTree,
-                        NormalizedInstance, original_degree)
-from .lpcore import INFEASIBLE, build_dst_lp, solve_lp
+from .instances import (DirectedInstance, MultiTree, NormalizedInstance,
+                        original_degree)
+from .lpcore import INFEASIBLE, LPModel, LPSolution, build_dst_lp, solve_lp
 from .rounding import ChildTable, blocks, csr, pair_counts, per_rep
 from .report import RunReport
 from .states import (BASE, NODE_CAP, VIRTUAL, SuperTree, build_super_tree,
@@ -99,8 +99,8 @@ def _copy_of(norm: NormalizedInstance, v: int) -> str:
     """A copy of normalized vertex v, named by the original vertex it
     stands for."""
     o = norm.origin[v]
-    part = ("" if o == v else "'s gadget"
-            if norm.phi_kind[v] == PHI_IDENTITY else "'s sink")
+    part = ("" if o == v else "'s gadget" if norm.is_gadget(v)
+            else "'s sink")
     return f"a copy of {o}{part}"
 
 
@@ -191,43 +191,52 @@ def _check_reachable(inst: DirectedInstance) -> None:
     """InfeasibleError naming the least terminal that no path from the root
     reaches over vertices of degree bound 1 or more: every vertex above a
     terminal in a tree has a child, so no tree of any height spans it."""
-    reach, queue = {inst.root}, [inst.root]
-    for u in queue:
-        heads = {v for v, _ in inst.out_edges(u) if inst.degree_bound[u]}
-        queue += heads - reach
-        reach |= heads
-    missed = sorted(inst.terminals - reach)
+    _, covered = extract_tree(inst, {(u, v) for (u, v, _) in inst.edges
+                                     if inst.degree_bound[u]})
+    missed = sorted(inst.terminals - covered)
     if missed:
         raise InfeasibleError(f"terminal {missed[0]} is unreachable from the "
                               f"root over vertices of degree bound >= 1")
+
+
+def dst_lp(norm: NormalizedInstance, h: int | None = None,
+           node_cap: int = NODE_CAP, solve: bool = False
+           ) -> tuple[SuperTree, LPModel | LPSolution]:
+    """The super-tree of height h (the height budget when None) and its LP,
+    or with ``solve`` the LP's solution, so that the model is freed.
+
+    A terminal that no tree of any height reaches raises InfeasibleError
+    before any super-tree is built.  Below the height budget a feasible
+    instance may have no tree this shallow, and a super-tree that holds no
+    tree raises CapExceededError."""
+    _check_reachable(norm.original)
+    st = build_super_tree(norm, h, node_cap)
+    try:
+        lp = build_dst_lp(st)
+        if solve:
+            lp = solve_lp(lp)
+            if lp.status == INFEASIBLE:
+                raise InfeasibleError("DST LP is infeasible")
+    except InfeasibleError as e:
+        budget = height_budget(norm.inst.n)
+        if st.h < budget:
+            raise CapExceededError(
+                f"height {st.h} is below the height budget {budget} and the "
+                f"super-tree holds no tree ({e}); raise --height") from e
+        raise
+    return st, lp
 
 
 def run_dst(norm: NormalizedInstance, h: int | None = None,
             Q: int | None = None, seed: int = 0, node_cap: int = NODE_CAP,
             label: str = "") -> DstRunReport:
     """Full DB-DST pipeline: super-tree, LP, Q roundings, union, extraction."""
-    inst = norm.inst
     orig = norm.original
-    budget = height_budget(inst.n)
-    h = h if h is not None else budget
-    k = len(inst.terminals)
+    st, sol = dst_lp(norm, h, node_cap, solve=True)
+    h, k = st.h, len(norm.inst.terminals)
     # without terminals the LP is all zero and the empty tree is optimal, so
     # nothing is rounded whatever Q says
     Q = default_q(h, k) if Q is None or not k else Q
-
-    _check_reachable(orig)
-    st = build_super_tree(norm, h, node_cap)
-    try:
-        sol = solve_lp(build_dst_lp(st))
-        if sol.status == INFEASIBLE:
-            raise InfeasibleError("DST LP is infeasible")
-    except InfeasibleError as e:
-        # below the budget a feasible instance may have no tree this shallow
-        if h < budget:
-            raise CapExceededError(
-                f"height {h} is below the height budget {budget} and the "
-                f"super-tree holds no tree ({e}); raise --height") from e
-        raise
     sampler = Sampler(st, sol.x)
 
     rep_costs = []
@@ -246,7 +255,7 @@ def run_dst(norm: NormalizedInstance, h: int | None = None,
                     out = round_super_tree(st, selected)
                     seen[sig] = out.cost
                     for e in out.multi_tree.edge_labels():
-                        oe = norm.edge_origin[e]
+                        oe = norm.edge_origin(e)
                         if oe is not None:
                             union_edges.add(oe)
                 rep_costs.append(seen[sig])

@@ -25,15 +25,13 @@ Costs are non-negative integers in files; LP work downstream uses floats.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, InvariantError
 from .rounding import Rows, csr, expand
-
-PHI_CONST_ONE = "one"
-PHI_IDENTITY = "identity"
 
 
 @dataclass
@@ -50,10 +48,8 @@ class DirectedInstance:
         self.terminals = frozenset(self.terminals)
         self.validate()
         self._out = {v: [] for v in range(self.n)}
-        self._in = {v: [] for v in range(self.n)}
         for (u, v, c) in self.edges:
             self._out[u].append((v, c))
-            self._in[v].append((u, c))
         self.cost = {(u, v): c for (u, v, c) in self.edges}
 
     def validate(self):
@@ -84,9 +80,6 @@ class DirectedInstance:
 
     def out_edges(self, u: int) -> list[tuple[int, int]]:
         return self._out[u]
-
-    def in_edges(self, v: int) -> list[tuple[int, int]]:
-        return self._in[v]
 
 
 def _counts(lines: list[list[str]], names: str) -> list[int]:
@@ -165,28 +158,36 @@ class NormalizedInstance:
     """A DirectedInstance in the normalized form used by the DST pipeline.
 
     Every terminal has exactly one incoming and no outgoing edge; every
-    non-terminal has at most two outgoing edges.  `origin` maps each vertex
-    back to the original vertex it stands for (a binarization gadget vertex
-    maps to the gadget owner).  `edge_origin` maps each edge to the original
-    edge whose cost it carries, or None for zero-cost structural edges.
-    `edge_path` maps each original edge (u, w), and the sink edge (t, t') of
-    each split terminal, to the normalized edges from u (or t) through its
-    gadget that realize it, in order from the top.
+    non-terminal has at most two outgoing edges.  Each original vertex keeps
+    its id, and each new vertex, a split terminal's sink or a binarization
+    gadget vertex, is numbered from ``original.n`` up; the sinks are
+    terminals and the gadget vertices are not.  `origin` maps each vertex
+    back to the original vertex it stands for: a sink to its terminal, a
+    gadget vertex to the gadget owner.  `edge_path` maps each original edge
+    (u, w), and the sink edge (t, t') of each split terminal, to the
+    normalized edges from u (or t) through its gadget that realize it, in
+    order from the top.
     """
 
     inst: DirectedInstance
     original: DirectedInstance
     origin: dict[int, int]
-    phi_kind: dict[int, str]
-    edge_origin: dict[tuple[int, int], tuple[int, int] | None]
-    terminal_origin: dict[int, int] = field(default_factory=dict)
-    edge_path: dict[tuple[int, int], tuple[tuple[int, int], ...]] = field(
-        default_factory=dict)
+    edge_path: dict[tuple[int, int], tuple[tuple[int, int], ...]]
+
+    def is_gadget(self, v: int) -> bool:
+        """Whether v is a binarization gadget vertex."""
+        return v >= self.original.n and v not in self.inst.terminals
 
     def phi(self, v: int, rho: int) -> int:
-        if self.phi_kind[v] == PHI_CONST_ONE:
-            return 1
-        return rho
+        """What v adds to its parent's original degree: a gadget vertex
+        passes its own degree up, any other vertex counts as one child."""
+        return rho if self.is_gadget(v) else 1
+
+    def edge_origin(self, e: tuple[int, int]) -> tuple[int, int] | None:
+        """The original edge whose cost normalized edge e carries, or None
+        for a zero-cost edge into a sink or a gadget vertex."""
+        a, b = e
+        return (self.origin[a], b) if b < self.original.n else None
 
     @property
     def cost(self):
@@ -208,30 +209,23 @@ def normalize(inst: DirectedInstance) -> NormalizedInstance:
     edges = {(u, v): c for (u, v, c) in inst.edges}
     degree = dict(inst.degree_bound)
     origin = {v: v for v in range(n)}
-    phi_kind = {v: PHI_CONST_ONE for v in range(n)}
-    edge_origin = {(u, v): (u, v) for (u, v) in edges}
     edge_path = {(u, v): ((u, v),) for (u, v) in edges}
     terminals = set(inst.terminals)
-    terminal_origin = {}
     heads = {u: [v for (v, _) in inst.out_edges(u)] for u in range(n)}
+    indeg = Counter(v for (_, v, _) in inst.edges)
 
     for t in sorted(inst.terminals):
-        if len(inst.in_edges(t)) == 1 and not heads[t]:
-            terminal_origin[t] = t
+        if indeg[t] == 1 and not heads[t]:
             continue
         tp = n
         n += 1
         edges[(t, tp)] = 0
-        edge_origin[(t, tp)] = None
         edge_path[(t, tp)] = ((t, tp),)
         degree[t] = degree[t] + 1
         degree[tp] = 0
         origin[tp] = t
-        # t' stands for the original terminal, so it counts as one child of t
-        phi_kind[tp] = PHI_CONST_ONE
         terminals.discard(t)
         terminals.add(tp)
-        terminal_origin[tp] = t
         heads[t].append(tp)
 
     d_max = max(degree.values()) if degree else 1
@@ -243,7 +237,6 @@ def normalize(inst: DirectedInstance) -> NormalizedInstance:
         if len(out) <= 2:
             continue
         leaf_cost = {v: edges.pop((u, v)) for v in out}
-        leaf_orig = {v: edge_origin.pop((u, v)) for v in out}
 
         def attach(parent, leaves, path):
             # give `parent`, reached from u along `path`, one child covering
@@ -253,16 +246,13 @@ def normalize(inst: DirectedInstance) -> NormalizedInstance:
             if len(leaves) == 1:
                 w = leaves[0]
                 edges[(parent, w)] = leaf_cost[w]
-                edge_origin[(parent, w)] = leaf_orig[w]
                 edge_path[(u, w)] = path + ((parent, w),)
                 return
             g = n
             n += 1
             degree[g] = d_max
             origin[g] = u
-            phi_kind[g] = PHI_IDENTITY
             edges[(parent, g)] = 0
-            edge_origin[(parent, g)] = None
             path = path + ((parent, g),)
             mid = (len(leaves) + 1) // 2
             attach(g, leaves[:mid], path)
@@ -279,8 +269,7 @@ def normalize(inst: DirectedInstance) -> NormalizedInstance:
         frozenset(terminals),
         degree,
     )
-    return NormalizedInstance(norm, inst, origin, phi_kind, edge_origin,
-                              terminal_origin, edge_path)
+    return NormalizedInstance(norm, inst, origin, edge_path)
 
 
 class MultiTree:
@@ -342,8 +331,8 @@ def lift_tree(norm: NormalizedInstance,
         if e not in inst.cost:
             raise InvariantError(f"edge {e} is not an edge of the instance")
     on_tree = {w for e in edges for w in e}
-    sinks = [(t, tp) for tp, t in norm.terminal_origin.items()
-             if tp != t and t in on_tree]
+    sinks = [(t, tp) for tp in norm.inst.terminals
+             if (t := norm.origin[tp]) != tp and t in on_tree]
     lifted: dict[int, set[int]] = {}
     for e in [*edges, *sinks]:
         for (a, b) in norm.edge_path[e]:

@@ -630,7 +630,7 @@ def build_dst_lp(st: SuperTree) -> LPModel:
     hit = np.bincount(group, minlength=len(terms))
     if not hit.all():
         t = terms[int(np.argmin(hit))]
-        raise InfeasibleError(f"terminal {st.norm.terminal_origin[t]} "
+        raise InfeasibleError(f"terminal {st.norm.origin[t]} "
                               f"appears in no base node")
     nk = np.diff(st.child_ptr)
     par = st.parent[st.child]

@@ -906,6 +906,21 @@ def test_height_below_budget_is_a_cap_error(tmp_path, capsys, height, cause):
     assert cause in err
 
 
+def test_dump_lp_fails_below_budget_as_run_does(tmp_path, capsys):
+    # at --height 1 the super-tree of an instance with height budget 9
+    # misses terminal 1
+    path = tmp_path / "s0.dst"
+    path.write_text(serialize_dst(gen_dst(6, 8, 3, seed=0)))
+    errs = []
+    for cmd in ("run", "dump-lp"):
+        assert main([cmd, "--problem", "dst", "--instance", str(path),
+                     "--height", "1"]) == 3
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert "height 1 is below the height budget 9" in errs[0]
+    assert "terminal 1 appears in no base node" in errs[0]
+
+
 def test_height_above_budget_checks_the_stitch_at_that_height(tmp_path):
     # a 14-vertex unit path with every bound 1: its height budget is 9, and
     # at --height 12 the rounded state tree is 10 deep
@@ -943,10 +958,11 @@ def test_unreachable_terminal_is_infeasible_at_every_height(
         7, inst.edges, inst.root, inst.terminals | {6},
         {**inst.degree_bound, 6: 0})))
     assert height_budget(normalize(parse_dst(path.read_text())).inst.n) == 9
-    assert main(["run", "--problem", "dst", "--instance", str(path),
-                 *height]) == 2
-    assert ("terminal 6 is unreachable from the root"
-            in capsys.readouterr().err)
+    for cmd in ("run", "dump-lp"):
+        assert main([cmd, "--problem", "dst", "--instance", str(path),
+                     *height]) == 2
+        assert ("terminal 6 is unreachable from the root"
+                in capsys.readouterr().err)
 
 
 def test_dump_commands(tmp_path, dst_file, gst_file):

@@ -1,5 +1,6 @@
 import dataclasses
 import time
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,10 @@ from hypothesis import strategies as hs
 from dbnet.cli import main
 from dbnet.generators import gen_dst, gen_gst
 from dbnet.errors import FormatError
-from dbnet.instances import (PHI_CONST_ONE, PHI_IDENTITY, DirectedInstance,
-                             GroupTreeInstance, MultiTree, NormalizedInstance,
-                             normalize, original_degree, parse_dst, parse_gst,
-                             preprocess_gst, serialize_dst, serialize_gst)
+from dbnet.instances import (DirectedInstance, GroupTreeInstance, MultiTree,
+                             NormalizedInstance, normalize, original_degree,
+                             parse_dst, parse_gst, preprocess_gst,
+                             serialize_dst, serialize_gst)
 
 MINIMAL = "DBDST 1\n2 1 1\nroot 0\nvertex 0 1\nvertex 1 0\nedge 0 1 5\nterminal 1\n"
 
@@ -136,7 +137,7 @@ def test_normalize_star_gadget():
     norm = normalize(inst)
     assert norm.inst.n == 5
     g = 4
-    assert norm.phi_kind[g] == "identity" and norm.origin[g] == 0
+    assert norm.is_gadget(g) and norm.origin[g] == 0
     costs = norm.inst.cost
     assert sorted(costs.values()) == [0, 1, 2, 3]
     assert sum(costs.values()) == 6
@@ -151,7 +152,7 @@ def test_normalize_terminal_split():
     assert (1, tp) in norm.inst.cost and norm.inst.cost[(1, tp)] == 0
     assert tp in norm.inst.terminals and 1 not in norm.inst.terminals
     assert norm.inst.degree_bound[1] == 2 and norm.inst.degree_bound[tp] == 0
-    assert norm.terminal_origin[tp] == 1
+    assert norm.origin[tp] == 1 and not norm.is_gadget(tp)
 
 
 def test_normalize_fixed_point():
@@ -169,13 +170,14 @@ def test_normalize_invariants():
         norm = normalize(inst)
         ni = norm.inst
         for t in ni.terminals:
-            assert len(ni.in_edges(t)) == 1 and not ni.out_edges(t)
+            assert [v for (_, v, _) in ni.edges].count(t) == 1
+            assert not ni.out_edges(t)
         for u in range(ni.n):
             if u not in ni.terminals:
                 assert len(ni.out_edges(u)) <= 2
         # exactly one normalized edge carries each original cost
-        carried = [e for e, oe in norm.edge_origin.items() if oe is not None]
-        assert sorted(norm.edge_origin[e] for e in carried) == \
+        carried = [norm.edge_origin(e) for e in ni.cost]
+        assert sorted(oe for oe in carried if oe is not None) == \
             sorted((u, v) for (u, v, _) in inst.edges)
         assert sum(ni.cost.values()) == sum(c for (_, _, c) in inst.edges)
 
@@ -234,14 +236,30 @@ def test_group_tree_rejects_bad_parents(parent, says):
     assert str(err.value) == says
 
 
-def reference_normalize(inst: DirectedInstance) -> NormalizedInstance:
-    """``normalize`` as first written: degrees recounted from the edge list
-    and every vertex's out-edges found by a scan of all edges."""
+# phi of a vertex that counts as one child, and of a gadget vertex
+PHI_ONE, PHI_IDENTITY = "one", "identity"
+
+
+class Reference(NamedTuple):
+    """A reference normalization, with the lookups that ``normalize``
+    derives from vertex ids kept as maps of their own."""
+
+    norm: NormalizedInstance
+    phi_kind: dict[int, str]
+    edge_origin: dict[tuple[int, int], tuple[int, int] | None]
+    terminal_origin: dict[int, int]
+
+
+def reference_normalize(inst: DirectedInstance) -> Reference:
+    """``normalize`` as first written: degrees recounted from the edge list,
+    every vertex's out-edges found by a scan of all edges, and phi, the
+    original edge of each normalized edge and the original id of each
+    terminal stored as they are made."""
     n = inst.n
     edges = {(u, v): c for (u, v, c) in inst.edges}
     degree = dict(inst.degree_bound)
     origin = {v: v for v in range(n)}
-    phi_kind = {v: PHI_CONST_ONE for v in range(n)}
+    phi_kind = {v: PHI_ONE for v in range(n)}
     edge_origin = {(u, v): (u, v) for (u, v) in edges}
     terminals = set(inst.terminals)
     terminal_origin = {}
@@ -263,7 +281,7 @@ def reference_normalize(inst: DirectedInstance) -> NormalizedInstance:
         degree[t] = degree[t] + 1
         degree[tp] = 0
         origin[tp] = t
-        phi_kind[tp] = PHI_CONST_ONE
+        phi_kind[tp] = PHI_ONE
         terminals.discard(t)
         terminals.add(tp)
         terminal_origin[tp] = t
@@ -303,17 +321,18 @@ def reference_normalize(inst: DirectedInstance) -> NormalizedInstance:
     norm = DirectedInstance(
         n, [(u, v, c) for ((u, v), c) in sorted(edges.items())], inst.root,
         frozenset(terminals), degree)
-    out = NormalizedInstance(norm, inst, origin, phi_kind, edge_origin,
-                             terminal_origin)
-    out.edge_path = reference_edge_path(out)
-    return out
+    ref = Reference(NormalizedInstance(norm, inst, origin, {}), phi_kind,
+                    edge_origin, terminal_origin)
+    ref.norm.edge_path.update(reference_edge_path(ref))
+    return ref
 
 
-def reference_edge_path(norm: NormalizedInstance) -> dict:
+def reference_edge_path(ref: Reference) -> dict:
     """Each original edge's gadget path, and each split terminal's sink
     path, found again by walking the normalized out-edges and guessing each
     edge's role from ``edge_origin``, ``phi_kind`` and ``origin``, as
     ``lift_tree`` did before ``normalize`` recorded the paths."""
+    norm = ref.norm
     out_adj = {}
     for (a, b, _) in norm.inst.edges:
         out_adj.setdefault(a, []).append(b)
@@ -325,10 +344,10 @@ def reference_edge_path(norm: NormalizedInstance) -> dict:
             used = False
             for b in sorted(out_adj.get(a, [])):
                 e = (a, b)
-                oe = norm.edge_origin.get(e)
+                oe = ref.edge_origin.get(e)
                 if oe is not None:
                     hit = oe[0] == u and oe[1] in want
-                elif norm.origin[b] == u and norm.phi_kind[b] == PHI_IDENTITY:
+                elif norm.origin[b] == u and ref.phi_kind[b] == PHI_IDENTITY:
                     hit = walk(b)
                 elif norm.origin[b] == u and b != u:
                     hit = want_sink  # the split sink edge (u, u')
@@ -344,13 +363,14 @@ def reference_edge_path(norm: NormalizedInstance) -> dict:
 
     paths = {(u, w): gadget_edges(u, {w}, False)
              for (u, w, _) in norm.original.edges}
-    for tp, t in norm.terminal_origin.items():
+    for tp, t in ref.terminal_origin.items():
         if tp != t:
             paths[(t, tp)] = gadget_edges(t, set(), True)
     return paths
 
 
-def assert_same_normalized(got: NormalizedInstance, want: NormalizedInstance):
+def assert_same_normalized(got: NormalizedInstance, ref: Reference):
+    want = ref.norm
     for f in dataclasses.fields(NormalizedInstance):
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert a == b, f.name
@@ -360,6 +380,17 @@ def assert_same_normalized(got: NormalizedInstance, want: NormalizedInstance):
     assert list(got.inst.degree_bound.items()) == \
         list(want.inst.degree_bound.items())
     assert got.inst.cost == want.inst.cost
+    # the lookups derived from vertex ids, on every vertex, edge, terminal
+    for v in range(got.inst.n):
+        gadget = ref.phi_kind[v] == PHI_IDENTITY
+        assert got.is_gadget(v) == gadget, ("is_gadget", v)
+        for rho in (0, 2, 5):
+            assert got.phi(v, rho) == (rho if gadget else 1), ("phi", v)
+    for e in got.inst.cost:
+        assert got.edge_origin(e) == ref.edge_origin[e], ("edge_origin", e)
+    assert sorted(ref.terminal_origin) == sorted(got.inst.terminals)
+    for t, o in ref.terminal_origin.items():
+        assert got.origin[t] == o, ("origin", t)
 
 
 @hs.composite
@@ -382,9 +413,10 @@ def test_normalize_matches_reference_with_gadgets(d_max):
     inst = gen_dst(10, 40, 4, d_max=d_max, seed=d_max)
     assert max(len(inst.out_edges(u)) for u in range(inst.n)) >= 3
     norm = normalize(inst)
-    assert PHI_IDENTITY in norm.phi_kind.values()
+    ref = reference_normalize(inst)
+    assert PHI_IDENTITY in ref.phi_kind.values()
     assert max(map(len, norm.edge_path.values())) >= 3
-    assert_same_normalized(norm, reference_normalize(inst))
+    assert_same_normalized(norm, ref)
 
 
 def test_edge_path_guard_catches_a_missing_gadget_edge():
@@ -410,7 +442,7 @@ def test_edge_path_holds_the_sink_of_a_split_terminal():
         (0, 1): ((0, 1),), (1, 2): ((1, 6), (6, 2)),
         (1, 3): ((1, 6), (6, 3)), (1, 4): ((1, 7), (7, 4)),
         (1, 5): ((1, 7), (7, 5))}
-    assert norm.edge_path == reference_edge_path(norm)
+    assert norm.edge_path == reference_normalize(inst).norm.edge_path
     # the star 0 -> 1, 2, 3 gets the gadget 4 above 1 and 2
     star = DirectedInstance(4, [(0, 1, 1), (0, 2, 2), (0, 3, 3)], 0,
                             {1, 2, 3}, {0: 3, 1: 0, 2: 0, 3: 0})

@@ -32,21 +32,33 @@ def names(tree: ast.AST) -> Counter:
     return seen
 
 
+def constants(tree: ast.Module):
+    """Each module-level assignment of ``tree`` and the names it binds."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield node, name.id
+
+
 def unnamed_definitions() -> set[str]:
-    """``module.name`` of each function, method and class of the package
-    that no code outside its own body names; dunder methods are called by
-    the language and do not count."""
+    """``module.name`` of each function, method, class and module-level
+    constant of the package that no code outside its own definition names;
+    dunder names are read by the language and do not count."""
     trees = {path: ast.parse(path.read_text()) for path in READERS}
     total = sum((names(tree) for tree in trees.values()), Counter())
     out = set()
     for path in PACKAGE:
-        for node in ast.walk(trees[path]):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and not (node.name.startswith("__")
-                             and node.name.endswith("__"))
-                    and total[node.name] == names(node)[node.name]):
-                out.add(f"{path.stem}.{node.name}")
+        defined = [(node, node.name) for node in ast.walk(trees[path])
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                        ast.ClassDef))]
+        for node, name in defined + list(constants(trees[path])):
+            if (not (name.startswith("__") and name.endswith("__"))
+                    and total[name] == names(node)[name]):
+                out.add(f"{path.stem}.{name}")
     return out
 
 

@@ -19,8 +19,8 @@ from conftest import small_dst, state_tree_cost
 from dbnet import states
 from dbnet.errors import CapExceededError, InvariantError
 from dbnet.generators import gen_dst
-from dbnet.instances import (PHI_IDENTITY, DirectedInstance, lift_tree,
-                             normalize, serialize_dst)
+from dbnet.instances import (DirectedInstance, lift_tree, normalize,
+                             serialize_dst)
 from dbnet.lpcore import build_dst_lp, solve_lp
 from dbnet.oracle import exact_dst
 from dbnet.treekit import height_budget
@@ -217,7 +217,7 @@ def test_lift_decompose_stitch_round_trip(n, extra, k, d_max, seed):
     mt = lift_tree(norm, set(map(tuple, res.edges)))
     back = stitch_multi_tree(norm, gen_state_tree(norm, mt),
                              height_budget(norm.inst.n))
-    origin = [norm.edge_origin[e] for e in back.edge_labels()]
+    origin = [norm.edge_origin(e) for e in back.edge_labels()]
     assert sorted(e for e in origin if e is not None) == sorted(
         map(tuple, res.edges))
     assert back.cost(norm) == mt.cost(norm) == res.cost
@@ -499,7 +499,7 @@ def largest_degrees(norm):
     inst = norm.inst
     most = {}
     for v in reversed(range(inst.n)):
-        most[v] = sum(most[b] if norm.phi_kind[b] == PHI_IDENTITY else 1
+        most[v] = sum(most[b] if norm.is_gadget(b) else 1
                       for b, _ in inst.out_edges(v))
     return most
 

@@ -41,7 +41,7 @@ def reference_dst_trial_stats(report, trials: int) -> dict:
         copies = pair_counts(*terminals_of, len(terms), rep, node,
                              stop - start)
         hits += np.count_nonzero(copies, axis=0)
-    return {"per_terminal_hit": {str(norm.terminal_origin[t]):
+    return {"per_terminal_hit": {str(norm.origin[t]):
                                  _stat(int(c), trials)
                                  for t, c in zip(terms, hits)},
             "cost": {"mean": float(np.mean(costs)),
