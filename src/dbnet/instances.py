@@ -273,7 +273,13 @@ def normalize(inst: DirectedInstance) -> NormalizedInstance:
 
 
 class MultiTree:
-    """Tree whose nodes carry vertex labels; edges are copies of graph edges."""
+    """Tree whose nodes carry vertex labels; edges are copies of graph edges.
+
+    The first node added, node 0, is the root, and every other node is
+    added below one added before it.  The edges are the caller's to check.
+    """
+
+    root = 0
 
     def __init__(self):
         self.label: list[int] = []
@@ -292,13 +298,6 @@ class MultiTree:
     def __len__(self):
         return len(self.label)
 
-    @property
-    def root(self) -> int:
-        roots = [a for a, p in enumerate(self.parent) if p is None]
-        if len(roots) != 1:
-            raise FormatError(f"multi-tree must have one root, found {roots}")
-        return roots[0]
-
     def edge_labels(self):
         for a, p in enumerate(self.parent):
             if p is not None:
@@ -307,12 +306,6 @@ class MultiTree:
     def cost(self, norm: NormalizedInstance) -> int:
         cost = norm.cost
         return sum(cost[e] for e in self.edge_labels())
-
-    def check_edges(self, norm: NormalizedInstance):
-        cost = norm.cost
-        for e in self.edge_labels():
-            if e not in cost:
-                raise FormatError(f"tree edge {e} is not a graph edge")
 
 
 def lift_tree(norm: NormalizedInstance,

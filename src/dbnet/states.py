@@ -44,12 +44,10 @@ def is_allowable_child_pair(parent, left, right) -> bool:
     """Definition of allowable child-pairs over root-portals-pairs.
 
     Requires r'' not in S, S1 | S2 = S + {r''}, S1 & S2 = {r''}, and the
-    left child keeping the parent's root.
+    left child keeping the parent's root.  Whether each pair holds its
+    root is a condition of its own node, not of this one.
     """
     (r1, S), (rl, S1), (r2, S2) = parent, left, right
-    for (r, ss) in (parent, left, right):
-        if r not in ss:
-            raise InvariantError(f"({r}, {set(ss)}) is not a root-portals-pair")
     S, S1, S2 = frozenset(S), frozenset(S1), frozenset(S2)
     return (rl == r1 and r2 not in S and S1 | S2 == S | {r2}
             and S1 & S2 == {r2})
@@ -66,13 +64,6 @@ def degree_vectors_consistent(rho: dict, rho1: dict, rho2: dict,
     return rho1.get(r2) == rho2.get(r2) and rho1.get(r2) is not None
 
 
-def _contrib(norm: NormalizedInstance, v: int, rho: dict) -> int:
-    # "phi_v(rho_v) or 1": terminals contribute 1, portals phi of their rho
-    if v in norm.inst.terminals:
-        return 1
-    return norm.phi(v, rho[v])
-
-
 def _agreeing(norm: NormalizedInstance, tails, guess: dict,
               bound: int) -> int:
     """How many degree vectors an edge or triple with these tails agrees
@@ -83,18 +74,17 @@ def _agreeing(norm: NormalizedInstance, tails, guess: dict,
     for v in tails:
         xs = [1] if v in norm.inst.terminals else range(1, guess[v] + 1)
         ways = np.convolve(ways, np.bincount(
-            [_contrib(norm, v, {v: x}) for x in xs], minlength=1))
+            [norm.phi(v, x) for x in xs], minlength=1))
     return int(ways[:bound + 1].sum())
 
 
-def leaf_agrees(norm: NormalizedInstance, leaf: tuple, S, rho: dict) -> bool:
+def leaf_agrees(norm: NormalizedInstance, leaf: tuple, rho: dict) -> bool:
     """Whether the leaf ``(r', *tails)``, an edge or a triple, agrees with
-    the degree vector rho: its tails contribute rho[r'] to the degree of r'.
-    Its non-terminal vertices must be the portals S."""
-    if frozenset(set(leaf) - norm.inst.terminals) != frozenset(S):
-        raise InvariantError(f"{LEAF_NAMES[len(leaf)]} {leaf} portals do not "
-                             f"match S={set(S)}")
-    return rho[leaf[0]] == sum(_contrib(norm, v, rho) for v in leaf[1:])
+    the degree vector rho: its tails add rho[r'] to the degree of r'.  No
+    rho that lacks the degree of r' or of a gadget tail agrees."""
+    r1, *tails = leaf
+    add = [norm.phi(v, rho.get(v)) for v in tails]
+    return None not in add and rho.get(r1) == sum(add)
 
 
 @dataclass
@@ -177,8 +167,9 @@ def oracle_height(norm: NormalizedInstance, edges) -> int:
 
 def validate_state_tree(norm: NormalizedInstance, root: StateTreeNode,
                         h: int) -> list[str]:
-    """Check the good-state-tree conditions with depth at most h; returns a
-    list of violations."""
+    """Check the good-state-tree conditions with depth at most h, each once
+    and for any tree: returns one message per violation, [] on a good state
+    tree.  A leaf must leave its state's root, which stitching assumes."""
     inst = norm.inst
     K = inst.terminals
     bad = []
@@ -195,9 +186,11 @@ def validate_state_tree(norm: NormalizedInstance, root: StateTreeNode,
         if node.S & K:
             bad.append(f"{where}: portals contain terminals {node.S & K}")
         for v in node.S:
-            if not (1 <= node.rho.get(v, 0) <= inst.degree_bound[v]):
+            # a portal that is no vertex has no degree to fit
+            d = inst.degree_bound.get(v, 0)
+            if not (1 <= node.rho.get(v, 0) <= d):
                 bad.append(f"{where}: rho[{v}]={node.rho.get(v)} out of "
-                           f"[1, {inst.degree_bound[v]}]")
+                           f"[1, {d}]")
         if (node.left is None) != (node.right is None):
             bad.append(f"{where}: not a full binary tree")
         elif node.is_leaf:
@@ -206,26 +199,23 @@ def validate_state_tree(norm: NormalizedInstance, root: StateTreeNode,
                 bad.append(f"{where}: leaf needs exactly one of edge/triple")
                 continue
             name = LEAF_NAMES[len(leaf)]
-            try:
-                if any((leaf[0], v) not in cost for v in leaf[1:]):
-                    bad.append(f"{where}: {leaf} is not a graph edge"
-                               if name == "edge"
-                               else f"{where}: triple edges not in graph")
-                elif not leaf_agrees(norm, leaf, node.S, node.rho):
-                    bad.append(f"{where}: {name} {leaf} disagrees with rho")
-            except InvariantError as e:
-                bad.append(f"{where}: {e}")
+            if leaf[0] != node.r:
+                bad.append(f"{where}: {name} {leaf} does not leave {node.r}")
+            if any((leaf[0], v) not in cost for v in leaf[1:]):
+                bad.append(f"{where}: {leaf} is not a graph edge"
+                           if name == "edge"
+                           else f"{where}: triple edges not in graph")
+            if frozenset(set(leaf) - K) != node.S:
+                bad.append(f"{where}: {name} {leaf} portals do not match "
+                           f"S={set(node.S)}")
+            if not leaf_agrees(norm, leaf, node.rho):
+                bad.append(f"{where}: {name} {leaf} disagrees with rho")
         else:
             if node.leaf is not None:
                 bad.append(f"{where}: internal node carries a leaf payload")
             q, o = node.left, node.right
-            try:
-                ok = is_allowable_child_pair((node.r, node.S), (q.r, q.S),
-                                             (o.r, o.S))
-            except InvariantError as e:
-                ok = False
-                bad.append(f"{where}: {e}")
-            if not ok:
+            if not is_allowable_child_pair((node.r, node.S), (q.r, q.S),
+                                           (o.r, o.S)):
                 bad.append(f"{where}: children are not an allowable pair")
             elif not degree_vectors_consistent(node.rho, q.rho, o.rho, o.r):
                 bad.append(f"{where}: child degree vectors inconsistent")
@@ -262,7 +252,6 @@ def stitch_multi_tree(norm: NormalizedInstance, root: StateTreeNode,
         return pi
 
     build(root, mt.add_node(root.r))
-    mt.check_edges(norm)
     return mt
 
 
@@ -564,7 +553,7 @@ def live_states(norm: NormalizedInstance, h: int,
         for combo in itertools.product(
                 *(range(1, guess[v] + 1) for v in free)):
             rho = dict(zip(free, combo))
-            rho[r1] = sum(_contrib(norm, v, rho) for v in leaf[1:])
+            rho[r1] = sum(norm.phi(v, rho.get(v)) for v in leaf[1:])
             if rho[r1] <= inst.degree_bound[r1]:
                 key = make_key(r1, {r1, *free}, rho)
                 pay_state.append(index.setdefault(key, len(index)))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import sys
 import time
 
@@ -12,6 +13,7 @@ from conftest import small_dst
 from test_golden import OVERLAP_GST
 from dbnet import cli, states
 from dbnet.cli import build_parser, main
+from dbnet.errors import CapExceededError, InvariantError
 from dbnet.generators import gen_dst, gen_gst
 from dbnet.instances import (DirectedInstance, normalize, parse_dst,
                              parse_gst, preprocess_gst, serialize_dst,
@@ -389,6 +391,26 @@ def test_run_checks_its_report_as_verify_does(dst_file, monkeypatch, capsys,
     assert main(["run", "--problem", "dst", "--instance", path,
                  "--height", str(h)]) == 4
     assert message in capsys.readouterr().err
+
+
+def test_run_passes_an_oracle_fault_on(tmp_path, dst_file, monkeypatch,
+                                      capsys):
+    # only a refusal of the input leaves the oracle block out of the report
+    path, h = dst_file
+    run = ["run", "--problem", "dst", "--instance", path, "--height", str(h)]
+
+    def fails(error):
+        def oracle(inst):
+            raise error
+        return oracle
+
+    monkeypatch.setattr(cli, "exact_dst", fails(InvariantError("broken")))
+    assert main(run) == 4
+    assert "broken" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "exact_dst", fails(CapExceededError("too big")))
+    out = tmp_path / "run.json"
+    assert main(run + ["--out", str(out)]) == 0
+    assert "oracle" not in json.loads(out.read_text())
 
 
 def test_run_dst_trials_reuse_the_solve(tmp_path, dst_file, monkeypatch):
@@ -799,6 +821,23 @@ def test_verify_checks_p6_and_the_oracle(run_reports, capsys, case):
     assert says in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("problem,name,value", [
+    ("gst", "lp_cost", math.nan), ("gst", "modified_cost", math.nan),
+    ("dst", "lp_cost", math.nan), ("dst", "lp_cost", -math.inf),
+    ("dst", "union_cost", math.nan), ("dst", "union_cost", math.inf)])
+def test_verify_refuses_nan_and_infinity(run_reports, capsys, problem, name,
+                                         value):
+    # json reads these constants, and every bound check on them is false
+    where, reports = run_reports
+    instance, doc = reports[problem]
+    out = where / "constant.json"
+    out.write_text(json.dumps({**doc, name: value}))
+    capsys.readouterr()
+    assert main(["verify", "--tree", str(out), "--instance", instance]) == 5
+    assert (f"{json.dumps(value)} is not a JSON number"
+            in capsys.readouterr().err)
+
+
 # a synthetic leaf below vertex 0 lifts its bound to 2^63, beyond int64
 WRAP_GST = ("DBGST 1\n3 1\nroot 0\nvertex 0 -1 0 9223372036854775807\n"
             "vertex 1 0 1 1\nvertex 2 0 1 1\ngroup 0 2 0 1\n")
@@ -919,6 +958,25 @@ def test_dump_lp_fails_below_budget_as_run_does(tmp_path, capsys):
     assert errs[0] == errs[1]
     assert "height 1 is below the height budget 9" in errs[0]
     assert "terminal 1 appears in no base node" in errs[0]
+
+
+def test_infeasible_lp_at_budget_is_passed_on(tmp_path, capsys):
+    # root bound 1 and the terminals 1, 2 on the edges 0 -> 1, 0 -> 2: both
+    # are reachable, but no tree reaches both, at any height
+    path = tmp_path / "bound1.dst"
+    path.write_text("DBDST 1\n3 2 2\nroot 0\nvertex 0 1\nvertex 1 0\n"
+                    "vertex 2 0\nedge 0 1 1\nedge 0 2 1\nterminal 1\n"
+                    "terminal 2\n")
+    instance = ["--instance", str(path)]
+    assert main(["run", "--problem", "dst", *instance]) == 2
+    assert "DST LP is infeasible" in capsys.readouterr().err
+    assert main(["run", "--problem", "dst", *instance, "--height", "1"]) == 3
+    assert "raise --height" in capsys.readouterr().err
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-dst", *instance, "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["status"] == "INFEASIBLE"
+    assert main(["dump-lp", "--problem", "dst", *instance,
+                 "--out", str(out)]) == 0
 
 
 def test_height_above_budget_checks_the_stitch_at_that_height(tmp_path):

@@ -130,6 +130,35 @@ def test_gen_gst_deterministic_and_valid():
     parse_gst(a).validate_groups()
 
 
+# vertex 1 of this instance has the child 2: "dbnet run" preprocesses it,
+# while validate_groups refuses it
+INNER_MEMBER_GST = ("DBGST 1\n4 1\nroot 0\nvertex 0 -1 0 2\n"
+                    "vertex 1 0 3 1\nvertex 2 1 4 1\nvertex 3 0 5 1\n"
+                    "group 0 1 1\n")
+
+
+@pytest.mark.parametrize("groups,says", [
+    # the first inner member by group, then by member
+    ([{2, 3}, {1}], "group 0 member 2 is not a leaf"),
+    ([{4, 2, 1}], "group 0 member 1 is not a leaf"),
+    # the smallest vertex in two groups
+    ([{4}, {3}, {3, 4}], "groups overlap at 3"),
+    # an inner member before an overlap
+    ([{1}, {1}], "group 0 member 1 is not a leaf")],
+    ids=["by-group", "by-member", "overlap", "inner-first"])
+def test_validate_groups_names_the_first_fault(groups, says):
+    # 0 has the children 1 and 2, which have the leaves 3 and 4
+    inst = GroupTreeInstance(5, [-1, 0, 0, 1, 2], [0] * 5, groups, [2] * 5)
+    with pytest.raises(FormatError) as err:
+        inst.validate_groups()
+    assert str(err.value) == says
+
+
+def test_validate_groups_refuses_an_inner_member():
+    with pytest.raises(FormatError, match="group 0 member 1 is not a leaf"):
+        parse_gst(INNER_MEMBER_GST).validate_groups()
+
+
 def test_normalize_star_gadget():
     # r with out-edges to a, b, c: one new gadget vertex, costs preserved
     inst = DirectedInstance(4, [(0, 1, 1), (0, 2, 2), (0, 3, 3)], 0,

@@ -17,6 +17,7 @@ from hypothesis import strategies as hs
 
 from conftest import small_dst, state_tree_cost
 from dbnet import states
+from dbnet.dst_round import _check_good_multi_tree
 from dbnet.errors import CapExceededError, InvariantError
 from dbnet.generators import gen_dst
 from dbnet.instances import (DirectedInstance, lift_tree, normalize,
@@ -24,11 +25,11 @@ from dbnet.instances import (DirectedInstance, lift_tree, normalize,
 from dbnet.lpcore import build_dst_lp, solve_lp
 from dbnet.oracle import exact_dst
 from dbnet.treekit import height_budget
-from dbnet.states import (BASE, STATE, SUPER, VIRTUAL, SuperTree,
-                          build_super_tree, degree_vectors_consistent,
-                          gen_state_tree, is_allowable_child_pair,
-                          leaf_agrees, make_key, stitch_multi_tree,
-                          validate_state_tree)
+from dbnet.states import (BASE, STATE, SUPER, VIRTUAL, StateTreeNode,
+                          SuperTree, build_super_tree,
+                          degree_vectors_consistent, gen_state_tree,
+                          is_allowable_child_pair, leaf_agrees, make_key,
+                          stitch_multi_tree, validate_state_tree)
 
 
 def single_edge():
@@ -62,13 +63,12 @@ def test_degree_vector_examples():
 
 def test_edge_triple_agreement():
     norm = star_two_terminals()
-    assert leaf_agrees(norm, (0, 1), {0}, {0: 1})
-    assert not leaf_agrees(norm, (0, 1), {0}, {0: 2})
-    assert leaf_agrees(norm, (0, 1, 2), {0}, {0: 2})
-    assert not leaf_agrees(norm, (0, 1, 2), {0}, {0: 1})
-    # the terminals 1 and 2 are no portals
-    with pytest.raises(InvariantError, match="portals do not match"):
-        leaf_agrees(norm, (0, 1, 2), {0, 1}, {0: 2, 1: 1})
+    assert leaf_agrees(norm, (0, 1), {0: 1})
+    assert not leaf_agrees(norm, (0, 1), {0: 2})
+    assert leaf_agrees(norm, (0, 1, 2), {0: 2})
+    assert not leaf_agrees(norm, (0, 1, 2), {0: 1})
+    # without a degree for its root the leaf agrees with nothing
+    assert not leaf_agrees(norm, (0, 1), {})
 
 
 def test_edge_agreement_gadget_identity():
@@ -76,8 +76,10 @@ def test_edge_agreement_gadget_identity():
                             {1, 2, 3}, {0: 3, 1: 0, 2: 0, 3: 0})
     norm = normalize(inst)
     g = 4
-    assert leaf_agrees(norm, (0, g), {0, g}, {0: 2, g: 2})
-    assert not leaf_agrees(norm, (0, g), {0, g}, {0: 1, g: 2})
+    assert leaf_agrees(norm, (0, g), {0: 2, g: 2})
+    assert not leaf_agrees(norm, (0, g), {0: 1, g: 2})
+    # the gadget passes up a degree that rho lacks
+    assert not leaf_agrees(norm, (0, g), {0: 2})
 
 
 def test_gen_single_edge():
@@ -150,6 +152,8 @@ BROKEN_STATE_TREES = {
                         "node (3, [4]): root not in portals"),
     "terminal-portal": (lambda o: setattr(o[3], "S", frozenset({3, 8})),
                         "node (3, [3, 8]): portals contain terminals"),
+    "no-vertex": (lambda o: setattr(o[3], "S", frozenset({3, 99})),
+                  "node (3, [3, 99]): rho[99]=None out of [1, 0]"),
     "single-child": (lambda o: setattr(o[4], "right", None),
                      "node (9, [9]): not a full binary tree"),
     "long-payload": (lambda o: setattr(o[3], "leaf", (3, 8, 11, 12)),
@@ -171,8 +175,7 @@ BROKEN_STATE_TREES = {
                          "node (0, [0]): internal node carries a leaf "
                          "payload"),
     "not-root-portals": (lambda o: setattr(o[4], "S", frozenset({1})),
-                         "node (0, [0]): (9, {1}) is not a "
-                         "root-portals-pair"),
+                         "node (9, [1]): root not in portals"),
 }
 
 
@@ -190,6 +193,81 @@ def test_validator_reports_each_broken_condition(case):
     assert any(msg.startswith(says) for msg in bad), bad
     with pytest.raises(InvariantError, match="stitch on invalid state tree"):
         stitch_multi_tree(norm, broken, h)
+
+
+def leaf_state(r, S, rho, leaf):
+    return StateTreeNode(r, frozenset(S), rho, leaf=leaf)
+
+
+@pytest.mark.parametrize("edges,left,says", [
+    # the chain 0 -> 1 -> 2: the left child lacks the degree of its portal 1
+    ([(0, 1, 1), (1, 2, 1)], leaf_state(0, {0, 1}, {0: 1}, (0, 1)),
+     "node (0, [0, 1]): rho[1]=None out of [1, 1]"),
+    # 0 -> 1, 1 -> 0, 1 -> 2: the left leaf (1, 0) hangs below no copy of 1
+    ([(0, 1, 1), (1, 0, 1), (1, 2, 1)],
+     leaf_state(0, {0, 1}, {0: 1, 1: 1}, (1, 0)),
+     "node (0, [0, 1]): edge (1, 0) does not leave 0")],
+    ids=["missing-degree", "leaf-root"])
+def test_validator_reports_what_stitching_needs(edges, left, says):
+    # terminal 2 below 1; the right child (1, {1}) reaches it by (1, 2)
+    norm = normalize(DirectedInstance(3, edges, 0, {2}, {0: 1, 1: 1, 2: 0}))
+    tau = StateTreeNode(0, frozenset({0}), {0: 1}, left,
+                        leaf_state(1, {1}, {1: 1}, (1, 2)))
+    assert says in validate_state_tree(norm, tau, 3)
+    with pytest.raises(InvariantError, match="stitch on invalid state tree"):
+        stitch_multi_tree(norm, tau, 3)
+
+
+def mutate(draw, norm, tau):
+    """Change one field of one node of the state tree tau in place."""
+    node = draw(hs.sampled_from(list(tau.nodes())))
+    # n is no vertex of the instance
+    vertex = hs.integers(0, norm.inst.n)
+    field = draw(hs.sampled_from(["r", "S", "rho", "leaf", "children"]))
+    if field == "r":
+        node.r = draw(vertex)
+    elif field == "S":
+        # drop a portal or add a vertex
+        node.S = node.S ^ {draw(vertex)}
+    elif field == "rho":
+        v = draw(hs.sampled_from(sorted(node.rho) or [0]))
+        if draw(hs.booleans()):
+            node.rho.pop(v, None)
+        else:
+            node.rho[v] = draw(hs.integers(0, 4))
+    elif field == "leaf":
+        # another order of its own vertices, or any vertices
+        own = list(node.leaf or ())
+        node.leaf = tuple(draw(hs.permutations(own)) if own and draw(
+            hs.booleans()) else draw(hs.lists(vertex, max_size=4)))
+    else:
+        how = draw(hs.sampled_from(["left", "right", "swap"]))
+        if how == "swap":
+            node.left, node.right = node.right, node.left
+        else:
+            setattr(node, how, None)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(hs.integers(3, 7), hs.integers(0, 4), hs.integers(1, 3),
+       hs.integers(1, 3), hs.integers(0, 10 ** 6), hs.data())
+def test_validator_clears_only_what_stitches(n, extra, k, d_max, seed, data):
+    # the oracle optimum's state tree with one field changed: the validator
+    # answers with a list, and a tree it clears stitches into a good
+    # multi-tree of the state tree's cost
+    inst = gen_dst(n, min(n - 1 + extra, (n - 1) ** 2), min(k, n - 1),
+                   d_max, seed=seed)
+    res = exact_dst(inst)
+    norm = normalize(inst)
+    tau = gen_state_tree(norm, lift_tree(norm, set(map(tuple, res.edges))))
+    mutate(data.draw, norm, tau)
+    h = height_budget(norm.inst.n)
+    bad = validate_state_tree(norm, tau, h)
+    assert isinstance(bad, list)
+    if not bad:
+        mt = stitch_multi_tree(norm, tau, h)
+        _check_good_multi_tree(norm, mt)
+        assert mt.cost(norm) == state_tree_cost(norm, tau)
 
 
 def test_stitch_round_trip():
@@ -356,11 +434,11 @@ def reference_super_tree(norm, h):
         edges = sorted(inst.out_edges(r1))
         out = [((r1, v), c) for v, c in edges
                if frozenset({r1, v} - K) == S
-               and leaf_agrees(norm, (r1, v), S, rho)]
+               and leaf_agrees(norm, (r1, v), rho)]
         out += [((r1, v, v2), c1 + c2)
                 for (v, c1), (v2, c2) in itertools.combinations(edges, 2)
                 if frozenset({r1, v, v2} - K) == S
-                and leaf_agrees(norm, (r1, v, v2), S, rho)]
+                and leaf_agrees(norm, (r1, v, v2), rho)]
         return out
 
     def candidates(key):
