@@ -27,8 +27,8 @@ from .instances import (DirectedInstance, GroupTreeInstance, normalize,
                         serialize_gst)
 from .lpcore import EPS_CHECK, build_gst_lp, dump_lp
 from .dst_round import dst_lp, mgf_s, run_dst, tree_degree_ratios
-from .oracle import INFEASIBLE, OPTIMAL, exact_dst, exact_gst
-from .report import SCHEMA_VERSION
+from .oracle import exact_dst, exact_gst
+from .report import INFEASIBLE, OPTIMAL, SCHEMA_VERSION
 from .rounding import blocks, csr, pair_counts
 from .states import NODE_CAP, build_super_tree, oracle_height
 from .treekit import height_budget
@@ -122,7 +122,7 @@ def cmd_oracle(args) -> int:
     problem = _problem(args)
     res = problem.oracle(problem.load(args.instance))
     _emit_json(res.to_dict(), args.out)
-    return 0 if res.status == "OPTIMAL" else 2
+    return 0 if res.status == OPTIMAL else 2
 
 
 def cmd_dump_supertree(args) -> int:
@@ -231,9 +231,24 @@ def _no_constant(name: str):
     raise FormatError(f"bad report JSON: {name} is not a JSON number")
 
 
+def _int64(text: str) -> int:
+    # as in instance files, so no check overflows; int() takes <= 4300 digits
+    if len(text) > 20 or not -2 ** 63 <= int(text) < 2 ** 63:
+        raise FormatError(f"bad report JSON: {text[:40]} is beyond int64")
+    return int(text)
+
+
+def _double(text: str) -> float:
+    # json reads 1e400 as inf, which parse_constant never sees
+    if not math.isfinite(float(text)):
+        raise FormatError(f"bad report JSON: {text[:40]} is beyond a double")
+    return float(text)
+
+
 def cmd_verify(args) -> int:
     try:
-        doc = json.loads(_read(args.tree), parse_constant=_no_constant)
+        doc = json.loads(_read(args.tree), parse_constant=_no_constant,
+                         parse_int=_int64, parse_float=_double)
     except json.JSONDecodeError as e:
         raise FormatError(f"bad report JSON: {e}")
     if not isinstance(doc, dict):
@@ -259,51 +274,59 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _is_ids(vs) -> bool:
-    return isinstance(vs, list) and all(map(_is_id, vs))
+def _each(kind: type, valid: Callable) -> Callable:
+    # a JSON list or object whose items or values all hold valid
+    return lambda v: isinstance(v, kind) and all(
+        map(valid, v.values() if kind is dict else v))
 
 
-def _is_pairs(es) -> bool:
-    return isinstance(es, list) and all(
-        isinstance(e, list) and len(e) == 2 and all(map(_is_id, e))
-        for e in es)
+INTEGER = (_is_id, "an integer")
+NUMBER = (_is_number, "a number")
+IDS = (_each(list, _is_id), "a list of vertex ids")
+PAIRS = (_each(list, lambda e: _each(list, _is_id)(e) and len(e) == 2),
+         "a list of [u, v] vertex pairs")
+NUMBERS = (_each(list, _is_number), "a list of numbers")
+# (form, description) of each report field that verify reads as a value;
+# the fields it compares whole with what it computes (DB-DST covered,
+# coverage and tree_cost, DB-GST-T coverage and union_cost) are not here
+SHARED_FORMS = {
+    "schema_version": INTEGER, "seed": INTEGER, "lp_cost": NUMBER,
+    "instance": (lambda v: isinstance(v, str), "a string"),
+    "repetition_costs": (_each(list, _is_id), "a list of integers"),
+    "degree_violations": (_each(dict, _is_number), "an object of numbers"),
+    "oracle": (lambda v: isinstance(v, dict), "an object")}
+FORMS = {
+    "dst": {**SHARED_FORMS, "h": INTEGER, "Q": INTEGER, "h_prime": INTEGER,
+            "s": NUMBER, "union_cost": NUMBER, "tree_edges": PAIRS,
+            "mgf_stats": (_each(dict, lambda e: _each(dict, _is_number)(e)
+                                and e.keys() == {"max_copies", "mgf"}
+                                and _is_id(e["max_copies"])),
+                          'an object of {"max_copies": integer, "mgf": '
+                          'number} objects')},
+    "gst": {**SHARED_FORMS, "L": INTEGER, "gamma": INTEGER, "M": INTEGER,
+            "alpha": NUMBERS, "alpha0": NUMBER, "modified_cost": NUMBER,
+            "union_vertices": IDS, "z_root": NUMBERS},
+}
 
 
-def _report_field(doc: dict, name: str, default, valid: Callable,
-                  what: str):
-    """``doc[name]`` (``default`` when absent), or a FormatError naming the
-    field unless ``valid`` holds for it."""
-    value = doc.get(name, default)
-    if not valid(value):
-        raise FormatError(f"report field {name!r} must be {what}")
-    return value
-
-
-def _ratios(doc: dict) -> dict:
-    return _report_field(
-        doc, "degree_violations", {},
-        lambda d: isinstance(d, dict) and all(map(_is_number, d.values())),
-        "an object of numbers")
-
-
-def _number(doc: dict, name: str, integer: bool = False):
-    """``doc[name]``, an integer if ``integer`` and else a number, or None
-    when it is absent or null."""
-    valid = _is_id if integer else _is_number
-    return _report_field(doc, name, None, lambda v: v is None or valid(v),
-                         "an integer" if integer else "a number")
+def _fields(doc: dict, kind: str) -> dict:
+    """Each field of ``FORMS[kind]`` in the report, None when absent; a
+    field of the wrong form raises a FormatError naming it."""
+    for name, (valid, what) in FORMS[kind].items():
+        if name in doc and not valid(doc[name]):
+            raise FormatError(f"report field {name!r} must be {what}")
+    return {name: doc.get(name) for name in FORMS[kind]}
 
 
 def _mismatch(name: str, want, got) -> list[str]:
     return [] if got == want else [f"{name} mismatch: {want} vs {got}"]
 
 
-def _ratios_mismatch(want: dict, got: dict) -> list[str]:
+def _ratios_mismatch(want: dict, got: dict | None) -> list[str]:
     """The report's degree ratios ``got`` against ``want``, to 9 places."""
-    if {str(u): round(r, 9) for u, r in want.items()} == {
-            u: round(r, 9) for u, r in got.items()}:
-        return []
-    return ["degree violation ratios mismatch"]
+    same = {str(u): round(r, 9) for u, r in want.items()} == {
+        u: round(r, 9) for u, r in (got or {}).items()}
+    return [] if same else ["degree violation ratios mismatch"]
 
 
 def _lp_over_oracle(lp_cost, oracle_cost: int) -> list[str]:
@@ -313,32 +336,25 @@ def _lp_over_oracle(lp_cost, oracle_cost: int) -> list[str]:
     return []
 
 
-def _oracle(doc: dict, items: str, valid: Callable, what: str):
+def _oracle(oracle: dict | None, items: str, form: tuple):
     """(cost, ``items``) of the report's ``oracle`` block when the oracle
     found an optimum, else (None, None); a malformed block raises
     FormatError naming the field."""
-    oracle = _report_field(doc, "oracle", None,
-                           lambda o: o is None or isinstance(o, dict),
-                           "an object")
     if oracle is None or oracle.get("status") == INFEASIBLE:
         return None, None
-    for name, valid_field, want in (
-            ("status", lambda s: s == OPTIMAL, f"{OPTIMAL} or {INFEASIBLE}"),
-            ("cost", _is_id, "an integer"), (items, valid, what)):
-        if not valid_field(oracle.get(name)):
+    for name, (valid, want) in (
+            ("status", (lambda s: s == OPTIMAL, f"{OPTIMAL} or {INFEASIBLE}")),
+            ("cost", INTEGER), (items, form)):
+        if not valid(oracle.get(name)):
             raise FormatError(f"report field 'oracle.{name}' must be {want}")
     return oracle["cost"], oracle[items]
 
 
-def _run_fields(doc: dict, count: str) -> list[str]:
+def _run_fields(f: dict, count: str) -> list[str]:
     """Mismatches of the schema version, and of the number of repetition
-    costs against the repetition count ``doc[count]``."""
-    bad = _mismatch("schema_version", SCHEMA_VERSION,
-                    _number(doc, "schema_version", integer=True))
-    reps = _number(doc, count, integer=True)
-    costs = _report_field(doc, "repetition_costs", None,
-                          lambda v: v is None or isinstance(v, list),
-                          "a list")
+    costs against the repetition count ``f[count]``."""
+    bad = _mismatch("schema_version", SCHEMA_VERSION, f["schema_version"])
+    reps, costs = f[count], f["repetition_costs"]
     got = None if costs is None else len(costs)
     if reps is None or got != reps:
         bad.append(f"repetition count mismatch: {count} {reps} vs {got} "
@@ -347,47 +363,51 @@ def _run_fields(doc: dict, count: str) -> list[str]:
 
 
 def _arborescence(inst: DirectedInstance, edges: list[tuple],
-                  prefix: str) -> tuple[list[str], set[int]]:
+                  prefix: str) -> tuple[list[str], dict]:
     """Failure messages, each starting with ``prefix``, of ``edges`` as an
-    out-arborescence of ``inst`` from its root: an edge not in the instance
-    or entering the root, a vertex with two parents, an edge unreachable
-    from the root; and the vertices reached from the root."""
+    out-arborescence of ``inst`` from its root (an edge not in the instance
+    or into the root, two parents, an edge unreachable from the root); and
+    ``inst.parents(edges)``."""
     bad = []
-    parent = {}
+    heads = set()
     for (u, v) in edges:
         if (u, v) not in inst.cost:
             bad.append(f"{prefix}edge ({u}, {v}) not in the instance")
         if v == inst.root:
             bad.append(f"{prefix}edge ({u}, {v}) enters the root")
-        if v in parent:
+        if v in heads:
             bad.append(f"{prefix}vertex {v} has two parents")
-        parent[v] = u
-    reach = {inst.root}
-    frontier = [inst.root]
-    adj = {}
-    for (u, v) in edges:
-        adj.setdefault(u, []).append(v)
-    while frontier:
-        u = frontier.pop()
-        for v in adj.get(u, []):
-            if v not in reach:
-                reach.add(v)
-                frontier.append(v)
+        heads.add(v)
+    reach = inst.parents(edges)
     if any(v not in reach for (_, v) in edges):
         bad.append(f"{prefix}tree has edges unreachable from the root")
     return bad, reach
 
 
+def _mgf_faults(stats: dict | None, n: int, Q: int, s: float) -> list[str]:
+    """Failure messages of ``mgf_stats`` over Q repetitions: keyed by the n
+    vertices (none at Q = 0), each mgf, a mean of Q terms exp(s c) with c at
+    most m = max_copies, lies in [1 + expm1(s m)/Q, exp(s m)] (EPS_CHECK)."""
+    want = n if Q else 0
+    if stats is None or stats.keys() != set(map(str, range(want))):
+        return [f"mgf_stats keys are not the vertex ids below {want}"]
+    bad = []
+    for v in range(want):
+        mgf, m = stats[str(v)]["mgf"], stats[str(v)]["max_copies"]
+        if not (mgf >= 1 and math.log(mgf - EPS_CHECK) <= s * m
+                <= math.log1p(Q * (mgf - 1 + EPS_CHECK))):
+            bad.append(f"mgf_stats[{v}]: mgf {mgf} outside the bounds of "
+                       f"max_copies {m} over Q {Q}")
+    return bad
+
+
 def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
     """Failure messages of a DB-DST report against its instance; a
     malformed report raises FormatError."""
-    pairs = "a list of [u, v] vertex pairs"
-    edges = [tuple(e) for e in _report_field(doc, "tree_edges", [],
-                                             _is_pairs, pairs)]
-    got = _ratios(doc)
-    cost = inst.cost
+    f = _fields(doc, "dst")
+    edges = [tuple(e) for e in f["tree_edges"] or ()]
     bad, reach = _arborescence(inst, edges, "")
-    covered = sorted(set(inst.terminals) & reach)
+    covered = sorted(t for t in inst.terminals if t in reach)
     if covered != doc.get("covered"):
         bad.append(f"covered set mismatch: {covered} vs {doc.get('covered')}")
     k = len(inst.terminals)
@@ -396,24 +416,31 @@ def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
     # JSON true equals 1.0 in Python
     if isinstance(claimed, bool) or claimed != coverage:
         bad.append(f"coverage mismatch: {coverage} vs {claimed}")
-    total = sum(cost.get(e, 0) for e in edges)
+    total = sum(inst.cost.get(e, 0) for e in edges)
     if total != doc.get("tree_cost"):
         bad.append(f"tree cost mismatch: {total} vs {doc.get('tree_cost')}")
-    union_cost = _number(doc, "union_cost")
-    if union_cost is None or union_cost < total:
-        bad.append(f"union cost {union_cost} below tree cost {total}")
-    bad += _run_fields(doc, "Q")
-    # the super-tree height h' and s as run_dst computes them
-    h, h_prime = (_number(doc, name, integer=True)
-                  for name in ("h", "h_prime"))
+    if f["union_cost"] is None or f["union_cost"] < total:
+        bad.append(f"union cost {f['union_cost']} below tree cost {total}")
+    bad += _run_fields(f, "Q")
+    # h' and s as run_dst computes them: every leaf is a base node at depth
+    # 2l + 2, and without terminals the super node is the whole super-tree
+    h, h_prime = f["h"], f["h_prime"]
     if h is None or h_prime is None or h_prime > 2 * h + 2:
         bad.append(f"h_prime {h_prime} exceeds 2h + 2 for h {h}")
+    elif h_prime % 2 or h_prime < 0 or (h_prime == 0) != (k == 0):
+        bad.append(f"h_prime {h_prime} is not a super-tree height: even, "
+                   f"and 0 exactly without terminals")
+    norm = normalize(inst)
     if h_prime is not None:
-        bad += _mismatch("s", mgf_s(h_prime), _number(doc, "s"))
+        s = mgf_s(h_prime)
+        bad += _mismatch("s", s, f["s"])
+        bad += _mgf_faults(f["mgf_stats"], norm.inst.n,
+                           len(f["repetition_costs"] or ()), s)
     # a tail that is no vertex is already reported as an edge not in the
     # instance
-    bad += _ratios_mismatch(tree_degree_ratios(inst, edges), got)
-    oracle_cost, oracle_edges = _oracle(doc, "edges", _is_pairs, pairs)
+    bad += _ratios_mismatch(tree_degree_ratios(inst, edges),
+                            f["degree_violations"])
+    oracle_cost, oracle_edges = _oracle(f["oracle"], "edges", PAIRS)
     if oracle_cost is not None:
         # a feasible tree: an arborescence that reaches every terminal
         # within the out-degree bounds that exact_dst keeps
@@ -427,24 +454,19 @@ def verify_dst_report(inst: DirectedInstance, doc: dict) -> list[str]:
                    for u, d in sorted(outdeg.items())
                    if d > inst.degree_bound.get(u, d)]
         faults += _mismatch("oracle cost",
-                            sum(cost.get(e, 0) for e in oracle_edges),
+                            sum(inst.cost.get(e, 0) for e in oracle_edges),
                             oracle_cost)
         bad += faults
-        # the LP <= optimum check of run, where its height rule holds for
-        # the oracle's tree
-        over = _lp_over_oracle(_number(doc, "lp_cost"), oracle_cost)
-        if (over and not faults and h is not None
-                and _relaxes_dst(normalize(inst), h, oracle_edges)):
+        # the LP <= optimum check of run, where the LP relaxes the oracle's
+        # tree: the super-tree holds every tree whose decomposition fits in
+        # h, and the height budget bounds that depth for every tree,
+        # oracle_height for this one
+        over = _lp_over_oracle(f["lp_cost"], oracle_cost)
+        if over and not faults and h is not None and (
+                h >= height_budget(norm.inst.n)
+                or h >= oracle_height(norm, oracle_edges)):
             bad += over
     return bad
-
-
-def _relaxes_dst(norm, h: int, edges) -> bool:
-    """Whether the DB-DST LP at height h costs at most the tree of
-    ``edges``: the super-tree holds every tree whose decomposition fits in
-    h, and the height budget bounds that depth for every tree,
-    ``oracle_height`` for this one."""
-    return h >= height_budget(norm.inst.n) or h >= oracle_height(norm, edges)
 
 
 def _subtree(inst: GroupTreeInstance, vertices: list[int], prefix: str,
@@ -472,36 +494,42 @@ def _subtree(inst: GroupTreeInstance, vertices: list[int], prefix: str,
 def verify_gst_report(inst: GroupTreeInstance, doc: dict) -> list[str]:
     """Failure messages of a DB-GST-T report against its instance; a
     malformed report raises FormatError."""
-    ids = "a list of vertex ids"
-    got = _ratios(doc)
-    bad, union, coverage = _subtree(
-        inst, _report_field(doc, "union_vertices", [], _is_ids, ids), "",
-        "union")
+    f = _fields(doc, "gst")
+    bad, union, coverage = _subtree(inst, f["union_vertices"] or [], "",
+                                    "union")
     claimed = doc.get("coverage")
     # JSON 1 equals true in Python
-    if claimed != coverage or not all(isinstance(f, bool) for f in claimed):
+    if claimed != coverage or not all(isinstance(c, bool) for c in claimed):
         bad.append(f"coverage flags mismatch: {coverage} vs {claimed}")
     total = sum(inst.cost[v] for v in union)
     if total != doc.get("union_cost"):
         bad.append(f"union cost mismatch: {total} vs {doc.get('union_cost')}")
-    bad += _ratios_mismatch(union_degree_ratios(inst, union), got)
-    bad += _run_fields(doc, "M")
+    bad += _ratios_mismatch(union_degree_ratios(inst, union),
+                            f["degree_violations"])
+    bad += _run_fields(f, "M")
+    # each repetition holds the root and lies in the union
+    low = inst.cost[inst.root]
+    bad += [f"repetition {i} cost {c} outside [{low}, {total}], the root "
+            f"and union costs"
+            for i, c in enumerate(f["repetition_costs"] or ())
+            if not low <= c <= total]
     # the parameters run_gst derives from the instance
     L, gamma = global_params(inst.n)
     alpha = alpha_sequence(L, gamma)
-    for name, want in (("L", L), ("gamma", gamma), ("alpha0", alpha[0])):
-        bad += _mismatch(name, want,
-                         _number(doc, name, integer=isinstance(want, int)))
-    bad += _mismatch("alpha", alpha, _report_field(
-        doc, "alpha", None,
-        lambda v: v is None or isinstance(v, list) and all(map(_is_number, v)),
-        "a list of numbers"))
-    # P6 with the slack of check_modified_solution
-    lp_cost, modified = _number(doc, "lp_cost"), _number(doc, "modified_cost")
+    for name, want in (("L", L), ("gamma", gamma), ("alpha0", alpha[0]),
+                       ("alpha", alpha)):
+        bad += _mismatch(name, want, f[name])
+    # P3 and P6 with the slack of check_modified_solution
+    z_root = f["z_root"] or []
+    bad += _mismatch("z_root length", len(inst.groups), len(z_root))
+    bad += [f"P3: group {t} mass {z} outside [1/2, 2]"
+            for t, z in enumerate(z_root)
+            if not 0.5 - EPS_CHECK <= z <= 2 + EPS_CHECK]
+    lp_cost, modified = f["lp_cost"], f["modified_cost"]
     if (lp_cost is None or modified is None
             or modified > 2 * lp_cost + EPS_CHECK * max(1, lp_cost)):
         bad.append(f"modified cost {modified} exceeds 2 * LP cost {lp_cost}")
-    oracle_cost, oracle_vertices = _oracle(doc, "vertices", _is_ids, ids)
+    oracle_cost, oracle_vertices = _oracle(f["oracle"], "vertices", IDS)
     if oracle_cost is not None:
         # a feasible tree: a subtree that hits every group with at most as
         # many children per vertex as exact_gst lets it choose

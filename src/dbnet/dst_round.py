@@ -20,9 +20,9 @@ import numpy as np
 from .errors import CapExceededError, InfeasibleError, InvariantError
 from .instances import (DirectedInstance, MultiTree, NormalizedInstance,
                         original_degree)
-from .lpcore import INFEASIBLE, LPModel, LPSolution, build_dst_lp, solve_lp
+from .lpcore import LPModel, LPSolution, build_dst_lp, solve_lp
 from .rounding import ChildTable, blocks, csr, pair_counts, per_rep
-from .report import RunReport
+from .report import INFEASIBLE, RunReport
 from .states import (BASE, NODE_CAP, VIRTUAL, SuperTree, build_super_tree,
                      selection_to_state_tree, stitch_multi_tree)
 from .treekit import height_budget
@@ -191,9 +191,8 @@ def _check_reachable(inst: DirectedInstance) -> None:
     """InfeasibleError naming the least terminal that no path from the root
     reaches over vertices of degree bound 1 or more: every vertex above a
     terminal in a tree has a child, so no tree of any height spans it."""
-    _, covered = extract_tree(inst, {(u, v) for (u, v, _) in inst.edges
-                                     if inst.degree_bound[u]})
-    missed = sorted(inst.terminals - covered)
+    missed = sorted(inst.terminals - inst.parents(
+        (u, v) for (u, v, _) in inst.edges if inst.degree_bound[u]).keys())
     if missed:
         raise InfeasibleError(f"terminal {missed[0]} is unreachable from the "
                               f"root over vertices of degree bound >= 1")
@@ -284,23 +283,11 @@ def extract_tree(inst, union_edges: set[tuple[int, int]]
                  ) -> tuple[set[tuple[int, int]], set[int]]:
     """Prune a union subgraph to a tree: BFS parent assignment from the root,
     then drop branches not leading to any terminal."""
-    adj = {}
-    for (u, v) in sorted(union_edges):
-        adj.setdefault(u, []).append(v)
-    parent = {inst.root: None}
-    queue = [inst.root]
-    while queue:
-        u = queue.pop(0)
-        for v in adj.get(u, []):
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
-    covered = set(inst.terminals) & set(parent)
+    parent = inst.parents(union_edges)
+    covered = inst.terminals & parent.keys()
     keep = set()
-    for t in covered:
-        v = t
+    for v in covered:
         while v is not None and v not in keep:
             keep.add(v)
             v = parent[v]
-    edges = {(parent[v], v) for v in keep if parent[v] is not None}
-    return edges, covered
+    return {(parent[v], v) for v in keep if parent[v] is not None}, covered

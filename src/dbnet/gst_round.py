@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import InfeasibleError, InvariantError
 from .instances import GroupTreeInstance
-from .lpcore import (INFEASIBLE, build_gst_lp, check_modified_solution,
+from .lpcore import (build_gst_lp, check_modified_solution,
                      modify_gst_solution, solve_lp)
-from .report import RunReport
+from .report import INFEASIBLE, RunReport
 from .rounding import ChildTable, blocks
 
 EPS_MONOTONE = 1e-12  # slack of the x' non-increasing check

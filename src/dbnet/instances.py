@@ -81,6 +81,21 @@ class DirectedInstance:
     def out_edges(self, u: int) -> list[tuple[int, int]]:
         return self._out[u]
 
+    def parents(self, edges) -> dict:
+        """The parent of each vertex that the (u, v) pairs ``edges`` reach
+        from the root (None at the root), breadth first in sorted order."""
+        adj = {}
+        for (u, v) in sorted(edges):
+            adj.setdefault(u, []).append(v)
+        parent = {self.root: None}
+        queue = [self.root]
+        for u in queue:
+            for v in adj.get(u, ()):
+                if v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        return parent
+
 
 def _counts(lines: list[list[str]], names: str) -> list[int]:
     """The non-negative counts on line 2, named like ``'n m k'``."""

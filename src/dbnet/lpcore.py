@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import InfeasibleError, SolverError
 from .instances import GroupTreeInstance
+from .report import INFEASIBLE, OPTIMAL
 from .rounding import tops
 from .states import BASE, STATE, SUPER, VIRTUAL, SuperTree
 
@@ -44,9 +45,6 @@ highs = _load_highs()
 
 EPS_FEAS = 1e-9
 EPS_CHECK = 1e-9      # slack of the P1-P6 scan
-
-OPTIMAL = "OPTIMAL"
-INFEASIBLE = "INFEASIBLE"
 
 
 @dataclass

@@ -14,9 +14,7 @@ import numpy as np
 
 from .errors import CapExceededError
 from .instances import DirectedInstance, GroupTreeInstance
-
-OPTIMAL = "OPTIMAL"
-INFEASIBLE = "INFEASIBLE"
+from .report import INFEASIBLE, OPTIMAL
 
 INF = math.inf
 
@@ -81,30 +79,16 @@ def exact_dst(inst: DirectedInstance) -> ExactResult:
             lb += c
         return lb
 
-    def feasible_final(chosen: list[tuple[int, int]]) -> bool:
-        reach = {r}
-        changed = True
-        while changed:
-            changed = False
-            for (u, v) in chosen:
-                if u in reach and v not in reach:
-                    reach.add(v)
-                    changed = True
-        heads = {v for (_, v) in chosen}
-        if not heads <= reach:
-            return False
-        for (u, _) in chosen:
-            if u not in reach:
-                return False
-        return all(t in reach for t in terminals)
-
     def dfs(i: int, cur: int, chosen: list[tuple[int, int]]):
         if lower_bound(i, cur) >= best[0]:
             return
         if i == m:
-            if feasible_final(chosen):
-                best[0] = cur
-                best[1] = list(chosen)
+            # each vertex has one parent in chosen, so an edge whose head is
+            # reached has its tail reached too
+            reach = inst.parents(chosen)
+            if all(v in reach for (_, v) in chosen) and all(
+                    t in reach for t in terminals):
+                best[:] = cur, list(chosen)
             return
         u, v = edges[i]
         # include, unless it breaks a structural constraint

@@ -3,6 +3,9 @@
 from dataclasses import fields
 
 SCHEMA_VERSION = 2
+# the status of an LP solve and of an exact oracle
+OPTIMAL = "OPTIMAL"
+INFEASIBLE = "INFEASIBLE"
 
 
 def _plain(value):

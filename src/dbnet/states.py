@@ -285,19 +285,6 @@ def _offsets(counts) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
 
 
-class _Column:
-    """``column[i]`` is ``values[ids[i]]``, or None where ``ids[i]`` is -1."""
-
-    __slots__ = ("ids", "values")
-
-    def __init__(self, ids: np.ndarray, values: list):
-        self.ids, self.values = ids, values
-
-    def __getitem__(self, i):
-        j = self.ids[i]
-        return None if j < 0 else self.values[j]
-
-
 @dataclass
 class SuperTree:
     """Arena holding the pruned output of the super-tree construction as
@@ -308,10 +295,9 @@ class SuperTree:
     node) and ``cost[i]`` (0 but at base nodes).  A state node names its
     state by ``state_id[i]`` into ``keys``, a base node its leaf by
     ``payload_id[i]`` into ``payloads``; both ids are -1 elsewhere.
-    ``state[i]`` and ``payload[i]`` read through them, ``children[i]``
-    lists the children of i in index order from the CSR arrays
-    ``child_ptr``/``child``, and ``involved`` pairs each base node with
-    every normalized vertex its leaf enters, by node, then position."""
+    ``children[i]`` lists the children of i in index order from the CSR
+    arrays ``child_ptr``/``child``, and ``involved`` pairs each base node
+    with every normalized vertex its leaf enters, by node, then position."""
 
     norm: NormalizedInstance
     h: int
@@ -335,8 +321,6 @@ class SuperTree:
         self.depth = 2 * self.level + np.where(self.kind == STATE, 1, 2)
         self.child_ptr, self.child = csr(n, self.parent[1:], np.arange(1, n))
         self.children = Rows(self.child_ptr, self.child)
-        self.state = _Column(self.state_id, self.keys)
-        self.payload = _Column(self.payload_id, self.payloads)
         # a leaf (r', *tails) enters its tails
         heads = [leaf[1:] for leaf in self.payloads]
         vert = np.array([v for d in heads for v in d], dtype=np.int64)
@@ -745,11 +729,11 @@ def selection_to_state_tree(st: SuperTree, selected: set[int]) -> StateTreeNode:
         return kids
 
     def from_state(p) -> StateTreeNode:
-        r1, S, rhot = st.state[p]
+        r1, S, rhot = st.keys[st.state_id[p]]
         node = StateTreeNode(r1, S, dict(rhot))
         (c,) = pick_child(p)
         if st.kind[c] == BASE:
-            node.leaf = st.payload[c]
+            node.leaf = st.payloads[st.payload_id[c]]
         elif st.kind[c] == VIRTUAL:
             left, right = pick_child(c, want=2)
             node.left = from_state(left)

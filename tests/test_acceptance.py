@@ -152,7 +152,7 @@ def test_criterion_07_concentration(dst_corpus):
         for pos in (0, 1):
             vert = np.full(len(st), -1)
             for o in np.flatnonzero(st.kind == BASE).tolist():
-                vs = st.payload[o][1:]
+                vs = st.payloads[st.payload_id[o]][1:]
                 if pos < len(vs):
                     vert[o] = vs[pos]
             on = vert[node] >= 0

@@ -13,6 +13,7 @@ from conftest import small_dst
 from test_golden import OVERLAP_GST
 from dbnet import cli, states
 from dbnet.cli import build_parser, main
+from dbnet.dst_round import mgf_s
 from dbnet.errors import CapExceededError, InvariantError
 from dbnet.generators import gen_dst, gen_gst
 from dbnet.instances import (DirectedInstance, normalize, parse_dst,
@@ -626,8 +627,49 @@ def test_verify_wants_boolean_gst_coverage(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-# one derived field of a solved report changed: (field, value, message)
+def mgf_entry(d, copies, **change):
+    """``mgf_stats`` of the report ``d`` with ``change`` made to the entry of
+    the least vertex of max_copies ``copies``, and the message it gives."""
+    v = min((v for v, e in d["mgf_stats"].items()
+             if e["max_copies"] == copies), key=int)
+    e = {**d["mgf_stats"][v], **change}
+    return ("mgf_stats", {**d["mgf_stats"], v: e},
+            f"mgf_stats[{v}]: mgf {e['mgf']} outside the bounds of "
+            f"max_copies {e['max_copies']} over Q {d['Q']}")
+
+
+# one derived field of a solved report changed: (field, value, message);
+# the DB-DST report has h' = 8, every mgf of max_copies 1 at its bound
+# exp(s) = 1.0625 and vertex 0 at max_copies 0; the DB-GST-T root costs 0
 TAMPERS = {
+    "dst-mgf_stats-keys": lambda d: (
+        "mgf_stats", {v: e for v, e in d["mgf_stats"].items() if v != "0"},
+        f"mgf_stats keys are not the vertex ids below "
+        f"{len(d['mgf_stats'])}"),
+    "dst-mgf_stats-above": lambda d: mgf_entry(d, 1, mgf=1.07),
+    "dst-mgf_stats-below": lambda d: mgf_entry(
+        d, 1, mgf=1 + math.expm1(d["s"]) / d["Q"] / 2),
+    "dst-mgf_stats-one-with-copies": lambda d: mgf_entry(d, 0, max_copies=1),
+    "dst-mgf_stats-above-one-without-copies": lambda d: mgf_entry(
+        d, 1, max_copies=0),
+    "gst-z_root-length": lambda d: (
+        "z_root", d["z_root"][:-1],
+        f"z_root length mismatch: {len(d['z_root'])} vs "
+        f"{len(d['z_root']) - 1}"),
+    "gst-z_root-above": lambda d: (
+        "z_root", [2.5] + d["z_root"][1:],
+        "P3: group 0 mass 2.5 outside [1/2, 2]"),
+    "gst-z_root-below": lambda d: (
+        "z_root", d["z_root"][:-1] + [0.25],
+        f"P3: group {len(d['z_root']) - 1} mass 0.25 outside [1/2, 2]"),
+    "gst-repetition_costs-above": lambda d: (
+        "repetition_costs", d["repetition_costs"][:-1] + [d["union_cost"] + 1],
+        f"repetition {d['M'] - 1} cost {d['union_cost'] + 1} outside "
+        f"[0, {d['union_cost']}], the root and union costs"),
+    "gst-repetition_costs-below": lambda d: (
+        "repetition_costs", [-1] + d["repetition_costs"][1:],
+        f"repetition 0 cost -1 outside [0, {d['union_cost']}], the root and "
+        f"union costs"),
     "dst-schema_version": lambda d: (
         "schema_version", 7, "schema_version mismatch: 2 vs 7"),
     "dst-repetition_costs": lambda d: (
@@ -681,13 +723,42 @@ def test_verify_checks_derived_fields(real_reports, capsys, case):
     assert f"verify: {says}" in capsys.readouterr().err.splitlines()
 
 
+@pytest.mark.parametrize("h_prime", [0, 3, -4])
+def test_verify_wants_a_super_tree_height(run_reports, capsys, h_prime):
+    # every leaf of a super-tree is a base node at an even depth, and h' is
+    # 0 only without terminals; s is made to match h'
+    where, reports = run_reports
+    instance, doc = reports["dst"]
+    assert (doc["h"], doc["h_prime"]) == (3, 8)
+    out = where / "height.json"
+    out.write_text(json.dumps({**doc, "h_prime": h_prime,
+                               "s": mgf_s(h_prime)}))
+    capsys.readouterr()
+    assert main(["verify", "--tree", str(out), "--instance", instance]) == 4
+    assert (f"verify: h_prime {h_prime} is not a super-tree height: even, "
+            f"and 0 exactly without terminals"
+            in capsys.readouterr().err.splitlines())
+
+
+# a value of the wrong JSON type for every field of FORMS, named by its form
+WRONG_TYPES = [(kind, name, 5 if name == "instance" else "x", what)
+               for kind, forms in cli.FORMS.items()
+               for name, (_, what) in forms.items()]
+
+
 @pytest.mark.parametrize("problem,name,value,what", [
     ("dst", "h_prime", "3", "an integer"),
     ("dst", "s", True, "a number"),
     ("dst", "repetition_costs", {}, "a list"),
     ("gst", "gamma", True, "an integer"),
     ("gst", "alpha", [0.5, "x"], "a list of numbers"),
-    ("gst", "schema_version", 2.0, "an integer")])
+    ("gst", "schema_version", 2.0, "an integer"),
+    ("dst", "repetition_costs", [3, 1.5], "a list of integers"),
+    ("dst", "mgf_stats", {"0": {"mgf": 1.0}}, "an object of"),
+    ("dst", "mgf_stats", {"0": {"mgf": "1", "max_copies": 0}},
+     "an object of"),
+    ("dst", "lp_cost", None, "a number"),
+    ("gst", "z_root", [0.5, "x"], "a list of numbers")] + WRONG_TYPES)
 def test_verify_derived_field_of_the_wrong_type(real_reports, capsys,
                                                 problem, name, value, what):
     where, reports = real_reports
@@ -695,7 +766,52 @@ def test_verify_derived_field_of_the_wrong_type(real_reports, capsys,
     out = where / "wrong-type.json"
     out.write_text(json.dumps({**doc, name: value}))
     assert main(["verify", "--tree", str(out), "--instance", instance]) == 5
-    assert f"report field {name!r} must be {what}" in capsys.readouterr().err
+    # the whole message names the field's form in FORMS, which starts with
+    # what
+    form = cli.FORMS[problem][name][1]
+    assert form.startswith(what)
+    assert (f"dbnet: error: report field {name!r} must be {form}"
+            in capsys.readouterr().err.splitlines())
+
+
+# the report fields that verify compares whole with what it computes
+WHOLE = {"dst": {"covered", "coverage", "tree_cost"},
+         "gst": {"coverage", "union_cost"}}
+
+
+@pytest.mark.parametrize("problem", sorted(cli.PROBLEMS))
+def test_every_report_field_has_a_form(run_reports, problem):
+    # a field added to a report must be given a form or compared whole;
+    # --trials adds "stats", which verify does not read
+    _, reports = run_reports
+    _, doc = reports[problem]
+    assert set(doc) - {"problem", "stats"} - WHOLE[problem] == set(
+        cli.FORMS[problem])
+
+
+@pytest.mark.parametrize("problem,name,text,says", [
+    ("gst", "seed", str(2 ** 63), "int64"),
+    ("gst", "union_cost", str(-2 ** 63 - 1), "int64"),
+    # beyond the 4300 digits that int() reads
+    ("dst", "h", "1" + "0" * 5000, "int64"),
+    # its float conversion in the LP <= optimum check overflowed
+    ("gst", "oracle.cost", "1" + "0" * 400, "int64"),
+    # json reads these as +-inf, which passed every bound check
+    ("dst", "union_cost", "1e400", "a double"),
+    ("dst", "lp_cost", "1e400", "a double"),
+    ("gst", "oracle.cost", "-1.5e400", "a double")])
+def test_verify_refuses_numbers_beyond_int64_or_double(
+        run_reports, capsys, problem, name, text, says):
+    where, reports = run_reports
+    instance, doc = reports[problem]
+    field, _, item = name.partition(".")
+    value = {**doc[field], item: "@"} if item else "@"
+    out = where / "int64.json"
+    out.write_text(json.dumps({**doc, field: value}).replace('"@"', text))
+    capsys.readouterr()
+    assert main(["verify", "--tree", str(out), "--instance", instance]) == 5
+    assert f"bad report JSON: {text[:40]} is beyond {says}" in (
+        capsys.readouterr().err)
 
 
 @pytest.fixture(scope="module")

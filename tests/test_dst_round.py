@@ -81,7 +81,7 @@ def test_half_probability_child():
     # perturb the cost of one route to get its two optimal vertices, then
     # average them into a fractional point where each route has mass 1/2
     route_a = [o for o in np.flatnonzero(st.kind == BASE).tolist()
-               if st.payload[o][:2] == (0, 1)]
+               if st.payloads[st.payload_id[o]][:2] == (0, 1)]
     lo = model.obj.copy()
     lo[route_a] += 1e-6
     hi = model.obj.copy()

@@ -613,7 +613,7 @@ def reference_dst_rows(st):
     # tails
     O_t = {t: [] for t in sorted(st.norm.inst.terminals)}
     for o in bases:
-        for v in st.payload[o][1:]:
+        for v in st.payloads[st.payload_id[o]][1:]:
             if v in O_t:
                 O_t[v].append(o)
     for t, nodes in sorted(O_t.items()):
@@ -629,7 +629,7 @@ def reference_dst_rows(st):
     for p in range(n - 1, -1, -1):
         mine = {}
         if st.kind[p] == BASE:
-            for v in st.payload[p][1:]:
+            for v in st.payloads[st.payload_id[p]][1:]:
                 if v in O_t:
                     mine.setdefault(v, []).append(p)
         for q in st.children[p]:

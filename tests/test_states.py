@@ -307,14 +307,14 @@ def test_super_tree_single_edge():
     assert len(st) == 3
     assert st.kind[0] == SUPER and STATE in st.kind and BASE in st.kind
     o = int(np.flatnonzero(st.kind == BASE)[0])
-    assert st.payload[o] == (0, 1) and st.cost[o] == 7
+    assert st.payloads[st.payload_id[o]] == (0, 1) and st.cost[o] == 7
 
 
 def test_super_tree_rho_pruning():
     # d_r = 2 but only rho_r = 1 agrees with the single edge
     inst = DirectedInstance(2, [(0, 1, 7)], 0, {1}, {0: 2, 1: 0})
     st = build_super_tree(normalize(inst), 3, 10_000)
-    states = [st.state[i] for i in range(len(st)) if st.kind[i] == STATE]
+    states = [st.keys[j] for j in st.state_id[st.kind == STATE]]
     assert all(dict(s[2])[0] == 1 for s in states)
 
 
@@ -342,8 +342,8 @@ def test_super_tree_triple_node():
     norm = star_two_terminals()
     st = build_super_tree(norm, 3, 10_000)
     bases = np.flatnonzero(st.kind == BASE).tolist()
-    triples = [o for o in bases if len(st.payload[o]) == 3]
-    assert any(st.payload[o] == (0, 1, 2) and st.cost[o] == 5
+    triples = [o for o in bases if len(st.payloads[st.payload_id[o]]) == 3]
+    assert any(st.payloads[st.payload_id[o]] == (0, 1, 2) and st.cost[o] == 5
                for o in triples)
 
 
@@ -361,7 +361,7 @@ def test_super_tree_structure_invariants():
             elif st.kind[i] == STATE:
                 assert kids, "pruning left a childless state node"
                 assert all(st.kind[q] in (BASE, VIRTUAL) for q in kids)
-                r, S, rho = st.state[i]
+                r, S, rho = st.keys[st.state_id[i]]
                 assert len(S) <= st.level[i] + 1
             else:
                 assert not kids
@@ -380,19 +380,21 @@ def test_oracle_tree_embeds():
 
         def embed(node, i) -> bool:
             if node.is_leaf:
-                return any(st.kind[q] == BASE and st.payload[q] == node.leaf
+                return any(st.kind[q] == BASE
+                           and st.payloads[st.payload_id[q]] == node.leaf
                            for q in st.children[i])
             for q in st.children[i]:
                 if st.kind[q] != VIRTUAL:
                     continue
                 a, b = st.children[q]
-                if (st.state[a] == key(node.left)
-                        and st.state[b] == key(node.right)
+                if (st.keys[st.state_id[a]] == key(node.left)
+                        and st.keys[st.state_id[b]] == key(node.right)
                         and embed(node.left, a) and embed(node.right, b)):
                     return True
             return False
 
-        start = [q for q in st.children[st.root] if st.state[q] == key(tau)]
+        start = [q for q in st.children[st.root]
+                 if st.keys[st.state_id[q]] == key(tau)]
         assert start and embed(tau, start[0]), seed
 
 
@@ -503,8 +505,10 @@ def arena_lists(st):
     n = len(st)
     return {"kind": st.kind.tolist(), "parent": st.parent.tolist(),
             "children": [st.children[i] for i in range(n)],
-            "state": [st.state[i] for i in range(n)],
-            "payload": [st.payload[i] for i in range(n)],
+            "state": [st.keys[j] if j >= 0 else None
+                      for j in st.state_id.tolist()],
+            "payload": [st.payloads[j] if j >= 0 else None
+                        for j in st.payload_id.tolist()],
             "cost": st.cost.tolist(), "level": st.level.tolist()}
 
 
